@@ -15,21 +15,18 @@ import sys
 import numpy as np
 
 from . import fileio
-from .decompose import SolverConfig, cp_als, hooi, hosvd, tpa, tpa_rank_one
+from .decompose import SolverConfig, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
 from .evaluate import bic_select, default_lambda_grid, variance_explained
 from .generalized import (
     QuadOperators,
     SmootherSet,
-    fpca,
-    fpca_half_smoothing,
-    gcp,
     general_cp_tpa,
     group_lasso_penalty,
     l1_penalty,
-    sparse_gcp,
 )
 from .simulate import (
+    METHODS,
     ROC_METHODS,
     TABLE_METHODS,
     SimScenarioSpec,
@@ -37,14 +34,7 @@ from .simulate import (
     run_table_experiment,
     simulate,
 )
-from .sparse import ModePenalty, PenaltySpec, sparse_cp_als, sparse_cp_tpa
-from .sparse import sparse_hooi, sparse_hosvd
-
-_CP_METHODS = ("cp-als", "tpa", "sparse-cp-tpa", "sparse-cp-als", "gcp",
-               "sparse-gcp", "fpca")
-_TUCKER_METHODS = ("hosvd", "hooi", "sparse-hosvd", "sparse-hooi",
-                   "fpca-halfsmooth")
-_ALL_METHODS = _CP_METHODS + _TUCKER_METHODS
+from .sparse import ModePenalty, PenaltySpec
 
 
 class CliError(Exception):
@@ -137,7 +127,8 @@ def _cmd_decompose(args) -> int:
     cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed,
                        init=args.init, orthogonalize=args.orthogonalize)
     method = args.method
-    tucker = method in _TUCKER_METHODS
+    entry = METHODS[method]
+    tucker = entry.tucker
     ranks = _parse_ranks(args.rank, tucker)
     lams = [_parse_lambda(v) for v in (args.lambda_u, args.lambda_v,
                                        args.lambda_w)]
@@ -147,33 +138,16 @@ def _cmd_decompose(args) -> int:
             if lam is not None and not np.isscalar(lam):
                 raise CliError(1, "group penalty needs fixed scalar lambdas")
         model = _fit_group(x, ranks, lams, args, cfg)
-    elif method in ("cp-als", "tpa", "hosvd", "hooi"):
-        model = {"cp-als": lambda: cp_als(x, ranks, cfg),
-                 "tpa": lambda: tpa(x, ranks, cfg),
-                 "hosvd": lambda: hosvd(x, ranks),
-                 "hooi": lambda: hooi(x, ranks, cfg)}[method]()
-    elif method in ("sparse-cp-tpa", "sparse-cp-als", "sparse-hosvd",
-                    "sparse-hooi"):
-        pen = PenaltySpec(*[_mode_penalty(lam, kind) for lam in lams])
-        fit = {"sparse-cp-tpa": sparse_cp_tpa, "sparse-cp-als": sparse_cp_als,
-               "sparse-hosvd": sparse_hosvd, "sparse-hooi": sparse_hooi}
-        model = fit[method](x, ranks, pen, cfg)
-    elif method in ("gcp", "sparse-gcp"):
-        q = _quad_operators(args, x.shape)
-        if method == "gcp":
-            model = gcp(x, q, ranks, cfg)
-        else:
-            for lam in lams:
-                if lam is not None and not np.isscalar(lam):
-                    raise CliError(1, "sparse-gcp takes fixed scalar lambdas")
-            lam = tuple(float(v) if v is not None else 0.0 for v in lams)
-            model = sparse_gcp(x, q, ranks, lam, cfg)
-    elif method == "fpca":
-        model = fpca(x, _smoothers(args, x.shape), ranks, cfg)
-    elif method == "fpca-halfsmooth":
-        model = fpca_half_smoothing(x, _smoothers(args, x.shape), ranks, cfg)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(1, f"unknown method {method}")
+    else:
+        pen = (PenaltySpec(*[_mode_penalty(lam, kind) for lam in lams])
+               if entry.penalty else None)
+        if entry.penalty == "fixed" and any(
+                p.is_adaptive for p in (pen.u, pen.v, pen.w)):
+            raise CliError(1, f"{method} takes fixed scalar lambdas")
+        op = (None if entry.operator is None else
+              {"q": _quad_operators, "s": _smoothers}[entry.operator](
+                  args, x.shape))
+        model = entry.fit(x, ranks, cfg, pen, op)
 
     os.makedirs(args.out, exist_ok=True)
     if tucker:
@@ -328,6 +302,16 @@ def _cmd_bic(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hopca",
                      description="Higher-order PCA toolkit for third-order "
@@ -341,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
 
     dec = sub.add_parser("decompose", help="fit a decomposition on a .t3 file")
-    dec.add_argument("--method", required=True, choices=_ALL_METHODS)
+    dec.add_argument("--method", required=True, choices=tuple(METHODS))
     dec.add_argument("--rank", default="1",
                      help="K for CP-style methods, K or K1,K2,K3 for Tucker")
     dec.add_argument("--input", required=True)
@@ -382,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list from: {', '.join(TABLE_METHODS)}")
     tab.add_argument("--replicates", type=int, default=10)
     tab.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
-    tab.add_argument("--jobs", type=int, default=1)
+    tab.add_argument("--jobs", type=_positive_int, default=1)
     tab.add_argument("--out", required=True)
     add_solver_flags(tab)
     tab.set_defaults(func=_cmd_table)
@@ -394,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     roc.add_argument("--replicates", type=int, default=5)
     roc.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
     roc.add_argument("--points", type=int, default=20)
-    roc.add_argument("--jobs", type=int, default=1)
+    roc.add_argument("--jobs", type=_positive_int, default=1)
     roc.add_argument("--out", required=True)
     add_solver_flags(roc)
     roc.set_defaults(func=_cmd_roc)

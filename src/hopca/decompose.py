@@ -1,6 +1,8 @@
 """Unregularized decompositions: CP-ALS, HOSVD, HOOI, and the greedy
 rank-one power scheme with deflation (optionally Gram-Schmidt
-orthogonalized).
+orthogonalized).  The power scheme runs on the penalized rank-one
+engine and the deflation loop that the sparse and generalized solvers
+share.
 
 All solvers are pure per-call: they share no global state and may run
 concurrently.  Factor columns are unit norm; rank-one weights are
@@ -11,10 +13,11 @@ the greedy computation order preserved in the diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from .evaluate import bic_path
 from .tensor3 import check_tensor3, frob_norm, khatri_rao, matricize, mode_mult
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_MODES = ("u", "v", "w")
 
 
 @dataclass
@@ -170,6 +174,12 @@ def normalize_or_zero(vec):
     return vec / nrm, nrm
 
 
+def _column_signs(m):
+    """-1 for each column whose largest-magnitude entry is negative, else 1."""
+    peak = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return np.where(peak < 0, -1.0, 1.0)
+
+
 def canonicalize_cp_signs(U, V, W):
     """Make the largest-magnitude entry of each u and v column positive.
 
@@ -177,23 +187,8 @@ def canonicalize_cp_signs(U, V, W):
     term, and in particular the non-negative weights, are unchanged; the
     w columns absorb the parity.
     """
-    U, V, W = U.copy(), V.copy(), W.copy()
-    for k in range(U.shape[1]):
-        for factor in (U, V):
-            col = factor[:, k]
-            if np.any(col != 0) and col[np.argmax(np.abs(col))] < 0:
-                factor[:, k] = -col
-                W[:, k] = -W[:, k]
-    return U, V, W
-
-
-def _canonicalize_columns(m):
-    m = m.copy()
-    for k in range(m.shape[1]):
-        col = m[:, k]
-        if np.any(col != 0) and col[np.argmax(np.abs(col))] < 0:
-            m[:, k] = -col
-    return m
+    su, sv = _column_signs(U), _column_signs(V)
+    return U * su, V * sv, W * (su * sv)
 
 
 def sort_components(U, V, W, d):
@@ -325,9 +320,9 @@ def hosvd(x, ranks) -> TuckerModel:
     """Tucker factors from the leading singular vectors of each unfolding."""
     x = check_tensor3(x)
     k1, k2, k3 = _check_ranks(x, ranks)
-    U = _canonicalize_columns(leading_singular_vectors(matricize(x, 1), k1))
-    V = _canonicalize_columns(leading_singular_vectors(matricize(x, 2), k2))
-    W = _canonicalize_columns(leading_singular_vectors(matricize(x, 3), k3))
+    U, V, W = (leading_singular_vectors(matricize(x, mode), k)
+               for mode, k in ((1, k1), (2, k2), (3, k3)))
+    U, V, W = (m * _column_signs(m) for m in (U, V, W))
     core = _tucker_core(x, U, V, W)
     return TuckerModel(U, V, W, core, {"method": "hosvd"})
 
@@ -372,9 +367,7 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
             break
         prev = core_norm
 
-    U = _canonicalize_columns(U)
-    V = _canonicalize_columns(V)
-    W = _canonicalize_columns(W)
+    U, V, W = (m * _column_signs(m) for m in (U, V, W))
     core = _tucker_core(x, U, V, W)
     diagnostics.update(
         iterations=iterations,
@@ -387,7 +380,45 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
 
 
 # ---------------------------------------------------------------------------
-# greedy rank-one power scheme
+# the rank-one engine and the deflation loop behind every greedy method
+
+
+@dataclass(frozen=True)
+class PenaltyFn:
+    """A convex, order-one homogeneous penalty with its proximal map.
+
+    ``prox(y, scale)`` must return ``argmin 0.5*||y - z||^2 + scale * P(z)``
+    and ``prox(y, 0)`` must reduce to projection onto the penalty's
+    domain (the identity for unconstrained penalties).
+    """
+
+    name: str
+    evaluate: Callable[[np.ndarray], float]
+    prox: Callable[[np.ndarray, float], np.ndarray]
+
+
+_NO_PENALTY = PenaltyFn("none", lambda x: 0.0, lambda y, scale: y)
+
+
+@dataclass(frozen=True)
+class _ModeUpdate:
+    """How the rank-one engine updates one factor.
+
+    The factor is the normalized ``prox`` of the contraction of the tensor
+    against the other two factors, at a fixed ``level`` or, when ``grid``
+    is set, at the level BIC selects over ``grid(contraction)`` on every
+    update.  With an operator ``q`` the contraction is q-weighted, the
+    update solves the q-weighted lasso at ``level`` and normalizes in the
+    q-norm.
+    """
+
+    prox: PenaltyFn = _NO_PENALTY
+    level: float = 0.0
+    grid: Callable[[np.ndarray], np.ndarray] | None = None
+    q: np.ndarray | None = None
+
+
+_PLAIN = (_ModeUpdate(),) * 3
 
 
 def _project_out(vec, basis):
@@ -396,53 +427,184 @@ def _project_out(vec, basis):
     return vec
 
 
-def _power_rank_one(x, v, w, cfg, ortho=None):
-    """Alternating normalized contractions from a (v, w) start.
+def _q_normalize(y, q):
+    nrm = float(np.sqrt(max(float(y @ (q @ y)), 0.0)))
+    if nrm <= _TINY:
+        return np.zeros_like(y), 0.0
+    return y / nrm, nrm
 
-    Returns None when a contraction vanishes (caller re-draws the init).
-    With ``ortho=(Ub, Vb, Wb)`` each update is projected against the
-    previous same-mode factors before normalization.
+
+def _feasible_start(vec, upd):
+    """A unit starting factor projected onto the mode's domain and
+    normalized again (kept as is when the projection leaves it alone)."""
+    if upd.q is not None:
+        return _q_normalize(vec, upd.q)
+    proj = upd.prox.prox(vec, 0.0)
+    if np.array_equal(proj, vec):
+        return vec, 1.0
+    return normalize_or_zero(proj)
+
+
+def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
+    """Penalized rank-one fit by alternating factor updates.
+
+    Each sweep updates u, v and w in turn as ``updates`` describe; with
+    fixed levels every update increases the penalized (q-weighted)
+    contraction ``<x, u o v o w> - sum level * P(factor)``, recorded in
+    the objective trace.  ``basis`` holds previous same-mode factors
+    that each update is projected against before normalization.  A
+    factor that vanishes at level 0 restarts the fit from a random start
+    (up to five times, then the zero fit); one that vanishes at a
+    positive level ends it with the zero fit.
     """
-    ub, vb, wb = ortho if ortho is not None else (None, None, None)
-    trace = []
-    u = None
-    prev = None
-    converged = False
+    if any(upd.q is not None for upd in updates):
+        from .generalized import _power_lambda_max, qnorm_lasso_solve
+    norm_sq = (frob_norm(x) ** 2 if any(upd.grid is not None
+                                        for upd in updates) else None)
+    lips: list[float | None] = [None, None, None]
+    warm: list[np.ndarray | None] = [None, None, None]
+    lam = [0.0, 0.0, 0.0]
+
+    def weighted(m, f):
+        q = updates[m].q
+        return f if q is None else q @ f
+
+    def update(m, c):
+        upd = updates[m]
+        if upd.grid is not None:
+            grid = upd.grid(c)
+            values, _ = bic_path(norm_sq, x.size, c, grid, upd.prox.prox)
+            lam[m] = float(grid[np.flatnonzero(values == values.min())[-1]])
+        if upd.q is None:
+            return normalize_or_zero(upd.prox.prox(_project_out(c, basis[m]),
+                                                   lam[m]))
+        if lam[m] > 0.0:
+            if lips[m] is None:
+                lips[m] = _power_lambda_max(upd.q)
+            c = warm[m] = qnorm_lasso_solve(c, upd.q, lam[m],
+                                            lipschitz=lips[m], start=warm[m])
+        return _q_normalize(c, upd.q)
+
+    def penalty(m, f):
+        return lam[m] * updates[m].prox.evaluate(f) if lam[m] else 0.0
+
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        cu = contract_u(x, v, w)
-        u, nrm = normalize_or_zero(_project_out(cu, ub))
-        if nrm == 0.0:
-            return None
-        trace.append(float(u @ cu))
-        cv = contract_v(x, u, w)
-        v, nrm = normalize_or_zero(_project_out(cv, vb))
-        if nrm == 0.0:
-            return None
-        trace.append(float(v @ cv))
-        cw = contract_w(x, u, v)
-        w, nrm = normalize_or_zero(_project_out(cw, wb))
-        if nrm == 0.0:
-            return None
-        d = float(w @ cw)
-        trace.append(d)
-        if prev is not None and abs(d - prev) <= cfg.tol * max(abs(prev), _TINY):
-            converged = True
+    trace: list[float] = []
+
+    def zero_fit():
+        return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
+                          np.zeros(x.shape[2]), 0.0, iterations, True,
+                          np.asarray(trace), dict(zip(_MODES, lam)))
+
+    for attempt in range(6):  # the configured start plus 5 random restarts
+        lam[:] = [upd.level for upd in updates]
+        v0, w0 = init_rank_one(x, cfg.init if attempt == 0 else "random", rng)
+        (v, nv), (w, nw) = (_feasible_start(v0, updates[1]),
+                            _feasible_start(w0, updates[2]))
+        if nv == 0.0 or nw == 0.0:
+            continue
+        factors = [np.zeros(x.shape[0]), v, w]
+        qf = [factors[0], weighted(1, v), weighted(2, w)]
+        trace, prev, converged, restart = [], None, False, False
+        for iterations in range(1, cfg.max_iter + 1):
+            # x contracted with w feeds both the u- and the v-update
+            xw = np.tensordot(x, qf[2], axes=(2, 0))
+            for m in range(3):
+                if m == 0:
+                    c = np.tensordot(xw, qf[1], axes=(1, 0))
+                elif m == 1:
+                    c = np.tensordot(xw, qf[0], axes=(0, 0))
+                else:
+                    c = contract_w(x, qf[0], qf[1])
+                f, nrm = update(m, c)
+                if nrm == 0.0:
+                    if lam[m] > 0.0:
+                        return zero_fit()
+                    restart = True
+                    break
+                factors[m], qf[m] = f, weighted(m, f)
+                d = float(f @ weighted(m, c))
+                objective = (d - penalty(0, factors[0]) - penalty(1, factors[1])
+                             - penalty(2, factors[2]))
+                trace.append(objective)
+            if restart:
+                break
+            if prev is not None and abs(objective - prev) <= cfg.tol * max(
+                    abs(prev), _TINY):
+                converged = True
+                break
+            prev = objective
+        if not restart:
+            return RankOneFit(*factors, d, iterations, converged,
+                              np.asarray(trace), dict(zip(_MODES, lam)))
+    iterations, trace = 0, []
+    return zero_fit()
+
+
+def _engine_fit(updates, cfg):
+    """The rank-one engine with fixed updates, as ``fit_one`` for deflate."""
+    return lambda resid, rng, basis: _rank_one(resid, updates, cfg, rng, basis)
+
+
+def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
+            orthogonalize: bool = False) -> CpModel:
+    """Greedy K-component CP model: rank-one fits on running residuals.
+
+    ``fit_one(residual, rng, basis)`` returns a :class:`RankOneFit` with
+    unit (or zero) factors; ``basis`` holds the previous factors per mode
+    when ``orthogonalize`` is set, else Nones.  The generator from
+    ``cfg`` is shared by all components.  A zero tensor or a zero fit
+    truncates the model (remaining columns zero-filled, ``truncated_at``
+    set).  Components are sorted by descending weight; the per-component
+    diagnostics stay in the greedy order, which ``component_order`` maps.
+    """
+    x = check_tensor3(x)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    rng = cfg.rng()
+    n, p, q = x.shape
+    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K))
+    d = np.zeros(K)
+    traces, iters, converged = [], [], []
+    lambdas: dict[str, list[float]] = {m: [] for m in _MODES}
+    nnz: dict[str, list[int]] = {m: [] for m in _MODES}
+    resid = x.copy()
+    truncated_at = None
+    for k in range(K):
+        if frob_norm(resid) == 0.0:
+            truncated_at = k
             break
-        prev = d
-    return RankOneFit(u, v, w, d, iterations, converged, np.asarray(trace))
+        basis = ((U[:, :k], V[:, :k], W[:, :k]) if orthogonalize and k
+                 else (None, None, None))
+        fit = fit_one(resid, rng, basis)
+        traces.append(fit.objective_trace)
+        iters.append(fit.iterations)
+        converged.append(fit.converged)
+        for mode, vec in zip(_MODES, (fit.u, fit.v, fit.w)):
+            lambdas[mode].append(fit.lambdas.get(mode, 0.0))
+            nnz[mode].append(int(np.count_nonzero(vec)))
+        if fit.d <= 0.0:
+            truncated_at = k
+            break
+        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
+        resid = resid - fit.d * (fit.u[:, None, None] * fit.v[None, :, None]
+                                 * fit.w[None, None, :])
 
-
-def _rank_one_with_restarts(x, cfg, rng, ortho=None):
-    v, w = init_rank_one(x, cfg.init, rng)
-    for _attempt in range(6):  # initial try plus up to 5 random restarts
-        fit = _power_rank_one(x, v, w, cfg, ortho)
-        if fit is not None:
-            return fit
-        v, w = init_rank_one(x, "random", rng)
-    zero = RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                      np.zeros(x.shape[2]), 0.0, 0, True)
-    return zero
+    greedy_d = d.copy()
+    U, V, W, d, order = sort_components(U, V, W, d)
+    U, V, W = canonicalize_cp_signs(U, V, W)
+    return CpModel(U, V, W, d, {
+        "method": method,
+        "objective_traces": traces,
+        "iterations_per_component": iters,
+        "converged_per_component": converged,
+        "lambdas": lambdas,
+        "nnz": nnz,
+        "greedy_d": greedy_d,
+        "component_order": order,
+        "residual_norm": frob_norm(resid),
+        "truncated_at": truncated_at,
+    })
 
 
 def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:
@@ -457,7 +619,7 @@ def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:
     cfg = cfg or SolverConfig()
     if frob_norm(x) == 0.0:
         raise ValueError("input tensor is zero")
-    return _rank_one_with_restarts(x, cfg, cfg.rng())
+    return _rank_one(x, _PLAIN, cfg, cfg.rng())
 
 
 def tpa(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
@@ -469,45 +631,8 @@ def tpa(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     zero-filled and flagged).  Components are sorted by descending weight;
     the greedy order is kept in the diagnostics.
     """
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    rng = cfg.rng()
-    n, p, q = x.shape
-    U = np.zeros((n, K))
-    V = np.zeros((p, K))
-    W = np.zeros((q, K))
-    d = np.zeros(K)
-    traces = []
-    resid = x.copy()
-    truncated_at = None
-    for k in range(K):
-        if frob_norm(resid) == 0.0:
-            truncated_at = k
-            break
-        ortho = ((U[:, :k], V[:, :k], W[:, :k]) if cfg.orthogonalize and k
-                 else None)
-        fit = _rank_one_with_restarts(resid, cfg, rng, ortho)
-        traces.append(fit.objective_trace)
-        if fit.d <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        resid = resid - fit.d * (fit.u[:, None, None] * fit.v[None, :, None]
-                                 * fit.w[None, None, :])
-
-    greedy_d = d.copy()
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics: dict[str, Any] = {
-        "method": "tpa",
-        "greedy_d": greedy_d,
-        "component_order": order,
-        "objective_traces": traces,
-        "residual_norm": frob_norm(resid),
-        "orthogonalized": cfg.orthogonalize,
-    }
-    if truncated_at is not None:
-        diagnostics["truncated_at"] = truncated_at
-    return CpModel(U, V, W, d, diagnostics)
+    model = deflate(x, K, _engine_fit(_PLAIN, cfg), cfg, "tpa",
+                    cfg.orthogonalize)
+    model.diagnostics["orthogonalized"] = cfg.orthogonalize
+    return model

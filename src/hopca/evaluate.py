@@ -9,8 +9,8 @@ core norm over the squared tensor norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,11 +40,9 @@ _MODES = ("u", "v", "w")
 
 @dataclass
 class VarianceReport:
-    """Cumulative variance-explained curve plus the projections used."""
+    """Cumulative variance-explained curve."""
 
     cumulative: np.ndarray
-    projections: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=list)
 
 
 def _projection_matrix(cols: np.ndarray) -> np.ndarray:
@@ -80,14 +78,12 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     if not 1 <= upto_k <= max_k:
         raise ValueError(f"upto_k must be in [1, {max_k}], got {upto_k}")
     cumulative = np.zeros(upto_k)
-    projections = []
     for k in range(1, upto_k + 1):
         pu, pv, pw = (_projection_matrix(f[:, :min(k, f.shape[1])])
                       for f in factors)
         projected = mode_mult(mode_mult(mode_mult(x, pu, 1), pv, 2), pw, 3)
         cumulative[k - 1] = frob_norm(projected) ** 2 / norm_sq
-        projections.append((pu, pv, pw))
-    return VarianceReport(cumulative, projections)
+    return VarianceReport(cumulative)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +292,10 @@ def _thresholded_copy(model, modes: Sequence[str], fraction: float):
     return out
 
 
+# unregularized fits that the naive baselines threshold
+_NAIVE_BASE = {"cp-naive": "cp-als", "tucker-naive": "hooi"}
+
+
 def roc_sweep(x, truth, method: str, grid, cfg=None,
               modes: Sequence[str] | None = None) -> list[RocPoint]:
     """TP/FP pairs along a penalty grid for one method on one instance.
@@ -306,8 +306,9 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     fraction of the column maximum.  Points are emitted for each
     penalized mode and component where both rates are defined.
     """
-    from . import sparse as sp
-    from .decompose import SolverConfig, cp_als, hooi
+    from .decompose import SolverConfig
+    from .simulate import METHODS
+    from .sparse import PenaltySpec
 
     cfg = cfg or SolverConfig()
     grid = np.asarray(grid, dtype=float)
@@ -330,30 +331,19 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
                 points.append(RocPoint(float(lam), mode, comp,
                                        float(tp), float(fp)))
 
-    if method in ("cp-naive", "tucker-naive"):
-        base = (cp_als(x, k, cfg) if method == "cp-naive"
-                else hooi(x, (k, k, k), cfg))
+    if method in _NAIVE_BASE:
+        base = METHODS[_NAIVE_BASE[method]].fit(x, k, cfg)
         for fraction in grid:
             collect(fraction, _thresholded_copy(base, modes, fraction))
         return points
 
+    entry = METHODS.get(method)
+    if entry is None or entry.penalty is None:
+        raise ValueError(f"unknown ROC method {method!r}")
     for lam in grid:
-        lams = {m: (lam if m in modes else 0.0) for m in _MODES}
-        if method == "sparse-cp-tpa":
-            pen = sp.PenaltySpec.lasso(**lams)
-            model = sp.sparse_cp_tpa(x, k, pen, cfg)
-        elif method == "sparse-cp-als":
-            pen = sp.PenaltySpec.lasso(**lams)
-            model = sp.sparse_cp_als(x, k, pen, cfg)
-        elif method == "sparse-hosvd":
-            pen = sp.PenaltySpec.lasso(**lams)
-            model = sp.sparse_hosvd(x, (k, k, k), pen, cfg)
-        elif method == "sparse-hooi":
-            pen = sp.PenaltySpec.lasso(**lams)
-            model = sp.sparse_hooi(x, (k, k, k), pen, cfg)
-        else:
-            raise ValueError(f"unknown ROC method {method!r}")
-        collect(lam, model)
+        pen = PenaltySpec.lasso(**{m: (lam if m in modes else 0.0)
+                                   for m in _MODES})
+        collect(lam, entry.fit(x, k, cfg, pen))
     return points
 
 

@@ -6,25 +6,32 @@ multi-way functional PCA in both its tri-convex and half-smoothing forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .decompose import (
     CpModel,
+    PenaltyFn,
     RankOneFit,
     SolverConfig,
     TuckerModel,
-    canonicalize_cp_signs,
+    _engine_fit,
+    _ModeUpdate,
+    _rank_one,
     contract_u,
     contract_v,
     contract_w,
+    deflate,
     hooi,
     init_rank_one,
-    normalize_or_zero,
-    sort_components,
 )
-from .sparse import soft_threshold
+from .sparse import (
+    l1_penalty,
+    nonneg_l1_penalty,
+    positive_threshold,
+    soft_threshold,
+)
 from .tensor3 import check_tensor3, frob_norm, mode_mult, outer3
 
 __all__ = [
@@ -53,45 +60,11 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-
-
-def positive_threshold(x, lam: float):
-    """Elementwise ``max(x - lam, 0)``: sparsity plus non-negativity."""
-    if lam < 0:
-        raise ValueError("threshold level must be non-negative")
-    return np.maximum(np.asarray(x, dtype=float) - lam, 0.0)
+_L1 = l1_penalty()
 
 
 # ---------------------------------------------------------------------------
 # general order-one convex penalties
-
-
-@dataclass(frozen=True)
-class PenaltyFn:
-    """A convex, order-one homogeneous penalty with its proximal map.
-
-    ``prox(y, scale)`` must return ``argmin 0.5*||y - z||^2 + scale * P(z)``
-    and ``prox(y, 0)`` must reduce to projection onto the penalty's
-    domain (the identity for unconstrained penalties).
-    """
-
-    name: str
-    evaluate: Callable[[np.ndarray], float]
-    prox: Callable[[np.ndarray, float], np.ndarray]
-
-
-def l1_penalty() -> PenaltyFn:
-    return PenaltyFn("l1", lambda x: float(np.sum(np.abs(x))), soft_threshold)
-
-
-def nonneg_l1_penalty() -> PenaltyFn:
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            return np.inf
-        return float(np.sum(x))
-
-    return PenaltyFn("nonneg_l1", evaluate, positive_threshold)
 
 
 def group_lasso_penalty(groups: Sequence[Sequence[int]]) -> PenaltyFn:
@@ -113,16 +86,6 @@ def group_lasso_penalty(groups: Sequence[Sequence[int]]) -> PenaltyFn:
     return PenaltyFn("group_lasso", evaluate, prox)
 
 
-def _feasible_init(vec, penalty: PenaltyFn, rng, redraws: int = 5):
-    vec, nrm = normalize_or_zero(penalty.prox(np.asarray(vec, dtype=float), 0.0))
-    attempts = 0
-    while nrm == 0.0 and attempts < redraws:
-        vec, nrm = normalize_or_zero(
-            penalty.prox(rng.standard_normal(vec.shape[0]), 0.0))
-        attempts += 1
-    return vec, nrm
-
-
 def general_cp_tpa_rank_one(x, penalties, cfg: SolverConfig | None = None
                             ) -> RankOneFit:
     """Rank-one fit with one (PenaltyFn, level) pair per mode.
@@ -134,93 +97,24 @@ def general_cp_tpa_rank_one(x, penalties, cfg: SolverConfig | None = None
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    rng = cfg.rng()
-    (pen_u, lam_u), (pen_v, lam_v), (pen_w, lam_w) = penalties
-    if min(lam_u, lam_v, lam_w) < 0:
+    return _rank_one(x, _general_updates(penalties), cfg, cfg.rng())
+
+
+def _general_updates(penalties):
+    if min(lam for _, lam in penalties) < 0:
         raise ValueError("penalty levels must be non-negative")
-
-    v0, w0 = init_rank_one(x, cfg.init, rng)
-    v, nv = _feasible_init(v0, pen_v, rng)
-    w, nw = _feasible_init(w0, pen_w, rng)
-    u = np.zeros(x.shape[0])
-    trace = []
-    prev = None
-    converged = False
-    iterations = 0
-
-    def zero_fit():
-        return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                          np.zeros(x.shape[2]), 0.0, iterations, True,
-                          np.asarray(trace))
-
-    if nv == 0.0 or nw == 0.0:
-        return zero_fit()
-    for iterations in range(1, cfg.max_iter + 1):
-        for mode in ("u", "v", "w"):
-            if mode == "u":
-                c, pen, lam = contract_u(x, v, w), pen_u, lam_u
-            elif mode == "v":
-                c, pen, lam = contract_v(x, u, w), pen_v, lam_v
-            else:
-                c, pen, lam = contract_w(x, u, v), pen_w, lam_w
-            f, nrm = normalize_or_zero(pen.prox(c, lam))
-            if nrm == 0.0:
-                return zero_fit()
-            if mode == "u":
-                u = f
-            elif mode == "v":
-                v = f
-            else:
-                w = f
-            objective = (float(f @ c) - lam_u * pen_u.evaluate(u)
-                         - lam_v * pen_v.evaluate(v)
-                         - lam_w * pen_w.evaluate(w))
-            trace.append(objective)
-        d = float(w @ c)
-        if prev is not None and abs(objective - prev) <= cfg.tol * max(
-                abs(prev), _TINY):
-            converged = True
-            break
-        prev = objective
-    return RankOneFit(u, v, w, d, iterations, converged, np.asarray(trace))
+    return tuple(_ModeUpdate(pen, float(lam)) for pen, lam in penalties)
 
 
 def general_cp_tpa(x, K: int, penalties, cfg: SolverConfig | None = None
                    ) -> CpModel:
     """Deflated multi-component fit with general penalties per mode."""
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    n, p, q = x.shape
-    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K))
-    d = np.zeros(K)
-    traces = []
-    resid = x.copy()
-    truncated_at = None
-    for k in range(K):
-        if frob_norm(resid) == 0.0:
-            truncated_at = k
-            break
-        fit = general_cp_tpa_rank_one(resid, penalties, cfg)
-        traces.append(fit.objective_trace)
-        if fit.d <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        resid = resid - outer3(fit.u, fit.v, fit.w, fit.d)
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics: dict[str, Any] = {
-        "method": "general-cp-tpa", "sparse": True,
-        "objective_traces": traces, "component_order": order,
-        "penalties": [pen.name for pen, _ in penalties],
-        "nnz": {m: [int(np.count_nonzero(f[:, k])) for k in range(K)]
-                for m, f in zip(("u", "v", "w"), (U, V, W))},
-    }
-    if truncated_at is not None:
-        diagnostics["truncated_at"] = truncated_at
-    return CpModel(U, V, W, d, diagnostics)
+    model = deflate(x, K, _engine_fit(_general_updates(penalties), cfg), cfg,
+                    "general-cp-tpa")
+    model.diagnostics.update(sparse=True,
+                             penalties=[pen.name for pen, _ in penalties])
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +163,6 @@ class QuadOperators:
         if min(self.min_eigs) <= 0.0:
             raise ValueError("quadratic operators must be positive definite "
                              f"(min eigenvalues {self.min_eigs})")
-
-
-def _qnorm_vec(y, q) -> float:
-    return float(np.sqrt(max(float(y @ (q @ y)), 0.0)))
-
-
-def _q_normalize(y, q):
-    nrm = _qnorm_vec(y, q)
-    if nrm <= _TINY:
-        return np.zeros_like(y), 0.0
-    return y / nrm, nrm
 
 
 def _power_lambda_max(q, iters: int = 200, tol: float = 1e-12) -> float:
@@ -352,98 +235,12 @@ def qnorm_lasso_kkt_residual(y, q, lam: float, u) -> float:
     return float(np.max(res)) if res.size else 0.0
 
 
-def _gcp_engine(x, q: QuadOperators, lams, cfg, rng) -> RankOneFit:
-    """Shared quadratic-norm rank-one iteration.
-
-    With all levels zero each update is the closed-form q-normalized
-    contraction; otherwise the q-weighted lasso subproblem is solved
-    before q-normalization.  The penalized q-contraction objective is
-    non-decreasing per update.
-    """
-    lam_u, lam_v, lam_w = lams
-    lips = [_power_lambda_max(qi) if lam > 0 else None
-            for qi, lam in zip((q.q1, q.q2, q.q3), lams)]
-    warm: dict[str, np.ndarray | None] = {"u": None, "v": None, "w": None}
-
-    def solve_mode(mode, c, qi, lam, lip):
-        if lam == 0.0:
-            return _q_normalize(c, qi)
-        raw = qnorm_lasso_solve(c, qi, lam, lipschitz=lip, start=warm[mode])
-        warm[mode] = raw
-        return _q_normalize(raw, qi)
-
-    def initial_vw(init):
-        v0, w0 = init_rank_one(x, init, rng)
-        v, nv = _q_normalize(v0, q.q2)
-        w, nw = _q_normalize(w0, q.q3)
-        return (v, w) if nv > 0 and nw > 0 else None
-
-    for attempt in range(6):  # initial try plus up to 5 random restarts
-        pair = initial_vw(cfg.init if attempt == 0 else "random")
-        if pair is None:
-            continue
-        v, w = pair
-        u = np.zeros(x.shape[0])
-        trace = []
-        prev = None
-        converged = False
-        iterations = 0
-        failed = False
-        for iterations in range(1, cfg.max_iter + 1):
-            cu = contract_u(x, q.q2 @ v, q.q3 @ w)
-            u, nrm = solve_mode("u", cu, q.q1, lam_u, lips[0])
-            if nrm == 0.0:
-                if lam_u > 0:
-                    return _zero_rank_one(x, iterations, trace)
-                failed = True
-                break
-            trace.append(float(u @ (q.q1 @ cu)) - _l1_terms(lams, u, v, w))
-            cv = contract_v(x, q.q1 @ u, q.q3 @ w)
-            v, nrm = solve_mode("v", cv, q.q2, lam_v, lips[1])
-            if nrm == 0.0:
-                if lam_v > 0:
-                    return _zero_rank_one(x, iterations, trace)
-                failed = True
-                break
-            trace.append(float(v @ (q.q2 @ cv)) - _l1_terms(lams, u, v, w))
-            cw = contract_w(x, q.q1 @ u, q.q2 @ v)
-            w, nrm = solve_mode("w", cw, q.q3, lam_w, lips[2])
-            if nrm == 0.0:
-                if lam_w > 0:
-                    return _zero_rank_one(x, iterations, trace)
-                failed = True
-                break
-            d = float(w @ (q.q3 @ cw))
-            objective = d - _l1_terms(lams, u, v, w)
-            trace.append(objective)
-            if prev is not None and abs(objective - prev) <= cfg.tol * max(
-                    abs(prev), _TINY):
-                converged = True
-                break
-            prev = objective
-        if not failed:
-            return RankOneFit(u, v, w, d, iterations, converged,
-                              np.asarray(trace),
-                              {"u": lam_u, "v": lam_v, "w": lam_w})
-    return _zero_rank_one(x, 0, [])
-
-
-def _l1_terms(lams, u, v, w) -> float:
-    lam_u, lam_v, lam_w = lams
-    total = 0.0
-    if lam_u:
-        total += lam_u * float(np.sum(np.abs(u)))
-    if lam_v:
-        total += lam_v * float(np.sum(np.abs(v)))
-    if lam_w:
-        total += lam_w * float(np.sum(np.abs(w)))
-    return total
-
-
-def _zero_rank_one(x, iterations, trace) -> RankOneFit:
-    return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                      np.zeros(x.shape[2]), 0.0, iterations, True,
-                      np.asarray(trace))
+def _quad_updates(q: QuadOperators, lam):
+    lam = tuple(float(v) for v in lam)
+    if min(lam) < 0:
+        raise ValueError("penalty levels must be non-negative")
+    return tuple(_ModeUpdate(_L1, level, q=qi)
+                 for qi, level in zip((q.q1, q.q2, q.q3), lam))
 
 
 def gcp_rank_one(x, q: QuadOperators, cfg: SolverConfig | None = None
@@ -457,7 +254,7 @@ def gcp_rank_one(x, q: QuadOperators, cfg: SolverConfig | None = None
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     q.require_positive_definite()
-    return _gcp_engine(x, q, (0.0, 0.0, 0.0), cfg, cfg.rng())
+    return _rank_one(x, _quad_updates(q, (0.0, 0.0, 0.0)), cfg, cfg.rng())
 
 
 def sparse_gcp_rank_one(x, q: QuadOperators, lam=(0.0, 0.0, 0.0),
@@ -471,65 +268,26 @@ def sparse_gcp_rank_one(x, q: QuadOperators, lam=(0.0, 0.0, 0.0),
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     q.require_positive_definite()
-    lam = tuple(float(v) for v in lam)
-    if min(lam) < 0:
-        raise ValueError("penalty levels must be non-negative")
-    return _gcp_engine(x, q, lam, cfg, cfg.rng())
-
-
-def _deflate_rank_ones(x, K, fit_one, method: str) -> CpModel:
-    n, p, q_dim = x.shape
-    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q_dim, K))
-    d = np.zeros(K)
-    traces = []
-    resid = x.copy()
-    truncated_at = None
-    for k in range(K):
-        if frob_norm(resid) == 0.0:
-            truncated_at = k
-            break
-        fit = fit_one(resid)
-        traces.append(fit.objective_trace)
-        if fit.d <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        resid = resid - outer3(fit.u, fit.v, fit.w, fit.d)
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics: dict[str, Any] = {
-        "method": method, "component_order": order,
-        "objective_traces": traces, "residual_norm": frob_norm(resid),
-    }
-    if truncated_at is not None:
-        diagnostics["truncated_at"] = truncated_at
-    return CpModel(U, V, W, d, diagnostics)
+    return _rank_one(x, _quad_updates(q, lam), cfg, cfg.rng())
 
 
 def gcp(x, q: QuadOperators, K: int, cfg: SolverConfig | None = None
         ) -> CpModel:
     """Deflated multi-component quadratic-norm decomposition."""
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     q.require_positive_definite()
-    rng = cfg.rng()
-    return _deflate_rank_ones(
-        x, K, lambda r: _gcp_engine(r, q, (0.0, 0.0, 0.0), cfg, rng), "gcp")
+    return deflate(x, K, _engine_fit(_quad_updates(q, (0.0, 0.0, 0.0)), cfg),
+                   cfg, "gcp")
 
 
 def sparse_gcp(x, q: QuadOperators, K: int, lam=(0.0, 0.0, 0.0),
                cfg: SolverConfig | None = None) -> CpModel:
     """Deflated sparse quadratic-norm decomposition."""
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     q.require_positive_definite()
-    lam = tuple(float(v) for v in lam)
-    rng = cfg.rng()
-    model = _deflate_rank_ones(
-        x, K, lambda r: _gcp_engine(r, q, lam, cfg, rng), "sparse-gcp")
+    model = deflate(x, K, _engine_fit(_quad_updates(q, lam), cfg), cfg,
+                    "sparse-gcp")
     model.diagnostics["sparse"] = True
-    model.diagnostics["lambdas"] = {m: [value] * K for m, value
-                                    in zip(("u", "v", "w"), lam)}
     return model
 
 
@@ -721,37 +479,16 @@ def fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig | None = None
 def fpca(x, s: SmootherSet, K: int, cfg: SolverConfig | None = None
          ) -> CpModel:
     """Deflated multi-component functional fit, reported in normalized form."""
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    n, p, q_dim = x.shape
-    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q_dim, K))
-    d = np.zeros(K)
-    traces = []
-    resid = x.copy()
-    truncated_at = None
-    for k in range(K):
-        if frob_norm(resid) == 0.0:
-            truncated_at = k
-            break
+
+    def fit_one(resid, rng, basis):
         fit = fpca_rank_one(resid, s, cfg)
-        traces.append(fit.objective_trace)
-        uk, vk, wk, dk = fit.normalized()
-        if dk <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = uk, vk, wk, dk
-        resid = resid - outer3(fit.u, fit.v, fit.w)
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics: dict[str, Any] = {
-        "method": "fpca", "component_order": order,
-        "objective_traces": traces, "alpha": s.alpha,
-    }
-    if truncated_at is not None:
-        diagnostics["truncated_at"] = truncated_at
-    return CpModel(U, V, W, d, diagnostics)
+        return RankOneFit(*fit.normalized(), fit.iterations, fit.converged,
+                          fit.objective_trace)
+
+    model = deflate(x, K, fit_one, cfg, "fpca")
+    model.diagnostics["alpha"] = s.alpha
+    return model
 
 
 def fpca_half_smoothing(x, s: SmootherSet, ranks,

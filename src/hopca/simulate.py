@@ -12,28 +12,26 @@ standard normal.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .decompose import SolverConfig, cp_als, hooi, hosvd, init_rank_one, tpa
+from . import decompose, generalized, sparse
+from .decompose import SolverConfig, contract_u, init_rank_one
 from .evaluate import RocPoint, roc_sweep, support_metrics
-from .sparse import (
-    ModePenalty,
-    PenaltySpec,
-    sparse_cp_als,
-    sparse_cp_tpa,
-    sparse_hooi,
-    sparse_hosvd,
-)
+from .sparse import ModePenalty, PenaltySpec
 
 __all__ = [
     "SimScenarioSpec",
     "SimTruth",
     "simulate",
+    "Method",
+    "METHODS",
     "TABLE_METHODS",
     "ROC_METHODS",
     "TableResult",
@@ -161,33 +159,106 @@ def _penalty_for(spec: SimScenarioSpec, lam_grid) -> PenaltySpec:
                        modes.get("w", ModePenalty()))
 
 
+@dataclass(frozen=True)
+class Method:
+    """One entry of :data:`METHODS`.
+
+    ``call(x, rank, pen, op, cfg)`` runs the solver.  It names the solver
+    as an attribute of its module (``sparse.sparse_cp_tpa``), looked up
+    on every call, so a wrapper patched onto that attribute sees each
+    fit.  ``tucker`` methods take three ranks; ``penalty`` says what the
+    solver reads from the :class:`PenaltySpec` ("spec": all of it,
+    "fixed": fixed levels only); ``operator`` names the operator it
+    takes ("q": :class:`QuadOperators`, "s": :class:`SmootherSet`).
+    """
+
+    call: Callable
+    tucker: bool = False
+    penalty: str | None = None
+    operator: str | None = None
+
+    def fit(self, x, k, cfg: SolverConfig, pen: PenaltySpec | None = None,
+            op=None):
+        """Fit at component count ``k`` (an int, or three Tucker ranks).
+
+        Without ``op`` an operator-taking method gets identity quadratic
+        norms or unit-weight second-difference smoothers.
+        """
+        if self.tucker and np.isscalar(k):
+            k = (k, k, k)
+        if op is None and self.operator == "q":
+            op = generalized.QuadOperators.identity(np.shape(x))
+        elif op is None and self.operator == "s":
+            op = generalized.SmootherSet.second_difference(np.shape(x), 1.0)
+        return self.call(x, k, pen or PenaltySpec.none(), op, cfg)
+
+
+def _fixed_levels(pen: PenaltySpec) -> tuple[float, float, float]:
+    if any(p.is_adaptive for p in (pen.u, pen.v, pen.w)):
+        raise ValueError("this method takes fixed penalty levels, not a grid")
+    return pen.u.fixed_level(), pen.v.fixed_level(), pen.w.fixed_level()
+
+
+METHODS: dict[str, Method] = {
+    "cp-als": Method(lambda x, k, pen, op, cfg: decompose.cp_als(x, k, cfg)),
+    "tpa": Method(lambda x, k, pen, op, cfg: decompose.tpa(x, k, cfg)),
+    "sparse-cp-tpa": Method(
+        lambda x, k, pen, op, cfg: sparse.sparse_cp_tpa(x, k, pen, cfg),
+        penalty="spec"),
+    "sparse-cp-als": Method(
+        lambda x, k, pen, op, cfg: sparse.sparse_cp_als(x, k, pen, cfg),
+        penalty="spec"),
+    "gcp": Method(lambda x, k, pen, op, cfg: generalized.gcp(x, op, k, cfg),
+                  operator="q"),
+    "sparse-gcp": Method(
+        lambda x, k, pen, op, cfg: generalized.sparse_gcp(
+            x, op, k, _fixed_levels(pen), cfg),
+        penalty="fixed", operator="q"),
+    "fpca": Method(lambda x, k, pen, op, cfg: generalized.fpca(x, op, k, cfg),
+                   operator="s"),
+    "hosvd": Method(lambda x, k, pen, op, cfg: decompose.hosvd(x, k),
+                    tucker=True),
+    "hooi": Method(lambda x, k, pen, op, cfg: decompose.hooi(x, k, cfg),
+                   tucker=True),
+    "sparse-hosvd": Method(
+        lambda x, k, pen, op, cfg: sparse.sparse_hosvd(x, k, pen, cfg),
+        tucker=True, penalty="spec"),
+    "sparse-hooi": Method(
+        lambda x, k, pen, op, cfg: sparse.sparse_hooi(x, k, pen, cfg),
+        tucker=True, penalty="spec"),
+    "fpca-halfsmooth": Method(
+        lambda x, k, pen, op, cfg: generalized.fpca_half_smoothing(
+            x, op, k, cfg),
+        tucker=True, operator="s"),
+}
+"""Every decomposition by its command-line name."""
+
+
 def fit_method(name: str, x, spec: SimScenarioSpec,
                cfg: SolverConfig | None = None, lam_grid=None):
     """Fit one registry method at the scenario's component count."""
-    cfg = cfg or SolverConfig()
-    k = spec.k
-    pen = _penalty_for(spec, lam_grid)
-    if name == "cp-als":
-        return cp_als(x, k, cfg)
-    if name == "tpa":
-        return tpa(x, k, cfg)
-    if name == "hosvd":
-        return hosvd(x, (k, k, k))
-    if name == "hooi":
-        return hooi(x, (k, k, k), cfg)
-    if name == "sparse-cp-tpa":
-        return sparse_cp_tpa(x, k, pen, cfg)
-    if name == "sparse-cp-als":
-        return sparse_cp_als(x, k, pen, cfg)
-    if name == "sparse-hosvd":
-        return sparse_hosvd(x, (k, k, k), pen, cfg)
-    if name == "sparse-hooi":
-        return sparse_hooi(x, (k, k, k), pen, cfg)
-    raise ValueError(f"unknown method {name!r}")
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    return METHODS[name].fit(x, spec.k, cfg or SolverConfig(),
+                             _penalty_for(spec, lam_grid))
 
 
 # ---------------------------------------------------------------------------
 # metrics table experiment
+
+
+def _map_replicates(run, replicates: int, jobs: int) -> list:
+    """``run(rep)`` for every replicate, on up to ``jobs`` worker
+    processes, never more than there are CPUs or replicates."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    workers = min(jobs, os.cpu_count() or 1, replicates)
+    if workers == 1:
+        return [run(rep) for rep in range(replicates)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(replicates)))
 
 
 @dataclass
@@ -229,20 +300,11 @@ def run_table_experiment(spec: SimScenarioSpec, methods: Sequence[str],
     scenario's sparse modes (grid overridable).  Failed replicates are
     recorded, excluded from the means, and flagged in ``failures``.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     if seed is not None:
         spec = replace(spec, seed=seed)
-    reps = list(range(replicates))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _table_replicate, [spec] * replicates,
-                [tuple(methods)] * replicates, reps,
-                [cfg] * replicates, [lam_grid] * replicates))
-    else:
-        results = [_table_replicate(spec, tuple(methods), rep, cfg, lam_grid)
-                   for rep in reps]
+    results = _map_replicates(partial(_table_replicate, spec, tuple(methods),
+                                      cfg=cfg, lam_grid=lam_grid),
+                              replicates, jobs)
 
     timings = [t for _, ts, _ in results for t in ts]
     failures = [f for _, _, fs in results for f in fs]
@@ -280,8 +342,6 @@ class RocResult:
 
 def _default_sparse_grid(x, points: int) -> np.ndarray:
     v0, w0 = init_rank_one(x, "hosvd", np.random.default_rng(0))
-    from .decompose import contract_u
-
     lam_max = float(np.max(np.abs(contract_u(x, v0, w0))))
     if lam_max <= 0:
         return np.zeros(points)
@@ -314,21 +374,11 @@ def run_roc_experiment(spec: SimScenarioSpec, methods: Sequence[str],
     first contraction's zeroing level, plus zero); naive baselines sweep
     matching threshold fractions of each factor column's maximum.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     if seed is not None:
         spec = replace(spec, seed=seed)
-    reps = list(range(replicates))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _roc_replicate, [spec] * replicates,
-                [tuple(methods)] * replicates, reps, [cfg] * replicates,
-                [grid] * replicates, [points] * replicates))
-    else:
-        results = [_roc_replicate(spec, tuple(methods), rep, cfg, grid,
-                                  points)
-                   for rep in reps]
+    results = _map_replicates(partial(_roc_replicate, spec, tuple(methods),
+                                      cfg=cfg, grid=grid, points=points),
+                              replicates, jobs)
 
     rows = []
     for name in methods:

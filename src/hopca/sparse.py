@@ -18,14 +18,16 @@ import numpy as np
 
 from .decompose import (
     CpModel,
+    PenaltyFn,
     RankOneFit,
     SolverConfig,
     TuckerModel,
+    _NO_PENALTY,
+    _engine_fit,
+    _ModeUpdate,
+    _rank_one,
     canonicalize_cp_signs,
-    contract_u,
-    contract_v,
-    contract_w,
-    init_rank_one,
+    deflate,
     leading_singular_vectors,
     normalize_or_zero,
     sort_components,
@@ -61,13 +63,29 @@ def soft_threshold(x, lam: float):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _threshold_for_kind(kind: str):
-    if kind in ("none", "lasso"):
-        return soft_threshold
-    if kind == "nonneg_lasso":
-        from .generalized import positive_threshold
-        return positive_threshold
-    raise ValueError(f"unknown penalty kind {kind!r}")
+def positive_threshold(x, lam: float):
+    """Elementwise ``max(x - lam, 0)``: sparsity plus non-negativity."""
+    if lam < 0:
+        raise ValueError("threshold level must be non-negative")
+    return np.maximum(np.asarray(x, dtype=float) - lam, 0.0)
+
+
+def l1_penalty() -> PenaltyFn:
+    return PenaltyFn("l1", lambda x: float(np.sum(np.abs(x))), soft_threshold)
+
+
+def nonneg_l1_penalty() -> PenaltyFn:
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            return np.inf
+        return float(np.sum(x))
+
+    return PenaltyFn("nonneg_l1", evaluate, positive_threshold)
+
+
+_KIND_PENALTY = {"none": _NO_PENALTY, "lasso": l1_penalty(),
+                 "nonneg_lasso": nonneg_l1_penalty()}
 
 
 @dataclass
@@ -83,7 +101,7 @@ class ModePenalty:
     lam: float | Sequence[float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "lasso", "nonneg_lasso"):
+        if self.kind not in _KIND_PENALTY:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.kind == "none":
             self.lam = None
@@ -174,75 +192,13 @@ class SparseDiagnostics:
 # deflation scheme: thresholded rank-one fits
 
 
-def _penalty_l1(lam: float, vec: np.ndarray) -> float:
-    return lam * float(np.sum(np.abs(vec))) if lam else 0.0
-
-
-def _sparse_rank_one(x, pen: PenaltySpec, cfg, rng, norm_sq=None) -> RankOneFit:
-    """One thresholded rank-one fit; the engine behind the deflation scheme.
-
-    Each factor update thresholds the contraction against the other two
-    factors and renormalizes (or zeroes the component).  With fixed
-    levels every update monotonically increases the penalized objective;
-    with a grid the level is re-selected by BIC at every update.
-    """
-    modes = pen.by_mode()
-    adaptive = any(m.is_adaptive for m in modes.values())
-    if adaptive and norm_sq is None:
-        norm_sq = frob_norm(x) ** 2
-    thresholds = {m: _threshold_for_kind(p.kind) for m, p in modes.items()}
-    lam = {m: (0.0 if p.is_adaptive else p.fixed_level())
-           for m, p in modes.items()}
-
-    v, w = init_rank_one(x, cfg.init, rng)
-    u = np.zeros(x.shape[0])
-    trace = []
-    prev = None
-    converged = False
-    iterations = 0
-
-    def zero_fit():
-        return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                          np.zeros(x.shape[2]), 0.0, iterations, True,
-                          np.asarray(trace), dict(lam))
-
-    for iterations in range(1, cfg.max_iter + 1):
-        for mode in _MODES:
-            if mode == "u":
-                c = contract_u(x, v, w)
-            elif mode == "v":
-                c = contract_v(x, u, w)
-            else:
-                c = contract_w(x, u, v)
-            p = modes[mode]
-            if p.is_adaptive:
-                grid = p.grid_for(c)
-                values, _ = bic_path(norm_sq, x.size, c, grid,
-                                     thresholds[mode])
-                lam[mode] = float(grid[np.flatnonzero(values == values.min())[-1]])
-            f = thresholds[mode](c, lam[mode])
-            f, nrm = normalize_or_zero(f)
-            if nrm == 0.0:
-                return zero_fit()
-            if mode == "u":
-                u = f
-            elif mode == "v":
-                v = f
-            else:
-                w = f
-            objective = (float(f @ c)
-                         - _penalty_l1(lam["u"], u)
-                         - _penalty_l1(lam["v"], v)
-                         - _penalty_l1(lam["w"], w))
-            trace.append(objective)
-        d = float(w @ c)  # triple contraction after the w-update
-        if prev is not None and abs(objective - prev) <= cfg.tol * max(
-                abs(prev), _TINY):
-            converged = True
-            break
-        prev = objective
-    return RankOneFit(u, v, w, d, iterations, converged, np.asarray(trace),
-                      dict(lam))
+def _mode_updates(pen: PenaltySpec):
+    """Engine updates for a penalty spec: the kind's prox at the fixed
+    level, or at the level BIC selects on every update."""
+    return tuple(_ModeUpdate(_KIND_PENALTY[p.kind],
+                             0.0 if p.is_adaptive else p.fixed_level(),
+                             p.grid_for if p.is_adaptive else None)
+                 for p in (pen.u, pen.v, pen.w))
 
 
 def sparse_cp_tpa_rank_one(x, lam=(0.0, 0.0, 0.0),
@@ -250,15 +206,16 @@ def sparse_cp_tpa_rank_one(x, lam=(0.0, 0.0, 0.0),
     """Single sparse rank-one fit at fixed soft-threshold levels.
 
     With all levels zero this reproduces the unregularized power scheme
-    update for update.  An all-zero thresholded factor terminates the
-    component with weight zero (a defined outcome, not an error).
+    update for update.  An all-zero thresholded factor at a positive level
+    terminates the component with weight zero (a defined outcome, not an
+    error); at level zero it restarts the fit from a random start.
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     lam_u, lam_v, lam_w = (float(v) for v in lam)
     pen = PenaltySpec(ModePenalty("lasso", lam_u), ModePenalty("lasso", lam_v),
                       ModePenalty("lasso", lam_w))
-    return _sparse_rank_one(x, pen, cfg, cfg.rng())
+    return _rank_one(x, _mode_updates(pen), cfg, cfg.rng())
 
 
 def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
@@ -270,56 +227,11 @@ def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
     component and update by BIC.  A zero component truncates the model
     with the remaining columns zero-filled and flagged.
     """
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    pen = pen or PenaltySpec.none()
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    rng = cfg.rng()
-    n, p, q = x.shape
-    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K))
-    d = np.zeros(K)
-    traces: list[np.ndarray] = []
-    iters: list[int] = []
-    lambdas: dict[str, list[float]] = {m: [] for m in _MODES}
-    nnz: dict[str, list[int]] = {m: [] for m in _MODES}
-    resid = x.copy()
-    truncated_at = None
-    for k in range(K):
-        norm_sq = frob_norm(resid) ** 2
-        if norm_sq == 0.0:
-            truncated_at = k
-            break
-        fit = _sparse_rank_one(resid, pen, cfg, rng, norm_sq)
-        traces.append(fit.objective_trace)
-        iters.append(fit.iterations)
-        for mode, vec in zip(_MODES, (fit.u, fit.v, fit.w)):
-            lambdas[mode].append(fit.lambdas.get(mode, 0.0))
-            nnz[mode].append(int(np.count_nonzero(vec)))
-        if fit.d <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        resid = resid - fit.d * (fit.u[:, None, None] * fit.v[None, :, None]
-                                 * fit.w[None, None, :])
-
-    greedy_d = d.copy()
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics: dict[str, Any] = {
-        "method": "sparse-cp-tpa",
-        "sparse": True,
-        "greedy_d": greedy_d,
-        "component_order": order,
-        "objective_traces": traces,
-        "iterations_per_component": iters,
-        "lambdas": lambdas,
-        "nnz": nnz,
-        "residual_norm": frob_norm(resid),
-    }
-    if truncated_at is not None:
-        diagnostics["truncated_at"] = truncated_at
-    return CpModel(U, V, W, d, diagnostics)
+    model = deflate(x, K, _engine_fit(_mode_updates(pen or PenaltySpec.none()),
+                                      cfg), cfg, "sparse-cp-tpa")
+    model.diagnostics["sparse"] = True
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +399,7 @@ class SparsePcaFit:
 
 def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
                        norm_sq=None) -> SparsePcaFit:
-    threshold = _threshold_for_kind(left_pen.kind)
+    threshold = _KIND_PENALTY[left_pen.kind].prox
     adaptive = left_pen.is_adaptive
     if adaptive and norm_sq is None:
         norm_sq = float(np.sum(m * m))
