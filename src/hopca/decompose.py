@@ -34,6 +34,8 @@ __all__ = [
 
 _TINY = 1e-300
 _MODES = ("u", "v", "w")
+# smallest sigma_k^2 / sigma_1^2 for which the Gram route keeps its accuracy
+_GRAM_RCOND = 1e-8
 
 
 @dataclass
@@ -149,14 +151,42 @@ def contract_all(x, u, v, w) -> float:
 
 
 def leading_singular_vectors(m, k, return_values=False):
-    """First ``k`` left singular vectors of ``m`` (orthonormal columns)."""
-    uu, sv, _ = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
-    if uu.shape[1] < k:
-        uu = _complete_orthonormal(uu, k)
-        sv = np.concatenate([sv, np.zeros(k - sv.size)])
+    """First ``k`` left singular vectors of ``m`` (orthonormal columns).
+
+    The vectors come from ``eigh`` of the smaller Gram matrix: ``m m^T``
+    for a wide or square ``m``, whose top eigenvectors are the left
+    vectors; ``m^T m`` for a tall one, whose top eigenvectors ``v`` map
+    back through ``m v``, orthonormalized by QR.  The singular values are
+    the square roots of the clipped eigenvalues.  Squaring ``m`` squares
+    its condition number, so a plain SVD is used instead when
+    ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram vectors would then be off by
+    about ``eps sigma_1^2 / sigma_k^2``), when ``m`` is zero, or when
+    ``k`` exceeds the smaller side (the SVD basis is then completed
+    deterministically to ``k`` columns).  Each column's largest-magnitude
+    entry is made positive, so the result does not depend on the route.
+    With ``return_values`` the first ``k`` singular values come too.
+    """
+    m = np.asarray(m, dtype=float)
+    rows, cols = m.shape
+    uu = None
+    if k <= min(rows, cols):
+        wide = rows <= cols
+        lam, vecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+        lam = np.clip(lam[::-1][:k], 0.0, None)
+        if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
+            vecs = vecs[:, ::-1][:, :k]
+            uu = vecs if wide else np.linalg.qr(m @ vecs)[0]
+            sv = np.sqrt(lam)
+    if uu is None:
+        uu, sv, _ = np.linalg.svd(m, full_matrices=False)
+        if uu.shape[1] < k:
+            uu = _complete_orthonormal(uu, k)
+            sv = np.concatenate([sv, np.zeros(k - sv.size)])
+        uu, sv = uu[:, :k], sv[:k]
+    uu = uu * _column_signs(uu)
     if return_values:
-        return uu[:, :k], sv[:k]
-    return uu[:, :k]
+        return uu, sv
+    return uu
 
 
 def _complete_orthonormal(basis, k):
@@ -322,7 +352,6 @@ def hosvd(x, ranks) -> TuckerModel:
     k1, k2, k3 = _check_ranks(x, ranks)
     U, V, W = (leading_singular_vectors(matricize(x, mode), k)
                for mode, k in ((1, k1), (2, k2), (3, k3)))
-    U, V, W = (m * _column_signs(m) for m in (U, V, W))
     core = _tucker_core(x, U, V, W)
     return TuckerModel(U, V, W, core, {"method": "hosvd"})
 
@@ -367,7 +396,6 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
             break
         prev = core_norm
 
-    U, V, W = (m * _column_signs(m) for m in (U, V, W))
     core = _tucker_core(x, U, V, W)
     diagnostics.update(
         iterations=iterations,

@@ -225,6 +225,15 @@ def support_metrics(estimated, truth) -> RecoveryMetrics:
     component and mode.  Rates are invariant to component permutation and
     sign flips of the estimate.
     """
+    metrics = _support_rates(estimated, truth)
+    if getattr(truth, "x_signal", None) is not None and hasattr(
+            estimated, "reconstruct"):
+        metrics.mse = signal_mse(estimated, truth)
+    return metrics
+
+
+def _support_rates(estimated, truth) -> RecoveryMetrics:
+    """``support_metrics`` without the reconstruction error (``mse`` NaN)."""
     est_factors = (estimated.U, estimated.V, estimated.W)
     true_factors = (truth.U, truth.V, truth.W)
     for e, t in zip(est_factors, true_factors):
@@ -251,11 +260,7 @@ def support_metrics(estimated, truth) -> RecoveryMetrics:
                 fp[m, col] = float(np.sum(est_nz & ~true_nz)) / n_zero
             signs[m, col] = np.sign(_safe_cosine(
                 est_factors[m][:, i], true_factors[m][:, j])) or 1.0
-    mse = np.nan
-    if getattr(truth, "x_signal", None) is not None and hasattr(
-            estimated, "reconstruct"):
-        mse = signal_mse(estimated, truth)
-    return RecoveryMetrics(tp, fp, float(mse), permutation, signs, matched,
+    return RecoveryMetrics(tp, fp, np.nan, permutation, signs, matched,
                            k_mismatch=(k_est != k_true))
 
 
@@ -320,7 +325,7 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     points: list[RocPoint] = []
 
     def collect(lam, model):
-        metrics = support_metrics(model, truth)
+        metrics = _support_rates(model, truth)
         for m_idx, mode in enumerate(_MODES):
             if mode not in modes:
                 continue

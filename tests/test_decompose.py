@@ -4,6 +4,8 @@ rank-one power scheme."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hopca.decompose import (
     CpModel,
@@ -11,6 +13,7 @@ from hopca.decompose import (
     cp_als,
     hooi,
     hosvd,
+    leading_singular_vectors,
     tpa,
     tpa_rank_one,
 )
@@ -118,6 +121,109 @@ class TestHosvd:
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
             hosvd(np.zeros((2, 2, 2)), (3, 1, 1))
+
+
+def svd_oracle(m, k):
+    """First k left singular vectors by plain SVD, largest entry positive."""
+    uu, sv, _ = np.linalg.svd(m, full_matrices=False)
+    uu = uu[:, :k]
+    peak = uu[np.argmax(np.abs(uu), axis=0), np.arange(k)]
+    return uu * np.sign(peak), sv
+
+
+@st.composite
+def matrix_and_k(draw):
+    """A Gaussian matrix on either side of square, at scales 1e-3..1e3."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * rng.standard_normal((rows, cols)), k
+
+
+@st.composite
+def deficient_matrix_and_k(draw):
+    """A rank-r matrix (r = 0 is the zero matrix) and a k above r, up to
+    the row count, so k may exceed the smaller side."""
+    rows, cols = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    rank = draw(st.integers(0, min(rows, cols) - 1))
+    k = draw(st.integers(rank + 1, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    return m, rank, k
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestLeadingSingularVectors:
+    @PROPERTY
+    @given(matrix_and_k())
+    def test_orthonormal_columns(self, case):
+        m, k = case
+        u = leading_singular_vectors(m, k)
+        assert u.shape == (m.shape[0], k)
+        npt.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+
+    @PROPERTY
+    @given(matrix_and_k())
+    def test_matches_svd_oracle_when_gap_is_healthy(self, case):
+        m, k = case
+        oracle, sv = svd_oracle(m, k)
+        padded = np.append(sv, 0.0)
+        # the gaps sigma_i - sigma_(i+1), i <= k, fix the first k vectors
+        assume(np.min(padded[:k] - padded[1:k + 1]) >= 1e-3 * sv[0])
+        npt.assert_allclose(leading_singular_vectors(m, k), oracle,
+                            atol=1e-8)
+
+    @PROPERTY
+    @given(matrix_and_k())
+    def test_values_match_svd(self, case):
+        m, k = case
+        _, values = leading_singular_vectors(m, k, return_values=True)
+        sv = np.linalg.svd(m, compute_uv=False)
+        npt.assert_allclose(values, sv[:k], rtol=0, atol=1e-10 * sv[0])
+
+    @PROPERTY
+    @given(deficient_matrix_and_k())
+    @example((np.zeros((4, 6)), 0, 2))
+    @example((np.random.default_rng(0).standard_normal((7, 3)), 3, 5))
+    def test_fallback_cases(self, case):
+        m, rank, k = case
+        u, values = leading_singular_vectors(m, k, return_values=True)
+        assert u.shape == (m.shape[0], k)
+        npt.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+        sv = np.linalg.svd(m, compute_uv=False)
+        top = max(sv[0], 1.0)
+        npt.assert_allclose(values[:rank], sv[:rank], rtol=1e-10)
+        assert np.all(values[rank:] <= 1e-10 * top)
+        # the first `rank` columns span the range of m
+        lead = u[:, :rank]
+        npt.assert_allclose(m - lead @ (lead.T @ m), 0.0, atol=1e-10 * top)
+
+    def test_ill_conditioned_matrix_falls_back_to_svd(self):
+        # sigma = (1, 1e-5): the m m^T route would get the second vector
+        # wrong by about eps / 1e-10 ~ 1e-6
+        rng = np.random.default_rng(24)
+        left = orthonormal_cols(rng, 5, 2)
+        right = orthonormal_cols(rng, 7, 2)
+        m = left @ np.diag([1.0, 1e-5]) @ right.T
+        oracle, _ = svd_oracle(m, 2)
+        u = leading_singular_vectors(m, 2)
+        npt.assert_allclose(u[:, 1], oracle[:, 1], atol=1e-9)
+
+    def test_tall_route_orthonormal_near_the_guard(self):
+        # sigma_6 / sigma_1 = 2e-4 stays on the m^T m route; mapping the
+        # right vectors back by m v / sigma alone would leave the left
+        # columns up to eps * (sigma_1 / sigma_6)^2 ~ 5e-9 from orthonormal
+        # (7e-11 on this matrix)
+        rng = np.random.default_rng(25)
+        sv = np.array([1.0, 0.5, 0.2, 0.05, 3e-3, 2e-4])
+        m = (orthonormal_cols(rng, 40, 6) @ np.diag(sv)
+             @ orthonormal_cols(rng, 6, 6).T)
+        u = leading_singular_vectors(m, 6)
+        npt.assert_allclose(u.T @ u, np.eye(6), atol=1e-12)
+        npt.assert_allclose(u, svd_oracle(m, 6)[0], atol=1e-10)
 
 
 class TestHooi:
