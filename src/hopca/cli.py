@@ -34,7 +34,7 @@ from .simulate import (
     run_table_experiment,
     simulate,
 )
-from .sparse import ModePenalty, PenaltySpec
+from .sparse import PenaltySpec
 
 
 class CliError(Exception):
@@ -114,14 +114,6 @@ def _smoothers(args, dims) -> SmootherSet:
                                          order=args.diff_order)
 
 
-def _mode_penalty(lam, kind: str) -> ModePenalty:
-    if lam is None:
-        return ModePenalty("none")
-    if lam == "bic":
-        return ModePenalty(kind, None)
-    return ModePenalty(kind, lam)
-
-
 def _cmd_decompose(args) -> int:
     x = _load_tensor(args.input)
     cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed,
@@ -139,8 +131,7 @@ def _cmd_decompose(args) -> int:
                 raise CliError(1, "group penalty needs fixed scalar lambdas")
         model = _fit_group(x, ranks, lams, args, cfg)
     else:
-        pen = (PenaltySpec(*[_mode_penalty(lam, kind) for lam in lams])
-               if entry.penalty else None)
+        pen = PenaltySpec.lasso(*lams, kind=kind) if entry.penalty else None
         if entry.penalty == "fixed" and any(
                 p.is_adaptive for p in (pen.u, pen.v, pen.w)):
             raise CliError(1, f"{method} takes fixed scalar lambdas")
@@ -177,10 +168,14 @@ def _fit_group(x, ranks, lams, args, cfg):
     return general_cp_tpa(x, ranks, penalties, cfg)
 
 
-def _cmd_simulate(args) -> int:
-    spec = SimScenarioSpec(scenario=args.scenario, k=args.k,
+def _scenario_spec(args) -> SimScenarioSpec:
+    return SimScenarioSpec(scenario=args.scenario, k=args.k,
                            sparsity=args.sparsity, signal=args.signal,
                            seed=args.seed, noise=args.noise)
+
+
+def _cmd_simulate(args) -> int:
+    spec = _scenario_spec(args)
     truth = simulate(spec)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_tensor3(os.path.join(args.out, "x.t3"), truth.x)
@@ -213,9 +208,7 @@ def _methods_list(text: str, allowed) -> list[str]:
 
 
 def _cmd_table(args) -> int:
-    spec = SimScenarioSpec(scenario=args.scenario, k=args.k,
-                           sparsity=args.sparsity, signal=args.signal,
-                           seed=args.seed, noise=args.noise)
+    spec = _scenario_spec(args)
     methods = _methods_list(args.methods, TABLE_METHODS)
     grid = _parse_lambda(args.grid) if args.grid else None
     grid = None if grid == "bic" else grid
@@ -237,9 +230,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    spec = SimScenarioSpec(scenario=args.scenario, k=args.k,
-                           sparsity=args.sparsity, signal=args.signal,
-                           seed=args.seed, noise=args.noise)
+    spec = _scenario_spec(args)
     methods = _methods_list(args.methods, ROC_METHODS)
     grid = _parse_lambda(args.grid) if args.grid else None
     grid = None if grid == "bic" else grid

@@ -146,10 +146,6 @@ def contract_w(x, u, v):
     return np.tensordot(np.tensordot(x, v, axes=(1, 0)), u, axes=(0, 0))
 
 
-def contract_all(x, u, v, w) -> float:
-    return float(contract_u(x, v, w) @ u)
-
-
 def leading_singular_vectors(m, k, return_values=False):
     """First ``k`` left singular vectors of ``m`` (orthonormal columns).
 
@@ -221,6 +217,11 @@ def canonicalize_cp_signs(U, V, W):
     return U * su, V * sv, W * (su * sv)
 
 
+def _column_nnz(*factors):
+    return {m: [int(n) for n in np.count_nonzero(f, axis=0)]
+            for m, f in zip(_MODES, factors)}
+
+
 def sort_components(U, V, W, d):
     order = np.argsort(-np.asarray(d, dtype=float), kind="stable")
     return U[:, order], V[:, order], W[:, order], np.asarray(d)[order], order
@@ -259,6 +260,86 @@ def _init_cp_factors(x, K, init, rng):
 # CP alternating least squares
 
 
+def _als(x, K: int, cfg: SolverConfig, method: str,
+         steps=(None, None, None)) -> CpModel:
+    """K-component CP fit by alternating per-mode least-squares updates.
+
+    Each sweep updates U, V and W in turn.  A mode's update gets the
+    Khatri-Rao normal equations (``gram``, ``corr``) of the other two
+    factors and the current scaled factor as a warm start, and
+    ``steps[m](gram, corr, warm)`` returns the scaled factor with the
+    penalty level it used.  A None step is the exact normal-equation
+    solve, which falls back to the pseudo-inverse (flagged ``used_pinv``)
+    when the system is singular.  Columns are rescaled to unit norm with
+    the weights taken as the column norms; a column whose weight vanishes
+    is zeroed in a penalized mode and keeps its previous direction
+    otherwise.  Iteration stops when the relative residual changes by
+    less than ``tol``.
+    """
+    x = check_tensor3(x)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
+    d = np.zeros(K)
+    levels = [0.0, 0.0, 0.0]
+    diagnostics: dict[str, Any] = {"method": method, "used_pinv": False}
+
+    def exact(gram, corr, warm):
+        if np.linalg.cond(gram) < 1e12:
+            return np.linalg.solve(gram, corr.T).T, 0.0
+        diagnostics["used_pinv"] = True
+        return corr @ np.linalg.pinv(gram), 0.0
+
+    norm_x = frob_norm(x)
+    if norm_x == 0.0:
+        factors = [f if step is None else np.zeros_like(f)
+                   for f, step in zip(factors, steps)]
+        diagnostics.update(iterations=0, converged=True, residual_norm=0.0,
+                           lambdas={m: [0.0] for m in _MODES})
+        return CpModel(*factors, d, diagnostics)
+
+    unfoldings = [matricize(x, m) for m in (1, 2, 3)]
+    residual_trace, objective_trace = [], []
+    prev_obj = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        for m in range(3):
+            # design matrix for our fiber order is kron(b_k, a_k) per column
+            a, b = (f for o, f in enumerate(factors) if o != m)
+            gram = (a.T @ a) * (b.T @ b)
+            corr = unfoldings[m] @ khatri_rao(b, a)
+            scaled, levels[m] = (steps[m] or exact)(gram, corr,
+                                                    factors[m] * d)
+            d = np.linalg.norm(scaled, axis=0)
+            live = d > _TINY
+            factors[m][:, live] = scaled[:, live] / d[live]
+            if steps[m] is not None:
+                factors[m][:, ~live] = 0.0
+        resid = frob_norm(x - CpModel(*factors, d).reconstruct())
+        residual_trace.append(resid)
+        objective_trace.append(0.5 * resid ** 2 + sum(
+            lev * float(np.sum(np.abs(f))) for lev, f in zip(levels, factors)))
+        obj = resid / norm_x
+        if prev_obj is not None and abs(prev_obj - obj) < cfg.tol:
+            converged = True
+            break
+        prev_obj = obj
+
+    U, V, W, d, order = sort_components(*factors, d)
+    U, V, W = canonicalize_cp_signs(U, V, W)
+    diagnostics.update(
+        iterations=iterations,
+        converged=converged,
+        residual_norm=residual_trace[-1],
+        residual_trace=np.asarray(residual_trace),
+        objective_traces=[np.asarray(objective_trace)],
+        lambdas={m: [lev] for m, lev in zip(_MODES, levels)},
+        nnz=_column_nnz(U, V, W),
+    )
+    return CpModel(U, V, W, d, diagnostics)
+
+
 def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     """Fit a K-component CP model by alternating least squares.
 
@@ -268,64 +349,7 @@ def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     non-increasing across sweeps; a singular normal system falls back to
     the pseudo-inverse and is flagged in the diagnostics.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    rng = cfg.rng()
-    norm_x = frob_norm(x)
-    U, V, W = _init_cp_factors(x, K, cfg.init, rng)
-    d = np.zeros(K)
-    diagnostics: dict[str, Any] = {"method": "cp-als", "used_pinv": False}
-
-    if norm_x == 0.0:
-        diagnostics.update(iterations=0, converged=True, residual_norm=0.0)
-        return CpModel(U, V, W, d, diagnostics)
-
-    unfoldings = {m: matricize(x, m) for m in (1, 2, 3)}
-    residual_trace = []
-    prev_obj = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        for mode in (1, 2, 3):
-            if mode == 1:
-                a, b = V, W
-            elif mode == 2:
-                a, b = U, W
-            else:
-                a, b = U, V
-            # design matrix for our fiber order is kron(b_k, a_k) per column
-            gram = (a.T @ a) * (b.T @ b)
-            corr = unfoldings[mode] @ khatri_rao(b, a)
-            if np.linalg.cond(gram) < 1e12:
-                scaled = np.linalg.solve(gram, corr.T).T
-            else:
-                scaled = corr @ np.linalg.pinv(gram)
-                diagnostics["used_pinv"] = True
-            d = np.linalg.norm(scaled, axis=0)
-            target = (U, V, W)[mode - 1]
-            for k in range(K):
-                if d[k] > _TINY:
-                    target[:, k] = scaled[:, k] / d[k]
-                # a dead column keeps its previous unit direction, d stays 0
-        resid = frob_norm(x - CpModel(U, V, W, d).reconstruct())
-        residual_trace.append(resid)
-        obj = resid / norm_x
-        if prev_obj is not None and abs(prev_obj - obj) < cfg.tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics.update(
-        iterations=iterations,
-        converged=converged,
-        residual_norm=residual_trace[-1],
-        residual_trace=np.asarray(residual_trace),
-    )
-    return CpModel(U, V, W, d, diagnostics)
+    return _als(x, K, cfg or SolverConfig(), "cp-als")
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +370,68 @@ def _tucker_core(x, U, V, W):
     return mode_mult(mode_mult(mode_mult(x, U.T, 1), V.T, 2), W.T, 3)
 
 
+def _svd_step(m, k):
+    return leading_singular_vectors(m, k), [0.0] * k
+
+
+def _tucker(x, ranks, method: str, steps=(None, None, None),
+            cfg: SolverConfig | None = None) -> TuckerModel:
+    """Tucker factors from one step per mode: HOSVD, then with ``cfg``
+    HOOI sweeps under its iteration controls.
+
+    ``steps[m](unfolding, rank)`` returns ``rank`` factor columns and the
+    penalty level of each; a None step takes the leading singular
+    vectors.  The HOSVD start runs the steps on the unfoldings of ``x``;
+    each sweep re-estimates every factor from ``x`` projected onto the
+    other two.  Convergence (relative core-norm change below ``tol``) is
+    first checked at sweep 2.  The sweep with the largest core norm is
+    returned, ties going to the later sweep; the core-norm trace starts
+    with the HOSVD start.
+    """
+    x = check_tensor3(x)
+    ranks = _check_ranks(x, ranks)
+    steps = [step or _svd_step for step in steps]
+    factors, levels = [], {}
+    for m, (step, k) in enumerate(zip(steps, ranks)):
+        f, levels[_MODES[m]] = step(matricize(x, m + 1), k)
+        factors.append(f)
+    core = _tucker_core(x, *factors)
+    diagnostics: dict[str, Any] = {"method": method}
+    if cfg is not None:
+        trace = [frob_norm(core)]
+        best, best_norm = (factors, core, levels), trace[0]
+        iterations, converged = 0, True
+        if frob_norm(x) > 0.0:
+            prev, converged = None, False
+            for iterations in range(1, cfg.max_iter + 1):
+                factors, levels = list(factors), dict(levels)
+                for m in range(3):
+                    y = x
+                    for o in range(3):
+                        if o != m:
+                            y = mode_mult(y, factors[o].T, o + 1)
+                    factors[m], levels[_MODES[m]] = steps[m](
+                        matricize(y, m + 1), ranks[m])
+                core = mode_mult(y, factors[2].T, 3)
+                trace.append(frob_norm(core))
+                if trace[-1] >= best_norm:
+                    best, best_norm = (factors, core, levels), trace[-1]
+                if prev is not None and abs(trace[-1] - prev) <= cfg.tol * max(
+                        prev, _TINY):
+                    converged = True
+                    break
+                prev = trace[-1]
+        factors, core, levels = best
+        diagnostics.update(iterations=iterations, converged=converged,
+                           core_norm=best_norm,
+                           core_norm_trace=np.asarray(trace))
+    diagnostics.update(lambdas=levels, nnz=_column_nnz(*factors))
+    return TuckerModel(*factors, core, diagnostics)
+
+
 def hosvd(x, ranks) -> TuckerModel:
     """Tucker factors from the leading singular vectors of each unfolding."""
-    x = check_tensor3(x)
-    k1, k2, k3 = _check_ranks(x, ranks)
-    U, V, W = (leading_singular_vectors(matricize(x, mode), k)
-               for mode, k in ((1, k1), (2, k2), (3, k3)))
-    core = _tucker_core(x, U, V, W)
-    return TuckerModel(U, V, W, core, {"method": "hosvd"})
+    return _tucker(x, ranks, "hosvd")
 
 
 def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
@@ -363,48 +441,7 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
     tensor projected onto the other two factors, so the core norm is
     non-decreasing; stops when its relative change drops below ``tol``.
     """
-    x = check_tensor3(x)
-    k1, k2, k3 = _check_ranks(x, ranks)
-    cfg = cfg or SolverConfig()
-    start = hosvd(x, ranks)
-    U, V, W = start.U, start.V, start.W
-    diagnostics: dict[str, Any] = {"method": "hooi"}
-
-    if frob_norm(x) == 0.0:
-        diagnostics.update(iterations=0, converged=True, core_norm=0.0)
-        return TuckerModel(U, V, W, start.core, diagnostics)
-
-    core_trace = []
-    gaps = {}
-    prev = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        y = mode_mult(mode_mult(x, V.T, 2), W.T, 3)
-        U, sv = leading_singular_vectors(matricize(y, 1), k1, return_values=True)
-        gaps["u"] = sv[k1 - 1] - (sv[k1] if sv.size > k1 else 0.0)
-        y = mode_mult(mode_mult(x, U.T, 1), W.T, 3)
-        V, sv = leading_singular_vectors(matricize(y, 2), k2, return_values=True)
-        gaps["v"] = sv[k2 - 1] - (sv[k2] if sv.size > k2 else 0.0)
-        y = mode_mult(mode_mult(x, U.T, 1), V.T, 2)
-        W, sv = leading_singular_vectors(matricize(y, 3), k3, return_values=True)
-        gaps["w"] = sv[k3 - 1] - (sv[k3] if sv.size > k3 else 0.0)
-        core_norm = frob_norm(mode_mult(y, W.T, 3))
-        core_trace.append(core_norm)
-        if prev is not None and abs(core_norm - prev) <= cfg.tol * max(prev, _TINY):
-            converged = True
-            break
-        prev = core_norm
-
-    core = _tucker_core(x, U, V, W)
-    diagnostics.update(
-        iterations=iterations,
-        converged=converged,
-        core_norm=core_trace[-1],
-        core_norm_trace=np.asarray(core_trace),
-        sv_gap_u=gaps["u"], sv_gap_v=gaps["v"], sv_gap_w=gaps["w"],
-    )
-    return TuckerModel(U, V, W, core, diagnostics)
+    return _tucker(x, ranks, "hooi", cfg=cfg or SolverConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _VALUES_PER_LINE = 8
+_READ_BLOCK = 1 << 16  # bytes of .t3 body parsed at a time
 
 
 def write_tensor3(path, x) -> None:
@@ -48,16 +49,22 @@ def write_tensor3(path, x) -> None:
 
 def read_tensor3(path) -> np.ndarray:
     """Read a tensor from a ``.t3`` text file."""
-    with open(path) as fh:
-        header = fh.readline().split()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().split()
         if len(header) != 4 or header[0] != "tensor3":
             raise ValueError(f"{path}: malformed .t3 header {header!r}")
         try:
             n, p, q = (int(t) for t in header[1:])
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer dims in header") from exc
-        values = np.fromstring(fh.read(), dtype=float, sep=" ")
-    return tensor3(values, (n, p, q))
+        # the body is parsed in blocks of whole lines: a token list of all
+        # of it would hold one object per value (about 70 MB at 100^3);
+        # float() names a bad token, and bytes split faster than str
+        blocks = [np.zeros(0)]
+        while block := fh.read(_READ_BLOCK):
+            tokens = (block + fh.readline()).split()
+            blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
+    return tensor3(np.concatenate(blocks), (n, p, q))
 
 
 def write_matrix_csv(path, m) -> None:

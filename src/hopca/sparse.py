@@ -3,6 +3,10 @@
 algorithmic baselines built from penalized PCA updates (sparse ALS,
 sparse HOSVD, sparse HOOI).
 
+The baselines run the one ALS loop and the one Tucker loop of
+:mod:`hopca.decompose` with a penalized step (lasso, penalized PCA) in
+each penalized mode; at zero penalty they are CP-ALS, HOSVD and HOOI.
+
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
 have unit norm or are exactly zero; a zero factor ends its component
@@ -12,7 +16,7 @@ with weight zero and deflation subtracts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,17 +27,17 @@ from .decompose import (
     SolverConfig,
     TuckerModel,
     _NO_PENALTY,
+    _als,
     _engine_fit,
     _ModeUpdate,
     _rank_one,
-    canonicalize_cp_signs,
+    _tucker,
     deflate,
     leading_singular_vectors,
     normalize_or_zero,
-    sort_components,
 )
 from .evaluate import bic_path, default_lambda_grid
-from .tensor3 import check_tensor3, frob_norm, khatri_rao, matricize, mode_mult
+from .tensor3 import check_tensor3, frob_norm
 
 __all__ = [
     "soft_threshold",
@@ -52,7 +56,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_MODES = ("u", "v", "w")
 
 
 def soft_threshold(x, lam: float):
@@ -267,116 +270,64 @@ def lasso_coordinate_descent(gram, corr, lam: float, tol: float = 1e-8,
     return coef
 
 
-def _bic_lasso_matrix(norm_sq, size, gram, corr, grid, warm):
-    """BIC over a grid for one whole-factor lasso update (warm-started)."""
-    grid = np.asarray(grid, dtype=float)
-    order = np.argsort(grid)[::-1]
-    best = (np.inf, 0.0, None)
-    coef = warm
+def _mode_steps(pen: PenaltySpec, make):
+    """Per-mode steps of a shared loop: ``make(mode_penalty)`` for each
+    penalized mode, None (the exact unpenalized step) for the rest."""
+    return tuple(None if p.kind == "none" else make(p)
+                 for p in (pen.u, pen.v, pen.w))
+
+
+def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
+    """ALS step for one penalized mode: the whole-factor lasso at the fixed
+    level, or at the level BIC selects over the mode's grid (descending,
+    each solve warm-started from the previous one)."""
+    if not mode_pen.is_adaptive:
+        level = mode_pen.fixed_level()
+        return lambda gram, corr, warm: (
+            lasso_coordinate_descent(gram, corr, level, warm=warm), level)
     log_size = np.log(size)
-    for idx in order:
-        lam = float(grid[idx])
-        coef = lasso_coordinate_descent(gram, corr, lam, warm=coef)
-        resid_sq = (norm_sq - 2.0 * float(np.sum(coef * corr))
-                    + float(np.sum((coef @ gram) * coef)))
-        bic = (np.log(max(resid_sq, 1e-300) / size)
-               + log_size / size * np.count_nonzero(coef))
-        # descending grid: strict improvement keeps ties at larger lam
-        if bic < best[0]:
-            best = (bic, lam, coef.copy())
-    return best[1], best[2]
+
+    def step(gram, corr, warm):
+        grid = mode_pen.grid_for(corr)
+        best = (np.inf, 0.0, None)
+        coef = warm
+        for lam in np.sort(grid)[::-1]:
+            lam = float(lam)
+            coef = lasso_coordinate_descent(gram, corr, lam, warm=coef)
+            resid_sq = (norm_sq - 2.0 * float(np.sum(coef * corr))
+                        + float(np.sum((coef @ gram) * coef)))
+            bic = (np.log(max(resid_sq, 1e-300) / size)
+                   + log_size / size * np.count_nonzero(coef))
+            # descending grid: strict improvement keeps ties at larger lam
+            if bic < best[0]:
+                best = (bic, lam, coef.copy())
+        return best[2], best[1]
+
+    return step
 
 
 def sparse_cp_als(x, K: int, pen: PenaltySpec | None = None,
                   cfg: SolverConfig | None = None) -> CpModel:
     """Alternating lasso updates of the CP factors.
 
-    Each mode minimizes the Khatri-Rao least squares loss with an l1
-    penalty on the scaled factor, then rescales columns to unit norm
-    (zero columns allowed).  This recipe optimizes no joint objective, so
-    iteration is capped and a stall criterion applied; the unpenalized
-    objective trace is reported without any monotonicity claim.
+    Each penalized mode minimizes the Khatri-Rao least squares loss with
+    an l1 penalty on the scaled factor, then rescales columns to unit norm
+    (zero columns allowed); an unpenalized mode takes the exact
+    least-squares update of :func:`cp_als`.  This recipe optimizes no
+    joint objective, so iteration is capped and a stall criterion applied;
+    the penalized objective trace is reported without any monotonicity
+    claim.
     """
     x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
     pen = pen or PenaltySpec.none()
-    if K < 1:
-        raise ValueError("K must be >= 1")
     for mode_pen in pen.by_mode().values():
         if mode_pen.kind == "nonneg_lasso":
             raise ValueError("sparse_cp_als supports only lasso penalties")
-    rng = cfg.rng()
-    norm_x = frob_norm(x)
-    from .decompose import _init_cp_factors
-
-    U, V, W = (f.copy() for f in _init_cp_factors(x, K, cfg.init, rng))
-    d = np.zeros(K)
-    diagnostics: dict[str, Any] = {"method": "sparse-cp-als", "sparse": True}
-    if norm_x == 0.0:
-        diagnostics.update(iterations=0, converged=True, residual_norm=0.0,
-                           lambdas={m: [0.0] for m in _MODES})
-        return CpModel(U * 0.0, V * 0.0, W * 0.0, d, diagnostics)
-
-    unfoldings = {m: matricize(x, m) for m in (1, 2, 3)}
-    norm_sq = norm_x ** 2
-    by_mode = pen.by_mode()
-    lam_used = {m: 0.0 for m in _MODES}
-    residual_trace = []
-    objective_trace = []
-    prev_obj = None
-    stalled = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        for axis, mode in enumerate(_MODES, start=1):
-            if mode == "u":
-                a, b, target = V, W, U
-            elif mode == "v":
-                a, b, target = U, W, V
-            else:
-                a, b, target = U, V, W
-            gram = (a.T @ a) * (b.T @ b)
-            corr = unfoldings[axis] @ khatri_rao(b, a)
-            mode_pen = by_mode[mode]
-            warm = target * d
-            if mode_pen.is_adaptive:
-                lam_max = float(np.max(np.abs(corr))) if np.any(corr) else 0.0
-                grid = (np.asarray(mode_pen.lam, dtype=float)
-                        if mode_pen.lam is not None
-                        else default_lambda_grid(lam_max))
-                lam_used[mode], scaled = _bic_lasso_matrix(
-                    norm_sq, x.size, gram, corr, grid, warm)
-            else:
-                lam_used[mode] = mode_pen.fixed_level()
-                scaled = lasso_coordinate_descent(gram, corr, lam_used[mode],
-                                                  warm=warm)
-            d = np.linalg.norm(scaled, axis=0)
-            for k in range(K):
-                target[:, k] = scaled[:, k] / d[k] if d[k] > _TINY else 0.0
-        resid = frob_norm(x - CpModel(U, V, W, d).reconstruct())
-        residual_trace.append(resid)
-        objective_trace.append(
-            0.5 * resid ** 2
-            + sum(lam_used[m] * float(np.sum(np.abs(f)))
-                  for m, f in zip(_MODES, (U, V, W))))
-        obj = resid / norm_x
-        if prev_obj is not None and abs(prev_obj - obj) < cfg.tol:
-            stalled = True
-            break
-        prev_obj = obj
-
-    U, V, W, d, order = sort_components(U, V, W, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics.update(
-        iterations=iterations,
-        converged=stalled,
-        residual_norm=residual_trace[-1],
-        residual_trace=np.asarray(residual_trace),
-        objective_traces=[np.asarray(objective_trace)],
-        lambdas={m: [lam_used[m]] for m in _MODES},
-        nnz={m: [int(np.count_nonzero(f[:, k])) for k in range(K)]
-             for m, f in zip(_MODES, (U, V, W))},
-    )
-    return CpModel(U, V, W, d, diagnostics)
+    norm_sq = frob_norm(x) ** 2
+    model = _als(x, K, cfg or SolverConfig(), "sparse-cp-als", _mode_steps(
+        pen, lambda p: _lasso_step(p, norm_sq, x.size)))
+    model.diagnostics["sparse"] = True
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -478,33 +429,30 @@ def sparse_pca(m, k: int, left_pen: ModePenalty, lam_right: float = 0.0,
     return left, right, d, lams
 
 
+def _pca_step(mode_pen: ModePenalty, cfg: SolverConfig):
+    """Tucker step for one penalized mode: the left factors of
+    :func:`sparse_pca` with the chosen level per component."""
+    def step(m, k):
+        left, _, _, lams = sparse_pca(m, k, mode_pen, 0.0, cfg)
+        return left, lams
+
+    return step
+
+
 def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
                  cfg: SolverConfig | None = None) -> TuckerModel:
     """Tucker-style factors from penalized PCA of each unfolding.
 
-    Factor columns are the left vectors of successive penalized rank-one
-    SVDs (deflated), so they are sparse and generally not orthonormal.
+    Factor columns of a penalized mode are the left vectors of successive
+    penalized rank-one SVDs (deflated), so they are sparse and generally
+    not orthonormal; an unpenalized mode takes the leading singular
+    vectors, as :func:`hosvd` does.
     """
-    x = check_tensor3(x)
-    k1, k2, k3 = (int(r) for r in ranks)
     cfg = cfg or SolverConfig()
-    pen = pen or PenaltySpec.none()
-    by_mode = pen.by_mode()
-    factors = {}
-    lambdas = {}
-    for mode, axis, k in (("u", 1, k1), ("v", 2, k2), ("w", 3, k3)):
-        left, _, _, lams = sparse_pca(matricize(x, axis), k, by_mode[mode],
-                                      0.0, cfg)
-        factors[mode] = left
-        lambdas[mode] = lams
-    U, V, W = factors["u"], factors["v"], factors["w"]
-    core = mode_mult(mode_mult(mode_mult(x, U.T, 1), V.T, 2), W.T, 3)
-    diagnostics = {
-        "method": "sparse-hosvd", "sparse": True, "lambdas": lambdas,
-        "nnz": {m: [int(np.count_nonzero(factors[m][:, k]))
-                    for k in range(factors[m].shape[1])] for m in _MODES},
-    }
-    return TuckerModel(U, V, W, core, diagnostics)
+    model = _tucker(x, ranks, "sparse-hosvd", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)))
+    model.diagnostics["sparse"] = True
+    return model
 
 
 def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
@@ -514,49 +462,8 @@ def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
     Convergence is not guaranteed, so iteration is capped and the sweep
     with the largest core norm is returned along with the full trace.
     """
-    x = check_tensor3(x)
-    k1, k2, k3 = (int(r) for r in ranks)
     cfg = cfg or SolverConfig()
-    pen = pen or PenaltySpec.none()
-    by_mode = pen.by_mode()
-    start = sparse_hosvd(x, ranks, pen, cfg)
-    U, V, W = start.U, start.V, start.W
-
-    def core_of(u, v, w):
-        return mode_mult(mode_mult(mode_mult(x, u.T, 1), v.T, 2), w.T, 3)
-
-    best_norm = frob_norm(core_of(U, V, W))
-    best = (U.copy(), V.copy(), W.copy())
-    lambdas = dict(start.diagnostics["lambdas"])
-    trace = [best_norm]
-    prev = best_norm
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        y = mode_mult(mode_mult(x, V.T, 2), W.T, 3)
-        U, _, _, lambdas["u"] = sparse_pca(matricize(y, 1), k1, by_mode["u"],
-                                           0.0, cfg)
-        y = mode_mult(mode_mult(x, U.T, 1), W.T, 3)
-        V, _, _, lambdas["v"] = sparse_pca(matricize(y, 2), k2, by_mode["v"],
-                                           0.0, cfg)
-        y = mode_mult(mode_mult(x, U.T, 1), V.T, 2)
-        W, _, _, lambdas["w"] = sparse_pca(matricize(y, 3), k3, by_mode["w"],
-                                           0.0, cfg)
-        core_norm = frob_norm(core_of(U, V, W))
-        trace.append(core_norm)
-        if core_norm > best_norm:
-            best_norm = core_norm
-            best = (U.copy(), V.copy(), W.copy())
-        if abs(core_norm - prev) <= cfg.tol * max(prev, _TINY):
-            break
-        prev = core_norm
-
-    U, V, W = best
-    diagnostics = {
-        "method": "sparse-hooi", "sparse": True, "iterations": iterations,
-        "core_norm": best_norm, "core_norm_trace": np.asarray(trace),
-        "lambdas": lambdas,
-        "nnz": {m: [int(np.count_nonzero(f[:, k]))
-                    for k in range(f.shape[1])]
-                for m, f in zip(_MODES, (U, V, W))},
-    }
-    return TuckerModel(U, V, W, core_of(U, V, W), diagnostics)
+    model = _tucker(x, ranks, "sparse-hooi", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), cfg)
+    model.diagnostics["sparse"] = True
+    return model

@@ -138,6 +138,16 @@ def test_malformed_input_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("body", ["1 2 oops 4\n", "1 2 3 oops\n"])
+def test_bad_token_in_body_exits_two(tmp_path, capsys, body):
+    bad = tmp_path / "bad.t3"
+    bad.write_text("tensor3 2 2 1\n" + body)
+    code = main(["decompose", "--method", "tpa", "--rank", "1",
+                 "--input", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "oops" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # a non-PSD quadratic operator is a numerical failure, not an I/O one
     rng = np.random.default_rng(2)

@@ -47,6 +47,14 @@ def test_t3_wrong_count(tmp_path):
         fileio.read_tensor3(path)
 
 
+@pytest.mark.parametrize("body", ["1 2 oops 4\n", "1 2 3 oops\n"])
+def test_t3_bad_token_names_it(tmp_path, body):
+    path = tmp_path / "bad.t3"
+    path.write_text("tensor3 2 2 1\n" + body)
+    with pytest.raises(ValueError, match="oops"):
+        fileio.read_tensor3(path)
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 3))
