@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .evaluate import bic_path
+from .evaluate import _bic_argmin, bic_path
 from .tensor3 import check_tensor3, frob_norm, khatri_rao, matricize, mode_mult
 
 __all__ = [
@@ -157,13 +157,18 @@ def leading_singular_vectors(m, k, return_values=False):
     its condition number, so a plain SVD is used instead when
     ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram vectors would then be off by
     about ``eps sigma_1^2 / sigma_k^2``), when ``m`` is zero, or when
-    ``k`` exceeds the smaller side (the SVD basis is then completed
+    ``k`` exceeds the column count (the SVD basis is then completed
     deterministically to ``k`` columns).  Each column's largest-magnitude
     entry is made positive, so the result does not depend on the route.
     With ``return_values`` the first ``k`` singular values come too.
+    ``k`` above the row count raises ValueError: no more than ``rows``
+    orthonormal columns exist.
     """
     m = np.asarray(m, dtype=float)
     rows, cols = m.shape
+    if k > rows:
+        raise ValueError(f"cannot take {k} orthonormal columns of length "
+                         f"{rows}")
     uu = None
     if k <= min(rows, cols):
         wide = rows <= cols
@@ -246,13 +251,15 @@ def init_rank_one(x, init, rng):
 
 
 def _init_cp_factors(x, K, init, rng):
-    if init == "hosvd":
-        return tuple(leading_singular_vectors(matricize(x, m), K)
-                     for m in (1, 2, 3))
+    """K starting columns per mode: the leading singular vectors of each
+    unfolding, padded with random unit columns where K exceeds the mode's
+    dimension, or all random."""
     factors = []
-    for dim in x.shape:
-        cols = np.column_stack([_random_unit(rng, dim) for _ in range(K)])
-        factors.append(cols)
+    for m, dim in enumerate(x.shape):
+        cols = (leading_singular_vectors(matricize(x, m + 1), min(K, dim))
+                if init == "hosvd" else np.zeros((dim, 0)))
+        pad = [_random_unit(rng, dim) for _ in range(K - cols.shape[1])]
+        factors.append(np.column_stack([cols, *pad]))
     return tuple(factors)
 
 
@@ -539,7 +546,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
         if upd.grid is not None:
             grid = upd.grid(c)
             values, _ = bic_path(norm_sq, x.size, c, grid, upd.prox.prox)
-            lam[m] = float(grid[np.flatnonzero(values == values.min())[-1]])
+            lam[m] = float(grid[_bic_argmin(values)])
         if upd.q is None:
             return normalize_or_zero(upd.prox.prox(_project_out(c, basis[m]),
                                                    lam[m]))

@@ -124,7 +124,6 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
         raise ValueError("penalty values must be non-negative")
     values = np.zeros(grid.size)
     nnz = np.zeros(grid.size, dtype=int)
-    log_size = np.log(size)
     for i, lam in enumerate(grid):
         f = threshold(contraction, lam)
         nn = int(np.count_nonzero(f))
@@ -134,9 +133,20 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
         else:
             f = f / np.linalg.norm(f)
             resid_sq = norm_sq - float(f @ contraction) ** 2 / others_sq
-        values[i] = (np.log(max(resid_sq, 1e-300) / size)
-                     + log_size / size * nn)
+        values[i] = _bic(resid_sq, nn, size)
     return values, nnz
+
+
+def _bic(resid_sq: float, nnz: int, size: int) -> float:
+    """BIC of a fit with residual sum of squares ``resid_sq`` and ``nnz``
+    free parameters on ``size`` observations."""
+    return np.log(max(resid_sq, 1e-300) / size) + np.log(size) / size * nnz
+
+
+def _bic_argmin(values: np.ndarray) -> int:
+    """Index of the least BIC value; ties go to the last index, which on
+    an increasing grid is the larger (sparser) penalty."""
+    return int(np.flatnonzero(values == values.min())[-1])
 
 
 @dataclass
@@ -158,8 +168,7 @@ def bic_select(x_residual, contraction, grid, threshold: Callable | None = None,
                            np.asarray(contraction, dtype=float),
                            np.asarray(grid, dtype=float), threshold, others_sq)
     grid = np.asarray(grid, dtype=float)
-    best = np.flatnonzero(values == values.min())[-1]
-    return BicSelection(float(grid[best]), values, nnz, grid)
+    return BicSelection(float(grid[_bic_argmin(values)]), values, nnz, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,10 @@ from .decompose import (
     TuckerModel,
     _engine_fit,
     _ModeUpdate,
+    _PLAIN,
     _rank_one,
-    contract_u,
-    contract_v,
-    contract_w,
     deflate,
     hooi,
-    init_rank_one,
 )
 from .sparse import (
     l1_penalty,
@@ -312,10 +309,10 @@ def difference_penalty(length: int, alpha: float, order: int = 2) -> np.ndarray:
     return alpha * diff.T @ diff
 
 
-def _sym_power(mat, power: float, floor: float = 1e-12) -> np.ndarray:
+def _inverse_sqrt(mat, floor: float = 1e-12) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=float))
     vals = np.maximum(vals, floor)
-    return (vecs * vals ** power) @ vecs.T
+    return (vecs * vals ** -0.5) @ vecs.T
 
 
 @dataclass
@@ -323,9 +320,9 @@ class SmootherSet:
     """Per-mode roughness penalties and the derived smoother matrices.
 
     Each smoother is ``S = I + alpha * Omega`` with ``Omega`` PSD, so S is
-    positive definite with eigenvalues at least one; inverses and inverse
-    square roots are computed by symmetric eigendecomposition with a
-    small eigenvalue floor as a safety net.
+    positive definite with eigenvalues at least one; inverse square roots
+    are computed by symmetric eigendecomposition with a small eigenvalue
+    floor as a safety net.
     """
 
     omega_u: np.ndarray
@@ -339,7 +336,7 @@ class SmootherSet:
         self.omega_u, _ = _check_symmetric_psd(self.omega_u, "omega_u")
         self.omega_v, _ = _check_symmetric_psd(self.omega_v, "omega_v")
         self.omega_w, _ = _check_symmetric_psd(self.omega_w, "omega_w")
-        self._cache: dict[tuple[str, float], np.ndarray] = {}
+        self._cache: dict[str, np.ndarray] = {}
 
     @classmethod
     def second_difference(cls, dims, alpha: float, order: int = 2
@@ -366,23 +363,22 @@ class SmootherSet:
     def s_w(self) -> np.ndarray:
         return np.eye(self.omega_w.shape[0]) + self.alpha * self.omega_w
 
-    def _matrix_fn(self, mode: str, power: float) -> np.ndarray:
-        key = (mode, power)
-        if key not in self._cache:
-            smoother = {"u": self.s_u, "v": self.s_v, "w": self.s_w}[mode]
-            if self.alpha == 0.0 or not np.any(
-                    {"u": self.omega_u, "v": self.omega_v,
-                     "w": self.omega_w}[mode]):
-                self._cache[key] = np.eye(smoother.shape[0])
-            else:
-                self._cache[key] = _sym_power(smoother, power)
-        return self._cache[key]
-
-    def inverse(self, mode: str) -> np.ndarray:
-        return self._matrix_fn(mode, -1.0)
-
     def inverse_sqrt(self, mode: str) -> np.ndarray:
-        return self._matrix_fn(mode, -0.5)
+        if mode not in self._cache:
+            omega = {"u": self.omega_u, "v": self.omega_v,
+                     "w": self.omega_w}[mode]
+            eye = np.eye(omega.shape[0])
+            self._cache[mode] = (eye if self.alpha == 0.0 or not np.any(omega)
+                                 else _inverse_sqrt(eye + self.alpha * omega))
+        return self._cache[mode]
+
+
+def _half_smooth(x, s: SmootherSet):
+    """``x x1 S_u^{-1/2} x2 S_v^{-1/2} x3 S_w^{-1/2}`` and the three maps."""
+    maps = tuple(s.inverse_sqrt(m) for m in ("u", "v", "w"))
+    smoothed = mode_mult(mode_mult(mode_mult(x, maps[0], 1), maps[1], 2),
+                         maps[2], 3)
+    return smoothed, maps
 
 
 def fpca_objective(x, s: SmootherSet, u, v, w) -> float:
@@ -418,62 +414,31 @@ class FpcaFit:
 
 def fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig | None = None
                   ) -> FpcaFit:
-    """Tri-convex functional rank-one fit by cyclic smoothed updates.
+    """Tri-convex functional rank-one fit: the power scheme on the
+    half-smoothed tensor.
 
-    Each block update solves its convex subproblem in closed form, so
-    the objective is non-increasing; factors are returned unnormalized
+    With factors of unit S-norm the tri-convex loss at its best scale is
+    ``||x||^2 - <x, a o b o c>^2``.  Substituting ``a = S_u^{-1/2} a~``
+    (and likewise for b and c) turns its minimization into the best
+    rank-one fit ``d a~ o b~ o c~`` of the half-smoothed tensor
+    ``x x1 S_u^{-1/2} x2 S_v^{-1/2} x3 S_w^{-1/2}``, which the rank-one
+    engine computes.  Each factor is mapped back through its ``S^{-1/2}``
+    and scaled by ``d^(1/3)``, so the factors are returned unnormalized
     with the scale carried in the iterate (use :meth:`FpcaFit.normalized`
-    for the unit-factor equivalent).  Convergence is declared on the
-    sup-norm change of the factors, which (unlike the objective, flat to
-    second order at the minimum) resolves the fixed point sharply.
+    for the unit-factor equivalent).  The objective trace is
+    ``||x||^2 - d_t^2`` for the engine's per-update weights ``d_t``: it is
+    non-increasing and ends at :func:`fpca_objective` of the returned
+    factors.
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    rng = cfg.rng()
-    v, w = init_rank_one(x, cfg.init, rng)
-    u = np.zeros(x.shape[0])
-    inv_u, inv_v, inv_w = (s.inverse(m) for m in ("u", "v", "w"))
-    su, sv, sw = s.s_u, s.s_v, s.s_w
-    norm_x_sq = frob_norm(x) ** 2
-
-    def qforms(a, b, c):
-        return (float(a @ (su @ a)) * float(b @ (sv @ b))
-                * float(c @ (sw @ c)))
-
-    # the squared-norm products of the loss and the ridge term cancel, so
-    # the objective reduces to ||x||^2 - 2 <x, u o v o w> + prod(S-forms)
-    trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        u_old, v_old, w_old = u, v, w
-        denom = float(v @ (sv @ v)) * float(w @ (sw @ w))
-        if denom <= _TINY:
-            break
-        c = contract_u(x, v, w)
-        u = inv_u @ c / denom
-        trace.append(norm_x_sq - 2.0 * float(u @ c) + qforms(u, v, w))
-        denom = float(u @ (su @ u)) * float(w @ (sw @ w))
-        if denom <= _TINY:
-            break
-        c = contract_v(x, u, w)
-        v = inv_v @ c / denom
-        trace.append(norm_x_sq - 2.0 * float(v @ c) + qforms(u, v, w))
-        denom = float(u @ (su @ u)) * float(v @ (sv @ v))
-        if denom <= _TINY:
-            break
-        c = contract_w(x, u, v)
-        w = inv_w @ c / denom
-        trace.append(norm_x_sq - 2.0 * float(w @ c) + qforms(u, v, w))
-        delta = max(float(np.max(np.abs(u - u_old))),
-                    float(np.max(np.abs(v - v_old))),
-                    float(np.max(np.abs(w - w_old))))
-        scale = 1.0 + max(float(np.max(np.abs(u))), float(np.max(np.abs(v))),
-                          float(np.max(np.abs(w))))
-        if delta <= cfg.tol * scale:
-            converged = True
-            break
-    return FpcaFit(u, v, w, iterations, converged, np.asarray(trace))
+    smoothed, maps = _half_smooth(x, s)
+    fit = _rank_one(smoothed, _PLAIN, cfg, cfg.rng())
+    scale = fit.d ** (1.0 / 3.0)
+    factors = (fit.u, fit.v, fit.w)
+    u, v, w = (scale * (half @ f) for half, f in zip(maps, factors))
+    trace = frob_norm(x) ** 2 - fit.objective_trace ** 2
+    return FpcaFit(u, v, w, fit.iterations, fit.converged, trace)
 
 
 def fpca(x, s: SmootherSet, K: int, cfg: SolverConfig | None = None
@@ -496,14 +461,15 @@ def fpca_half_smoothing(x, s: SmootherSet, ranks,
     """Functional components by half-smoothing around a Tucker fit.
 
     Half-smooths the data, runs orthogonal iteration, and half-smooths
-    the resulting factors back.  This is generally not a stationary point
-    of the tri-convex objective optimized by :func:`fpca_rank_one`.
+    the resulting factors back.  At ranks (1, 1, 1) orthogonal iteration
+    is the power scheme that :func:`fpca_rank_one` runs on the same
+    half-smoothed tensor, so run to convergence it reaches a stationary
+    point of the tri-convex objective; stopped at the default tolerance
+    it can still sit measurably off one.
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    half_u, half_v, half_w = (s.inverse_sqrt(m) for m in ("u", "v", "w"))
-    smoothed = mode_mult(mode_mult(mode_mult(x, half_u, 1), half_v, 2),
-                         half_w, 3)
+    smoothed, (half_u, half_v, half_w) = _half_smooth(x, s)
     inner = hooi(smoothed, ranks, cfg)
     model = TuckerModel(half_u @ inner.U, half_v @ inner.V, half_w @ inner.W,
                         inner.core, dict(inner.diagnostics))

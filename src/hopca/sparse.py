@@ -36,7 +36,7 @@ from .decompose import (
     leading_singular_vectors,
     normalize_or_zero,
 )
-from .evaluate import bic_path, default_lambda_grid
+from .evaluate import _bic, _bic_argmin, bic_path, default_lambda_grid
 from .tensor3 import check_tensor3, frob_norm
 
 __all__ = [
@@ -285,7 +285,6 @@ def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
         level = mode_pen.fixed_level()
         return lambda gram, corr, warm: (
             lasso_coordinate_descent(gram, corr, level, warm=warm), level)
-    log_size = np.log(size)
 
     def step(gram, corr, warm):
         grid = mode_pen.grid_for(corr)
@@ -296,8 +295,7 @@ def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
             coef = lasso_coordinate_descent(gram, corr, lam, warm=coef)
             resid_sq = (norm_sq - 2.0 * float(np.sum(coef * corr))
                         + float(np.sum((coef @ gram) * coef)))
-            bic = (np.log(max(resid_sq, 1e-300) / size)
-                   + log_size / size * np.count_nonzero(coef))
+            bic = _bic(resid_sq, np.count_nonzero(coef), size)
             # descending grid: strict improvement keeps ties at larger lam
             if bic < best[0]:
                 best = (bic, lam, coef.copy())
@@ -366,7 +364,7 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
         if adaptive:
             grid = left_pen.grid_for(c)
             values, _ = bic_path(norm_sq, m.size, c, grid, threshold)
-            lam_left = float(grid[np.flatnonzero(values == values.min())[-1]])
+            lam_left = float(grid[_bic_argmin(values)])
         u, nrm = normalize_or_zero(threshold(c, lam_left))
         if nrm == 0.0:
             return SparsePcaFit(np.zeros(m.shape[0]), np.zeros(m.shape[1]),

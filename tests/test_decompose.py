@@ -226,6 +226,30 @@ class TestLeadingSingularVectors:
         npt.assert_allclose(u, svd_oracle(m, 6)[0], atol=1e-10)
 
 
+class TestCpRankAboveDimensions:
+    def test_more_columns_than_rows_raises(self):
+        with pytest.raises(ValueError, match="orthonormal columns"):
+            leading_singular_vectors(np.ones((2, 5)), 3)
+
+    @PROPERTY
+    @given(st.tuples(*(st.integers(2, 5) for _ in range(3))),
+           st.integers(0, 2**32 - 1), st.sampled_from(("hosvd", "random")),
+           st.data())
+    def test_cp_als_takes_any_rank(self, shape, seed, init, data):
+        # a CP rank may exceed every dimension; the start pads the missing
+        # singular vectors with random unit columns
+        K = data.draw(st.integers(1, 2 * max(shape)))
+        x = np.random.default_rng(seed).standard_normal(shape)
+        model = cp_als(x, K, SolverConfig(max_iter=20, seed=seed, init=init))
+        for factor, dim in zip((model.U, model.V, model.W), shape):
+            assert factor.shape == (dim, K)
+            npt.assert_allclose(np.linalg.norm(factor, axis=0), 1.0,
+                                atol=1e-10)
+        assert np.all(np.isfinite(model.d)) and np.all(model.d >= 0.0)
+        assert np.all(np.diff(model.d) <= 0.0)
+        assert model.diagnostics["residual_norm"] <= (1 + 1e-8) * frob_norm(x)
+
+
 class TestHooi:
     def test_noiseless_low_rank_exact(self):
         x, _ = rank_two_orthogonal(seed=10)

@@ -1,0 +1,70 @@
+"""Functional rank-one fits as properties: the tri-convex objective trace
+is non-increasing and ends at the returned factors' loss, alpha = 0 is
+the plain power scheme, and the block fit and rank-(1, 1, 1)
+half-smoothing reach the same loss once both are run to convergence.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopca.decompose import SolverConfig, tpa_rank_one
+from hopca.generalized import (
+    SmootherSet,
+    fpca_half_smoothing,
+    fpca_objective,
+    fpca_rank_one,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+dims = st.tuples(*(st.integers(3, 8) for _ in range(3)))
+seeds = st.integers(0, 2**32 - 1)
+alphas = st.floats(0.0, 5.0, allow_nan=False)
+
+
+def tensor(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+@PROPERTY
+@given(dims, seeds, alphas)
+def test_trace_non_increasing_and_ends_at_objective(shape, seed, alpha):
+    x = tensor(shape, seed)
+    s = SmootherSet.second_difference(shape, alpha)
+    fit = fpca_rank_one(x, s, SolverConfig(tol=1e-12, seed=seed))
+    trace = fit.objective_trace
+    assert trace.size >= 3
+    assert np.all(np.diff(trace) <= 1e-10)
+    assert trace[-1] == pytest.approx(
+        fpca_objective(x, s, fit.u, fit.v, fit.w), rel=1e-10)
+
+
+@PROPERTY
+@given(dims, seeds)
+def test_zero_alpha_is_power_scheme(shape, seed):
+    x = tensor(shape, seed)
+    cfg = SolverConfig(seed=seed)
+    u, v, w, d = fpca_rank_one(x, SmootherSet.second_difference(shape, 0.0),
+                               cfg).normalized()
+    plain = tpa_rank_one(x, cfg)
+    assert d == pytest.approx(plain.d, rel=1e-12)
+    for got, want in ((u, plain.u), (v, plain.v), (w, plain.w)):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_block_fit_and_half_smoothing_reach_the_same_loss(seed):
+    x = tensor((7, 6, 5), seed)
+    s = SmootherSet.second_difference(x.shape, alpha=1.0)
+    cfg = SolverConfig(tol=1e-14, max_iter=2000)
+    fit = fpca_rank_one(x, s, cfg)
+    half = fpca_half_smoothing(x, s, (1, 1, 1), cfg)
+    core = half.core[0, 0, 0]
+    scale = abs(core) ** (1 / 3)
+    loss = fpca_objective(x, s, half.U[:, 0] * scale * np.sign(core),
+                          half.V[:, 0] * scale, half.W[:, 0] * scale)
+    assert fpca_objective(x, s, fit.u, fit.v, fit.w) == pytest.approx(
+        loss, rel=1e-10)

@@ -35,7 +35,7 @@ def assert_same_tucker(a, b):
 
 
 @PROPERTY
-@given(dims, seeds, st.integers(1, 2), iters, inits)
+@given(dims, seeds, st.integers(1, 14), iters, inits)
 def test_sparse_cp_als_at_zero_penalty_is_cp_als(shape, seed, K, max_iter,
                                                  init):
     x = tensor(shape, seed)
