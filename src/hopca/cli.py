@@ -115,12 +115,16 @@ def _smoothers(args, dims) -> SmootherSet:
 
 
 def _cmd_decompose(args) -> int:
-    x = _load_tensor(args.input)
-    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-                       init=args.init, orthogonalize=args.orthogonalize)
     method = args.method
     entry = METHODS[method]
     tucker = entry.tucker
+    if args.orthogonalize and method != "tpa":
+        raise CliError(1, "--orthogonalize applies only to tpa")
+    if args.init == "random" and tucker:
+        raise CliError(1, "--init random does not apply to Tucker methods")
+    x = _load_tensor(args.input)
+    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed,
+                       init=args.init, orthogonalize=args.orthogonalize)
     ranks = _parse_ranks(args.rank, tucker)
     lams = [_parse_lambda(v) for v in (args.lambda_u, args.lambda_v,
                                        args.lambda_w)]

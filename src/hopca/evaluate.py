@@ -90,33 +90,29 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
 # BIC selection of the regularization level
 
 
-def default_lambda_grid(lam_max: float, num: int = 50,
-                        floor: float = 1e-3) -> np.ndarray:
-    """Zero plus a log-spaced grid from ``floor * lam_max`` to ``lam_max``.
+def default_lambda_grid(lam_max: float, num: int = 50) -> np.ndarray:
+    """Zero plus a log-spaced grid from ``1e-3 * lam_max`` to ``lam_max``.
 
     The zero entry lets noiseless instances select the unpenalized exact
     fit; on noisy data the nonzero-count term keeps it from winning.
     """
     if lam_max <= 0.0:
         return np.zeros(1)
-    return np.concatenate([[0.0], np.geomspace(floor * lam_max, lam_max, num)])
+    return np.concatenate([[0.0], np.geomspace(1e-3 * lam_max, lam_max, num)])
 
 
 def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
-             grid: np.ndarray, threshold: Callable | None = None,
-             others_sq: float = 1.0):
+             grid: np.ndarray, threshold: Callable):
     """BIC values along a penalty grid for one factor update.
 
     ``norm_sq`` is the squared norm of the (residual) tensor being fit
-    and ``contraction`` the vector the update thresholds.  The implied
-    rank-one fit collapses to ``norm_sq - (f @ c)^2 / others_sq`` for the
-    normalized thresholded factor ``f``, where ``others_sq`` is the
-    product of the squared norms of the two fixed factors.
+    and ``contraction`` the vector the update thresholds with
+    ``threshold(contraction, lam)``.  With the two fixed factors of unit
+    norm the implied rank-one fit collapses to ``norm_sq - (f @ c)^2``
+    for the normalized thresholded factor ``f``.
 
     Returns ``(bic_values, nnz)`` arrays aligned with ``grid``.
     """
-    if threshold is None:
-        from .sparse import soft_threshold as threshold
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("penalty grid is empty")
@@ -128,11 +124,11 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
         f = threshold(contraction, lam)
         nn = int(np.count_nonzero(f))
         nnz[i] = nn
-        if nn == 0 or others_sq <= 0.0:
+        if nn == 0:
             resid_sq = norm_sq
         else:
             f = f / np.linalg.norm(f)
-            resid_sq = norm_sq - float(f @ contraction) ** 2 / others_sq
+            resid_sq = norm_sq - float(f @ contraction) ** 2
         values[i] = _bic(resid_sq, nn, size)
     return values, nnz
 
@@ -157,16 +153,17 @@ class BicSelection:
     grid: np.ndarray
 
 
-def bic_select(x_residual, contraction, grid, threshold: Callable | None = None,
-               others_sq: float = 1.0) -> BicSelection:
-    """Pick the penalty level minimizing BIC for one factor update.
+def bic_select(x_residual, contraction, grid) -> BicSelection:
+    """Pick the soft-threshold level minimizing BIC for one factor update.
 
     Ties are broken toward the larger (sparser) penalty.
     """
+    from .sparse import soft_threshold
+
     norm_sq = frob_norm(x_residual) ** 2
     values, nnz = bic_path(norm_sq, int(np.asarray(x_residual).size),
                            np.asarray(contraction, dtype=float),
-                           np.asarray(grid, dtype=float), threshold, others_sq)
+                           np.asarray(grid, dtype=float), soft_threshold)
     grid = np.asarray(grid, dtype=float)
     return BicSelection(float(grid[_bic_argmin(values)]), values, nnz, grid)
 
@@ -361,9 +358,9 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     return points
 
 
-def roc_dominance_fraction(fp_a, tp_a, fp_b, tp_b, slack: float = 1e-9) -> float:
-    """Fraction of curve-a points whose TP is at least curve b's TP at the
-    same FP (curve b linearly interpolated over FP)."""
+def roc_dominance_fraction(fp_a, tp_a, fp_b, tp_b) -> float:
+    """Fraction of curve-a points whose TP is at least curve b's TP, less
+    1e-9, at the same FP (curve b linearly interpolated over FP)."""
     fp_a = np.asarray(fp_a, dtype=float)
     tp_a = np.asarray(tp_a, dtype=float)
     order = np.argsort(fp_b)
@@ -372,6 +369,6 @@ def roc_dominance_fraction(fp_a, tp_a, fp_b, tp_b, slack: float = 1e-9) -> float
     wins = 0
     for fp, tp in zip(fp_a, tp_a):
         rival = np.interp(fp, fp_b, tp_b)
-        if tp >= rival - slack:
+        if tp >= rival - 1e-9:
             wins += 1
     return wins / max(fp_a.size, 1)

@@ -118,15 +118,15 @@ def general_cp_tpa(x, K: int, penalties, cfg: SolverConfig | None = None
 # quadratic-norm (structured) decompositions
 
 
-def _check_symmetric_psd(mat, name, psd_tol=1e-10, sym_tol=1e-12):
+def _check_symmetric_psd(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > sym_tol * scale:
+    if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
     min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -psd_tol * scale:
+    if min_eig < -1e-10 * scale:
         raise ValueError(f"{name} is not positive semi-definite "
                          f"(min eigenvalue {min_eig:g})")
     return mat, min_eig
@@ -184,26 +184,30 @@ def _power_lambda_max(q, iters: int = 200, tol: float = 1e-12) -> float:
 _KKT_CHECK_EVERY = 8
 
 
-def qnorm_lasso_solve(y, q, lam: float, tol: float = 1e-10,
-                      max_iter: int = 100000,
-                      lipschitz: float | None = None,
+def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
                       start: np.ndarray | None = None) -> np.ndarray:
     """``argmin 0.5 (y-u)' q (y-u) + lam * ||u||_1`` for positive definite q.
 
     Proximal gradient with step 1/L, L the largest eigenvalue of q (by
-    power iteration), stopping when the KKT residual drops below ``tol``.
-    The residual costs a matvec of its own, so it is checked only every
-    ``_KKT_CHECK_EVERY`` steps: a point returned before ``max_iter``
-    meets ``tol``, at the price of up to seven extra (contracting) steps.
-    The default tolerance is well under the 1e-8 contract so the solution
-    is also coordinatewise accurate at that level for mildly conditioned q.
-    ``start`` warm-starts the iteration (the minimizer is unique, so this
-    affects only the iteration count).
+    power iteration unless given as ``lipschitz``), stopping when the KKT
+    residual drops below 1e-10 (or after 100000 steps).  The residual
+    costs a matvec of its own, so it is checked only every
+    ``_KKT_CHECK_EVERY`` steps, at the price of up to seven extra
+    (contracting) steps.  The tolerance is well under the 1e-8 contract
+    so the solution is also coordinatewise accurate at that level for
+    mildly conditioned q.  Without ``lipschitz`` q is checked by a
+    Cholesky factorization.  ``start`` warm-starts the iteration (the
+    minimizer is unique, so this affects only the iteration count).
     """
     y = np.asarray(y, dtype=float).ravel()
     q = np.asarray(q, dtype=float)
     if lam < 0:
         raise ValueError("lam must be non-negative")
+    if lipschitz is None:
+        try:
+            np.linalg.cholesky(q)
+        except np.linalg.LinAlgError:
+            raise ValueError("q must be positive definite") from None
     if lam == 0.0:
         return y.copy()
     lip = _power_lambda_max(q) if lipschitz is None else float(lipschitz)
@@ -211,11 +215,11 @@ def qnorm_lasso_solve(y, q, lam: float, tol: float = 1e-10,
         raise ValueError("q must be positive definite")
     u = np.zeros_like(y) if start is None else np.asarray(start,
                                                           dtype=float).copy()
-    for step in range(1, max_iter + 1):
+    for step in range(1, 100001):
         grad = q @ (u - y)
         u = soft_threshold(u - grad / lip, lam / lip)
         if (step % _KKT_CHECK_EVERY == 0
-                and qnorm_lasso_kkt_residual(y, q, lam, u) <= tol):
+                and qnorm_lasso_kkt_residual(y, q, lam, u) <= 1e-10):
             break
     return u
 

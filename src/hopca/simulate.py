@@ -15,13 +15,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import decompose, generalized, sparse
+from . import decompose, evaluate, generalized, sparse
 from .decompose import SolverConfig, contract_u, init_rank_one
 from .evaluate import RocPoint, roc_sweep, support_metrics
 from .sparse import ModePenalty, PenaltySpec
@@ -291,17 +291,14 @@ def _table_replicate(spec: SimScenarioSpec, methods, rep: int,
 
 
 def run_table_experiment(spec: SimScenarioSpec, methods: Sequence[str],
-                         replicates: int, seed: Any = None,
-                         cfg: SolverConfig | None = None, jobs: int = 1,
-                         lam_grid=None) -> TableResult:
+                         replicates: int, cfg: SolverConfig | None = None,
+                         jobs: int = 1, lam_grid=None) -> TableResult:
     """Mean TP/FP per factor and mean signal MSE over replicates.
 
     Penalty levels are BIC-selected per component and mode on the
     scenario's sparse modes (grid overridable).  Failed replicates are
     recorded, excluded from the means, and flagged in ``failures``.
     """
-    if seed is not None:
-        spec = replace(spec, seed=seed)
     results = _map_replicates(partial(_table_replicate, spec, tuple(methods),
                                       cfg=cfg, lam_grid=lam_grid),
                               replicates, jobs)
@@ -345,8 +342,7 @@ def _default_sparse_grid(x, points: int) -> np.ndarray:
     lam_max = float(np.max(np.abs(contract_u(x, v0, w0))))
     if lam_max <= 0:
         return np.zeros(points)
-    return np.concatenate([[0.0],
-                           np.geomspace(1e-3 * lam_max, lam_max, points - 1)])
+    return evaluate.default_lambda_grid(lam_max, points - 1)
 
 
 def _roc_replicate(spec: SimScenarioSpec, methods, rep: int,
@@ -365,7 +361,7 @@ def _roc_replicate(spec: SimScenarioSpec, methods, rep: int,
 
 
 def run_roc_experiment(spec: SimScenarioSpec, methods: Sequence[str],
-                       replicates: int, grid=None, seed: Any = None,
+                       replicates: int, grid=None,
                        cfg: SolverConfig | None = None, jobs: int = 1,
                        points: int = 20) -> RocResult:
     """Average each method's ROC curve over replicates, index by index.
@@ -374,8 +370,6 @@ def run_roc_experiment(spec: SimScenarioSpec, methods: Sequence[str],
     first contraction's zeroing level, plus zero); naive baselines sweep
     matching threshold fractions of each factor column's maximum.
     """
-    if seed is not None:
-        spec = replace(spec, seed=seed)
     results = _map_replicates(partial(_roc_replicate, spec, tuple(methods),
                                       cfg=cfg, grid=grid, points=points),
                               replicates, jobs)

@@ -241,22 +241,21 @@ def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
 # sparse alternating least squares
 
 
-def lasso_coordinate_descent(gram, corr, lam: float, tol: float = 1e-8,
-                             max_iter: int = 1000,
+def lasso_coordinate_descent(gram, corr, lam: float,
                              warm: np.ndarray | None = None) -> np.ndarray:
     """Row-separable lasso on the Gram form by cyclic coordinate descent.
 
     Solves ``min 0.5 ||Y - C @ H.T||_F^2 + lam * ||C||_1`` given
-    ``gram = H.T @ H`` and ``corr = Y @ H``, sweeping columns until the
-    largest coefficient change is below ``tol``.  A zero Gram diagonal
-    (dead regressor) pins its column to zero.
+    ``gram = H.T @ H`` and ``corr = Y @ H``, sweeping columns (at most
+    1000 times) until the largest coefficient change is below 1e-8.  A
+    zero Gram diagonal (dead regressor) pins its column to zero.
     """
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
     k = gram.shape[0]
     coef = np.zeros_like(corr) if warm is None else np.array(warm, dtype=float)
     diag = np.diag(gram)
-    for _sweep in range(max_iter):
+    for _sweep in range(1000):
         delta = 0.0
         for j in range(k):
             r = corr[:, j] - coef @ gram[:, j] + coef[:, j] * diag[j]
@@ -265,7 +264,7 @@ def lasso_coordinate_descent(gram, corr, lam: float, tol: float = 1e-8,
             step = float(np.max(np.abs(new - coef[:, j]))) if new.size else 0.0
             delta = max(delta, step)
             coef[:, j] = new
-        if delta <= tol:
+        if delta <= 1e-8:
             break
     return coef
 
@@ -404,9 +403,10 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
                               float(lam_right), cfg)
 
 
-def sparse_pca(m, k: int, left_pen: ModePenalty, lam_right: float = 0.0,
+def sparse_pca(m, k: int, left_pen: ModePenalty,
                cfg: SolverConfig | None = None):
-    """First k penalized principal components with rank-one deflation.
+    """First k penalized principal components with rank-one deflation;
+    only the left factors are penalized.
 
     Returns (left factors, right factors, weights, per-component lambdas).
     """
@@ -417,7 +417,7 @@ def sparse_pca(m, k: int, left_pen: ModePenalty, lam_right: float = 0.0,
     d = np.zeros(k)
     lams = []
     for comp in range(k):
-        fit = _sparse_pca_engine(m, left_pen, lam_right, cfg,
+        fit = _sparse_pca_engine(m, left_pen, 0.0, cfg,
                                  float(np.sum(m * m)))
         lams.append(fit.lam_left)
         if fit.d == 0.0:
@@ -431,7 +431,7 @@ def _pca_step(mode_pen: ModePenalty, cfg: SolverConfig):
     """Tucker step for one penalized mode: the left factors of
     :func:`sparse_pca` with the chosen level per component."""
     def step(m, k):
-        left, _, _, lams = sparse_pca(m, k, mode_pen, 0.0, cfg)
+        left, _, _, lams = sparse_pca(m, k, mode_pen, cfg)
         return left, lams
 
     return step

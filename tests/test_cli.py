@@ -211,3 +211,41 @@ def test_decompose_group_penalty(rank_one_file, tmp_path):
     # zeros arrive in whole blocks of the configured group size
     mask = (u[:, 0] != 0).reshape(2, 4)
     assert all(row.all() or not row.any() for row in mask)
+
+
+@pytest.mark.parametrize("method", ["sparse-cp-tpa", "cp-als", "hooi"])
+def test_orthogonalize_outside_tpa_exits_one(rank_one_file, tmp_path,
+                                             capsys, method):
+    # only tpa projects new components against the previous ones
+    path, _ = rank_one_file
+    code = main(["decompose", "--method", method, "--rank", "1",
+                 "--orthogonalize", "--input", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "--orthogonalize" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["hosvd", "hooi", "sparse-hosvd",
+                                    "sparse-hooi", "fpca-halfsmooth"])
+def test_random_init_on_tucker_method_exits_one(rank_one_file, tmp_path,
+                                                capsys, method):
+    # the Tucker methods start from singular vectors whatever --init says
+    path, _ = rank_one_file
+    code = main(["decompose", "--method", method, "--rank", "1",
+                 "--init", "random", "--input", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "--init" in capsys.readouterr().err
+
+
+def test_orthogonalize_and_random_init_still_reach_tpa(rank_one_file,
+                                                       tmp_path):
+    path, weight = rank_one_file
+    out = tmp_path / "model"
+    code = main(["decompose", "--method", "tpa", "--rank", "1",
+                 "--orthogonalize", "--init", "random", "--input", str(path),
+                 "--out", str(out)])
+    assert code == 0
+    d = fileio.read_vector_csv(out / "d.csv")
+    assert d[0] == pytest.approx(weight, rel=1e-6)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopca.decompose import CpModel, hosvd
 from hopca.evaluate import (
@@ -235,6 +237,47 @@ class TestSupportMetrics:
         m = support_metrics(est, truth)
         assert np.isnan(m.fp[1, 0])
         assert np.isnan(m.fp[2, 0])
+
+
+def random_sparse_factors(rng, dim, k):
+    """k columns, each zeroed at random with at least one nonzero entry."""
+    cols = rng.standard_normal((dim, k)) * (rng.random((dim, k)) < 0.5)
+    cols[rng.integers(dim, size=k), np.arange(k)] = 1.0 + rng.random(k)
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*(st.integers(2, 8) for _ in range(3))), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_support_metrics_invariant_to_permutation_and_paired_flips(
+        shape, k_true, k_est, seed):
+    rng = np.random.default_rng(seed)
+    true_f = [random_sparse_factors(rng, dim, k_true) for dim in shape]
+    d_true = rng.uniform(1.0, 5.0, k_true)
+    signal = np.einsum("ik,jk,lk,k->ijl", *true_f, d_true)
+    truth = Truth(*true_f, d_true, x_signal=signal)
+    U, V, W = (random_sparse_factors(rng, dim, k_est) for dim in shape)
+    d = rng.uniform(1.0, 5.0, k_est)
+    base = support_metrics(CpModel(U, V, W, d), truth)
+
+    # a paired flip (u, w) or (v, w) leaves each rank-one term unchanged
+    perm = rng.permutation(k_est)
+    flips = rng.integers(3, size=k_est)
+    su = np.where(flips == 1, -1.0, 1.0)
+    sv = np.where(flips == 2, -1.0, 1.0)
+    sw = su * sv
+    moved = support_metrics(CpModel((U * su)[:, perm], (V * sv)[:, perm],
+                                    (W * sw)[:, perm], d[perm]), truth)
+    assert moved.matched == base.matched
+
+    def by_truth(m):
+        # rates keyed by the truth component each column was matched to
+        order = np.argsort(m.permutation)
+        return m.permutation[order], m.tp[:, order], m.fp[:, order]
+
+    for got, want in zip(by_truth(moved), by_truth(base)):
+        npt.assert_array_equal(got, want)
+    assert moved.mse == pytest.approx(base.mse, rel=1e-12, abs=1e-300)
 
 
 class TestSignalMse:

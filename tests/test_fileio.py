@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopca import fileio
 from hopca.decompose import SolverConfig, hosvd, tpa
@@ -15,6 +17,29 @@ def test_t3_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "x.t3"
     fileio.write_tensor3(path, x)
     npt.assert_array_equal(fileio.read_tensor3(path), x)
+
+
+@st.composite
+def finite_tensors(draw):
+    shape = draw(st.tuples(*(st.integers(1, 6) for _ in range(3))))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_tensors())
+@example(np.array([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0,
+                   2.2250738585072014e-308, 1.0]).reshape(2, 2, 2))
+def test_t3_round_trip_is_bit_exact_over_shapes_and_magnitudes(
+        tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("t3") / "x.t3"
+    fileio.write_tensor3(path, x)
+    back = fileio.read_tensor3(path)
+    # byte comparison: assert_array_equal would take -0.0 for 0.0
+    assert back.shape == x.shape
+    assert back.tobytes() == x.tobytes()
 
 
 def test_t3_header_and_layout(tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopca.decompose import SolverConfig, contract_u, hooi, tpa_rank_one
 from hopca.generalized import (
@@ -284,6 +286,60 @@ class TestQnormLasso:
         solved = qnorm_lasso_solve(y, q, lam)
         oracle = qlasso_by_sign_enumeration(y, q, lam)
         npt.assert_allclose(solved, oracle, atol=1e-7)
+
+    @pytest.mark.parametrize("diag", [(3.0, -1.0, 2.0), (1.0, 0.0, 2.0),
+                                      (0.0, 0.0, 0.0)])
+    def test_q_not_positive_definite_raises(self, diag):
+        y = np.array([1.0, -2.0, 0.5])
+        with pytest.raises(ValueError, match="positive definite"):
+            qnorm_lasso_solve(y, np.diag(diag), 0.3)
+
+
+QLASSO_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def qlasso_instance(dim, seed, frac):
+    """A well-conditioned positive definite q, a y, ``frac`` times the
+    level ``||q y||_inf`` at which u first vanishes, and that level."""
+    rng = np.random.default_rng(seed)
+    q = random_pd(rng, dim, spread=rng.uniform(0.5, 3.0))
+    y = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+    lam_max = float(np.max(np.abs(q @ y)))
+    return rng, q, y, frac * lam_max, lam_max
+
+
+class TestQnormLassoContract:
+    """The solver's contract as properties, whatever method solves it."""
+
+    @QLASSO_PROPERTY
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.2))
+    def test_matches_sign_enumeration(self, dim, seed, frac):
+        _, q, y, lam, _ = qlasso_instance(dim, seed, frac)
+        npt.assert_allclose(qnorm_lasso_solve(y, q, lam),
+                            qlasso_by_sign_enumeration(y, q, lam), atol=1e-7)
+
+    @QLASSO_PROPERTY
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 1.2))
+    def test_kkt_residual_below_contract(self, dim, seed, frac):
+        _, q, y, lam, _ = qlasso_instance(dim, seed, frac)
+        u = qnorm_lasso_solve(y, q, lam)
+        assert qnorm_lasso_kkt_residual(y, q, lam, u) <= 1e-8
+
+    @QLASSO_PROPERTY
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+    def test_zero_exactly_above_the_zeroing_level(self, dim, seed, frac):
+        _, q, y, lam, lam_max = qlasso_instance(dim, seed, frac)
+        assume(abs(lam - lam_max) > 1e-9)
+        u = qnorm_lasso_solve(y, q, lam)
+        assert np.all(u == 0.0) == (lam >= lam_max)
+
+    @QLASSO_PROPERTY
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 1.2))
+    def test_random_start_reaches_the_same_point(self, dim, seed, frac):
+        rng, q, y, lam, _ = qlasso_instance(dim, seed, frac)
+        start = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+        npt.assert_allclose(qnorm_lasso_solve(y, q, lam, start=start),
+                            qnorm_lasso_solve(y, q, lam), atol=1e-7)
 
 
 class TestDifferencePenalty:

@@ -7,6 +7,8 @@ fast implementations are checked against an independent path.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopca.tensor3 import (
     check_tensor3,
@@ -103,6 +105,15 @@ class TestFold:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             fold(np.zeros((2, 5)), 1, (2, 2, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*(st.integers(1, 6) for _ in range(3))),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_fold_inverts_matricize_over_shapes(self, shape, mode, seed):
+        x = random_tensor(shape, seed=seed)
+        m = matricize(x, mode)
+        assert m.shape == (shape[mode - 1], x.size // shape[mode - 1])
+        npt.assert_array_equal(fold(m, mode, shape), x)
 
 
 class TestModeMult:
