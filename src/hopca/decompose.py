@@ -12,7 +12,7 @@ the greedy computation order preserved in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -45,7 +45,11 @@ class SolverConfig:
     ``tol`` is a relative objective-change threshold; ``init`` selects
     between leading-singular-vector and random starting factors;
     ``orthogonalize`` enables Gram-Schmidt projection of each new
-    deflation component against the previous ones.
+    deflation component against the previous ones.  A solver raises
+    ValueError for a setting it would ignore: ``orthogonalize`` outside
+    :func:`tpa`, and ``init="random"`` in the Tucker methods and the
+    penalized PCA of :mod:`hopca.sparse`, which always start from
+    leading singular vectors.
     """
 
     max_iter: int = 500
@@ -64,6 +68,17 @@ class SolverConfig:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+
+def _reject_unread(cfg: SolverConfig, svd_start: bool = False) -> None:
+    """Raise ValueError for a setting the solver at hand would ignore:
+    ``orthogonalize`` everywhere but :func:`tpa`, and a random ``init``
+    where the solver always starts from leading singular vectors."""
+    if cfg.orthogonalize:
+        raise ValueError("SolverConfig.orthogonalize applies only to tpa")
+    if svd_start and cfg.init != "hosvd":
+        raise ValueError(f"SolverConfig.init={cfg.init!r} does not apply: "
+                         "this method starts from leading singular vectors")
 
 
 @dataclass
@@ -284,6 +299,7 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
     less than ``tol``.
     """
     x = check_tensor3(x)
+    _reject_unread(cfg)
     if K < 1:
         raise ValueError("K must be >= 1")
     factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
@@ -397,6 +413,8 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
     """
     x = check_tensor3(x)
     ranks = _check_ranks(x, ranks)
+    if cfg is not None:
+        _reject_unread(cfg, svd_start=True)
     steps = [step or _svd_step for step in steps]
     factors, levels = [], {}
     for m, (step, k) in enumerate(zip(steps, ranks)):
@@ -529,6 +547,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
     (up to five times, then the zero fit); one that vanishes at a
     positive level ends it with the zero fit.
     """
+    _reject_unread(cfg)
     if any(upd.q is not None for upd in updates):
         from .generalized import _power_lambda_max, qnorm_lasso_solve
     norm_sq = (frob_norm(x) ** 2 if any(upd.grid is not None
@@ -704,7 +723,9 @@ def tpa(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     the greedy order is kept in the diagnostics.
     """
     cfg = cfg or SolverConfig()
-    model = deflate(x, K, _engine_fit(_PLAIN, cfg), cfg, "tpa",
+    # deflate does the projection; the engine rejects the setting
+    engine_cfg = replace(cfg, orthogonalize=False)
+    model = deflate(x, K, _engine_fit(_PLAIN, engine_cfg), cfg, "tpa",
                     cfg.orthogonalize)
     model.diagnostics["orthogonalized"] = cfg.orthogonalize
     return model

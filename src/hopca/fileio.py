@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _VALUES_PER_LINE = 8
+_WRITE_BLOCK = _VALUES_PER_LINE * 1024  # values formatted at a time
 _READ_BLOCK = 1 << 16  # bytes of .t3 body parsed at a time
 
 
@@ -40,11 +41,21 @@ def write_tensor3(path, x) -> None:
     x = check_tensor3(x)
     n, p, q = x.shape
     flat = x.ravel(order="F")
+    full = flat.size - flat.size % _VALUES_PER_LINE
+    # one %-format per line of eight gives the text of f"{v:.17g}" per
+    # value; converting a block at a time bounds the Python floats alive
+    # (tolist() of a whole 100^3 tensor holds 32 MB of them)
+    row = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
     with open(path, "w") as fh:
         fh.write(f"tensor3 {n} {p} {q}\n")
-        for start in range(0, flat.size, _VALUES_PER_LINE):
-            chunk = flat[start:start + _VALUES_PER_LINE]
-            fh.write(" ".join(f"{v:.17g}" for v in chunk) + "\n")
+        for start in range(0, full, _WRITE_BLOCK):
+            values = flat[start:min(start + _WRITE_BLOCK, full)].tolist()
+            fh.write("".join([row % tuple(values[i:i + _VALUES_PER_LINE])
+                              for i in range(0, len(values),
+                                             _VALUES_PER_LINE)]))
+        if full < flat.size:
+            fh.write(" ".join("%.17g" % v for v in flat[full:].tolist())
+                     + "\n")
 
 
 def read_tensor3(path) -> np.ndarray:

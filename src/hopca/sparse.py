@@ -31,6 +31,7 @@ from .decompose import (
     _engine_fit,
     _ModeUpdate,
     _rank_one,
+    _reject_unread,
     _tucker,
     deflate,
     leading_singular_vectors,
@@ -347,6 +348,7 @@ class SparsePcaFit:
 
 def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
                        norm_sq=None) -> SparsePcaFit:
+    _reject_unread(cfg, svd_start=True)
     threshold = _KIND_PENALTY[left_pen.kind].prox
     adaptive = left_pen.is_adaptive
     if adaptive and norm_sq is None:
@@ -447,6 +449,7 @@ def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
     vectors, as :func:`hosvd` does.
     """
     cfg = cfg or SolverConfig()
+    _reject_unread(cfg, svd_start=True)
     model = _tucker(x, ranks, "sparse-hosvd", _mode_steps(
         pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)))
     model.diagnostics["sparse"] = True

@@ -42,6 +42,36 @@ def test_t3_round_trip_is_bit_exact_over_shapes_and_magnitudes(
     assert back.tobytes() == x.tobytes()
 
 
+def reference_t3_text(x):
+    """The .t3 text with every value formatted on its own, eight a line."""
+    flat = x.ravel(order="F")
+    lines = [f"tensor3 {x.shape[0]} {x.shape[1]} {x.shape[2]}"]
+    lines += [" ".join(f"{v:.17g}" for v in flat[i:i + 8])
+              for i in range(0, flat.size, 8)]
+    return "\n".join(lines) + "\n"
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e300, -1e-300, 0.0,
+            2.2250738585072014e-308, 1.0, -1e300]
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(1).standard_normal((3, 5, 7)),  # 105 = 13*8 + 1
+    np.random.default_rng(4).standard_normal((9, 1025, 1)),  # several blocks
+    np.random.default_rng(2).standard_normal((3, 5, 7))
+    * 10.0 ** np.random.default_rng(3).integers(-300, 301, (3, 5, 7)),
+    np.array([-2.5]).reshape(1, 1, 1),
+    np.array(EXTREMES).reshape(1, 1, 11),
+    np.array(EXTREMES[:8]).reshape(2, 2, 2),
+], ids=["short-last-line", "9225-values", "exponents-300", "1x1x1",
+        "extremes-11",
+        "extremes-8"])
+def test_t3_writer_bytes_match_per_value_format(tmp_path, x):
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    assert path.read_bytes() == reference_t3_text(x).encode()
+
+
 def test_t3_header_and_layout(tmp_path):
     path = tmp_path / "x.t3"
     fileio.write_tensor3(path, np.arange(8.0).reshape((2, 2, 2), order="F"))

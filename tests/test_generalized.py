@@ -319,6 +319,15 @@ class TestQnormLassoContract:
                             qlasso_by_sign_enumeration(y, q, lam), atol=1e-7)
 
     @QLASSO_PROPERTY
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.2))
+    def test_is_exact(self, dim, seed, frac):
+        # the solution is the oracle's, not a point 1e-10 off in KKT terms
+        _, q, y, lam, _ = qlasso_instance(dim, seed, frac)
+        npt.assert_allclose(qnorm_lasso_solve(y, q, lam),
+                            qlasso_by_sign_enumeration(y, q, lam),
+                            rtol=0.0, atol=1e-12)
+
+    @QLASSO_PROPERTY
     @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 1.2))
     def test_kkt_residual_below_contract(self, dim, seed, frac):
         _, q, y, lam, _ = qlasso_instance(dim, seed, frac)
