@@ -4,14 +4,20 @@ orthogonalized).  The power scheme runs on the penalized rank-one
 engine and the deflation loop that the sparse and generalized solvers
 share.
 
-All solvers are pure per-call: they share no global state and may run
-concurrently.  Factor columns are unit norm; rank-one weights are
-non-negative; components are returned sorted by descending weight with
-the greedy computation order preserved in the diagnostics.
+Solvers keep no state between calls, only read their input tensor and
+may run concurrently.  The one shared value is context-local: inside
+:func:`_one_start`, which a ROC sweep opens around its refits of one
+tensor, the SVD start of that tensor is computed once and shared.  It
+lives in a ``ContextVar``, so other threads and contexts never see it.
+Factor columns are unit norm; rank-one weights are non-negative;
+components are returned sorted by descending weight with the greedy
+computation order preserved in the diagnostics.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -158,7 +164,8 @@ def contract_v(x, u, w):
 
 def contract_w(x, u, v):
     """x contracted along modes 1 and 2: length-q vector."""
-    return np.tensordot(np.tensordot(x, v, axes=(1, 0)), u, axes=(0, 0))
+    # mode 1 first: the tensor is read in place, never transposed into a copy
+    return np.tensordot(np.tensordot(u, x, axes=(0, 0)), v, axes=(0, 0))
 
 
 def leading_singular_vectors(m, k, return_values=False):
@@ -256,13 +263,38 @@ def _random_unit(rng, dim):
     return vec / nrm
 
 
+# [tensor, its (v, w) SVD start or None] while a _one_start block is open
+_SHARED_START: ContextVar[list | None] = ContextVar("_SHARED_START",
+                                                   default=None)
+
+
+@contextmanager
+def _one_start(x):
+    """Within the block, :func:`init_rank_one` computes the SVD start of
+    this very array object (``is``, not equality) once and returns the
+    same read-only pair on every later call.  The caller must not write
+    to ``x`` inside the block."""
+    token = _SHARED_START.set([x, None])
+    try:
+        yield
+    finally:
+        _SHARED_START.reset(token)
+
+
 def init_rank_one(x, init, rng):
     """Starting (v, w) pair: leading mode-2/mode-3 singular vectors, or random."""
-    if init == "hosvd":
-        v = leading_singular_vectors(matricize(x, 2), 1)[:, 0]
-        w = leading_singular_vectors(matricize(x, 3), 1)[:, 0]
-        return v, w
-    return _random_unit(rng, x.shape[1]), _random_unit(rng, x.shape[2])
+    if init != "hosvd":
+        return _random_unit(rng, x.shape[1]), _random_unit(rng, x.shape[2])
+    shared = _SHARED_START.get()
+    memo = shared is not None and shared[0] is x
+    if memo and shared[1] is not None:
+        return shared[1]
+    v = leading_singular_vectors(matricize(x, 2), 1)[:, 0]
+    w = leading_singular_vectors(matricize(x, 3), 1)[:, 0]
+    if memo:
+        v.flags.writeable = w.flags.writeable = False
+        shared[1] = (v, w)
+    return v, w
 
 
 def _init_cp_factors(x, K, init, rng):
@@ -596,6 +628,9 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
             continue
         factors = [np.zeros(x.shape[0]), v, w]
         qf = [factors[0], weighted(1, v), weighted(2, w)]
+        # each mode's penalty value; an update changes only its own
+        # mode's factor and level, so only that entry is recomputed
+        pens = [penalty(m, f) for m, f in enumerate(factors)]
         trace, prev, converged, restart = [], None, False, False
         for iterations in range(1, cfg.max_iter + 1):
             # x contracted with w feeds both the u- and the v-update
@@ -613,10 +648,9 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
                         return zero_fit()
                     restart = True
                     break
-                factors[m], qf[m] = f, weighted(m, f)
+                factors[m], qf[m], pens[m] = f, weighted(m, f), penalty(m, f)
                 d = float(f @ weighted(m, c))
-                objective = (d - penalty(0, factors[0]) - penalty(1, factors[1])
-                             - penalty(2, factors[2]))
+                objective = d - pens[0] - pens[1] - pens[2]
                 trace.append(objective)
             if restart:
                 break
@@ -644,10 +678,12 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     ``fit_one(residual, rng, basis)`` returns a :class:`RankOneFit` with
     unit (or zero) factors; ``basis`` holds the previous factors per mode
     when ``orthogonalize`` is set, else Nones.  The generator from
-    ``cfg`` is shared by all components.  A zero tensor or a zero fit
-    truncates the model (remaining columns zero-filled, ``truncated_at``
-    set).  Components are sorted by descending weight; the per-component
-    diagnostics stay in the greedy order, which ``component_order`` maps.
+    ``cfg`` is shared by all components.  The first component is fit on
+    ``x`` itself, which is read and never written.  A zero tensor or a
+    zero fit truncates the model (remaining columns zero-filled,
+    ``truncated_at`` set).  Components are sorted by descending weight;
+    the per-component diagnostics stay in the greedy order, which
+    ``component_order`` maps.
     """
     x = check_tensor3(x)
     if K < 1:
@@ -659,7 +695,7 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     traces, iters, converged = [], [], []
     lambdas: dict[str, list[float]] = {m: [] for m in _MODES}
     nnz: dict[str, list[int]] = {m: [] for m in _MODES}
-    resid = x.copy()
+    resid = x  # x itself is never written: the first subtraction copies
     truncated_at = None
     for k in range(K):
         if frob_norm(resid) == 0.0:
@@ -678,8 +714,12 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
             truncated_at = k
             break
         U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        resid = resid - fit.d * (fit.u[:, None, None] * fit.v[None, :, None]
-                                 * fit.w[None, None, :])
+        term = np.multiply.outer(np.outer(fit.u, fit.v), fit.w)
+        term *= fit.d
+        if resid is x:
+            resid = x - term
+        else:
+            resid -= term
 
     greedy_d = d.copy()
     U, V, W, d, order = sort_components(U, V, W, d)

@@ -314,10 +314,12 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     Sparse methods are refit at every grid value (the grid is in penalty
     units); the naive baselines ``cp-naive`` and ``tucker-naive`` fit an
     unregularized model once and zero factor entries below each grid
-    fraction of the column maximum.  Points are emitted for each
-    penalized mode and component where both rates are defined.
+    fraction of the column maximum.  The refits share the SVD start of
+    ``x``, computed once (see :func:`hopca.decompose._one_start`), and
+    only read ``x``.  Points are emitted for each penalized mode and
+    component where both rates are defined.
     """
-    from .decompose import SolverConfig
+    from .decompose import SolverConfig, _one_start
     from .simulate import METHODS
     from .sparse import PenaltySpec
 
@@ -351,10 +353,15 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     entry = METHODS.get(method)
     if entry is None or entry.penalty is None:
         raise ValueError(f"unknown ROC method {method!r}")
-    for lam in grid:
-        pen = PenaltySpec.lasso(**{m: (lam if m in modes else 0.0)
-                                   for m in _MODES})
-        collect(lam, entry.fit(x, k, cfg, pen))
+    # every refit starts from the same SVD start of x: take it once, on a
+    # read-only view that no refit can write through
+    view = np.asarray(x, dtype=float).view()
+    view.flags.writeable = False
+    with _one_start(view):
+        for lam in grid:
+            pen = PenaltySpec.lasso(**{m: (lam if m in modes else 0.0)
+                                       for m in _MODES})
+            collect(lam, entry.fit(view, k, cfg, pen))
     return points
 
 

@@ -199,6 +199,12 @@ def _fixed_levels(pen: PenaltySpec) -> tuple[float, float, float]:
     return pen.u.fixed_level(), pen.v.fixed_level(), pen.w.fixed_level()
 
 
+def _hosvd(x, k, pen, op, cfg):
+    # hosvd takes no SolverConfig; reject what it would ignore, as hooi does
+    decompose._reject_unread(cfg, svd_start=True)
+    return decompose.hosvd(x, k)
+
+
 METHODS: dict[str, Method] = {
     "cp-als": Method(lambda x, k, pen, op, cfg: decompose.cp_als(x, k, cfg)),
     "tpa": Method(lambda x, k, pen, op, cfg: decompose.tpa(x, k, cfg)),
@@ -216,8 +222,7 @@ METHODS: dict[str, Method] = {
         penalty="fixed", operator="q"),
     "fpca": Method(lambda x, k, pen, op, cfg: generalized.fpca(x, op, k, cfg),
                    operator="s"),
-    "hosvd": Method(lambda x, k, pen, op, cfg: decompose.hosvd(x, k),
-                    tucker=True),
+    "hosvd": Method(_hosvd, tucker=True),
     "hooi": Method(lambda x, k, pen, op, cfg: decompose.hooi(x, k, cfg),
                    tucker=True),
     "sparse-hosvd": Method(

@@ -146,7 +146,8 @@ def outer3(u, v, w, weight: float = 1.0) -> np.ndarray:
 
 def frob_norm(x: np.ndarray) -> float:
     """Frobenius norm: square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
+    flat = np.asarray(x, dtype=float).ravel(order="K")
+    return float(np.sqrt(np.dot(flat, flat)))
 
 
 def qnorm3(x: np.ndarray, q1: np.ndarray, q2: np.ndarray, q3: np.ndarray) -> float:

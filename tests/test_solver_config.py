@@ -47,7 +47,8 @@ MATRIX_PCA = {
     "sparse_pca": lambda cfg: sparse_pca(X[:, :, 0], 2,
                                          ModePenalty("lasso", 0.3), cfg),
 }
-# hosvd takes no SolverConfig at all, so it has nothing to ignore
+# tpa reads every field; hosvd takes no SolverConfig, so its registry
+# entry is checked on its own at the end
 DECOMPOSITIONS = sorted(set(METHODS) - {"tpa", "hosvd"})
 TUCKER = sorted(name for name in DECOMPOSITIONS if METHODS[name].tucker)
 
@@ -90,3 +91,14 @@ def test_random_init_of_a_cp_method_is_accepted(name):
 @pytest.mark.parametrize("name", sorted(RANK_ONE))
 def test_random_init_of_a_rank_one_fit_is_accepted(name):
     RANK_ONE[name](RANDOM_INIT)
+
+
+@pytest.mark.parametrize("cfg, field", [(ORTHOGONALIZE, "orthogonalize"),
+                                        (RANDOM_INIT, "init")])
+def test_registry_hosvd_rejects_what_it_would_ignore(cfg, field):
+    with pytest.raises(ValueError, match=f"SolverConfig.{field}"):
+        METHODS["hosvd"].fit(X, 2, cfg)
+
+
+def test_registry_hosvd_takes_the_default_config():
+    assert METHODS["hosvd"].fit(X, 2, SolverConfig()).ranks == (2, 2, 2)
