@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .simulate import (
     simulate,
 )
 from .sparse import PenaltySpec
+from .tensor3 import frob_norm
 
 
 class CliError(Exception):
@@ -54,20 +56,31 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
+@contextmanager
+def _flag_values():
+    """Report a flag value that the library (or a flag parser) rejects
+    as a usage error, exit 1, rather than as a numerical failure."""
+    try:
+        yield
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(1, f"bad flag value: {exc}") from exc
+
+
 def _parse_lambda(text: str | None):
     """None -> unpenalized; 'bic'/'auto' -> default grid; scalar; or grid."""
     if text is None:
         return None
     if text in ("bic", "auto"):
         return "bic"
-    values = [float(tok) for tok in text.split(",") if tok]
+    with _flag_values():
+        values = [float(tok) for tok in text.split(",") if tok]
     if not values:
         raise CliError(1, "empty lambda specification")
     return values[0] if len(values) == 1 else values
 
 
 def _parse_ranks(text: str, tucker: bool):
-    parts = [int(tok) for tok in text.split(",") if tok]
+    parts = [_positive_int(tok) for tok in text.split(",") if tok]
     if tucker:
         if len(parts) == 1:
             parts = parts * 3
@@ -122,33 +135,36 @@ def _cmd_decompose(args) -> int:
         raise CliError(1, "--orthogonalize applies only to tpa")
     if args.init == "random" and tucker:
         raise CliError(1, "--init random does not apply to Tucker methods")
-    x = _load_tensor(args.input)
-    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-                       init=args.init, orthogonalize=args.orthogonalize)
-    ranks = _parse_ranks(args.rank, tucker)
+    group = args.penalty == "group"
+    if group and method != "sparse-cp-tpa":
+        raise CliError(1, "the group penalty is available for sparse-cp-tpa")
+    cfg = _solver_config(args, init=args.init,
+                         orthogonalize=args.orthogonalize)
     lams = [_parse_lambda(v) for v in (args.lambda_u, args.lambda_v,
                                        args.lambda_w)]
-    kind = {"lasso": "lasso", "nonneg": "nonneg_lasso"}.get(args.penalty)
-    if args.penalty == "group":
-        for lam in lams:
-            if lam is not None and not np.isscalar(lam):
-                raise CliError(1, "group penalty needs fixed scalar lambdas")
-        model = _fit_group(x, ranks, lams, args, cfg)
-    else:
+    kind = {"nonneg": "nonneg_lasso"}.get(args.penalty, "lasso")
+    with _flag_values():
+        ranks = _parse_ranks(args.rank, tucker)
+        # the group levels are checked as lasso levels, then used as given
         pen = PenaltySpec.lasso(*lams, kind=kind) if entry.penalty else None
-        if entry.penalty == "fixed" and any(
-                p.is_adaptive for p in (pen.u, pen.v, pen.w)):
-            raise CliError(1, f"{method} takes fixed scalar lambdas")
+        if entry.operator == "s":
+            # the library's rule for --alpha, checked before any input
+            SmootherSet(*np.zeros((3, 1, 1)), alpha=args.alpha)
+    if (group or entry.penalty == "fixed") and any(
+            p.is_adaptive for p in (pen.u, pen.v, pen.w)):
+        raise CliError(1, f"{method} --penalty {args.penalty} takes fixed "
+                       "scalar lambdas")
+    x = _load_tensor(args.input)
+    if group:
+        model = _fit_group(x, ranks, lams, args.group_size, cfg)
+    else:
         op = (None if entry.operator is None else
               {"q": _quad_operators, "s": _smoothers}[entry.operator](
                   args, x.shape))
         model = entry.fit(x, ranks, cfg, pen, op)
 
-    os.makedirs(args.out, exist_ok=True)
     if tucker:
         fileio.save_tucker_model(args.out, model)
-        from .tensor3 import frob_norm
-
         print(f"{method}: core norm {frob_norm(model.core):.6g} -> {args.out}")
     else:
         fileio.save_cp_model(args.out, model)
@@ -157,10 +173,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _fit_group(x, ranks, lams, args, cfg):
-    if args.method != "sparse-cp-tpa":
-        raise CliError(1, "the group penalty is available for sparse-cp-tpa")
-    size = args.group_size
+def _fit_group(x, ranks, lams, size, cfg):
     penalties = []
     for lam, dim in zip(lams, x.shape):
         if lam is None:
@@ -173,9 +186,10 @@ def _fit_group(x, ranks, lams, args, cfg):
 
 
 def _scenario_spec(args) -> SimScenarioSpec:
-    return SimScenarioSpec(scenario=args.scenario, k=args.k,
-                           sparsity=args.sparsity, signal=args.signal,
-                           seed=args.seed, noise=args.noise)
+    with _flag_values():
+        return SimScenarioSpec(scenario=args.scenario, k=args.k,
+                               sparsity=args.sparsity, signal=args.signal,
+                               seed=args.seed, noise=args.noise)
 
 
 def _cmd_simulate(args) -> int:
@@ -187,9 +201,7 @@ def _cmd_simulate(args) -> int:
     for name, factor in (("U", truth.U), ("V", truth.V), ("W", truth.W)):
         fileio.write_matrix_csv(os.path.join(args.out, f"{name}.csv"), factor)
     fileio.write_vector_csv(os.path.join(args.out, "d.csv"), truth.d)
-    for mode in ("u", "v", "w"):
-        np.savetxt(os.path.join(args.out, f"support_{mode}.csv"),
-                   truth.supports[mode].astype(int), fmt="%d", delimiter=",")
+    fileio.write_supports(args.out, [truth.supports[m] for m in "uvw"])
     fileio.write_diagnostics(os.path.join(args.out, "spec.txt"), {
         "scenario": spec.scenario, "k": spec.k, "sparsity": spec.sparsity,
         "signal": spec.signal, "seed": spec.seed, "noise": spec.noise,
@@ -212,13 +224,12 @@ def _methods_list(text: str, allowed) -> list[str]:
 
 
 def _cmd_table(args) -> int:
-    spec = _scenario_spec(args)
+    spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, TABLE_METHODS)
-    grid = _parse_lambda(args.grid) if args.grid else None
-    grid = None if grid == "bic" else grid
-    result = run_table_experiment(spec, methods, args.replicates,
-                                  cfg=_experiment_cfg(args), jobs=args.jobs,
-                                  lam_grid=grid)
+    grid = _parse_lambda(args.grid or "bic")
+    result = run_table_experiment(spec, methods, args.replicates, cfg=cfg,
+                                  jobs=args.jobs,
+                                  lam_grid=None if grid == "bic" else grid)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_table_csv(os.path.join(args.out, "metrics.csv"),
                            list(result.header), result.rows)
@@ -234,15 +245,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    spec = _scenario_spec(args)
+    spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, ROC_METHODS)
-    grid = _parse_lambda(args.grid) if args.grid else None
-    grid = None if grid == "bic" else grid
-    if grid is not None and np.isscalar(grid):
-        grid = [grid]
+    grid = _parse_lambda(args.grid or "bic")
+    grid = None if grid == "bic" else [grid] if np.isscalar(grid) else grid
     result = run_roc_experiment(spec, methods, args.replicates, grid=grid,
-                                cfg=_experiment_cfg(args), jobs=args.jobs,
-                                points=args.points)
+                                cfg=cfg, jobs=args.jobs, points=args.points)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_table_csv(os.path.join(args.out, "roc.csv"),
                            list(result.header), result.rows)
@@ -250,8 +258,10 @@ def _cmd_roc(args) -> int:
     return 0
 
 
-def _experiment_cfg(args) -> SolverConfig:
-    return SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+def _solver_config(args, **settings) -> SolverConfig:
+    with _flag_values():
+        return SolverConfig(max_iter=args.max_iter, tol=args.tol,
+                            seed=args.seed, **settings)
 
 
 def _cmd_varex(args) -> int:
@@ -275,15 +285,13 @@ def _cmd_varex(args) -> int:
 
 
 def _cmd_bic(args) -> int:
+    cfg = _solver_config(args)
+    grid = _parse_lambda(args.grid or "bic")
     x = _load_tensor(args.input)
-    if args.mode not in ("u", "v", "w"):
-        raise CliError(1, "mode must be u, v or w")
-    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     fit = tpa_rank_one(x, cfg)
     contraction = {"u": lambda: contract_u(x, fit.v, fit.w),
                    "v": lambda: contract_v(x, fit.u, fit.w),
                    "w": lambda: contract_w(x, fit.u, fit.v)}[args.mode]()
-    grid = _parse_lambda(args.grid) if args.grid else "bic"
     if grid == "bic":
         grid = default_lambda_grid(float(np.max(np.abs(contraction))))
     elif np.isscalar(grid):
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--lambda-w", dest="lambda_w")
     dec.add_argument("--penalty", choices=("lasso", "nonneg", "group"),
                      default="lasso")
-    dec.add_argument("--group-size", type=int, default=2)
+    dec.add_argument("--group-size", type=_positive_int, default=2)
     dec.add_argument("--q1")
     dec.add_argument("--q2")
     dec.add_argument("--q3")
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(tab)
     tab.add_argument("--methods", required=True,
                      help=f"comma list from: {', '.join(TABLE_METHODS)}")
-    tab.add_argument("--replicates", type=int, default=10)
+    tab.add_argument("--replicates", type=_positive_int, default=10)
     tab.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
     tab.add_argument("--jobs", type=_positive_int, default=1)
     tab.add_argument("--out", required=True)
@@ -370,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(roc)
     roc.add_argument("--methods", required=True,
                      help=f"comma list from: {', '.join(ROC_METHODS)}")
-    roc.add_argument("--replicates", type=int, default=5)
+    roc.add_argument("--replicates", type=_positive_int, default=5)
     roc.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
-    roc.add_argument("--points", type=int, default=20)
+    roc.add_argument("--points", type=_positive_int, default=20)
     roc.add_argument("--jobs", type=_positive_int, default=1)
     roc.add_argument("--out", required=True)
     add_solver_flags(roc)
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     var.add_argument("--input", required=True)
     var.add_argument("--model", required=True,
                      help="directory written by decompose")
-    var.add_argument("--k", type=int, default=None)
+    var.add_argument("--k", type=_positive_int, default=None)
     var.add_argument("--out", default=".")
     var.set_defaults(func=_cmd_varex)
 

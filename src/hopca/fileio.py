@@ -4,6 +4,14 @@ The ``.t3`` text format stores a third-order tensor as a header line
 ``tensor3 n p q`` followed by whitespace-separated values in
 mode-1-fastest order.  Writers emit 17 significant digits so round trips
 are bit-exact; readers accept scientific notation.
+
+A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
+``W.csv`` (one column per component), the weights (``d.csv`` for a CP
+model, ``core.t3`` for a Tucker model), the scalar ``key=value`` lines of
+``diagnostics.txt``, ``trace.csv`` (component, update, objective) when
+the fit records objective traces, ``lambdas.csv`` (mode, component,
+lambda) when it records penalty levels, and 0/1 ``support_u.csv``,
+``support_v.csv`` and ``support_w.csv`` masks for sparse fits.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from .decompose import CpModel, TuckerModel
 from .tensor3 import check_tensor3, tensor3
 
 __all__ = [
@@ -29,11 +38,14 @@ __all__ = [
     "save_tucker_model",
     "load_tucker_model",
     "write_table_csv",
+    "write_supports",
 ]
 
 _VALUES_PER_LINE = 8
 _WRITE_BLOCK = _VALUES_PER_LINE * 1024  # values formatted at a time
 _READ_BLOCK = 1 << 16  # bytes of .t3 body parsed at a time
+_MODES = ("u", "v", "w")
+_FACTOR_FILES = ("U.csv", "V.csv", "W.csv")
 
 
 def write_tensor3(path, x) -> None:
@@ -133,92 +145,66 @@ def read_diagnostics(path) -> dict[str, str]:
     return out
 
 
-def _write_trace_csv(path, traces) -> None:
-    with open(path, "w") as fh:
-        fh.write("component,update,objective\n")
-        for k, trace in enumerate(traces):
-            for t, value in enumerate(np.asarray(trace, dtype=float).ravel()):
-                fh.write(f"{k},{t},{value:.17g}\n")
+def write_supports(dirpath, factors) -> None:
+    """Write the 0/1 support mask of each factor (u, v, w order) to
+    ``support_u.csv``, ``support_v.csv`` and ``support_w.csv``."""
+    for mode, factor in zip(_MODES, factors):
+        np.savetxt(os.path.join(dirpath, f"support_{mode}.csv"),
+                   (np.asarray(factor) != 0).astype(int), fmt="%d",
+                   delimiter=",")
 
 
-def _write_lambdas_csv(path, lambdas: dict[str, list[float]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("mode,component,lambda\n")
-        for mode in ("u", "v", "w"):
-            for k, lam in enumerate(lambdas.get(mode, [])):
-                fh.write(f"{mode},{k},{lam:.17g}\n")
-
-
-def save_cp_model(dirpath, model) -> None:
-    """Serialize a CP-style model to ``U.csv``/``V.csv``/``W.csv``/``d.csv``.
-
-    Sparse solvers additionally get 0/1 support masks per mode, an
-    objective ``trace.csv`` and the chosen ``lambdas.csv``.
-    """
+def _save_model(dirpath, model, weights_file, write_weights, weights) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    write_matrix_csv(os.path.join(dirpath, "U.csv"), model.U)
-    write_matrix_csv(os.path.join(dirpath, "V.csv"), model.V)
-    write_matrix_csv(os.path.join(dirpath, "W.csv"), model.W)
-    write_vector_csv(os.path.join(dirpath, "d.csv"), model.d)
-    diag = dict(model.diagnostics)
+    factors = (model.U, model.V, model.W)
+    for name, factor in zip(_FACTOR_FILES, factors):
+        write_matrix_csv(os.path.join(dirpath, name), factor)
+    write_weights(os.path.join(dirpath, weights_file), weights)
+    diag = model.diagnostics
     write_diagnostics(os.path.join(dirpath, "diagnostics.txt"), diag)
     if "objective_traces" in diag:
-        _write_trace_csv(os.path.join(dirpath, "trace.csv"),
-                         diag["objective_traces"])
+        rows = ((k, t, value)
+                for k, trace in enumerate(diag["objective_traces"])
+                for t, value in enumerate(
+                    np.asarray(trace, dtype=float).ravel().tolist()))
+        write_table_csv(os.path.join(dirpath, "trace.csv"),
+                        ["component", "update", "objective"], rows)
     if "lambdas" in diag:
-        _write_lambdas_csv(os.path.join(dirpath, "lambdas.csv"),
-                           diag["lambdas"])
+        rows = ((mode, k, float(lam)) for mode in _MODES
+                for k, lam in enumerate(diag["lambdas"].get(mode, [])))
+        write_table_csv(os.path.join(dirpath, "lambdas.csv"),
+                        ["mode", "component", "lambda"], rows)
     if diag.get("sparse", False):
-        for mode, factor in (("u", model.U), ("v", model.V), ("w", model.W)):
-            mask = (factor != 0).astype(int)
-            np.savetxt(os.path.join(dirpath, f"support_{mode}.csv"),
-                       mask, fmt="%d", delimiter=",")
+        write_supports(dirpath, factors)
 
 
-def load_cp_model(dirpath):
-    from .decompose import CpModel
-
-    model = CpModel(
-        U=read_matrix_csv(os.path.join(dirpath, "U.csv")),
-        V=read_matrix_csv(os.path.join(dirpath, "V.csv")),
-        W=read_matrix_csv(os.path.join(dirpath, "W.csv")),
-        d=read_vector_csv(os.path.join(dirpath, "d.csv")),
-    )
+def _load_model(dirpath, cls, weights_file, read_weights):
+    factors = [read_matrix_csv(os.path.join(dirpath, name))
+               for name in _FACTOR_FILES]
+    model = cls(*factors, read_weights(os.path.join(dirpath, weights_file)))
     diag_path = os.path.join(dirpath, "diagnostics.txt")
     if os.path.exists(diag_path):
         model.diagnostics.update(read_diagnostics(diag_path))
     return model
 
 
-def save_tucker_model(dirpath, model) -> None:
-    """Serialize a Tucker-style model: factor CSVs plus ``core.t3``."""
-    os.makedirs(dirpath, exist_ok=True)
-    write_matrix_csv(os.path.join(dirpath, "U.csv"), model.U)
-    write_matrix_csv(os.path.join(dirpath, "V.csv"), model.V)
-    write_matrix_csv(os.path.join(dirpath, "W.csv"), model.W)
-    write_tensor3(os.path.join(dirpath, "core.t3"), model.core)
-    write_diagnostics(os.path.join(dirpath, "diagnostics.txt"),
-                      dict(model.diagnostics))
-    if model.diagnostics.get("sparse", False):
-        for mode, factor in (("u", model.U), ("v", model.V), ("w", model.W)):
-            mask = (factor != 0).astype(int)
-            np.savetxt(os.path.join(dirpath, f"support_{mode}.csv"),
-                       mask, fmt="%d", delimiter=",")
+def save_cp_model(dirpath, model: CpModel) -> None:
+    """Write a CP-style model to ``dirpath``; its weights go to ``d.csv``."""
+    _save_model(dirpath, model, "d.csv", write_vector_csv, model.d)
 
 
-def load_tucker_model(dirpath):
-    from .decompose import TuckerModel
+def load_cp_model(dirpath) -> CpModel:
+    return _load_model(dirpath, CpModel, "d.csv", read_vector_csv)
 
-    model = TuckerModel(
-        U=read_matrix_csv(os.path.join(dirpath, "U.csv")),
-        V=read_matrix_csv(os.path.join(dirpath, "V.csv")),
-        W=read_matrix_csv(os.path.join(dirpath, "W.csv")),
-        core=read_tensor3(os.path.join(dirpath, "core.t3")),
-    )
-    diag_path = os.path.join(dirpath, "diagnostics.txt")
-    if os.path.exists(diag_path):
-        model.diagnostics.update(read_diagnostics(diag_path))
-    return model
+
+def save_tucker_model(dirpath, model: TuckerModel) -> None:
+    """Write a Tucker-style model to ``dirpath``; its core goes to
+    ``core.t3``."""
+    _save_model(dirpath, model, "core.t3", write_tensor3, model.core)
+
+
+def load_tucker_model(dirpath) -> TuckerModel:
+    return _load_model(dirpath, TuckerModel, "core.t3", read_tensor3)
 
 
 def write_table_csv(path, header: list[str], rows) -> None:

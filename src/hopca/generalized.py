@@ -255,6 +255,7 @@ def qnorm_lasso_kkt_residual(y, q, lam: float, u) -> float:
 
 
 def _quad_updates(q: QuadOperators, lam):
+    q.require_positive_definite()
     lam = tuple(float(v) for v in lam)
     if min(lam) < 0:
         raise ValueError("penalty levels must be non-negative")
@@ -272,7 +273,6 @@ def gcp_rank_one(x, q: QuadOperators, cfg: SolverConfig | None = None
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    q.require_positive_definite()
     return _rank_one(x, _quad_updates(q, (0.0, 0.0, 0.0)), cfg, cfg.rng())
 
 
@@ -286,7 +286,6 @@ def sparse_gcp_rank_one(x, q: QuadOperators, lam=(0.0, 0.0, 0.0),
     """
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
-    q.require_positive_definite()
     return _rank_one(x, _quad_updates(q, lam), cfg, cfg.rng())
 
 
@@ -294,7 +293,6 @@ def gcp(x, q: QuadOperators, K: int, cfg: SolverConfig | None = None
         ) -> CpModel:
     """Deflated multi-component quadratic-norm decomposition."""
     cfg = cfg or SolverConfig()
-    q.require_positive_definite()
     return deflate(x, K, _engine_fit(_quad_updates(q, (0.0, 0.0, 0.0)), cfg),
                    cfg, "gcp")
 
@@ -303,7 +301,6 @@ def sparse_gcp(x, q: QuadOperators, K: int, lam=(0.0, 0.0, 0.0),
                cfg: SolverConfig | None = None) -> CpModel:
     """Deflated sparse quadratic-norm decomposition."""
     cfg = cfg or SolverConfig()
-    q.require_positive_definite()
     model = deflate(x, K, _engine_fit(_quad_updates(q, lam), cfg), cfg,
                     "sparse-gcp")
     model.diagnostics["sparse"] = True
@@ -452,10 +449,14 @@ def fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig | None = None
     non-increasing and ends at :func:`fpca_objective` of the returned
     factors.
     """
-    x = check_tensor3(x)
     cfg = cfg or SolverConfig()
+    return _fpca_rank_one(check_tensor3(x), s, cfg, cfg.rng())
+
+
+def _fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig,
+                   rng: np.random.Generator) -> FpcaFit:
     smoothed, maps = _half_smooth(x, s)
-    fit = _rank_one(smoothed, _PLAIN, cfg, cfg.rng())
+    fit = _rank_one(smoothed, _PLAIN, cfg, rng)
     scale = fit.d ** (1.0 / 3.0)
     factors = (fit.u, fit.v, fit.w)
     u, v, w = (scale * (half @ f) for half, f in zip(maps, factors))
@@ -469,7 +470,7 @@ def fpca(x, s: SmootherSet, K: int, cfg: SolverConfig | None = None
     cfg = cfg or SolverConfig()
 
     def fit_one(resid, rng, basis):
-        fit = fpca_rank_one(resid, s, cfg)
+        fit = _fpca_rank_one(resid, s, cfg, rng)
         return RankOneFit(*fit.normalized(), fit.iterations, fit.converged,
                           fit.objective_trace)
 

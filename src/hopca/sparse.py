@@ -351,8 +351,6 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
     _reject_unread(cfg, svd_start=True)
     threshold = _KIND_PENALTY[left_pen.kind].prox
     adaptive = left_pen.is_adaptive
-    if adaptive and norm_sq is None:
-        norm_sq = float(np.sum(m * m))
     lam_left = 0.0 if adaptive else left_pen.fixed_level()
     v = leading_singular_vectors(m.T, 1)[:, 0]
     u = np.zeros(m.shape[0])

@@ -249,3 +249,41 @@ def test_orthogonalize_and_random_init_still_reach_tpa(rank_one_file,
     assert code == 0
     d = fileio.read_vector_csv(out / "d.csv")
     assert d[0] == pytest.approx(weight, rel=1e-6)
+
+
+_DECOMPOSE = ["decompose", "--method", "tpa"]
+
+
+@pytest.mark.parametrize("argv", [
+    _DECOMPOSE + ["--max-iter", "0"],
+    _DECOMPOSE + ["--tol", "0"],
+    _DECOMPOSE + ["--rank", "0"],
+    _DECOMPOSE + ["--rank", "a"],
+    ["decompose", "--method", "sparse-cp-tpa", "--lambda-u", "abc"],
+    ["decompose", "--method", "fpca", "--alpha", "-1"],
+    ["decompose", "--method", "sparse-cp-tpa", "--penalty", "group",
+     "--lambda-u", "0.4", "--group-size", "0"],
+    ["table", "--scenario", "2", "--methods", "tpa", "--replicates", "0"],
+    ["roc", "--scenario", "2", "--methods", "sparse-cp-tpa",
+     "--points", "0"],
+    ["simulate", "--scenario", "2", "--sparsity", "1.5"],
+    ["simulate", "--scenario", "2", "--noise", "-1"],
+    ["bic", "--mode", "u", "--grid", "x"],
+    ["varex", "--k", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_flag_value_exits_one(rank_one_file, tmp_path, capsys, argv):
+    # a flag value the library rejects is a usage error, not a numerical
+    # failure, and it is caught before anything is read or written
+    path, _ = rank_one_file
+    out = tmp_path / "out"
+    if argv[0] == "varex":
+        model = tmp_path / "model"
+        assert main(["decompose", "--method", "tpa", "--input", str(path),
+                     "--out", str(model)]) == 0
+        argv = argv + ["--model", str(model)]
+    if argv[0] in ("decompose", "bic", "varex"):
+        argv = argv + ["--input", str(path)]
+    code = main(argv + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip()
+    assert not out.exists()

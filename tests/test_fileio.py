@@ -7,7 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopca import fileio
-from hopca.decompose import SolverConfig, hosvd, tpa
+from hopca.cli import main
+from hopca.decompose import CpModel, SolverConfig, hosvd, tpa
+from hopca.generalized import QuadOperators, SmootherSet
+from hopca.simulate import METHODS, SimScenarioSpec, simulate
 from hopca.sparse import PenaltySpec, sparse_cp_tpa
 
 
@@ -162,3 +165,81 @@ def test_diagnostics_round_trip(tmp_path):
     assert out["converged"] == "true"
     assert float(out["residual_norm"]) == 0.25
     assert "skipped_array" not in out
+
+
+def fit_entry(name, x):
+    """Fit one registry method at rank 2 as ``hopca decompose`` would:
+    BIC levels for the penalty specs, a fixed level for sparse-gcp."""
+    entry = METHODS[name]
+    pen = {"spec": PenaltySpec.lasso("bic"),
+           "fixed": PenaltySpec.lasso(0.3), None: None}[entry.penalty]
+    op = {"q": lambda: QuadOperators.identity(x.shape),
+          "s": lambda: SmootherSet.second_difference(x.shape, 1.0),
+          None: lambda: None}[entry.operator]()
+    return entry.fit(x, (2, 2, 2) if entry.tucker else 2, SolverConfig(),
+                     pen, op)
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_method_round_trips_and_writes_its_levels(tmp_path, name):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 6, 5))
+    model = fit_entry(name, x)
+    tucker = METHODS[name].tucker
+    save, load, weights = ((fileio.save_tucker_model,
+                            fileio.load_tucker_model, "core") if tucker else
+                           (fileio.save_cp_model, fileio.load_cp_model, "d"))
+    save(tmp_path / "model", model)
+    loaded = load(tmp_path / "model")
+    for attr in ("U", "V", "W", weights):
+        assert np.array_equal(getattr(loaded, attr), getattr(model, attr))
+    lines = (tmp_path / "model" / "lambdas.csv").read_text().splitlines()
+    assert lines[0] == "mode,component,lambda"
+    rows = [(mode, int(k), float(lam))
+            for mode, k, lam in (line.split(",") for line in lines[1:])]
+    levels = model.diagnostics["lambdas"]
+    assert rows == [(mode, k, lam) for mode in ("u", "v", "w")
+                    for k, lam in enumerate(levels[mode])]
+
+
+def test_simulate_writes_true_supports(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "2", "--k", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    truth = simulate(SimScenarioSpec(scenario=2, k=2, seed=5))
+    for mode in ("u", "v", "w"):
+        mask = np.loadtxt(out / f"support_{mode}.csv", delimiter=",",
+                          ndmin=2)
+        assert np.array_equal(mask, truth.supports[mode].astype(int))
+
+
+def reference_trace_and_lambdas(diag):
+    """trace.csv and lambdas.csv with every value formatted on its own."""
+    trace = ["component,update,objective"]
+    trace += [f"{k},{t},{v:.17g}"
+              for k, values in enumerate(diag["objective_traces"])
+              for t, v in enumerate(np.asarray(values, dtype=float))]
+    lambdas = ["mode,component,lambda"]
+    lambdas += [f"{mode},{k},{lam:.17g}" for mode in ("u", "v", "w")
+                for k, lam in enumerate(diag["lambdas"][mode])]
+    return "\n".join(trace) + "\n", "\n".join(lambdas) + "\n"
+
+
+def _extremes_model():
+    return CpModel(np.eye(2), np.eye(2), np.eye(2), np.ones(2), {
+        "objective_traces": [np.array(EXTREMES[:6]), np.array(EXTREMES[6:])],
+        "lambdas": {"u": [0.1, 1e-300], "v": [-0.0, 0.0],
+                    "w": [1.7e308, 2.2250738585072014e-308]}})
+
+
+@pytest.mark.parametrize("model", [
+    lambda: sparse_cp_tpa(np.random.default_rng(6).standard_normal((8, 7, 6)),
+                          2, PenaltySpec.lasso("bic", "bic")),
+    _extremes_model,
+], ids=["sparse-cp-tpa", "extremes"])
+def test_trace_and_lambdas_bytes_match_per_value_format(tmp_path, model):
+    model = model()
+    fileio.save_cp_model(tmp_path / "model", model)
+    trace, lambdas = reference_trace_and_lambdas(model.diagnostics)
+    assert (tmp_path / "model" / "trace.csv").read_text() == trace
+    assert (tmp_path / "model" / "lambdas.csv").read_text() == lambdas

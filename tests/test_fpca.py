@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopca import decompose
 from hopca.decompose import SolverConfig, tpa_rank_one
 from hopca.generalized import (
     SmootherSet,
+    fpca,
     fpca_half_smoothing,
     fpca_objective,
     fpca_rank_one,
@@ -68,3 +70,36 @@ def test_block_fit_and_half_smoothing_reach_the_same_loss(seed):
                           half.V[:, 0] * scale, half.W[:, 0] * scale)
     assert fpca_objective(x, s, fit.u, fit.v, fit.w) == pytest.approx(
         loss, rel=1e-10)
+
+
+def test_deflated_components_draw_from_one_generator(monkeypatch):
+    # deflate shares cfg's generator across components, so two random
+    # starts differ; a fresh cfg.rng() per component repeats the first
+    starts = []
+    original = decompose.init_rank_one
+
+    def init_rank_one(x, init, rng):
+        v, w = original(x, init, rng)
+        starts.append((x, v, w))
+        return v, w
+
+    monkeypatch.setattr(decompose, "init_rank_one", init_rank_one)
+    x = tensor((6, 5, 4), 0)
+    fpca(x, SmootherSet.second_difference(x.shape, 1.0), 2,
+         SolverConfig(init="random", seed=3))
+    firsts = {}
+    for resid, v, w in starts:
+        firsts.setdefault(id(resid), (v, w))
+    (v1, w1), (v2, w2) = firsts.values()
+    assert not np.array_equal(v1, v2) and not np.array_equal(w1, w2)
+
+
+def test_default_start_fits_do_not_depend_on_the_generator():
+    x = tensor((6, 5, 4), 1)
+    s = SmootherSet.second_difference(x.shape, 0.5)
+    fits = [fpca(x, s, 2, SolverConfig(seed=seed)) for seed in (0, 9)]
+    for attr in ("U", "V", "W", "d"):
+        assert np.array_equal(getattr(fits[0], attr), getattr(fits[1], attr))
+    first = fpca_rank_one(x, s)
+    assert np.array_equal(fits[0].U[:, 0], first.normalized()[0])
+    assert fits[0].d[0] == first.normalized()[3]
