@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fileio
-from .decompose import SolverConfig, tpa_rank_one
+from .decompose import SolverConfig, _reject_unread, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
 from .evaluate import bic_select, default_lambda_grid, variance_explained
 from .generalized import (
@@ -35,7 +35,7 @@ from .simulate import (
     run_table_experiment,
     simulate,
 )
-from .sparse import PenaltySpec
+from .sparse import ModePenalty, PenaltySpec
 from .tensor3 import frob_norm
 
 
@@ -57,13 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _flag_values():
+def _flag_values(message: str | None = None):
     """Report a flag value that the library (or a flag parser) rejects
-    as a usage error, exit 1, rather than as a numerical failure."""
+    as a usage error, exit 1, rather than as a numerical failure; with
+    ``message`` in place of the library's text."""
     try:
         yield
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise CliError(1, f"bad flag value: {exc}") from exc
+        raise CliError(1, message or f"bad flag value: {exc}") from exc
 
 
 def _parse_lambda(text: str | None):
@@ -77,6 +78,17 @@ def _parse_lambda(text: str | None):
     if not values:
         raise CliError(1, "empty lambda specification")
     return values[0] if len(values) == 1 else values
+
+
+def _parse_grid(text: str | None):
+    """The --grid flag as :func:`_parse_lambda` reads it, with a level or
+    grid checked by the library's rule (non-negative, strictly
+    increasing) before any input is read."""
+    grid = _parse_lambda(text or "bic")
+    if grid != "bic":
+        with _flag_values():
+            ModePenalty("lasso", grid)
+    return grid
 
 
 def _parse_ranks(text: str, tucker: bool):
@@ -131,10 +143,13 @@ def _cmd_decompose(args) -> int:
     method = args.method
     entry = METHODS[method]
     tucker = entry.tucker
-    if args.orthogonalize and method != "tpa":
-        raise CliError(1, "--orthogonalize applies only to tpa")
-    if args.init == "random" and tucker:
-        raise CliError(1, "--init random does not apply to Tucker methods")
+    # the library's rules on settings a method would ignore: tpa alone
+    # reads orthogonalize, and the Tucker methods start from singular vectors
+    with _flag_values("--orthogonalize applies only to tpa"):
+        _reject_unread(SolverConfig(
+            orthogonalize=args.orthogonalize and method != "tpa"))
+    with _flag_values("--init random does not apply to Tucker methods"):
+        _reject_unread(SolverConfig(init=args.init), svd_start=tucker)
     group = args.penalty == "group"
     if group and method != "sparse-cp-tpa":
         raise CliError(1, "the group penalty is available for sparse-cp-tpa")
@@ -226,7 +241,7 @@ def _methods_list(text: str, allowed) -> list[str]:
 def _cmd_table(args) -> int:
     spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, TABLE_METHODS)
-    grid = _parse_lambda(args.grid or "bic")
+    grid = _parse_grid(args.grid)
     result = run_table_experiment(spec, methods, args.replicates, cfg=cfg,
                                   jobs=args.jobs,
                                   lam_grid=None if grid == "bic" else grid)
@@ -241,13 +256,16 @@ def _cmd_table(args) -> int:
                                result.failures)
     for row in result.rows:
         print(",".join(str(v) for v in row))
+    if result.failures and not result.rows:
+        raise CliError(3, "every replicate of every method failed; see "
+                       f"{os.path.join(args.out, 'failures.csv')}")
     return 0
 
 
 def _cmd_roc(args) -> int:
     spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, ROC_METHODS)
-    grid = _parse_lambda(args.grid or "bic")
+    grid = _parse_grid(args.grid)
     grid = None if grid == "bic" else [grid] if np.isscalar(grid) else grid
     result = run_roc_experiment(spec, methods, args.replicates, grid=grid,
                                 cfg=cfg, jobs=args.jobs, points=args.points)
@@ -286,7 +304,7 @@ def _cmd_varex(args) -> int:
 
 def _cmd_bic(args) -> int:
     cfg = _solver_config(args)
-    grid = _parse_lambda(args.grid or "bic")
+    grid = _parse_grid(args.grid)
     x = _load_tensor(args.input)
     fit = tpa_rank_one(x, cfg)
     contraction = {"u": lambda: contract_u(x, fit.v, fit.w),

@@ -6,9 +6,14 @@ share.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
-:func:`_one_start`, which a ROC sweep opens around its refits of one
-tensor, the SVD start of that tensor is computed once and shared.  It
-lives in a ``ContextVar``, so other threads and contexts never see it.
+:func:`_shared_grams`, which a table replicate and a ROC sweep open
+around their fits of one tensor, the Gram eigendecomposition of each
+unfolding of that tensor is computed once, and so are the singular
+vectors taken from it.  Every SVD start of the tensor reads them: the
+(v, w) start of the power scheme, the CP-ALS start, the HOSVD start of
+the Tucker methods and the first right vector of the penalized PCA.
+The memo lives in a ``ContextVar``, so other threads and contexts never
+see it, and it serves that one tensor only, never a residual.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -168,7 +173,7 @@ def contract_w(x, u, v):
     return np.tensordot(np.tensordot(u, x, axes=(0, 0)), v, axes=(0, 0))
 
 
-def leading_singular_vectors(m, k, return_values=False):
+def leading_singular_vectors(m, k, return_values=False, eig=None):
     """First ``k`` left singular vectors of ``m`` (orthonormal columns).
 
     The vectors come from ``eigh`` of the smaller Gram matrix: ``m m^T``
@@ -183,6 +188,7 @@ def leading_singular_vectors(m, k, return_values=False):
     deterministically to ``k`` columns).  Each column's largest-magnitude
     entry is made positive, so the result does not depend on the route.
     With ``return_values`` the first ``k`` singular values come too.
+    ``eig`` is ``eigh`` of that Gram matrix when the caller has it.
     ``k`` above the row count raises ValueError: no more than ``rows``
     orthonormal columns exist.
     """
@@ -194,7 +200,7 @@ def leading_singular_vectors(m, k, return_values=False):
     uu = None
     if k <= min(rows, cols):
         wide = rows <= cols
-        lam, vecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+        lam, vecs = eig or np.linalg.eigh(m @ m.T if wide else m.T @ m)
         lam = np.clip(lam[::-1][:k], 0.0, None)
         if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
             vecs = vecs[:, ::-1][:, :k]
@@ -263,38 +269,74 @@ def _random_unit(rng, dim):
     return vec / nrm
 
 
-# [tensor, its (v, w) SVD start or None] while a _one_start block is open
-_SHARED_START: ContextVar[list | None] = ContextVar("_SHARED_START",
-                                                   default=None)
+# (the read-only view a _shared_grams block is open on, its Gram
+# eigendecompositions by (mode, side), its singular vectors by (mode, k))
+_GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
 @contextmanager
-def _one_start(x):
-    """Within the block, :func:`init_rank_one` computes the SVD start of
-    this very array object (``is``, not equality) once and returns the
-    same read-only pair on every later call.  The caller must not write
-    to ``x`` inside the block."""
-    token = _SHARED_START.set([x, None])
+def _shared_grams(x):
+    """Yield a read-only view of ``x``.  Within the block the Gram
+    eigendecomposition of each unfolding of that very view (``is``, not
+    equality) is computed once, and so are its leading singular vectors
+    for each (mode, k); both are kept read-only.  Opened on the view of
+    an enclosing block, the block is that block."""
+    memo = _GRAMS.get()
+    if memo is not None and memo[0] is x:
+        yield x
+        return
+    view = np.asarray(x, dtype=float).view()
+    view.flags.writeable = False
+    token = _GRAMS.set((view, {}, {}))
     try:
-        yield
+        yield view
     finally:
-        _SHARED_START.reset(token)
+        _GRAMS.reset(token)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _gram_eig(x, mode, m, right=False):
+    """``eigh`` of the Gram matrix :func:`leading_singular_vectors` forms
+    of ``m``, the mode unfolding of ``x`` (of ``m.T`` with ``right``),
+    from the memo of a block open on ``x``; None outside one.  The two
+    sides of a non-square ``m`` share its smaller Gram; a square ``m``
+    keeps m m^T and m^T m apart."""
+    memo = _GRAMS.get()
+    if memo is None or memo[0] is not x:
+        return None
+    a = m.T if right else m
+    wide = a.shape[0] <= a.shape[1]
+    key = (mode, wide != right)  # True: m m^T, False: m^T m
+    if key not in memo[1]:
+        memo[1][key] = tuple(_read_only(e) for e in np.linalg.eigh(
+            a @ a.T if wide else a.T @ a))
+    return memo[1][key]
+
+
+def _unfolding_vectors(x, mode, k):
+    """First ``k`` left singular vectors of the mode unfolding of ``x``,
+    read-only from the memo of a block open on ``x``."""
+    memo = _GRAMS.get()
+    if memo is None or memo[0] is not x:
+        return leading_singular_vectors(matricize(x, mode), k)
+    if (mode, k) not in memo[2]:
+        m = matricize(x, mode)
+        eig = _gram_eig(x, mode, m) if k <= min(m.shape) else None
+        memo[2][mode, k] = _read_only(leading_singular_vectors(m, k,
+                                                               eig=eig))
+    return memo[2][mode, k]
 
 
 def init_rank_one(x, init, rng):
     """Starting (v, w) pair: leading mode-2/mode-3 singular vectors, or random."""
     if init != "hosvd":
         return _random_unit(rng, x.shape[1]), _random_unit(rng, x.shape[2])
-    shared = _SHARED_START.get()
-    memo = shared is not None and shared[0] is x
-    if memo and shared[1] is not None:
-        return shared[1]
-    v = leading_singular_vectors(matricize(x, 2), 1)[:, 0]
-    w = leading_singular_vectors(matricize(x, 3), 1)[:, 0]
-    if memo:
-        v.flags.writeable = w.flags.writeable = False
-        shared[1] = (v, w)
-    return v, w
+    return (_unfolding_vectors(x, 2, 1)[:, 0],
+            _unfolding_vectors(x, 3, 1)[:, 0])
 
 
 def _init_cp_factors(x, K, init, rng):
@@ -303,7 +345,7 @@ def _init_cp_factors(x, K, init, rng):
     dimension, or all random."""
     factors = []
     for m, dim in enumerate(x.shape):
-        cols = (leading_singular_vectors(matricize(x, m + 1), min(K, dim))
+        cols = (_unfolding_vectors(x, m + 1, min(K, dim))
                 if init == "hosvd" else np.zeros((dim, 0)))
         pad = [_random_unit(rng, dim) for _ in range(K - cols.shape[1])]
         factors.append(np.column_stack([cols, *pad]))
@@ -436,22 +478,29 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
 
     ``steps[m](unfolding, rank)`` returns ``rank`` factor columns and the
     penalty level of each; a None step takes the leading singular
-    vectors.  The HOSVD start runs the steps on the unfoldings of ``x``;
-    each sweep re-estimates every factor from ``x`` projected onto the
-    other two.  Convergence (relative core-norm change below ``tol``) is
-    first checked at sweep 2.  The sweep with the largest core norm is
-    returned, ties going to the later sweep; the core-norm trace starts
-    with the HOSVD start.
+    vectors.  The HOSVD start runs the steps on the unfoldings of ``x``
+    and passes each the memo's ``eig`` of its unfolding's transpose (see
+    :func:`_gram_eig`) as a third argument; each sweep re-estimates
+    every factor from ``x`` projected onto the other two.  Convergence
+    (relative core-norm change below ``tol``) is first checked at sweep
+    2.  The sweep with the largest core norm is returned, ties going to
+    the later sweep; the core-norm trace starts with the HOSVD start.
     """
     x = check_tensor3(x)
     ranks = _check_ranks(x, ranks)
     if cfg is not None:
         _reject_unread(cfg, svd_start=True)
-    steps = [step or _svd_step for step in steps]
     factors, levels = [], {}
     for m, (step, k) in enumerate(zip(steps, ranks)):
-        f, levels[_MODES[m]] = step(matricize(x, m + 1), k)
+        if step is None:  # a copy: the model's factors are not the memo's
+            f, lev = np.array(_unfolding_vectors(x, m + 1, k)), [0.0] * k
+        else:
+            unfolding = matricize(x, m + 1)
+            f, lev = step(unfolding, k,
+                          _gram_eig(x, m + 1, unfolding, right=True))
         factors.append(f)
+        levels[_MODES[m]] = lev
+    steps = [step or _svd_step for step in steps]
     core = _tucker_core(x, *factors)
     diagnostics: dict[str, Any] = {"method": method}
     if cfg is not None:

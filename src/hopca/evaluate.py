@@ -106,10 +106,20 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
     """BIC values along a penalty grid for one factor update.
 
     ``norm_sq`` is the squared norm of the (residual) tensor being fit
-    and ``contraction`` the vector the update thresholds with
-    ``threshold(contraction, lam)``.  With the two fixed factors of unit
-    norm the implied rank-one fit collapses to ``norm_sq - (f @ c)^2``
-    for the normalized thresholded factor ``f``.
+    and ``contraction`` the vector ``c`` the update thresholds with
+    ``threshold(c, lam)``: the lasso's soft threshold or the non-negative
+    lasso's positive threshold, whose entry i is ``max(a_i - lam, 0)``
+    in the sign of ``c_i`` for ``a = |threshold(c, 0)|``.  With the two
+    fixed factors of unit norm the implied rank-one fit collapses to
+    ``norm_sq - (f @ c)^2`` for the normalized thresholded factor ``f``.
+
+    The path is in closed form.  Over the ``nnz`` entries of ``a`` above
+    ``lam``, with ``S2`` their sum of squares and ``M2`` their scatter
+    about their mean ``mu``, Lagrange's identity gives ``(f @ c)^2 = S2 -
+    lam^2 nnz M2 / ||f||^2`` with ``||f||^2 = M2 + nnz (mu - lam)^2``.
+    One sort and three suffix sums give every level at once; the sums
+    are taken of the entries' distances below the largest one, so
+    entries just above a level lose no digits.
 
     Returns ``(bic_values, nnz)`` arrays aligned with ``grid``.
     """
@@ -118,25 +128,30 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
         raise ValueError("penalty grid is empty")
     if np.any(grid < 0):
         raise ValueError("penalty values must be non-negative")
-    values = np.zeros(grid.size)
-    nnz = np.zeros(grid.size, dtype=int)
-    for i, lam in enumerate(grid):
-        f = threshold(contraction, lam)
-        nn = int(np.count_nonzero(f))
-        nnz[i] = nn
-        if nn == 0:
-            resid_sq = norm_sq
-        else:
-            f = f / np.linalg.norm(f)
-            resid_sq = norm_sq - float(f @ contraction) ** 2
-        values[i] = _bic(resid_sq, nn, size)
-    return values, nnz
+    a = np.sort(np.abs(threshold(contraction, 0.0)))
+    below = a[-1] - a
+    # suffix sums of a^2, below and below^2; the last column is "none above"
+    sums = np.zeros((3, a.size + 1))
+    sums[:, :-1] = np.cumsum(np.stack([a * a, below, below * below])[:, ::-1],
+                             axis=1)[:, ::-1]
+    start = np.searchsorted(a, grid, side="right")
+    nnz = a.size - start
+    s2, b1, b2 = sums[:, start]
+    live = nnz > 0
+    n = np.maximum(nnz, 1)
+    scatter = np.maximum(b2 - b1 * b1 / n, 0.0)
+    gap = a[-1] - grid - b1 / n  # mean entry above the level, less the level
+    f_sq = np.where(live, scatter + n * gap * gap, 1.0)
+    fc_sq = s2 - grid * grid * n * scatter / f_sq  # (f @ c)^2
+    resid_sq = np.where(live, norm_sq - fc_sq, norm_sq)
+    return _bic(resid_sq, nnz, size), nnz
 
 
-def _bic(resid_sq: float, nnz: int, size: int) -> float:
+def _bic(resid_sq, nnz, size: int):
     """BIC of a fit with residual sum of squares ``resid_sq`` and ``nnz``
-    free parameters on ``size`` observations."""
-    return np.log(max(resid_sq, 1e-300) / size) + np.log(size) / size * nnz
+    free parameters on ``size`` observations (scalars or arrays)."""
+    return (np.log(np.maximum(resid_sq, 1e-300) / size)
+            + np.log(size) / size * nnz)
 
 
 def _bic_argmin(values: np.ndarray) -> int:
@@ -314,12 +329,14 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     Sparse methods are refit at every grid value (the grid is in penalty
     units); the naive baselines ``cp-naive`` and ``tucker-naive`` fit an
     unregularized model once and zero factor entries below each grid
-    fraction of the column maximum.  The refits share the SVD start of
-    ``x``, computed once (see :func:`hopca.decompose._one_start`), and
-    only read ``x``.  Points are emitted for each penalized mode and
-    component where both rates are defined.
+    fraction of the column maximum.  All fits run in one
+    :func:`hopca.decompose._shared_grams` block (the caller's, when
+    ``x`` is the view of one), so the Gram eigendecompositions of the
+    unfoldings of ``x`` and the SVD starts taken from them are computed
+    once per sweep; the fits only read ``x``.  Points are emitted for
+    each penalized mode and component where both rates are defined.
     """
-    from .decompose import SolverConfig, _one_start
+    from .decompose import SolverConfig, _shared_grams
     from .simulate import METHODS
     from .sparse import PenaltySpec
 
@@ -344,20 +361,15 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
                 points.append(RocPoint(float(lam), mode, comp,
                                        float(tp), float(fp)))
 
-    if method in _NAIVE_BASE:
-        base = METHODS[_NAIVE_BASE[method]].fit(x, k, cfg)
-        for fraction in grid:
-            collect(fraction, _thresholded_copy(base, modes, fraction))
-        return points
-
-    entry = METHODS.get(method)
-    if entry is None or entry.penalty is None:
-        raise ValueError(f"unknown ROC method {method!r}")
-    # every refit starts from the same SVD start of x: take it once, on a
-    # read-only view that no refit can write through
-    view = np.asarray(x, dtype=float).view()
-    view.flags.writeable = False
-    with _one_start(view):
+    with _shared_grams(x) as view:
+        if method in _NAIVE_BASE:
+            base = METHODS[_NAIVE_BASE[method]].fit(view, k, cfg)
+            for fraction in grid:
+                collect(fraction, _thresholded_copy(base, modes, fraction))
+            return points
+        entry = METHODS.get(method)
+        if entry is None or entry.penalty is None:
+            raise ValueError(f"unknown ROC method {method!r}")
         for lam in grid:
             pen = PenaltySpec.lasso(**{m: (lam if m in modes else 0.0)
                                        for m in _MODES})

@@ -347,12 +347,12 @@ class SparsePcaFit:
 
 
 def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
-                       norm_sq=None) -> SparsePcaFit:
+                       norm_sq=None, eig=None) -> SparsePcaFit:
     _reject_unread(cfg, svd_start=True)
     threshold = _KIND_PENALTY[left_pen.kind].prox
     adaptive = left_pen.is_adaptive
     lam_left = 0.0 if adaptive else left_pen.fixed_level()
-    v = leading_singular_vectors(m.T, 1)[:, 0]
+    v = leading_singular_vectors(m.T, 1, eig=eig)[:, 0]
     u = np.zeros(m.shape[0])
     trace = []
     prev = None
@@ -404,9 +404,12 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
 
 
 def sparse_pca(m, k: int, left_pen: ModePenalty,
-               cfg: SolverConfig | None = None):
+               cfg: SolverConfig | None = None, eig=None):
     """First k penalized principal components with rank-one deflation;
-    only the left factors are penalized.
+    only the left factors are penalized.  The first component starts
+    from the leading right singular vector of ``m``; ``eig``, when
+    given, is ``eigh`` of the Gram matrix it is taken from (see
+    :func:`hopca.decompose.leading_singular_vectors` on ``m.T``).
 
     Returns (left factors, right factors, weights, per-component lambdas).
     """
@@ -418,7 +421,8 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     lams = []
     for comp in range(k):
         fit = _sparse_pca_engine(m, left_pen, 0.0, cfg,
-                                 float(np.sum(m * m)))
+                                 float(np.sum(m * m)), eig)
+        eig = None  # the next component starts from the deflated m
         lams.append(fit.lam_left)
         if fit.d == 0.0:
             break
@@ -430,8 +434,8 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
 def _pca_step(mode_pen: ModePenalty, cfg: SolverConfig):
     """Tucker step for one penalized mode: the left factors of
     :func:`sparse_pca` with the chosen level per component."""
-    def step(m, k):
-        left, _, _, lams = sparse_pca(m, k, mode_pen, cfg)
+    def step(m, k, eig=None):
+        left, _, _, lams = sparse_pca(m, k, mode_pen, cfg, eig)
         return left, lams
 
     return step

@@ -287,3 +287,64 @@ def test_bad_flag_value_exits_one(rank_one_file, tmp_path, capsys, argv):
     assert code == 1
     assert capsys.readouterr().err.strip()
     assert not out.exists()
+
+
+_GRID_COMMANDS = {
+    "table": ["table", "--scenario", "2", "--k", "1", "--methods",
+              "sparse-cp-tpa", "--replicates", "1"],
+    "roc": ["roc", "--scenario", "2", "--k", "1", "--methods",
+            "sparse-cp-tpa", "--replicates", "1"],
+    # an input that does not exist: the grid is checked before it is read
+    "bic": ["bic", "--mode", "u", "--input", "no-such-file.t3"],
+}
+
+
+@pytest.mark.parametrize("grid", ["--grid=-1,0.1", "--grid=0.5,0.1",
+                                  "--grid=-1"])
+@pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+def test_bad_grid_exits_one_before_any_work(tmp_path, capsys, command, grid):
+    # a negative or non-increasing grid breaks the library's rule for
+    # penalty grids: a usage error, not a numerical failure per replicate
+    out = tmp_path / "out"
+    code = main(_GRID_COMMANDS[command] + [grid, "--out", str(out)])
+    assert code == 1
+    assert "lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fail_method(fails):
+    """``setattr`` arguments for a fit_method that raises for the named
+    methods."""
+    import importlib
+
+    simulate = importlib.import_module("hopca.simulate")
+    fit = simulate.fit_method
+
+    def fit_method(name, *args, **kwargs):
+        if name in fails:
+            raise FloatingPointError(f"{name} diverged")
+        return fit(name, *args, **kwargs)
+
+    return simulate, "fit_method", fit_method
+
+
+def test_table_where_every_replicate_failed_exits_three(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(*_fail_method({"tpa", "hosvd"}))
+    out = tmp_path / "table"
+    code = main(["table", "--scenario", "2", "--k", "1", "--methods",
+                 "tpa,hosvd", "--replicates", "2", "--out", str(out)])
+    assert code == 3
+    assert "failed" in capsys.readouterr().err
+    assert (out / "metrics.csv").read_text().splitlines() == [
+        "method,component,mode,tp,fp,mse"]
+    assert len((out / "failures.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_table_with_one_working_method_exits_zero(tmp_path, monkeypatch):
+    monkeypatch.setattr(*_fail_method({"tpa"}))
+    out = tmp_path / "table"
+    code = main(["table", "--scenario", "2", "--k", "1", "--methods",
+                 "tpa,hosvd", "--replicates", "1", "--out", str(out)])
+    assert code == 0
+    assert (out / "failures.csv").exists()

@@ -1,7 +1,8 @@
-"""A ROC sweep computes the SVD start of its tensor once and shares it
-across its refits: every refit equals a fresh fit bit for bit, the
-caller's tensor is only read, and the start is shared with nothing but
-that one array object inside the sweep."""
+"""Inside a ``_shared_grams`` block the Gram eigendecompositions of the
+unfoldings of one tensor, and the SVD starts taken from them, are
+computed once and shared: every fit equals a fresh fit bit for bit, the
+caller's tensor is only read, and the memo serves nothing but that one
+array object inside the block, never a residual."""
 
 import threading
 from types import SimpleNamespace
@@ -9,8 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from hopca import decompose, sparse
-from hopca.decompose import SolverConfig, _one_start, init_rank_one
+from hopca.decompose import SolverConfig, _shared_grams, init_rank_one
 from hopca.evaluate import roc_sweep
+from hopca.simulate import METHODS
+from hopca.sparse import PenaltySpec
+from hopca.tensor3 import matricize
 
 CFG = SolverConfig(max_iter=60)
 SPARSE_CP_TPA = sparse.sparse_cp_tpa  # the unwrapped solver
@@ -97,13 +101,15 @@ def test_the_callers_tensor_stays_writable_and_unchanged():
 
 def test_the_start_is_shared_inside_the_block_only():
     x, _ = instance()
-    with _one_start(x):
-        first = init_rank_one(x, "hosvd", None)
-        again = init_rank_one(x, "hosvd", None)
-        assert again[0] is first[0] and again[1] is first[1]
+    with _shared_grams(x) as view:
+        first = init_rank_one(view, "hosvd", None)
+        again = init_rank_one(view, "hosvd", None)
+        # the same memoized vectors, not a recomputation
+        assert again[0].base is first[0].base
+        assert again[1].base is first[1].base
         assert not first[0].flags.writeable and not first[1].flags.writeable
     after = init_rank_one(x, "hosvd", None)
-    assert after[0] is not first[0] and after[0].flags.writeable
+    assert after[0].base is not first[0].base and after[0].flags.writeable
     assert np.array_equal(after[0], first[0])
     assert np.array_equal(after[1], first[1])
 
@@ -111,11 +117,12 @@ def test_the_start_is_shared_inside_the_block_only():
 def test_no_other_tensor_gets_the_shared_start():
     x, _ = instance()
     other, _ = instance(seed=4)  # same shape, different values
-    with _one_start(x):
-        shared = init_rank_one(x, "hosvd", None)
-        equal_copy = init_rank_one(x.copy(), "hosvd", None)
-        assert equal_copy[0] is not shared[0]
-        assert equal_copy[0].flags.writeable
+    with _shared_grams(x) as view:
+        shared = init_rank_one(view, "hosvd", None)
+        for equal in (x, x.copy()):  # equal values, other array objects
+            start = init_rank_one(equal, "hosvd", None)
+            assert start[0].base is not shared[0].base
+            assert start[0].flags.writeable
         own = init_rank_one(other, "hosvd", None)
     fresh = init_rank_one(other, "hosvd", None)
     assert np.array_equal(own[0], fresh[0])
@@ -125,9 +132,9 @@ def test_no_other_tensor_gets_the_shared_start():
 
 def test_random_starts_draw_as_outside_the_block():
     x, _ = instance()
-    with _one_start(x):
-        init_rank_one(x, "hosvd", None)
-        inside = init_rank_one(x, "random", np.random.default_rng(8))
+    with _shared_grams(x) as view:
+        init_rank_one(view, "hosvd", None)
+        inside = init_rank_one(view, "random", np.random.default_rng(8))
     outside = init_rank_one(x, "random", np.random.default_rng(8))
     assert all(np.array_equal(a, b) for a, b in zip(inside, outside))
 
@@ -135,11 +142,52 @@ def test_random_starts_draw_as_outside_the_block():
 def test_another_thread_does_not_see_the_block():
     x, _ = instance()
     seen = []
-    with _one_start(x):
-        shared = init_rank_one(x, "hosvd", None)
+    with _shared_grams(x) as view:
+        shared = init_rank_one(view, "hosvd", None)
         thread = threading.Thread(
-            target=lambda: seen.append(init_rank_one(x, "hosvd", None)))
+            target=lambda: seen.append(init_rank_one(view, "hosvd", None)))
         thread.start()
         thread.join()
-    assert seen[0][0] is not shared[0]
+    assert seen[0][0].base is not shared[0].base
     assert np.array_equal(seen[0][0], shared[0])
+
+
+def test_after_a_two_component_sweep_the_memo_holds_x_only():
+    x, truth = instance()
+    with _shared_grams(x) as view:
+        roc_sweep(view, truth, "sparse-cp-tpa", GRID, CFG, modes=("u",))
+        key, grams, vectors = decompose._GRAMS.get()
+    assert key is view
+    # the (v, w) start of x: one Gram and one vector per mode; the
+    # second components start from residuals, which the memo never sees
+    assert set(grams) == {(2, True), (3, True)}
+    assert set(vectors) == {(2, 1), (3, 1)}
+    for mode in (2, 3):
+        m = matricize(x, mode)
+        lam, vecs = grams[mode, True]
+        assert np.array_equal(lam, np.linalg.eigh(m @ m.T)[0])
+        assert np.array_equal(vectors[mode, 1],
+                              decompose.leading_singular_vectors(m, 1))
+
+
+def _penalty(entry):
+    if entry.penalty == "spec":
+        return PenaltySpec.lasso(u="bic")
+    if entry.penalty == "fixed":
+        return PenaltySpec.lasso(u=0.3)
+    return None
+
+
+def test_every_method_fit_inside_a_block_equals_the_fit_outside():
+    # (9, 3, 3) has a square mode-1 unfolding, whose two Grams differ
+    for shape in ((9, 7, 6), (9, 3, 3)):
+        x, _ = instance(shape=shape)
+        with _shared_grams(x) as view:
+            inside = {name: entry.fit(view, 2, CFG, _penalty(entry))
+                      for name, entry in METHODS.items()}
+        for name, entry in METHODS.items():
+            outside = entry.fit(x, 2, CFG, _penalty(entry))
+            for attr in ("U", "V", "W", "core" if entry.tucker else "d"):
+                assert np.array_equal(getattr(inside[name], attr),
+                                      getattr(outside, attr)), (shape, name)
+            assert inside[name].U.flags.writeable
