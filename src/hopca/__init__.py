@@ -32,10 +32,12 @@ from .evaluate import (
 )
 from .fileio import (
     load_cp_model,
+    load_model,
     load_tucker_model,
     read_matrix_csv,
     read_tensor3,
     save_cp_model,
+    save_model,
     save_tucker_model,
     write_matrix_csv,
     write_tensor3,

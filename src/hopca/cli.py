@@ -18,9 +18,8 @@ import numpy as np
 from . import fileio
 from .decompose import SolverConfig, _reject_unread, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
-from .evaluate import bic_select, default_lambda_grid, variance_explained
+from .evaluate import bic_select, variance_explained
 from .generalized import (
-    QuadOperators,
     SmootherSet,
     general_cp_tpa,
     group_lasso_penalty,
@@ -80,63 +79,58 @@ def _parse_lambda(text: str | None):
     return values[0] if len(values) == 1 else values
 
 
-def _parse_grid(text: str | None):
-    """The --grid flag as :func:`_parse_lambda` reads it, with a level or
-    grid checked by the library's rule (non-negative, strictly
-    increasing) before any input is read."""
+def _parse_grid(text: str | None) -> ModePenalty:
+    """The --grid flag, read as :func:`_parse_lambda` reads a lambda, as
+    the lasso penalty that selects over it: its level or grid is checked
+    by the library's rule (non-negative, strictly increasing) before any
+    input is read, and ``lam`` is None for the default grid."""
     grid = _parse_lambda(text or "bic")
-    if grid != "bic":
-        with _flag_values():
-            ModePenalty("lasso", grid)
-    return grid
+    with _flag_values():
+        return ModePenalty("lasso", None if grid == "bic" else grid)
 
 
 def _parse_ranks(text: str, tucker: bool):
+    # a single K stays an int: Method.fit reads it as (K, K, K) for Tucker
     parts = [_positive_int(tok) for tok in text.split(",") if tok]
-    if tucker:
-        if len(parts) == 1:
-            parts = parts * 3
-        if len(parts) != 3:
-            raise CliError(1, "Tucker methods need --rank K or K1,K2,K3")
+    if len(parts) == 1:
+        return parts[0]
+    if tucker and len(parts) == 3:
         return tuple(parts)
-    if len(parts) != 1:
-        raise CliError(1, "CP-style methods take a single --rank K")
-    return parts[0]
+    raise CliError(1, "Tucker methods need --rank K or K1,K2,K3" if tucker
+                   else "CP-style methods take a single --rank K")
 
 
-def _load_tensor(path):
+def _load(read, path, what: str):
+    """``read(path)``, with a missing or unreadable file as exit 2."""
     try:
-        return fileio.read_tensor3(path)
-    except FileNotFoundError as exc:
-        raise CliError(2, f"input file not found: {path}") from exc
+        return read(path)
     except (OSError, ValueError) as exc:
-        raise CliError(2, f"cannot read tensor {path}: {exc}") from exc
+        raise CliError(2, f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_matrix(path):
-    try:
-        return fileio.read_matrix_csv(path)
-    except FileNotFoundError as exc:
-        raise CliError(2, f"matrix file not found: {path}") from exc
-    except (OSError, ValueError) as exc:
-        raise CliError(2, f"cannot read matrix {path}: {exc}") from exc
-
-
-def _quad_operators(args, dims) -> QuadOperators:
-    mats = []
-    for flag, dim in zip((args.q1, args.q2, args.q3), dims):
-        mats.append(_load_matrix(flag) if flag else np.eye(dim))
-    return QuadOperators(*mats)
-
-
-def _smoothers(args, dims) -> SmootherSet:
-    if args.q1 or args.q2 or args.q3:
-        omegas = []
-        for flag, dim in zip((args.q1, args.q2, args.q3), dims):
-            omegas.append(_load_matrix(flag) if flag else np.zeros((dim, dim)))
-        return SmootherSet(*omegas, alpha=args.alpha)
-    return SmootherSet.second_difference(dims, args.alpha,
-                                         order=args.diff_order)
+def _unread_flags(args, entry) -> list[str]:
+    """The decompose flags given that the registry entry's solver would
+    not read: a lambda without a ``penalty``, a penalty kind where the
+    solver takes no spec (only lasso levels, if any), a matrix file
+    without an ``operator``, a smoother flag without smoothers, a
+    difference order beside roughness files and a group size without
+    groups."""
+    files = {"--q1": args.q1, "--q2": args.q2, "--q3": args.q3}
+    given = {}
+    if not entry.penalty:
+        given.update({"--lambda-u": args.lambda_u, "--lambda-v": args.lambda_v,
+                      "--lambda-w": args.lambda_w})
+    if entry.penalty != "spec":
+        given["--penalty"] = args.penalty != "lasso"
+    if not entry.operator:
+        given.update(files)
+    if entry.operator != "s":
+        given["--alpha"] = args.alpha is not None
+    if entry.operator != "s" or any(files.values()):
+        given["--diff-order"] = args.diff_order is not None
+    if args.penalty != "group":
+        given["--group-size"] = args.group_size is not None
+    return [flag for flag, value in given.items() if value]
 
 
 def _cmd_decompose(args) -> int:
@@ -150,6 +144,9 @@ def _cmd_decompose(args) -> int:
             orthogonalize=args.orthogonalize and method != "tpa"))
     with _flag_values("--init random does not apply to Tucker methods"):
         _reject_unread(SolverConfig(init=args.init), svd_start=tucker)
+    unread = _unread_flags(args, entry)
+    if unread:
+        raise CliError(1, f"{method} does not read {', '.join(unread)}")
     group = args.penalty == "group"
     if group and method != "sparse-cp-tpa":
         raise CliError(1, "the group penalty is available for sparse-cp-tpa")
@@ -158,34 +155,49 @@ def _cmd_decompose(args) -> int:
     lams = [_parse_lambda(v) for v in (args.lambda_u, args.lambda_v,
                                        args.lambda_w)]
     kind = {"nonneg": "nonneg_lasso"}.get(args.penalty, "lasso")
+    alpha = 1.0 if args.alpha is None else args.alpha
     with _flag_values():
         ranks = _parse_ranks(args.rank, tucker)
         # the group levels are checked as lasso levels, then used as given
         pen = PenaltySpec.lasso(*lams, kind=kind) if entry.penalty else None
         if entry.operator == "s":
             # the library's rule for --alpha, checked before any input
-            SmootherSet(*np.zeros((3, 1, 1)), alpha=args.alpha)
-    if (group or entry.penalty == "fixed") and any(
-            p.is_adaptive for p in (pen.u, pen.v, pen.w)):
-        raise CliError(1, f"{method} --penalty {args.penalty} takes fixed "
-                       "scalar lambdas")
-    x = _load_tensor(args.input)
+            SmootherSet(*np.zeros((3, 1, 1)), alpha=alpha)
+    if group or entry.penalty == "fixed":
+        with _flag_values(f"{method} --penalty {args.penalty} takes fixed "
+                          "scalar lambdas"):
+            for mode_pen in pen.by_mode().values():
+                mode_pen.fixed_level()
+    x = _load(fileio.read_tensor3, args.input, "tensor")
     if group:
-        model = _fit_group(x, ranks, lams, args.group_size, cfg)
+        model = _fit_group(x, ranks, lams, args.group_size or 2, cfg)
     else:
-        op = (None if entry.operator is None else
-              {"q": _quad_operators, "s": _smoothers}[entry.operator](
-                  args, x.shape))
-        model = entry.fit(x, ranks, cfg, pen, op)
-
+        mats = [_load(fileio.read_matrix_csv, path, "matrix") if path else None
+                for path in (args.q1, args.q2, args.q3)]
+        model = entry.fit(x, ranks, cfg, pen, entry.build_operator(
+            x.shape, mats, alpha, args.diff_order or 2))
+    fileio.save_model(args.out, model)
+    _name_unconverged(method, model.diagnostics, args.max_iter)
     if tucker:
-        fileio.save_tucker_model(args.out, model)
         print(f"{method}: core norm {frob_norm(model.core):.6g} -> {args.out}")
     else:
-        fileio.save_cp_model(args.out, model)
         weights = " ".join(f"{v:.6g}" for v in model.d)
         print(f"{method}: d = [{weights}] -> {args.out}")
     return 0
+
+
+def _name_unconverged(method, diag, max_iter) -> None:
+    """Name on stderr each component of a deflation fit (numbered in the
+    greedy order of ``trace.csv``), or the ALS or HOOI fit, that stopped
+    at ``max_iter`` iterations before converging."""
+    if "converged_per_component" in diag:
+        flags = diag["converged_per_component"]
+        names = [f"component {k}" for k, ok in enumerate(flags) if not ok]
+    else:
+        names = [] if diag.get("converged", True) else ["the fit"]
+    for name in names:
+        print(f"hopca: {method}: {name} did not converge within --max-iter "
+              f"{max_iter}", file=sys.stderr)
 
 
 def _fit_group(x, ranks, lams, size, cfg):
@@ -241,10 +253,9 @@ def _methods_list(text: str, allowed) -> list[str]:
 def _cmd_table(args) -> int:
     spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, TABLE_METHODS)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid).lam
     result = run_table_experiment(spec, methods, args.replicates, cfg=cfg,
-                                  jobs=args.jobs,
-                                  lam_grid=None if grid == "bic" else grid)
+                                  jobs=args.jobs, lam_grid=grid)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_table_csv(os.path.join(args.out, "metrics.csv"),
                            list(result.header), result.rows)
@@ -265,8 +276,8 @@ def _cmd_table(args) -> int:
 def _cmd_roc(args) -> int:
     spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, ROC_METHODS)
-    grid = _parse_grid(args.grid)
-    grid = None if grid == "bic" else [grid] if np.isscalar(grid) else grid
+    grid = _parse_grid(args.grid).lam
+    grid = None if grid is None else np.atleast_1d(grid)
     result = run_roc_experiment(spec, methods, args.replicates, grid=grid,
                                 cfg=cfg, jobs=args.jobs, points=args.points)
     os.makedirs(args.out, exist_ok=True)
@@ -283,15 +294,8 @@ def _solver_config(args, **settings) -> SolverConfig:
 
 
 def _cmd_varex(args) -> int:
-    x = _load_tensor(args.input)
-    core_path = os.path.join(args.model, "core.t3")
-    try:
-        if os.path.exists(core_path):
-            model = fileio.load_tucker_model(args.model)
-        else:
-            model = fileio.load_cp_model(args.model)
-    except FileNotFoundError as exc:
-        raise CliError(2, f"cannot load model from {args.model}: {exc}") from exc
+    x = _load(fileio.read_tensor3, args.input, "tensor")
+    model = _load(fileio.load_model, args.model, "model")
     report = variance_explained(x, model, args.k)
     os.makedirs(args.out, exist_ok=True)
     rows = [(k + 1, value) for k, value in enumerate(report.cumulative)]
@@ -304,17 +308,13 @@ def _cmd_varex(args) -> int:
 
 def _cmd_bic(args) -> int:
     cfg = _solver_config(args)
-    grid = _parse_grid(args.grid)
-    x = _load_tensor(args.input)
+    pen = _parse_grid(args.grid)
+    x = _load(fileio.read_tensor3, args.input, "tensor")
     fit = tpa_rank_one(x, cfg)
     contraction = {"u": lambda: contract_u(x, fit.v, fit.w),
                    "v": lambda: contract_v(x, fit.u, fit.w),
                    "w": lambda: contract_w(x, fit.u, fit.v)}[args.mode]()
-    if grid == "bic":
-        grid = default_lambda_grid(float(np.max(np.abs(contraction))))
-    elif np.isscalar(grid):
-        grid = [grid]
-    selection = bic_select(x, contraction, grid)
+    selection = bic_select(x, contraction, pen.grid_for(contraction))
     os.makedirs(args.out, exist_ok=True)
     rows = list(zip(selection.grid, selection.bic_values, selection.nnz))
     fileio.write_table_csv(os.path.join(args.out, "bic.csv"),
@@ -356,12 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--lambda-w", dest="lambda_w")
     dec.add_argument("--penalty", choices=("lasso", "nonneg", "group"),
                      default="lasso")
-    dec.add_argument("--group-size", type=_positive_int, default=2)
+    dec.add_argument("--group-size", type=_positive_int,
+                     help="block length of the group penalty (default 2)")
     dec.add_argument("--q1")
     dec.add_argument("--q2")
     dec.add_argument("--q3")
-    dec.add_argument("--alpha", type=float, default=1.0)
-    dec.add_argument("--diff-order", type=int, choices=(2, 4), default=2)
+    dec.add_argument("--alpha", type=float, help="smoother weight "
+                     "(default 1)")
+    dec.add_argument("--diff-order", type=int, choices=(2, 4),
+                     help="difference order of the default smoothers "
+                     "(default 2)")
     dec.add_argument("--init", choices=("hosvd", "random"), default="hosvd")
     dec.add_argument("--orthogonalize", action="store_true")
     add_solver_flags(dec)

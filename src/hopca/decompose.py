@@ -260,6 +260,13 @@ def sort_components(U, V, W, d):
     return U[:, order], V[:, order], W[:, order], np.asarray(d)[order], order
 
 
+def _converged(prev, value, tol) -> bool:
+    """The relative stopping rule: ``value`` is within ``tol * |prev|`` of
+    the previous value ``prev`` (False while there is none)."""
+    return prev is not None and abs(value - prev) <= tol * max(abs(prev),
+                                                               _TINY)
+
+
 def _random_unit(rng, dim):
     vec = rng.standard_normal(dim)
     nrm = np.linalg.norm(vec)
@@ -392,7 +399,7 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
         factors = [f if step is None else np.zeros_like(f)
                    for f, step in zip(factors, steps)]
         diagnostics.update(iterations=0, converged=True, residual_norm=0.0,
-                           lambdas={m: [0.0] for m in _MODES})
+                           lambdas={m: [0.0] * K for m in _MODES})
         return CpModel(*factors, d, diagnostics)
 
     unfoldings = [matricize(x, m) for m in (1, 2, 3)]
@@ -431,7 +438,7 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
         residual_norm=residual_trace[-1],
         residual_trace=np.asarray(residual_trace),
         objective_traces=[np.asarray(objective_trace)],
-        lambdas={m: [lev] for m, lev in zip(_MODES, levels)},
+        lambdas={m: [lev] * K for m, lev in zip(_MODES, levels)},
         nnz=_column_nnz(U, V, W),
     )
     return CpModel(U, V, W, d, diagnostics)
@@ -522,8 +529,7 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
                 trace.append(frob_norm(core))
                 if trace[-1] >= best_norm:
                     best, best_norm = (factors, core, levels), trace[-1]
-                if prev is not None and abs(trace[-1] - prev) <= cfg.tol * max(
-                        prev, _TINY):
+                if _converged(prev, trace[-1], cfg.tol):
                     converged = True
                     break
                 prev = trace[-1]
@@ -587,6 +593,10 @@ class _ModeUpdate:
     level: float = 0.0
     grid: Callable[[np.ndarray], np.ndarray] | None = None
     q: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError("penalty levels must be non-negative")
 
 
 _PLAIN = (_ModeUpdate(),) * 3
@@ -703,8 +713,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
                 trace.append(objective)
             if restart:
                 break
-            if prev is not None and abs(objective - prev) <= cfg.tol * max(
-                    abs(prev), _TINY):
+            if _converged(prev, objective, cfg.tol):
                 converged = True
                 break
             prev = objective
@@ -741,9 +750,7 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     n, p, q = x.shape
     U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K))
     d = np.zeros(K)
-    traces, iters, converged = [], [], []
-    lambdas: dict[str, list[float]] = {m: [] for m in _MODES}
-    nnz: dict[str, list[int]] = {m: [] for m in _MODES}
+    fits = []
     resid = x  # x itself is never written: the first subtraction copies
     truncated_at = None
     for k in range(K):
@@ -753,12 +760,7 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
         basis = ((U[:, :k], V[:, :k], W[:, :k]) if orthogonalize and k
                  else (None, None, None))
         fit = fit_one(resid, rng, basis)
-        traces.append(fit.objective_trace)
-        iters.append(fit.iterations)
-        converged.append(fit.converged)
-        for mode, vec in zip(_MODES, (fit.u, fit.v, fit.w)):
-            lambdas[mode].append(fit.lambdas.get(mode, 0.0))
-            nnz[mode].append(int(np.count_nonzero(vec)))
+        fits.append(fit)
         if fit.d <= 0.0:
             truncated_at = k
             break
@@ -775,11 +777,13 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     U, V, W = canonicalize_cp_signs(U, V, W)
     return CpModel(U, V, W, d, {
         "method": method,
-        "objective_traces": traces,
-        "iterations_per_component": iters,
-        "converged_per_component": converged,
-        "lambdas": lambdas,
-        "nnz": nnz,
+        "objective_traces": [fit.objective_trace for fit in fits],
+        "iterations_per_component": [fit.iterations for fit in fits],
+        "converged_per_component": [fit.converged for fit in fits],
+        "lambdas": {m: [fit.lambdas.get(m, 0.0) for fit in fits]
+                    for m in _MODES},
+        "nnz": {m: [int(np.count_nonzero(getattr(fit, m))) for fit in fits]
+                for m in _MODES},
         "greedy_d": greedy_d,
         "component_order": order,
         "residual_norm": frob_norm(resid),

@@ -220,13 +220,18 @@ def _greedy_match(est_factors, true_factors, k_est, k_true):
         for j in range(k_true):
             score[i, j] = np.mean([abs(_safe_cosine(e[:, i], t[:, j]))
                                    for e, t in zip(est_factors, true_factors)])
-    pairs = []
-    available = score.copy()
-    for _ in range(min(k_est, k_true)):
-        i, j = np.unravel_index(np.argmax(available), available.shape)
-        pairs.append((int(i), int(j)))
-        available[i, :] = -np.inf
-        available[:, j] = -np.inf
+    # best score first; an exact tie goes to the estimated column whose
+    # absolute entries come first, a key that moves with the column and
+    # ignores signs
+    keys = [tuple(np.concatenate([np.abs(e[:, i]) for e in est_factors]))
+            for i in range(k_est)]
+    pairs, rows, cols = [], set(), set()
+    for i, j in sorted(np.ndindex(score.shape),
+                       key=lambda ij: (-score[ij], keys[ij[0]], ij[1])):
+        if i not in rows and j not in cols:
+            pairs.append((i, j))
+            rows.add(i)
+            cols.add(j)
     pairs.sort()
     return pairs
 

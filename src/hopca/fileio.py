@@ -12,6 +12,8 @@ model, ``core.t3`` for a Tucker model), the scalar ``key=value`` lines of
 the fit records objective traces, ``lambdas.csv`` (mode, component,
 lambda) when it records penalty levels, and 0/1 ``support_u.csv``,
 ``support_v.csv`` and ``support_w.csv`` masks for sparse fits.
+:func:`save_model` writes either kind and :func:`load_model` reads it
+back by the weights file it finds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "write_vector_csv",
     "write_diagnostics",
     "read_diagnostics",
+    "save_model",
+    "load_model",
     "save_cp_model",
     "load_cp_model",
     "save_tucker_model",
@@ -205,6 +209,20 @@ def save_tucker_model(dirpath, model: TuckerModel) -> None:
 
 def load_tucker_model(dirpath) -> TuckerModel:
     return _load_model(dirpath, TuckerModel, "core.t3", read_tensor3)
+
+
+def save_model(dirpath, model: CpModel | TuckerModel) -> None:
+    """Write a CP or a Tucker model to ``dirpath`` (see
+    :func:`save_cp_model` and :func:`save_tucker_model`)."""
+    tucker = isinstance(model, TuckerModel)
+    (save_tucker_model if tucker else save_cp_model)(dirpath, model)
+
+
+def load_model(dirpath) -> CpModel | TuckerModel:
+    """Read the model :func:`save_model` wrote to ``dirpath``: a Tucker
+    model when it holds ``core.t3``, else a CP model."""
+    tucker = os.path.exists(os.path.join(dirpath, "core.t3"))
+    return (load_tucker_model if tucker else load_cp_model)(dirpath)
 
 
 def write_table_csv(path, header: list[str], rows) -> None:

@@ -98,8 +98,6 @@ def general_cp_tpa_rank_one(x, penalties, cfg: SolverConfig | None = None
 
 
 def _general_updates(penalties):
-    if min(lam for _, lam in penalties) < 0:
-        raise ValueError("penalty levels must be non-negative")
     return tuple(_ModeUpdate(pen, float(lam)) for pen, lam in penalties)
 
 
@@ -256,10 +254,7 @@ def qnorm_lasso_kkt_residual(y, q, lam: float, u) -> float:
 
 def _quad_updates(q: QuadOperators, lam):
     q.require_positive_definite()
-    lam = tuple(float(v) for v in lam)
-    if min(lam) < 0:
-        raise ValueError("penalty levels must be non-negative")
-    return tuple(_ModeUpdate(_L1, level, q=qi)
+    return tuple(_ModeUpdate(_L1, float(level), q=qi)
                  for qi, level in zip((q.q1, q.q2, q.q3), lam))
 
 

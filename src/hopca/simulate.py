@@ -24,7 +24,7 @@ import numpy as np
 from . import decompose, evaluate, generalized, sparse
 from .decompose import SolverConfig, _shared_grams, contract_u, init_rank_one
 from .evaluate import RocPoint, roc_sweep, support_metrics
-from .sparse import ModePenalty, PenaltySpec
+from .sparse import PenaltySpec
 
 __all__ = [
     "SimScenarioSpec",
@@ -149,16 +149,6 @@ def simulate(spec: SimScenarioSpec, replicate: int | None = None) -> SimTruth:
 # method registry
 
 
-def _penalty_for(spec: SimScenarioSpec, lam_grid) -> PenaltySpec:
-    # BIC-selected lasso on the scenario's sparse modes
-    modes = {m: ModePenalty("lasso", lam_grid if lam_grid is not None
-                            else None)
-             for m in spec.sparse_modes}
-    return PenaltySpec(modes.get("u", ModePenalty()),
-                       modes.get("v", ModePenalty()),
-                       modes.get("w", ModePenalty()))
-
-
 @dataclass(frozen=True)
 class Method:
     """One entry of :data:`METHODS`.
@@ -181,22 +171,36 @@ class Method:
             op=None):
         """Fit at component count ``k`` (an int, or three Tucker ranks).
 
-        Without ``op`` an operator-taking method gets identity quadratic
-        norms or unit-weight second-difference smoothers.
+        Without ``op`` an operator-taking method gets the default of
+        :meth:`build_operator`.
         """
         if self.tucker and np.isscalar(k):
             k = (k, k, k)
-        if op is None and self.operator == "q":
-            op = generalized.QuadOperators.identity(np.shape(x))
-        elif op is None and self.operator == "s":
-            op = generalized.SmootherSet.second_difference(np.shape(x), 1.0)
+        if op is None:
+            op = self.build_operator(np.shape(x))
         return self.call(x, k, pen or PenaltySpec.none(), op, cfg)
 
-
-def _fixed_levels(pen: PenaltySpec) -> tuple[float, float, float]:
-    if any(p.is_adaptive for p in (pen.u, pen.v, pen.w)):
-        raise ValueError("this method takes fixed penalty levels, not a grid")
-    return pen.u.fixed_level(), pen.v.fixed_level(), pen.w.fixed_level()
+    def build_operator(self, dims, mats=(None, None, None),
+                       alpha: float = 1.0, order: int = 2):
+        """The operator the method takes for a tensor of shape ``dims``
+        (None for a method that takes none), from one matrix or None per
+        mode in ``mats``.  A :class:`QuadOperators` reads None as the
+        identity norm.  A :class:`SmootherSet` reads None as zero
+        roughness, and with no matrix at all takes difference roughness
+        of ``order`` (2 or 4) in every mode; its weight is ``alpha``.
+        """
+        if self.operator == "q":
+            return generalized.QuadOperators(*(
+                np.eye(n) if mat is None else mat
+                for n, mat in zip(dims, mats)))
+        if self.operator == "s" and all(mat is None for mat in mats):
+            return generalized.SmootherSet.second_difference(dims, alpha,
+                                                             order=order)
+        if self.operator == "s":
+            return generalized.SmootherSet(*(
+                np.zeros((n, n)) if mat is None else mat
+                for n, mat in zip(dims, mats)), alpha=alpha)
+        return None
 
 
 def _hosvd(x, k, pen, op, cfg):
@@ -218,7 +222,8 @@ METHODS: dict[str, Method] = {
                   operator="q"),
     "sparse-gcp": Method(
         lambda x, k, pen, op, cfg: generalized.sparse_gcp(
-            x, op, k, _fixed_levels(pen), cfg),
+            x, op, k, [p.fixed_level() for p in pen.by_mode().values()],
+            cfg),
         penalty="fixed", operator="q"),
     "fpca": Method(lambda x, k, pen, op, cfg: generalized.fpca(x, op, k, cfg),
                    operator="s"),
@@ -244,8 +249,10 @@ def fit_method(name: str, x, spec: SimScenarioSpec,
     """Fit one registry method at the scenario's component count."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    return METHODS[name].fit(x, spec.k, cfg or SolverConfig(),
-                             _penalty_for(spec, lam_grid))
+    # BIC-selected (or given) lasso levels on the scenario's sparse modes
+    pen = PenaltySpec.lasso(**{m: "bic" if lam_grid is None else lam_grid
+                               for m in spec.sparse_modes})
+    return METHODS[name].fit(x, spec.k, cfg or SolverConfig(), pen)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .decompose import (
     TuckerModel,
     _NO_PENALTY,
     _als,
+    _converged,
     _engine_fit,
     _ModeUpdate,
     _rank_one,
@@ -131,11 +132,17 @@ class ModePenalty:
         return self.kind != "none" and not np.isscalar(self.lam)
 
     def fixed_level(self) -> float:
+        """The mode's level (0 when unpenalized); ValueError for a grid."""
+        if self.is_adaptive:
+            raise ValueError("this method takes fixed penalty levels, "
+                             "not a grid")
         return 0.0 if self.kind == "none" else float(self.lam)
 
     def grid_for(self, contraction: np.ndarray) -> np.ndarray:
+        """The levels to select over: the given level or grid, or the
+        default grid anchored at the zeroing level of ``contraction``."""
         if self.lam is not None:
-            return np.asarray(self.lam, dtype=float)
+            return np.atleast_1d(np.asarray(self.lam, dtype=float))
         lam_max = float(np.max(np.abs(contraction))) if np.any(contraction) else 0.0
         return default_lambda_grid(lam_max)
 
@@ -217,8 +224,7 @@ def sparse_cp_tpa_rank_one(x, lam=(0.0, 0.0, 0.0),
     x = check_tensor3(x)
     cfg = cfg or SolverConfig()
     lam_u, lam_v, lam_w = (float(v) for v in lam)
-    pen = PenaltySpec(ModePenalty("lasso", lam_u), ModePenalty("lasso", lam_v),
-                      ModePenalty("lasso", lam_w))
+    pen = PenaltySpec.lasso(lam_u, lam_v, lam_w)
     return _rank_one(x, _mode_updates(pen), cfg, cfg.rng())
 
 
@@ -279,27 +285,25 @@ def _mode_steps(pen: PenaltySpec, make):
 
 def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
     """ALS step for one penalized mode: the whole-factor lasso at the fixed
-    level, or at the level BIC selects over the mode's grid (descending,
-    each solve warm-started from the previous one)."""
+    level, or at the level BIC selects over the mode's grid (solved in
+    descending order, each solve warm-started from the previous one)."""
     if not mode_pen.is_adaptive:
         level = mode_pen.fixed_level()
         return lambda gram, corr, warm: (
             lasso_coordinate_descent(gram, corr, level, warm=warm), level)
 
     def step(gram, corr, warm):
-        grid = mode_pen.grid_for(corr)
-        best = (np.inf, 0.0, None)
+        grid = np.sort(mode_pen.grid_for(corr))
+        coefs, values = [None] * grid.size, np.empty(grid.size)
         coef = warm
-        for lam in np.sort(grid)[::-1]:
-            lam = float(lam)
-            coef = lasso_coordinate_descent(gram, corr, lam, warm=coef)
-            resid_sq = (norm_sq - 2.0 * float(np.sum(coef * corr))
-                        + float(np.sum((coef @ gram) * coef)))
-            bic = _bic(resid_sq, np.count_nonzero(coef), size)
-            # descending grid: strict improvement keeps ties at larger lam
-            if bic < best[0]:
-                best = (bic, lam, coef.copy())
-        return best[2], best[1]
+        for i in reversed(range(grid.size)):
+            coef = coefs[i] = lasso_coordinate_descent(gram, corr,
+                                                       float(grid[i]), coef)
+            values[i] = _bic(norm_sq - 2.0 * float(np.sum(coef * corr))
+                             + float(np.sum((coef @ gram) * coef)),
+                             np.count_nonzero(coef), size)
+        best = _bic_argmin(values)
+        return coefs[best], float(grid[best])
 
     return step
 
@@ -353,11 +357,7 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
     adaptive = left_pen.is_adaptive
     lam_left = 0.0 if adaptive else left_pen.fixed_level()
     v = leading_singular_vectors(m.T, 1, eig=eig)[:, 0]
-    u = np.zeros(m.shape[0])
-    trace = []
-    prev = None
-    converged = False
-    iterations = 0
+    trace, prev, converged = [], None, False
     for iterations in range(1, cfg.max_iter + 1):
         c = m @ v
         if adaptive:
@@ -366,26 +366,23 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
             lam_left = float(grid[_bic_argmin(values)])
         u, nrm = normalize_or_zero(threshold(c, lam_left))
         if nrm == 0.0:
-            return SparsePcaFit(np.zeros(m.shape[0]), np.zeros(m.shape[1]),
-                                0.0, iterations, True, np.asarray(trace),
-                                lam_left, lam_right)
+            break
         trace.append(float(u @ c) - lam_left * float(np.sum(np.abs(u)))
                      - lam_right * float(np.sum(np.abs(v))))
         cv = m.T @ u
         v, nrm = normalize_or_zero(soft_threshold(cv, lam_right))
         if nrm == 0.0:
-            return SparsePcaFit(np.zeros(m.shape[0]), np.zeros(m.shape[1]),
-                                0.0, iterations, True, np.asarray(trace),
-                                lam_left, lam_right)
+            break
         objective = (float(v @ cv) - lam_left * float(np.sum(np.abs(u)))
                      - lam_right * float(np.sum(np.abs(v))))
         trace.append(objective)
-        if prev is not None and abs(objective - prev) <= cfg.tol * max(
-                abs(prev), _TINY):
+        if _converged(prev, objective, cfg.tol):
             converged = True
             break
         prev = objective
-    d = float(u @ m @ v)
+    if nrm == 0.0:  # a fully thresholded factor: the zero fit
+        u, v, converged = np.zeros(m.shape[0]), np.zeros(m.shape[1]), True
+    d = float(u @ m @ v) if nrm else 0.0
     return SparsePcaFit(u, v, d, iterations, converged, np.asarray(trace),
                         lam_left, lam_right)
 

@@ -348,3 +348,103 @@ def test_table_with_one_working_method_exits_zero(tmp_path, monkeypatch):
                  "tpa,hosvd", "--replicates", "1", "--out", str(out)])
     assert code == 0
     assert (out / "failures.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--method", "cp-als", "--lambda-u", "0.3"], "--lambda-u"),
+    (["--method", "hooi", "--lambda-w", "bic"], "--lambda-w"),
+    (["--method", "tpa", "--penalty", "nonneg"], "--penalty"),
+    (["--method", "cp-als", "--penalty", "group"], "--penalty"),
+    (["--method", "sparse-gcp", "--lambda-u", "0.3", "--penalty", "nonneg"],
+     "--penalty"),
+    (["--method", "tpa", "--q1", "nofile.csv"], "--q1"),
+    (["--method", "hosvd", "--q3", "nofile.csv"], "--q3"),
+    (["--method", "gcp", "--alpha", "2"], "--alpha"),
+    (["--method", "tpa", "--diff-order", "4"], "--diff-order"),
+    (["--method", "fpca", "--q1", "nofile.csv", "--diff-order", "4"],
+     "--diff-order"),
+    (["--method", "sparse-cp-tpa", "--lambda-u", "0.4", "--group-size", "3"],
+     "--group-size"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_flag_the_method_does_not_read_exits_one(tmp_path, capsys, argv,
+                                                 flag):
+    # the registry entry's penalty and operator fields decide, before the
+    # input (here missing) or a matrix file (never opened) is read
+    out = tmp_path / "out"
+    code = main(["decompose", *argv, "--input", str(tmp_path / "none.t3"),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{argv[1]} does not read {flag}" in err
+    assert not out.exists()
+
+
+def test_sparse_gcp_with_a_bic_level_exits_one(tmp_path, capsys):
+    # sparse-gcp takes fixed levels: the library's fixed_level rule decides
+    out = tmp_path / "out"
+    code = main(["decompose", "--method", "sparse-gcp", "--lambda-u", "bic",
+                 "--input", str(tmp_path / "none.t3"), "--out", str(out)])
+    assert code == 1
+    assert "takes fixed scalar lambdas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "gcp", "--q2", "Q2"],
+    ["--method", "fpca", "--alpha", "0.5", "--diff-order", "4"],
+    ["--method", "fpca-halfsmooth", "--q2", "Q2", "--alpha", "0.5"],
+    ["--method", "sparse-cp-tpa", "--penalty", "nonneg", "--lambda-u", "0.1"],
+    ["--method", "sparse-hooi", "--lambda-v", "bic"],
+], ids=" ".join)
+def test_flags_the_method_reads_are_accepted(rank_one_file, tmp_path, argv):
+    path, _ = rank_one_file
+    fileio.write_matrix_csv(tmp_path / "Q2", 2.0 * np.eye(7))
+    argv = [str(tmp_path / "Q2") if arg == "Q2" else arg for arg in argv]
+    out = tmp_path / "model"
+    assert main(["decompose", *argv, "--input", str(path),
+                 "--out", str(out)]) == 0
+    assert (out / "U.csv").exists()
+
+
+def _noisy_rank_one_file(tmp_path):
+    rng = np.random.default_rng(9)
+    u, v, w = unit(rng, 8), unit(rng, 7), unit(rng, 6)
+    x = outer3(u, v, w, 30.0) + 0.1 * rng.standard_normal((8, 7, 6))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    return path
+
+
+@pytest.mark.parametrize("method, extra, named", [
+    ("sparse-cp-tpa", ["--lambda-u", "bic"], "component 0"),
+    ("tpa", [], "component 1"),
+    ("cp-als", [], "the fit"),
+    ("sparse-cp-als", ["--lambda-u", "0.1"], "the fit"),
+    ("hooi", [], "the fit"),
+    ("fpca-halfsmooth", [], "the fit"),
+])
+def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, method, extra,
+                                            named):
+    out = tmp_path / "model"
+    code = main(["decompose", "--method", method, "--rank", "2",
+                 "--max-iter", "1", *extra,
+                 "--input", str(_noisy_rank_one_file(tmp_path)),
+                 "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert f"hopca: {method}: {named} did not converge within --max-iter 1" \
+        in err
+    assert (out / "U.csv").exists()
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("tpa", []), ("sparse-cp-tpa", ["--lambda-u", "0.5"]), ("cp-als", []),
+    ("hooi", []), ("hosvd", []), ("sparse-hosvd", ["--lambda-u", "bic"]),
+])
+def test_converged_fit_prints_nothing_on_stderr(rank_one_file, tmp_path,
+                                                capsys, method, extra):
+    path, _ = rank_one_file
+    code = main(["decompose", "--method", method, "--rank", "1", *extra,
+                 "--input", str(path), "--out", str(tmp_path / "model")])
+    assert code == 0
+    assert capsys.readouterr().err == ""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopca.decompose import CpModel, hosvd
@@ -249,6 +249,7 @@ def random_sparse_factors(rng, dim, k):
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*(st.integers(2, 8) for _ in range(3))), st.integers(1, 3),
        st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(shape=(2, 2, 8), k_true=2, k_est=3, seed=100000)
 def test_support_metrics_invariant_to_permutation_and_paired_flips(
         shape, k_true, k_est, seed):
     rng = np.random.default_rng(seed)
