@@ -34,7 +34,7 @@ from .simulate import (
     run_table_experiment,
     simulate,
 )
-from .sparse import ModePenalty, PenaltySpec
+from .sparse import ModePenalty, PenaltySpec, _require_lasso
 from .tensor3 import frob_norm
 
 
@@ -160,6 +160,8 @@ def _cmd_decompose(args) -> int:
         ranks = _parse_ranks(args.rank, tucker)
         # the group levels are checked as lasso levels, then used as given
         pen = PenaltySpec.lasso(*lams, kind=kind) if entry.penalty else None
+        if method == "sparse-cp-als":
+            _require_lasso(pen)
         if entry.operator == "s":
             # the library's rule for --alpha, checked before any input
             SmootherSet(*np.zeros((3, 1, 1)), alpha=alpha)

@@ -6,14 +6,22 @@ share.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
-:func:`_shared_grams`, which a table replicate and a ROC sweep open
-around their fits of one tensor, the Gram eigendecomposition of each
-unfolding of that tensor is computed once, and so are the singular
-vectors taken from it.  Every SVD start of the tensor reads them: the
-(v, w) start of the power scheme, the CP-ALS start, the HOSVD start of
-the Tucker methods and the first right vector of the penalized PCA.
-The memo lives in a ``ContextVar``, so other threads and contexts never
-see it, and it serves that one tensor only, never a residual.
+:func:`_shared_grams`, which a table replicate, a ROC sweep and every
+deflation open around their fits of one tensor, the Gram
+eigendecomposition of each unfolding of that tensor is computed once,
+and so are the singular vectors taken from it.  Every SVD start of the
+tensor reads them: the (v, w) start of the power scheme, the CP-ALS
+start, the HOSVD start of the Tucker methods and the first right vector
+of the penalized PCA.  The memo lives in a ``ContextVar``, so other
+threads and contexts never see it, and it serves that one tensor only,
+never a residual.
+
+Deflation does not form its residual either.  Each later component is
+fit to ``x`` and the terms accepted so far (:class:`_Terms`): every
+contraction is the contraction of ``x`` less the terms' share, the SVD
+start is an eigendecomposition of the memo's Gram of ``x`` updated by
+the terms, and the norm BIC reads is in closed form.  Only a residual
+that has nearly vanished, or a tall unfolding's start, is formed.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -306,19 +314,23 @@ def _read_only(a):
     return a
 
 
-def _gram_eig(x, mode, m, right=False):
+def _gram_eig(x, mode, m=None, right=False):
     """``eigh`` of the Gram matrix :func:`leading_singular_vectors` forms
     of ``m``, the mode unfolding of ``x`` (of ``m.T`` with ``right``),
     from the memo of a block open on ``x``; None outside one.  The two
     sides of a non-square ``m`` share its smaller Gram; a square ``m``
-    keeps m m^T and m^T m apart."""
+    keeps m m^T and m^T m apart.  Without ``m`` the unfolding is formed
+    only when the Gram is not memoized yet."""
     memo = _GRAMS.get()
     if memo is None or memo[0] is not x:
         return None
-    a = m.T if right else m
-    wide = a.shape[0] <= a.shape[1]
+    rows = x.shape[mode - 1]
+    cols = x.size // rows
+    wide = cols <= rows if right else rows <= cols
     key = (mode, wide != right)  # True: m m^T, False: m^T m
     if key not in memo[1]:
+        a = matricize(x, mode) if m is None else m
+        a = a.T if right else a
         memo[1][key] = tuple(_read_only(e) for e in np.linalg.eigh(
             a @ a.T if wide else a.T @ a))
     return memo[1][key]
@@ -626,23 +638,133 @@ def _feasible_start(vec, upd):
     return normalize_or_zero(proj)
 
 
-def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
+class _Terms:
+    """The terms ``d_j u_j o v_j o w_j`` a deflation has accepted, which
+    stand for the residual ``R = x - sum_j d_j u_j o v_j o w_j`` without
+    forming it.
+
+    Each term keeps the x-contractions ``contract_v(x, u_j, w_j)`` and
+    ``contract_w(x, u_j, v_j)``, taken once when it is accepted.  From
+    them, the factors and the memo's Grams of ``x`` follow every
+    contraction of ``R``, its norm and its SVD start, by the unfolding
+    algebra of Kolda & Bader (2009, section 4).  ``x`` is only read.
+    """
+
+    def __init__(self, x, K):
+        n, p, q = x.shape
+        self.x, self.k = x, 0
+        self.norm_sq_x = frob_norm(x) ** 2
+        self.d = np.zeros(K)
+        self.factors = (np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K)))
+        self._cv, self._cw = np.zeros((p, K)), np.zeros((q, K))
+
+    def accept(self, fit: RankOneFit) -> None:
+        k = self.k
+        for f, col in zip(self.factors, (fit.u, fit.v, fit.w)):
+            f[:, k] = col
+        self.d[k] = fit.d
+        self._cv[:, k] = contract_v(self.x, fit.u, fit.w)
+        self._cw[:, k] = contract_w(self.x, fit.u, fit.v)
+        self.k += 1
+
+    def accepted(self):
+        """(U, V, W, d) of the accepted terms."""
+        return (*(f[:, :self.k] for f in self.factors), self.d[:self.k])
+
+    def correction(self, m, qf):
+        """The terms' share of the mode-``m`` contraction against the
+        other two modes' entries of ``qf``: the contraction of ``x``
+        less this is the contraction of ``R``."""
+        *f, d = self.accepted()
+        a, b = (o for o in range(3) if o != m)
+        return f[m] @ (d * (f[a].T @ qf[a]) * (f[b].T @ qf[b]))
+
+    def norm_sq(self) -> float:
+        """``||R||^2 = ||x||^2 - 2 sum_j d_j <x, t_j> + d^T (U^T U * V^T V
+        * W^T W) d`` for the unit terms ``t_j``."""
+        U, V, W, d = self.accepted()
+        inner = np.einsum("jk,jk->k", V, self._cv[:, :self.k])
+        cross = (U.T @ U) * (V.T @ V) * (W.T @ W)
+        return self.norm_sq_x - 2.0 * float(d @ inner) + float(d @ cross @ d)
+
+    def residual(self):
+        """``R`` formed: each term subtracted from ``x`` in turn."""
+        resid = self.x
+        U, V, W, d = self.accepted()
+        for j in range(self.k):
+            term = np.multiply.outer(np.outer(U[:, j], V[:, j]), W[:, j])
+            term *= d[j]
+            if resid is self.x:
+                resid = self.x - term
+            else:
+                resid -= term
+        return resid
+
+    def target(self):
+        """What the next component is fit on and with which terms: ``x``
+        with these, or with none before the first.  When ``||R||^2`` is at
+        most ``_GRAM_RCOND ||x||^2`` its closed form has lost its digits,
+        so ``R`` is formed and returned with none."""
+        if not self.k:
+            return self.x, None
+        if self.norm_sq() > _GRAM_RCOND * self.norm_sq_x:
+            return self.x, self
+        return self.residual(), None
+
+    def start(self, mode):
+        """The leading left singular vector of the mode-``mode`` (2 or 3)
+        unfolding of ``R``, signed as :func:`leading_singular_vectors`
+        signs it.
+
+        For a wide unfolding ``R_(m) = X_(m) - A D B^T`` (A the mode's
+        factors, B the Khatri-Rao product of the other two) its Gram is
+        ``G - A D C^T - C D A^T + A D M D A^T`` with ``G`` the memo's Gram
+        of ``x``, ``C = X_(m) B`` the kept contractions and ``M = B^T B``
+        the Hadamard product of the other two factor Grams: one small
+        ``eigh``.  A tall unfolding, or an updated top eigenvalue below
+        ``_GRAM_RCOND`` times ``G``'s (the subtraction then keeps too few
+        digits), takes the full route on ``R`` formed.
+        """
+        U, V, W, d = self.accepted()
+        a, c, other = ((V, self._cv[:, :self.k], W) if mode == 2
+                       else (W, self._cw[:, :self.k], V))
+        rows = self.x.shape[mode - 1]
+        if rows <= self.x.size // rows:
+            lam, vecs = _gram_eig(self.x, mode)
+            ad = a * d
+            ac = ad @ c.T
+            gram = ((vecs * lam) @ vecs.T - ac - ac.T
+                    + ad @ ((U.T @ U) * (other.T @ other)) @ ad.T)
+            lam_r, vecs_r = np.linalg.eigh(gram)
+            if lam_r[-1] >= _GRAM_RCOND * lam[-1]:
+                top = vecs_r[:, -1:]
+                return (top * _column_signs(top))[:, 0]
+        return leading_singular_vectors(matricize(self.residual(), mode),
+                                        1)[:, 0]
+
+
+def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
+              terms: _Terms | None = None) -> RankOneFit:
     """Penalized rank-one fit by alternating factor updates.
 
     Each sweep updates u, v and w in turn as ``updates`` describe; with
     fixed levels every update increases the penalized (q-weighted)
     contraction ``<x, u o v o w> - sum level * P(factor)``, recorded in
     the objective trace.  ``basis`` holds previous same-mode factors
-    that each update is projected against before normalization.  A
-    factor that vanishes at level 0 restarts the fit from a random start
-    (up to five times, then the zero fit); one that vanishes at a
-    positive level ends it with the zero fit.
+    that each update is projected against before normalization.  With
+    ``terms`` the fit is of the residual they leave of ``x``: every
+    contraction, the SVD start and the norm BIC reads are the
+    residual's, from :class:`_Terms`.  A factor that vanishes at level 0
+    restarts the fit from a random start (up to five times, then the
+    zero fit); one that vanishes at a positive level ends it with the
+    zero fit.
     """
     _reject_unread(cfg)
     if any(upd.q is not None for upd in updates):
         from .generalized import _power_lambda_max, qnorm_lasso_solve
-    norm_sq = (frob_norm(x) ** 2 if any(upd.grid is not None
-                                        for upd in updates) else None)
+    norm_sq = None
+    if any(upd.grid is not None for upd in updates):
+        norm_sq = frob_norm(x) ** 2 if terms is None else terms.norm_sq()
     lips: list[float | None] = [None, None, None]
     warm: list[np.ndarray | None] = [None, None, None]
     lam = [0.0, 0.0, 0.0]
@@ -680,7 +802,11 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
 
     for attempt in range(6):  # the configured start plus 5 random restarts
         lam[:] = [upd.level for upd in updates]
-        v0, w0 = init_rank_one(x, cfg.init if attempt == 0 else "random", rng)
+        init = cfg.init if attempt == 0 else "random"
+        if terms is not None and init == "hosvd":
+            v0, w0 = terms.start(2), terms.start(3)
+        else:
+            v0, w0 = init_rank_one(x, init, rng)
         (v, nv), (w, nw) = (_feasible_start(v0, updates[1]),
                             _feasible_start(w0, updates[2]))
         if nv == 0.0 or nw == 0.0:
@@ -701,6 +827,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
                     c = np.tensordot(xw, qf[0], axes=(0, 0))
                 else:
                     c = contract_w(x, qf[0], qf[1])
+                if terms is not None:
+                    c = c - terms.correction(m, qf)
                 f, nrm = update(m, c)
                 if nrm == 0.0:
                     if lam[m] > 0.0:
@@ -726,54 +854,57 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None)) -> RankOneFit:
 
 def _engine_fit(updates, cfg):
     """The rank-one engine with fixed updates, as ``fit_one`` for deflate."""
-    return lambda resid, rng, basis: _rank_one(resid, updates, cfg, rng, basis)
+    return lambda x, terms, rng, basis: _rank_one(x, updates, cfg, rng, basis,
+                                                  terms)
 
 
 def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
             orthogonalize: bool = False) -> CpModel:
-    """Greedy K-component CP model: rank-one fits on running residuals.
+    """Greedy K-component CP model: each component is a rank-one fit of
+    the residual the earlier ones leave, which is never formed on the
+    normal path.
 
-    ``fit_one(residual, rng, basis)`` returns a :class:`RankOneFit` with
-    unit (or zero) factors; ``basis`` holds the previous factors per mode
-    when ``orthogonalize`` is set, else Nones.  The generator from
-    ``cfg`` is shared by all components.  The first component is fit on
-    ``x`` itself, which is read and never written.  A zero tensor or a
-    zero fit truncates the model (remaining columns zero-filled,
-    ``truncated_at`` set).  Components are sorted by descending weight;
-    the per-component diagnostics stay in the greedy order, which
-    ``component_order`` maps.
+    ``fit_one(x, terms, rng, basis)`` returns a :class:`RankOneFit` with
+    unit (or zero) factors of the residual that ``terms`` (a
+    :class:`_Terms`, None for the first component) leave of ``x``;
+    ``basis`` holds the previous factors per mode when ``orthogonalize``
+    is set, else Nones.  The fits run in a :func:`_shared_grams` block on
+    ``x``, which is only read, so each later SVD start is an update of
+    the memo's Grams of ``x``; only a nearly vanished residual is formed,
+    and given to ``fit_one`` as ``x`` with no terms (see
+    :meth:`_Terms.target`).  The generator from ``cfg`` is shared by all
+    components.  A zero tensor or a zero fit truncates the model
+    (remaining columns zero-filled, ``truncated_at`` set).  Components
+    are sorted by descending weight; the per-component diagnostics stay
+    in the greedy order, which ``component_order`` maps.
     """
     x = check_tensor3(x)
     if K < 1:
         raise ValueError("K must be >= 1")
     rng = cfg.rng()
-    n, p, q = x.shape
-    U, V, W = np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K))
-    d = np.zeros(K)
     fits = []
-    resid = x  # x itself is never written: the first subtraction copies
     truncated_at = None
-    for k in range(K):
-        if frob_norm(resid) == 0.0:
-            truncated_at = k
-            break
-        basis = ((U[:, :k], V[:, :k], W[:, :k]) if orthogonalize and k
-                 else (None, None, None))
-        fit = fit_one(resid, rng, basis)
-        fits.append(fit)
-        if fit.d <= 0.0:
-            truncated_at = k
-            break
-        U[:, k], V[:, k], W[:, k], d[k] = fit.u, fit.v, fit.w, fit.d
-        term = np.multiply.outer(np.outer(fit.u, fit.v), fit.w)
-        term *= fit.d
-        if resid is x:
-            resid = x - term
-        else:
-            resid -= term
+    with _shared_grams(x) as x:
+        terms = _Terms(x, K)
+        for k in range(K):
+            target, given = terms.target()
+            if given is None and frob_norm(target) == 0.0:
+                truncated_at = k
+                break
+            basis = (terms.accepted()[:3] if orthogonalize and k
+                     else (None, None, None))
+            fit = fit_one(target, given, rng, basis)
+            fits.append(fit)
+            if fit.d <= 0.0:
+                truncated_at = k
+                break
+            terms.accept(fit)
+        target, given = terms.target()
+        residual_norm = (frob_norm(target) if given is None
+                         else float(np.sqrt(terms.norm_sq())))
 
-    greedy_d = d.copy()
-    U, V, W, d, order = sort_components(U, V, W, d)
+    greedy_d = terms.d.copy()
+    U, V, W, d, order = sort_components(*terms.factors, terms.d)
     U, V, W = canonicalize_cp_signs(U, V, W)
     return CpModel(U, V, W, d, {
         "method": method,
@@ -786,7 +917,7 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
                 for m in _MODES},
         "greedy_d": greedy_d,
         "component_order": order,
-        "residual_norm": frob_norm(resid),
+        "residual_norm": residual_norm,
         "truncated_at": truncated_at,
     })
 

@@ -464,8 +464,10 @@ def fpca(x, s: SmootherSet, K: int, cfg: SolverConfig | None = None
     """Deflated multi-component functional fit, reported in normalized form."""
     cfg = cfg or SolverConfig()
 
-    def fit_one(resid, rng, basis):
-        fit = _fpca_rank_one(resid, s, cfg, rng)
+    def fit_one(x, terms, rng, basis):
+        # half-smoothing maps the whole tensor, so the residual is formed
+        fit = _fpca_rank_one(x if terms is None else terms.residual(), s,
+                             cfg, rng)
         return RankOneFit(*fit.normalized(), fit.iterations, fit.converged,
                           fit.objective_trace)
 

@@ -308,6 +308,13 @@ def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
     return step
 
 
+def _require_lasso(pen: PenaltySpec) -> None:
+    """Raise ValueError for a penalty kind :func:`sparse_cp_als` cannot
+    solve: its coordinate descent takes only lasso penalties."""
+    if any(p.kind == "nonneg_lasso" for p in pen.by_mode().values()):
+        raise ValueError("sparse_cp_als supports only lasso penalties")
+
+
 def sparse_cp_als(x, K: int, pen: PenaltySpec | None = None,
                   cfg: SolverConfig | None = None) -> CpModel:
     """Alternating lasso updates of the CP factors.
@@ -322,9 +329,7 @@ def sparse_cp_als(x, K: int, pen: PenaltySpec | None = None,
     """
     x = check_tensor3(x)
     pen = pen or PenaltySpec.none()
-    for mode_pen in pen.by_mode().values():
-        if mode_pen.kind == "nonneg_lasso":
-            raise ValueError("sparse_cp_als supports only lasso penalties")
+    _require_lasso(pen)
     norm_sq = frob_norm(x) ** 2
     model = _als(x, K, cfg or SolverConfig(), "sparse-cp-als", _mode_steps(
         pen, lambda p: _lasso_step(p, norm_sq, x.size)))

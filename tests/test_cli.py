@@ -448,3 +448,14 @@ def test_converged_fit_prints_nothing_on_stderr(rank_one_file, tmp_path,
                  "--input", str(path), "--out", str(tmp_path / "model")])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_sparse_cp_als_with_a_nonneg_penalty_exits_one(tmp_path, capsys):
+    # the solver's lasso-only rule decides before the (missing) input is read
+    out = tmp_path / "out"
+    code = main(["decompose", "--method", "sparse-cp-als", "--penalty",
+                 "nonneg", "--lambda-u", "0.1",
+                 "--input", str(tmp_path / "none.t3"), "--out", str(out)])
+    assert code == 1
+    assert "supports only lasso penalties" in capsys.readouterr().err
+    assert not out.exists()
