@@ -29,6 +29,7 @@ computation order preserved in the diagnostics.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -165,20 +166,29 @@ class RankOneFit:
 # shared numerical helpers
 
 
+def _times_w(x, w):
+    """x contracted along mode 3 with ``w``: n x p matrix."""
+    n, p, q = x.shape
+    return np.dot(x.reshape(n * p, q), w).reshape(n, p)
+
+
 def contract_u(x, v, w):
-    """x contracted along modes 2 and 3: length-n vector."""
-    return np.tensordot(np.tensordot(x, w, axes=(2, 0)), v, axes=(1, 0))
+    """x contracted along modes 2 and 3: length-n vector (x is not copied
+    when C-contiguous)."""
+    return np.dot(_times_w(x, w), v)
 
 
 def contract_v(x, u, w):
-    """x contracted along modes 1 and 3: length-p vector."""
-    return np.tensordot(np.tensordot(x, w, axes=(2, 0)), u, axes=(0, 0))
+    """x contracted along modes 1 and 3: length-p vector (x is not copied
+    when C-contiguous)."""
+    return np.dot(_times_w(x, w).T, u)
 
 
 def contract_w(x, u, v):
-    """x contracted along modes 1 and 2: length-q vector."""
-    # mode 1 first: the tensor is read in place, never transposed into a copy
-    return np.tensordot(np.tensordot(u, x, axes=(0, 0)), v, axes=(0, 0))
+    """x contracted along modes 1 and 2: length-q vector (x is not copied
+    when C-contiguous)."""
+    n, p, q = x.shape
+    return np.dot(np.dot(u, x.reshape(n, p * q)).reshape(p, q).T, v)
 
 
 def leading_singular_vectors(m, k, return_values=False, eig=None):
@@ -235,7 +245,7 @@ def _complete_orthonormal(basis, k):
 
 def normalize_or_zero(vec):
     """Rescale to unit norm, or return the zero vector unchanged."""
-    nrm = float(np.linalg.norm(vec))
+    nrm = math.sqrt(np.dot(vec, vec))
     if nrm <= _TINY:
         return np.zeros_like(vec), 0.0
     return vec / nrm, nrm
@@ -621,7 +631,7 @@ def _project_out(vec, basis):
 
 
 def _q_normalize(y, q):
-    nrm = float(np.sqrt(max(float(y @ (q @ y)), 0.0)))
+    nrm = math.sqrt(max(float(y @ (q @ y)), 0.0))
     if nrm <= _TINY:
         return np.zeros_like(y), 0.0
     return y / nrm, nrm
@@ -819,12 +829,12 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         trace, prev, converged, restart = [], None, False, False
         for iterations in range(1, cfg.max_iter + 1):
             # x contracted with w feeds both the u- and the v-update
-            xw = np.tensordot(x, qf[2], axes=(2, 0))
+            xw = _times_w(x, qf[2])
             for m in range(3):
                 if m == 0:
-                    c = np.tensordot(xw, qf[1], axes=(1, 0))
+                    c = np.dot(xw, qf[1])
                 elif m == 1:
-                    c = np.tensordot(xw, qf[0], axes=(0, 0))
+                    c = np.dot(xw.T, qf[0])
                 else:
                     c = contract_w(x, qf[0], qf[1])
                 if terms is not None:

@@ -200,8 +200,10 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     minimizer up to the rounding of one linear solve, so the result is
     exact rather than up to 1e-10 off in KKT terms.
     Without ``lipschitz`` q is checked by a Cholesky factorization.
-    ``start`` warm-starts the iteration (the minimizer is unique, so
-    this affects only the iteration count).
+    ``start`` warm-starts the iteration: its own sign pattern gives the
+    first candidate, before any step, and a start that is the minimizer
+    comes back in zero steps (the minimizer is unique, so a start
+    affects only the iteration count).
     """
     y = np.asarray(y, dtype=float).ravel()
     q = np.asarray(q, dtype=float)
@@ -220,8 +222,9 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     u = np.zeros_like(y) if start is None else np.asarray(start,
                                                           dtype=float).copy()
     qy = q @ y
-    for step in range(1, 100001):
-        u = soft_threshold(u - (q @ u - qy) / lip, lam / lip)
+    for step in range(int(start is None), 100001):
+        if step:
+            u = soft_threshold(u - (q @ u - qy) / lip, lam / lip)
         if step % _KKT_CHECK_EVERY:
             continue
         theta = np.sign(u)
@@ -229,7 +232,7 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
         candidate = np.zeros_like(y)
         rhs = qy[active] - lam * theta[active]
         try:
-            candidate[active] = np.linalg.solve(q[np.ix_(active, active)], rhs)
+            candidate[active] = np.linalg.solve(q[active][:, active], rhs)
         except np.linalg.LinAlgError:  # q_AA singular: q is not definite
             pass
         else:

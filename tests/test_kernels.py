@@ -1,6 +1,7 @@
 """The contraction and norm kernels against independent references, on
-every memory layout a caller can hand them, and every solver on a
-read-only input."""
+every memory layout a caller can hand them, every solver on a read-only
+input, the warm start of the q-weighted lasso, and the rank-one engine
+without ``np.tensordot``."""
 
 import math
 
@@ -9,9 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopca.decompose import SolverConfig, contract_u, contract_v, contract_w
+from hopca import generalized
+from hopca.decompose import (
+    SolverConfig,
+    contract_u,
+    contract_v,
+    contract_w,
+    normalize_or_zero,
+    tpa_rank_one,
+)
+from hopca.generalized import QuadOperators, gcp_rank_one, sparse_gcp_rank_one
 from hopca.simulate import METHODS
-from hopca.sparse import PenaltySpec
+from hopca.sparse import PenaltySpec, soft_threshold, sparse_cp_tpa_rank_one
 from hopca.tensor3 import frob_norm
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -50,6 +60,23 @@ def test_contractions_match_einsum(shape, seed, layout):
                 np.einsum("ijk,i,k->j", ax, au, aw))
     check_close(contract_w(x, u, v), np.einsum("ijk,i,j->k", x, u, v),
                 np.einsum("ijk,i,j->k", ax, au, av))
+
+
+@PROPERTY
+@given(shapes, seeds, layouts)
+def test_contractions_are_the_products_tensordot_forms(shape, seed, layout):
+    # bit for bit: the kernels skip np.tensordot's overhead, not its sums
+    x = tensor(shape, seed, layout)
+    rng = np.random.default_rng(seed + 1)
+    u, v, w = (rng.standard_normal(dim) for dim in shape)
+    xw = np.tensordot(x, w, axes=(2, 0))
+    assert np.array_equal(contract_u(x, v, w),
+                          np.tensordot(xw, v, axes=(1, 0)))
+    assert np.array_equal(contract_v(x, u, w),
+                          np.tensordot(xw, u, axes=(0, 0)))
+    assert np.array_equal(contract_w(x, u, v), np.tensordot(
+        np.tensordot(u, x, axes=(0, 0)), v, axes=(0, 0)))
+    assert normalize_or_zero(u)[1] == float(np.linalg.norm(u))
 
 
 @PROPERTY
@@ -93,3 +120,47 @@ def test_solvers_read_a_read_only_tensor(name, pen):
     last = "core" if METHODS[name].tucker else "d"
     for attr in ("U", "V", "W", last):
         assert np.array_equal(getattr(model, attr), getattr(fresh, attr))
+
+
+def random_pd(rng, dim):
+    g = rng.standard_normal((dim, dim))
+    return g @ g.T / dim + 0.5 * np.eye(dim)
+
+
+@PROPERTY
+@given(st.integers(2, 8), seeds, st.floats(0.0, 1.0))
+def test_a_warm_start_at_the_minimizer_takes_no_step(dim, seed, frac):
+    rng = np.random.default_rng(seed)
+    q, y = random_pd(rng, dim), rng.standard_normal(dim)
+    lam = frac * float(np.max(np.abs(q @ y)))
+    cold = generalized.qnorm_lasso_solve(y, q, lam)
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return soft_threshold(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generalized, "soft_threshold", counted)
+        warm = generalized.qnorm_lasso_solve(y, q, lam, start=cold)
+    assert np.array_equal(warm, cold)
+    assert not steps
+
+
+@pytest.mark.parametrize("fit_rank_one", [
+    lambda x, q: tpa_rank_one(x),
+    lambda x, q: sparse_cp_tpa_rank_one(x, (0.3, 0.2, 0.1)),
+    lambda x, q: gcp_rank_one(x, q),
+    lambda x, q: sparse_gcp_rank_one(x, q, (0.3, 0.2, 0.1)),
+], ids=["tpa", "sparse-cp-tpa", "gcp", "sparse-gcp"])
+def test_the_rank_one_engine_calls_no_tensordot(monkeypatch, fit_rank_one):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, 5, 4))
+    q = QuadOperators(*(random_pd(rng, dim) for dim in x.shape))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    fit = fit_rank_one(x, q)
+    assert fit.d > 0.0 and fit.iterations > 1
