@@ -70,7 +70,6 @@ from .simulate import (
     SimTruth,
     run_roc_experiment,
     run_table_experiment,
-    simulate,
 )
 from .sparse import (
     ModePenalty,
@@ -93,7 +92,6 @@ from .tensor3 import (
     mode_mult,
     outer3,
     qnorm3,
-    tensor3,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fileio
-from .decompose import SolverConfig, _reject_unread, tpa_rank_one
+from .decompose import CpModel, SolverConfig, _reject_unread, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
 from .evaluate import bic_select, variance_explained
 from .generalized import (
@@ -224,18 +224,14 @@ def _scenario_spec(args) -> SimScenarioSpec:
 def _cmd_simulate(args) -> int:
     spec = _scenario_spec(args)
     truth = simulate(spec)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_tensor3(os.path.join(args.out, "x.t3"), truth.x)
-    fileio.write_tensor3(os.path.join(args.out, "signal.t3"), truth.x_signal)
-    for name, factor in (("U", truth.U), ("V", truth.V), ("W", truth.W)):
-        fileio.write_matrix_csv(os.path.join(args.out, f"{name}.csv"), factor)
-    fileio.write_vector_csv(os.path.join(args.out, "d.csv"), truth.d)
-    fileio.write_supports(args.out, [truth.supports[m] for m in "uvw"])
-    fileio.write_diagnostics(os.path.join(args.out, "spec.txt"), {
+    # the truth is a sparse CP model; its reconstruction is the noise-free
+    # signal, and the spec rides in its diagnostics
+    fileio.save_model(args.out, CpModel(truth.U, truth.V, truth.W, truth.d, {
         "scenario": spec.scenario, "k": spec.k, "sparsity": spec.sparsity,
         "signal": spec.signal, "seed": spec.seed, "noise": spec.noise,
-        "dims": "x".join(str(d) for d in spec.dims),
-    })
+        "dims": "x".join(str(d) for d in spec.dims), "sparse": True,
+    }))
+    fileio.write_tensor3(os.path.join(args.out, "x.t3"), truth.x)
     print(f"scenario {spec.scenario} ({'x'.join(map(str, spec.dims))}) "
           f"-> {args.out}")
     return 0

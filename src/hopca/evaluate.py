@@ -9,7 +9,7 @@ core norm over the squared tensor norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,24 +207,21 @@ class RecoveryMetrics:
     k_mismatch: bool = False
 
 
-def _safe_cosine(a, b) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
+def _cosines(est, true) -> np.ndarray:
+    """Cosine of every (estimated, true) column pair of one mode, 0 where
+    a column is zero.  Each entry is a sum over rows in row order, so it
+    moves with its column and flips exactly with its sign."""
+    dots = np.sum(est[:, :, None] * true[:, None, :], axis=0)
+    norms = np.outer(np.linalg.norm(est, axis=0), np.linalg.norm(true, axis=0))
+    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0)
 
 
-def _greedy_match(est_factors, true_factors, k_est, k_true):
-    score = np.zeros((k_est, k_true))
-    for i in range(k_est):
-        for j in range(k_true):
-            score[i, j] = np.mean([abs(_safe_cosine(e[:, i], t[:, j]))
-                                   for e, t in zip(est_factors, true_factors)])
-    # best score first; an exact tie goes to the estimated column whose
-    # absolute entries come first, a key that moves with the column and
-    # ignores signs
-    keys = [tuple(np.concatenate([np.abs(e[:, i]) for e in est_factors]))
-            for i in range(k_est)]
+def _greedy_match(score, est_factors):
+    """One-to-one (estimated, true) pairs by the ``score`` matrix, best
+    first, as two index arrays in estimated order."""
+    # an exact tie goes to the estimated column whose absolute entries
+    # come first, a key that moves with the column and ignores signs
+    keys = [tuple(col) for col in np.abs(np.concatenate(est_factors)).T]
     pairs, rows, cols = [], set(), set()
     for i, j in sorted(np.ndindex(score.shape),
                        key=lambda ij: (-score[ij], keys[ij[0]], ij[1])):
@@ -232,8 +229,15 @@ def _greedy_match(est_factors, true_factors, k_est, k_true):
             pairs.append((i, j))
             rows.add(i)
             cols.add(j)
-    pairs.sort()
-    return pairs
+    return np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+
+
+def _rate(hits, pool) -> np.ndarray:
+    """Per column, the fraction of ``pool`` entries that are ``hits``;
+    NaN for an empty pool."""
+    total = np.sum(pool, axis=0)
+    return np.divide(np.sum(hits, axis=0), total,
+                     out=np.full(total.shape, np.nan), where=total > 0)
 
 
 def _true_supports(truth):
@@ -260,34 +264,23 @@ def support_metrics(estimated, truth) -> RecoveryMetrics:
 
 def _support_rates(estimated, truth) -> RecoveryMetrics:
     """``support_metrics`` without the reconstruction error (``mse`` NaN)."""
-    est_factors = (estimated.U, estimated.V, estimated.W)
+    k_est = estimated.U.shape[1]
+    est_factors = [f[:, :k_est] for f in (estimated.U, estimated.V,
+                                          estimated.W)]
     true_factors = (truth.U, truth.V, truth.W)
     for e, t in zip(est_factors, true_factors):
         if e.shape[0] != t.shape[0]:
             raise ValueError("estimated and true factor dims differ")
-    k_est = est_factors[0].shape[1]
-    k_true = true_factors[0].shape[1]
-    pairs = _greedy_match(est_factors, true_factors, k_est, k_true)
-    supports = _true_supports(truth)
-    matched = len(pairs)
-    tp = np.full((3, matched), np.nan)
-    fp = np.full((3, matched), np.nan)
-    signs = np.zeros((3, matched))
-    permutation = np.array([j for _, j in pairs], dtype=int)
-    for col, (i, j) in enumerate(pairs):
-        for m, (est, sup) in enumerate(zip(est_factors, supports)):
-            est_nz = est[:, i] != 0
-            true_nz = sup[:, j]
-            n_true = int(np.sum(true_nz))
-            n_zero = int(np.sum(~true_nz))
-            if n_true:
-                tp[m, col] = float(np.sum(est_nz & true_nz)) / n_true
-            if n_zero:
-                fp[m, col] = float(np.sum(est_nz & ~true_nz)) / n_zero
-            signs[m, col] = np.sign(_safe_cosine(
-                est_factors[m][:, i], true_factors[m][:, j])) or 1.0
-    return RecoveryMetrics(tp, fp, np.nan, permutation, signs, matched,
-                           k_mismatch=(k_est != k_true))
+    cosines = [_cosines(e, t) for e, t in zip(est_factors, true_factors)]
+    rows, cols = _greedy_match(np.mean(np.abs(cosines), axis=0), est_factors)
+    est_nz = [e[:, rows] != 0 for e in est_factors]
+    true_nz = [sup[:, cols] for sup in _true_supports(truth)]
+    tp = np.array([_rate(e & t, t) for e, t in zip(est_nz, true_nz)])
+    fp = np.array([_rate(e & ~t, ~t) for e, t in zip(est_nz, true_nz)])
+    signs = np.array([cos[rows, cols] for cos in cosines])
+    return RecoveryMetrics(tp, fp, np.nan, cols,
+                           np.where(signs == 0, 1.0, np.sign(signs)),
+                           rows.size, k_mismatch=(k_est != truth.U.shape[1]))
 
 
 def signal_mse(estimated, truth) -> float:
@@ -311,16 +304,15 @@ class RocPoint:
 
 
 def _thresholded_copy(model, modes: Sequence[str], fraction: float):
-    import copy
-
-    out = copy.deepcopy(model)
-    for mode in modes:
-        factor = getattr(out, {"u": "U", "v": "V", "w": "W"}[mode])
-        for k in range(factor.shape[1]):
-            col = factor[:, k]
-            top = np.max(np.abs(col)) if np.any(col) else 0.0
-            col[np.abs(col) <= fraction * top] = 0.0
-    return out
+    """A shallow copy of ``model`` whose factors in ``modes`` are zero
+    where an entry is at most ``fraction`` of its column's largest
+    magnitude."""
+    factors = {}
+    for name in map(str.upper, modes):
+        mag = np.abs(getattr(model, name))
+        factors[name] = np.where(mag <= fraction * np.max(mag, axis=0), 0.0,
+                                 getattr(model, name))
+    return replace(model, **factors)
 
 
 # unregularized fits that the naive baselines threshold
@@ -390,9 +382,5 @@ def roc_dominance_fraction(fp_a, tp_a, fp_b, tp_b) -> float:
     order = np.argsort(fp_b)
     fp_b = np.asarray(fp_b, dtype=float)[order]
     tp_b = np.asarray(tp_b, dtype=float)[order]
-    wins = 0
-    for fp, tp in zip(fp_a, tp_a):
-        rival = np.interp(fp, fp_b, tp_b)
-        if tp >= rival - 1e-9:
-            wins += 1
-    return wins / max(fp_a.size, 1)
+    wins = np.count_nonzero(tp_a >= np.interp(fp_a, fp_b, tp_b) - 1e-9)
+    return int(wins) / max(fp_a.size, 1)

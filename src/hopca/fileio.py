@@ -42,7 +42,6 @@ __all__ = [
     "save_tucker_model",
     "load_tucker_model",
     "write_table_csv",
-    "write_supports",
 ]
 
 _VALUES_PER_LINE = 8
@@ -149,15 +148,6 @@ def read_diagnostics(path) -> dict[str, str]:
     return out
 
 
-def write_supports(dirpath, factors) -> None:
-    """Write the 0/1 support mask of each factor (u, v, w order) to
-    ``support_u.csv``, ``support_v.csv`` and ``support_w.csv``."""
-    for mode, factor in zip(_MODES, factors):
-        np.savetxt(os.path.join(dirpath, f"support_{mode}.csv"),
-                   (np.asarray(factor) != 0).astype(int), fmt="%d",
-                   delimiter=",")
-
-
 def _save_model(dirpath, model, weights_file, write_weights, weights) -> None:
     os.makedirs(dirpath, exist_ok=True)
     factors = (model.U, model.V, model.W)
@@ -179,7 +169,10 @@ def _save_model(dirpath, model, weights_file, write_weights, weights) -> None:
         write_table_csv(os.path.join(dirpath, "lambdas.csv"),
                         ["mode", "component", "lambda"], rows)
     if diag.get("sparse", False):
-        write_supports(dirpath, factors)
+        for mode, factor in zip(_MODES, factors):
+            np.savetxt(os.path.join(dirpath, f"support_{mode}.csv"),
+                       (np.asarray(factor) != 0).astype(int), fmt="%d",
+                       delimiter=",")
 
 
 def _load_model(dirpath, cls, weights_file, read_weights):

@@ -191,14 +191,15 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     its sign pattern.  Every ``_KKT_CHECK_EVERY`` steps the iterate's
     signs theta and support A give a candidate: ``u_A`` solves
     ``q_AA u_A = (q y)_A - lam theta_A`` and u is zero off A.  The
-    candidate is returned when its KKT residual is at most 1e-10 (a
-    coordinate whose solved sign differs from theta shows a residual of
-    at least lam, so the residual alone decides).  Otherwise the stop is
-    the plain one: the iterate itself is returned once its own KKT
-    residual is at most 1e-10, or after 100000 steps.  Once proximal
-    gradient has found the minimizer's signs the candidate is the
-    minimizer up to the rounding of one linear solve, so the result is
-    exact rather than up to 1e-10 off in KKT terms.
+    candidate is returned when its signs are theta and its KKT residual
+    is at most 1e-10 (a coordinate whose solved sign differs from theta
+    shows a residual of about 2 lam, which that bound alone misses for
+    a level below it).  Otherwise the stop is the plain one: the iterate
+    itself is returned once its own KKT residual is at most 1e-10, or
+    after 100000 steps.  Once proximal gradient has found the
+    minimizer's signs the candidate is the minimizer up to the rounding
+    of one linear solve, so the result is exact rather than up to 1e-10
+    off in KKT terms.
     Without ``lipschitz`` q is checked by a Cholesky factorization.
     ``start`` warm-starts the iteration: its own sign pattern gives the
     first candidate, before any step, and a start that is the minimizer
@@ -236,7 +237,8 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
         except np.linalg.LinAlgError:  # q_AA singular: q is not definite
             pass
         else:
-            if qnorm_lasso_kkt_residual(y, q, lam, candidate) <= 1e-10:
+            if (qnorm_lasso_kkt_residual(y, q, lam, candidate) <= 1e-10
+                    and (np.sign(candidate) == theta).all()):
                 return candidate
         if qnorm_lasso_kkt_residual(y, q, lam, u) <= 1e-10:
             break

@@ -137,8 +137,8 @@ def simulate(spec: SimScenarioSpec, replicate: int | None = None) -> SimTruth:
         else:
             factors[mode] = _dense_factors(rng, dim, spec.k)
     d = spec.d
-    x_signal = np.einsum("ik,jk,lk,k->ijl", factors["u"], factors["v"],
-                         factors["w"], d, optimize=True)
+    x_signal = decompose.CpModel(*(factors[m] for m in _MODES),
+                                 d).reconstruct()
     x = x_signal + spec.noise * rng.standard_normal(dims)
     supports = {m: factors[m] != 0 for m in _MODES}
     return SimTruth(spec, factors["u"], factors["v"], factors["w"], d,

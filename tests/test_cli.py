@@ -7,6 +7,8 @@ import pytest
 
 from hopca import fileio
 from hopca.cli import main
+from hopca.decompose import CpModel
+from hopca.simulate import SimScenarioSpec, simulate
 from hopca.tensor3 import outer3
 
 
@@ -32,6 +34,25 @@ def test_simulate_is_deterministic(tmp_path):
     for name in ("x.t3", "U.csv", "d.csv", "support_u.csv"):
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                            shallow=False)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_simulate_writes_the_truth_as_a_model(tmp_path, k):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "2", "--k", str(k), "--seed", "7",
+                 "--out", str(out)]) == 0
+    model = fileio.load_model(out)
+    assert isinstance(model, CpModel)
+    spec = SimScenarioSpec(scenario=2, k=k, seed=7)
+    assert (model.reconstruct().tobytes()
+            == simulate(spec).x_signal.tobytes())
+    assert model.diagnostics == {
+        "scenario": "2", "k": str(k), "sparsity": "0.5", "signal": "high",
+        "seed": "7", "noise": "1", "dims": "1000x20x20", "sparse": "true"}
+    assert main(["varex", "--input", str(out / "x.t3"), "--model", str(out),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert not (out / "signal.t3").exists()
+    assert not (out / "spec.txt").exists()
 
 
 def test_decompose_tpa_rank_one(rank_one_file, tmp_path):

@@ -1,11 +1,13 @@
 """The fit digest that ``tools/fit_digest.py`` prints for each fit."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
 from hopca.decompose import tpa
+from hopca.evaluate import support_metrics
 from hopca.generalized import SmootherSet, fpca_rank_one
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fit_digest.py"
@@ -26,3 +28,14 @@ def test_a_fit_has_one_digest_and_another_fit_another():
     assert digest(tpa(x + 1e-12, 2)) != first
     s = SmootherSet.second_difference(x.shape, 1.0)
     assert digest(fpca_rank_one(x, s)) == digest(fpca_rank_one(x, s))
+
+
+def test_support_scores_have_one_digest_and_other_scores_another():
+    score_digest = load_tool().score_digest
+    x = np.random.default_rng(6).standard_normal((5, 4, 3))
+    truth = tpa(x, 2)
+    scores = support_metrics(tpa(x, 2), truth)
+    assert score_digest(scores) == score_digest(support_metrics(tpa(x, 2),
+                                                                truth))
+    flipped = dataclasses.replace(scores, signs=-scores.signs)
+    assert score_digest(flipped) != score_digest(scores)

@@ -3,7 +3,9 @@
 No linter runs on the package, so this stands in for the unused-import
 rule: a name counts as used when the module reads it anywhere (a load,
 an attribute base or an annotation) or lists it in ``__all__``.
-``__init__.py`` only re-exports, so it is exempt.
+``__init__.py`` only re-exports, so it is exempt.  The package binds no
+function under a submodule's name, so ``import hopca.<module> as m``
+binds the module.
 """
 
 import ast
@@ -43,3 +45,11 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_as_binds_the_submodule():
+    import hopca.simulate as hs
+    import hopca.tensor3 as t3
+
+    assert hs.SimScenarioSpec.__module__ == "hopca.simulate"
+    assert t3.check_tensor3.__module__ == "hopca.tensor3"

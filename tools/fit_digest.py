@@ -6,7 +6,10 @@ and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC lasso on
 the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on u), and
 every fit of the benchmark's mono-small instance set (seed 2024, pass
 0).  A digest covers the factors, the weights or the core, and the
-objective traces, as raw float64 bytes.
+objective traces, as raw float64 bytes.  Each scenario fit also gets a
+``support`` line: one digest of its ``support_metrics`` against the
+simulated truth (tp, fp, mse, permutation and signs), so that recovery
+scores are diffed the same way.
 
 Usage, from the repository root::
 
@@ -36,6 +39,17 @@ def digest(fit) -> str:
     else:
         arrays = [fit.u, fit.v, fit.w, getattr(fit, "d", 0.0),
                   fit.objective_trace]
+    return _sha256(arrays)
+
+
+def score_digest(metrics) -> str:
+    """SHA-256 over a :class:`RecoveryMetrics`' tp, fp, mse, permutation
+    and signs."""
+    return _sha256([metrics.tp, metrics.fp, metrics.mse,
+                    metrics.permutation, metrics.signs])
+
+
+def _sha256(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -45,21 +59,23 @@ def digest(fit) -> str:
 
 
 def scenario_fits():
-    """(label, fit) for every registry method on scenarios 1 and 2."""
+    """(label, fit, truth) for every registry method on scenarios 1
+    and 2."""
     from hopca.decompose import SolverConfig
     from hopca.simulate import METHODS, SimScenarioSpec, fit_method, simulate
     from hopca.sparse import PenaltySpec
 
     for scenario in (1, 2):
         spec = SimScenarioSpec(scenario, seed=SEED)
-        x = simulate(spec).x
+        truth = simulate(spec)
+        x = truth.x
         for name, entry in METHODS.items():
             cfg = SolverConfig(max_iter=100)
             if name == "sparse-gcp":
                 fit = entry.fit(x, spec.k, cfg, PenaltySpec.lasso(u=0.3))
             else:
                 fit = fit_method(name, x, spec, cfg)
-            yield f"s{scenario} {name}", fit
+            yield f"s{scenario} {name}", fit, truth
 
 
 def mono_small_fits():
@@ -84,9 +100,14 @@ def mono_small_fits():
 
 
 def main() -> int:
-    for fits in (scenario_fits(), mono_small_fits()):
-        for label, fit in fits:
-            print(f"{digest(fit)}  {label}", flush=True)
+    from hopca.evaluate import support_metrics
+
+    for label, fit, truth in scenario_fits():
+        print(f"{digest(fit)}  {label}", flush=True)
+        print(f"{score_digest(support_metrics(fit, truth))}  {label} support",
+              flush=True)
+    for label, fit in mono_small_fits():
+        print(f"{digest(fit)}  {label}", flush=True)
     return 0
 
 
