@@ -189,17 +189,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _name_unconverged(method, diag, max_iter) -> None:
-    """Name on stderr each component of a deflation fit (numbered in the
-    greedy order of ``trace.csv``), or the ALS or HOOI fit, that stopped
-    at ``max_iter`` iterations before converging."""
-    if "converged_per_component" in diag:
-        flags = diag["converged_per_component"]
-        names = [f"component {k}" for k, ok in enumerate(flags) if not ok]
-    else:
-        names = [] if diag.get("converged", True) else ["the fit"]
-    for name in names:
-        print(f"hopca: {method}: {name} did not converge within --max-iter "
-              f"{max_iter}", file=sys.stderr)
+    """Name on stderr each loop of the fit (numbered in run order, as in
+    ``trace.csv``) that stopped at ``max_iter`` sweeps before
+    converging."""
+    for k, converged in enumerate(diag["converged"]):
+        if not converged:
+            print(f"hopca: {method}: loop {k} did not converge within "
+                  f"--max-iter {max_iter}", file=sys.stderr)
 
 
 def _fit_group(x, ranks, lams, size, cfg):

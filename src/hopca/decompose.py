@@ -285,6 +285,50 @@ def _converged(prev, value, tol) -> bool:
                                                                _TINY)
 
 
+class _Loop:
+    """One run of an alternating loop: the sweeps it ran, whether its
+    stopping rule held, and its objective trace.
+
+    ``for _ in loop.sweeps()`` counts the sweeps off, at most
+    ``cfg.max_iter``, and ends after the sweep whose :meth:`stop` held;
+    a loop marked ``converged`` before it starts runs none.  ``rule(prev,
+    value, tol)`` is the stopping rule (:func:`_converged` unless given),
+    applied to each sweep's value and the one before it.
+    """
+
+    def __init__(self, cfg: SolverConfig, objective_trace=(),
+                 rule=_converged):
+        self.max_iter, self.tol, self.rule = cfg.max_iter, cfg.tol, rule
+        self.iterations, self.converged = 0, False
+        self.objective_trace = list(objective_trace)
+        self._prev = None
+
+    def sweeps(self):
+        while not self.converged and self.iterations < self.max_iter:
+            self.iterations += 1
+            yield self.iterations
+
+    def stop(self, value) -> None:
+        """Apply the stopping rule to this sweep's ``value``."""
+        self.converged = self.rule(self._prev, value, self.tol)
+        self._prev = value
+
+
+def _diagnostics(method: str, loops, lambdas, nnz, **extras) -> dict:
+    """The diagnostics of every model: its ``method``; per loop, in run
+    order, its ``iterations``, ``converged`` flag and objective trace
+    (``objective_traces``), from each loop's fields of those names (a
+    :class:`_Loop`, :class:`RankOneFit` or penalized-PCA fit); the
+    penalty ``lambdas`` and ``nnz`` per mode; then the method's
+    ``extras``."""
+    return {"method": method,
+            "iterations": [loop.iterations for loop in loops],
+            "converged": [bool(loop.converged) for loop in loops],
+            "objective_traces": [np.asarray(loop.objective_trace, dtype=float)
+                                 for loop in loops],
+            "lambdas": lambdas, "nnz": nnz, **extras}
+
+
 def _random_unit(rng, dim):
     vec = rng.standard_normal(dim)
     nrm = np.linalg.norm(vec)
@@ -408,62 +452,52 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
     factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
     d = np.zeros(K)
     levels = [0.0, 0.0, 0.0]
-    diagnostics: dict[str, Any] = {"method": method, "used_pinv": False}
+    used_pinv = False
 
     def exact(gram, corr, warm):
+        nonlocal used_pinv
         if np.linalg.cond(gram) < 1e12:
             return np.linalg.solve(gram, corr.T).T, 0.0
-        diagnostics["used_pinv"] = True
+        used_pinv = True
         return corr @ np.linalg.pinv(gram), 0.0
 
+    # the absolute rule on the relative residual, not _converged
+    loop = _Loop(cfg, rule=lambda prev, value, tol: (
+        prev is not None and abs(prev - value) < tol))
     norm_x = frob_norm(x)
-    if norm_x == 0.0:
+    residual_trace = []
+    if norm_x == 0.0:  # the zero fit, from no sweep
         factors = [f if step is None else np.zeros_like(f)
                    for f, step in zip(factors, steps)]
-        diagnostics.update(iterations=0, converged=True, residual_norm=0.0,
-                           lambdas={m: [0.0] * K for m in _MODES})
-        return CpModel(*factors, d, diagnostics)
-
-    unfoldings = [matricize(x, m) for m in (1, 2, 3)]
-    residual_trace, objective_trace = [], []
-    prev_obj = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        for m in range(3):
-            # design matrix for our fiber order is kron(b_k, a_k) per column
-            a, b = (f for o, f in enumerate(factors) if o != m)
-            gram = (a.T @ a) * (b.T @ b)
-            corr = unfoldings[m] @ khatri_rao(b, a)
-            scaled, levels[m] = (steps[m] or exact)(gram, corr,
-                                                    factors[m] * d)
-            d = np.linalg.norm(scaled, axis=0)
-            live = d > _TINY
-            factors[m][:, live] = scaled[:, live] / d[live]
-            if steps[m] is not None:
-                factors[m][:, ~live] = 0.0
-        resid = frob_norm(x - CpModel(*factors, d).reconstruct())
-        residual_trace.append(resid)
-        objective_trace.append(0.5 * resid ** 2 + sum(
-            lev * float(np.sum(np.abs(f))) for lev, f in zip(levels, factors)))
-        obj = resid / norm_x
-        if prev_obj is not None and abs(prev_obj - obj) < cfg.tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    U, V, W, d, order = sort_components(*factors, d)
-    U, V, W = canonicalize_cp_signs(U, V, W)
-    diagnostics.update(
-        iterations=iterations,
-        converged=converged,
-        residual_norm=residual_trace[-1],
-        residual_trace=np.asarray(residual_trace),
-        objective_traces=[np.asarray(objective_trace)],
-        lambdas={m: [lev] * K for m, lev in zip(_MODES, levels)},
-        nnz=_column_nnz(U, V, W),
-    )
-    return CpModel(U, V, W, d, diagnostics)
+        loop.converged = True
+    else:
+        unfoldings = [matricize(x, m) for m in (1, 2, 3)]
+        for _ in loop.sweeps():
+            for m in range(3):
+                # design matrix of our fiber order: kron(b_k, a_k) per column
+                a, b = (f for o, f in enumerate(factors) if o != m)
+                gram = (a.T @ a) * (b.T @ b)
+                corr = unfoldings[m] @ khatri_rao(b, a)
+                scaled, levels[m] = (steps[m] or exact)(gram, corr,
+                                                        factors[m] * d)
+                d = np.linalg.norm(scaled, axis=0)
+                live = d > _TINY
+                factors[m][:, live] = scaled[:, live] / d[live]
+                if steps[m] is not None:
+                    factors[m][:, ~live] = 0.0
+            resid = frob_norm(x - CpModel(*factors, d).reconstruct())
+            residual_trace.append(resid)
+            loop.objective_trace.append(0.5 * resid ** 2 + sum(
+                lev * float(np.sum(np.abs(f)))
+                for lev, f in zip(levels, factors)))
+            loop.stop(resid / norm_x)
+        *factors, d, _ = sort_components(*factors, d)
+        factors = canonicalize_cp_signs(*factors)
+    return CpModel(*factors, d, _diagnostics(
+        method, [loop], {m: [lev] * K for m, lev in zip(_MODES, levels)},
+        _column_nnz(*factors), used_pinv=used_pinv,
+        residual_norm=residual_trace[-1] if residual_trace else 0.0,
+        residual_trace=np.asarray(residual_trace)))
 
 
 def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
@@ -497,7 +531,7 @@ def _tucker_core(x, U, V, W):
 
 
 def _svd_step(m, k):
-    return leading_singular_vectors(m, k), [0.0] * k
+    return leading_singular_vectors(m, k), [0.0] * k, []
 
 
 def _tucker(x, ranks, method: str, steps=(None, None, None),
@@ -505,62 +539,63 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
     """Tucker factors from one step per mode: HOSVD, then with ``cfg``
     HOOI sweeps under its iteration controls.
 
-    ``steps[m](unfolding, rank)`` returns ``rank`` factor columns and the
-    penalty level of each; a None step takes the leading singular
-    vectors.  The HOSVD start runs the steps on the unfoldings of ``x``
-    and passes each the memo's ``eig`` of its unfolding's transpose (see
-    :func:`_gram_eig`) as a third argument; each sweep re-estimates
-    every factor from ``x`` projected onto the other two.  Convergence
-    (relative core-norm change below ``tol``) is first checked at sweep
-    2.  The sweep with the largest core norm is returned, ties going to
-    the later sweep; the core-norm trace starts with the HOSVD start.
+    ``steps[m](unfolding, rank)`` returns ``rank`` factor columns, the
+    penalty level of each and the loops it ran; a None step takes the
+    leading singular vectors and runs none.  The HOSVD start runs the
+    steps on the unfoldings of ``x`` and passes each the memo's ``eig``
+    of its unfolding's transpose (see :func:`_gram_eig`) as a third
+    argument; each sweep re-estimates every factor from ``x`` projected
+    onto the other two.  Convergence (relative core-norm change below
+    ``tol``) is first checked at sweep 2.  The sweep with the largest
+    core norm is returned, ties going to the later sweep.  The model's
+    loops are the steps' loops of the returned sweep, then with ``cfg``
+    the sweeps, whose objective trace is the core norm of the HOSVD start
+    and of each sweep.
     """
     x = check_tensor3(x)
     ranks = _check_ranks(x, ranks)
     if cfg is not None:
         _reject_unread(cfg, svd_start=True)
-    factors, levels = [], {}
+    factors, levels, loops = [], {}, []
     for m, (step, k) in enumerate(zip(steps, ranks)):
         if step is None:  # a copy: the model's factors are not the memo's
-            f, lev = np.array(_unfolding_vectors(x, m + 1, k)), [0.0] * k
+            f, lev, ran = (np.array(_unfolding_vectors(x, m + 1, k)),
+                           [0.0] * k, [])
         else:
             unfolding = matricize(x, m + 1)
-            f, lev = step(unfolding, k,
-                          _gram_eig(x, m + 1, unfolding, right=True))
+            f, lev, ran = step(unfolding, k,
+                               _gram_eig(x, m + 1, unfolding, right=True))
         factors.append(f)
         levels[_MODES[m]] = lev
+        loops += ran
     steps = [step or _svd_step for step in steps]
     core = _tucker_core(x, *factors)
-    diagnostics: dict[str, Any] = {"method": method}
+    extras = {}
     if cfg is not None:
-        trace = [frob_norm(core)]
-        best, best_norm = (factors, core, levels), trace[0]
-        iterations, converged = 0, True
-        if frob_norm(x) > 0.0:
-            prev, converged = None, False
-            for iterations in range(1, cfg.max_iter + 1):
-                factors, levels = list(factors), dict(levels)
-                for m in range(3):
-                    y = x
-                    for o in range(3):
-                        if o != m:
-                            y = mode_mult(y, factors[o].T, o + 1)
-                    factors[m], levels[_MODES[m]] = steps[m](
-                        matricize(y, m + 1), ranks[m])
-                core = mode_mult(y, factors[2].T, 3)
-                trace.append(frob_norm(core))
-                if trace[-1] >= best_norm:
-                    best, best_norm = (factors, core, levels), trace[-1]
-                if _converged(prev, trace[-1], cfg.tol):
-                    converged = True
-                    break
-                prev = trace[-1]
-        factors, core, levels = best
-        diagnostics.update(iterations=iterations, converged=converged,
-                           core_norm=best_norm,
-                           core_norm_trace=np.asarray(trace))
-    diagnostics.update(lambdas=levels, nnz=_column_nnz(*factors))
-    return TuckerModel(*factors, core, diagnostics)
+        loop = _Loop(cfg, [frob_norm(core)])
+        loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
+        best, best_norm = (factors, core, levels, loops), frob_norm(core)
+        for _ in loop.sweeps():
+            factors, levels, loops = list(factors), dict(levels), []
+            for m in range(3):
+                y = x
+                for o in range(3):
+                    if o != m:
+                        y = mode_mult(y, factors[o].T, o + 1)
+                factors[m], levels[_MODES[m]], ran = steps[m](
+                    matricize(y, m + 1), ranks[m])
+                loops += ran
+            core = mode_mult(y, factors[2].T, 3)
+            norm = frob_norm(core)
+            loop.objective_trace.append(norm)
+            if norm >= best_norm:
+                best, best_norm = (factors, core, levels, loops), norm
+            loop.stop(norm)
+        factors, core, levels, loops = best
+        loops = [*loops, loop]
+        extras["core_norm"] = best_norm
+    return TuckerModel(*factors, core, _diagnostics(
+        method, loops, levels, _column_nnz(*factors), **extras))
 
 
 def hosvd(x, ranks) -> TuckerModel:
@@ -802,13 +837,13 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
     def penalty(m, f):
         return lam[m] * updates[m].prox.evaluate(f) if lam[m] else 0.0
 
-    iterations = 0
-    trace: list[float] = []
+    loop = _Loop(cfg)
 
     def zero_fit():
         return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                          np.zeros(x.shape[2]), 0.0, iterations, True,
-                          np.asarray(trace), dict(zip(_MODES, lam)))
+                          np.zeros(x.shape[2]), 0.0, loop.iterations, True,
+                          np.asarray(loop.objective_trace),
+                          dict(zip(_MODES, lam)))
 
     for attempt in range(6):  # the configured start plus 5 random restarts
         lam[:] = [upd.level for upd in updates]
@@ -826,8 +861,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         # each mode's penalty value; an update changes only its own
         # mode's factor and level, so only that entry is recomputed
         pens = [penalty(m, f) for m, f in enumerate(factors)]
-        trace, prev, converged, restart = [], None, False, False
-        for iterations in range(1, cfg.max_iter + 1):
+        loop, restart = _Loop(cfg), False
+        for _ in loop.sweeps():
             # x contracted with w feeds both the u- and the v-update
             xw = _times_w(x, qf[2])
             for m in range(3):
@@ -848,17 +883,15 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
                 factors[m], qf[m], pens[m] = f, weighted(m, f), penalty(m, f)
                 d = float(f @ weighted(m, c))
                 objective = d - pens[0] - pens[1] - pens[2]
-                trace.append(objective)
+                loop.objective_trace.append(objective)
             if restart:
                 break
-            if _converged(prev, objective, cfg.tol):
-                converged = True
-                break
-            prev = objective
+            loop.stop(objective)
         if not restart:
-            return RankOneFit(*factors, d, iterations, converged,
-                              np.asarray(trace), dict(zip(_MODES, lam)))
-    iterations, trace = 0, []
+            return RankOneFit(*factors, d, loop.iterations, loop.converged,
+                              np.asarray(loop.objective_trace),
+                              dict(zip(_MODES, lam)))
+    loop = _Loop(cfg)
     return zero_fit()
 
 
@@ -916,20 +949,13 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     greedy_d = terms.d.copy()
     U, V, W, d, order = sort_components(*terms.factors, terms.d)
     U, V, W = canonicalize_cp_signs(U, V, W)
-    return CpModel(U, V, W, d, {
-        "method": method,
-        "objective_traces": [fit.objective_trace for fit in fits],
-        "iterations_per_component": [fit.iterations for fit in fits],
-        "converged_per_component": [fit.converged for fit in fits],
-        "lambdas": {m: [fit.lambdas.get(m, 0.0) for fit in fits]
-                    for m in _MODES},
-        "nnz": {m: [int(np.count_nonzero(getattr(fit, m))) for fit in fits]
-                for m in _MODES},
-        "greedy_d": greedy_d,
-        "component_order": order,
-        "residual_norm": residual_norm,
-        "truncated_at": truncated_at,
-    })
+    return CpModel(U, V, W, d, _diagnostics(
+        method, fits,
+        {m: [fit.lambdas.get(m, 0.0) for fit in fits] for m in _MODES},
+        {m: [int(np.count_nonzero(getattr(fit, m))) for fit in fits]
+         for m in _MODES},
+        greedy_d=greedy_d, component_order=order,
+        residual_norm=residual_norm, truncated_at=truncated_at))
 
 
 def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:

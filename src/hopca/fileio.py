@@ -7,11 +7,13 @@ are bit-exact; readers accept scientific notation.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
-model, ``core.t3`` for a Tucker model), the scalar ``key=value`` lines of
-``diagnostics.txt``, ``trace.csv`` (component, update, objective) when
-the fit records objective traces, ``lambdas.csv`` (mode, component,
-lambda) when it records penalty levels, and 0/1 ``support_u.csv``,
-``support_v.csv`` and ``support_w.csv`` masks for sparse fits.
+model, ``core.t3`` for a Tucker model), the ``key=value`` lines of
+``diagnostics.txt`` (scalars, and per-loop lists as comma-separated
+values), ``trace.csv`` (component, update, objective; one ``component``
+per loop, in run order) when the fit ran a loop, ``lambdas.csv`` (mode,
+component, lambda) when it records penalty levels, and 0/1
+``support_u.csv``, ``support_v.csv`` and ``support_w.csv`` masks for
+sparse fits.
 :func:`save_model` writes either kind and :func:`load_model` reads it
 back by the weights file it finds.
 """
@@ -124,17 +126,21 @@ def _format_value(value) -> str:
 
 
 def write_diagnostics(path, diagnostics: dict[str, Any]) -> None:
-    """Write scalar diagnostics as flat ``key=value`` lines.
+    """Write scalar diagnostics as flat ``key=value`` lines, and lists of
+    scalars (a value per loop) as comma-separated values.
 
-    Container values (traces, per-component lists) are skipped here;
-    callers serialize those to dedicated CSVs.
+    Dicts, arrays, empty lists and lists holding containers (traces,
+    per-mode levels) are skipped here; callers serialize those to
+    dedicated CSVs.
     """
     with open(path, "w") as fh:
         for key in sorted(diagnostics):
             value = diagnostics[key]
-            if isinstance(value, (dict, list, tuple, np.ndarray)):
+            items = value if isinstance(value, (list, tuple)) else [value]
+            if not items or any(isinstance(v, (dict, list, tuple, np.ndarray))
+                                for v in items):
                 continue
-            fh.write(f"{key}={_format_value(value)}\n")
+            fh.write(f"{key}={','.join(map(_format_value, items))}\n")
 
 
 def read_diagnostics(path) -> dict[str, str]:
@@ -156,7 +162,7 @@ def _save_model(dirpath, model, weights_file, write_weights, weights) -> None:
     write_weights(os.path.join(dirpath, weights_file), weights)
     diag = model.diagnostics
     write_diagnostics(os.path.join(dirpath, "diagnostics.txt"), diag)
-    if "objective_traces" in diag:
+    if diag.get("objective_traces"):
         rows = ((k, t, value)
                 for k, trace in enumerate(diag["objective_traces"])
                 for t, value in enumerate(

@@ -28,8 +28,8 @@ from .decompose import (
     TuckerModel,
     _NO_PENALTY,
     _als,
-    _converged,
     _engine_fit,
+    _Loop,
     _ModeUpdate,
     _rank_one,
     _reject_unread,
@@ -193,7 +193,7 @@ class SparseDiagnostics:
     @classmethod
     def from_model(cls, model) -> "SparseDiagnostics":
         diag = model.diagnostics
-        return cls(list(diag.get("iterations_per_component", [])),
+        return cls(list(diag.get("iterations", [])),
                    list(diag.get("objective_traces", [])),
                    dict(diag.get("nnz", {})),
                    dict(diag.get("lambdas", {})))
@@ -362,8 +362,8 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
     adaptive = left_pen.is_adaptive
     lam_left = 0.0 if adaptive else left_pen.fixed_level()
     v = leading_singular_vectors(m.T, 1, eig=eig)[:, 0]
-    trace, prev, converged = [], None, False
-    for iterations in range(1, cfg.max_iter + 1):
+    loop = _Loop(cfg)
+    for _ in loop.sweeps():
         c = m @ v
         if adaptive:
             grid = left_pen.grid_for(c)
@@ -372,24 +372,23 @@ def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
         u, nrm = normalize_or_zero(threshold(c, lam_left))
         if nrm == 0.0:
             break
-        trace.append(float(u @ c) - lam_left * float(np.sum(np.abs(u)))
-                     - lam_right * float(np.sum(np.abs(v))))
+        loop.objective_trace.append(
+            float(u @ c) - lam_left * float(np.sum(np.abs(u)))
+            - lam_right * float(np.sum(np.abs(v))))
         cv = m.T @ u
         v, nrm = normalize_or_zero(soft_threshold(cv, lam_right))
         if nrm == 0.0:
             break
         objective = (float(v @ cv) - lam_left * float(np.sum(np.abs(u)))
                      - lam_right * float(np.sum(np.abs(v))))
-        trace.append(objective)
-        if _converged(prev, objective, cfg.tol):
-            converged = True
-            break
-        prev = objective
+        loop.objective_trace.append(objective)
+        loop.stop(objective)
     if nrm == 0.0:  # a fully thresholded factor: the zero fit
-        u, v, converged = np.zeros(m.shape[0]), np.zeros(m.shape[1]), True
+        u, v = np.zeros(m.shape[0]), np.zeros(m.shape[1])
+        loop.converged = True
     d = float(u @ m @ v) if nrm else 0.0
-    return SparsePcaFit(u, v, d, iterations, converged, np.asarray(trace),
-                        lam_left, lam_right)
+    return SparsePcaFit(u, v, d, loop.iterations, loop.converged,
+                        np.asarray(loop.objective_trace), lam_left, lam_right)
 
 
 def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
@@ -413,32 +412,35 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     given, is ``eigh`` of the Gram matrix it is taken from (see
     :func:`hopca.decompose.leading_singular_vectors` on ``m.T``).
 
-    Returns (left factors, right factors, weights, per-component lambdas).
+    Returns (left factors, right factors, weights, component fits); the
+    fits are the :class:`SparsePcaFit` of each component run, a zero fit
+    last when one ends the run early.
     """
     m = np.asarray(m, dtype=float).copy()
     cfg = cfg or SolverConfig()
     left = np.zeros((m.shape[0], k))
     right = np.zeros((m.shape[1], k))
     d = np.zeros(k)
-    lams = []
+    fits = []
     for comp in range(k):
         fit = _sparse_pca_engine(m, left_pen, 0.0, cfg,
                                  float(np.sum(m * m)), eig)
         eig = None  # the next component starts from the deflated m
-        lams.append(fit.lam_left)
+        fits.append(fit)
         if fit.d == 0.0:
             break
         left[:, comp], right[:, comp], d[comp] = fit.u, fit.v, fit.d
         m = m - fit.d * np.outer(fit.u, fit.v)
-    return left, right, d, lams
+    return left, right, d, fits
 
 
 def _pca_step(mode_pen: ModePenalty, cfg: SolverConfig):
     """Tucker step for one penalized mode: the left factors of
-    :func:`sparse_pca` with the chosen level per component."""
+    :func:`sparse_pca`, the chosen level of each component and its
+    component fits as the loops."""
     def step(m, k, eig=None):
-        left, _, _, lams = sparse_pca(m, k, mode_pen, cfg, eig)
-        return left, lams
+        left, _, _, fits = sparse_pca(m, k, mode_pen, cfg, eig)
+        return left, [fit.lam_left for fit in fits], fits
 
     return step
 

@@ -7,8 +7,9 @@ import pytest
 
 from hopca import fileio
 from hopca.cli import main
-from hopca.decompose import CpModel
-from hopca.simulate import SimScenarioSpec, simulate
+from hopca.decompose import CpModel, SolverConfig
+from hopca.simulate import METHODS, SimScenarioSpec, simulate
+from hopca.sparse import PenaltySpec
 from hopca.tensor3 import outer3
 
 
@@ -436,16 +437,20 @@ def _noisy_rank_one_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("method, extra, named", [
-    ("sparse-cp-tpa", ["--lambda-u", "bic"], "component 0"),
-    ("tpa", [], "component 1"),
-    ("cp-als", [], "the fit"),
-    ("sparse-cp-als", ["--lambda-u", "0.1"], "the fit"),
-    ("hooi", [], "the fit"),
-    ("fpca-halfsmooth", [], "the fit"),
+@pytest.mark.parametrize("method, extra, loop", [
+    pytest.param("sparse-cp-tpa", ["--lambda-u", "bic"], 0,
+                 id="sparse-cp-tpa-extra0-component 0"),
+    pytest.param("tpa", [], 1, id="tpa-extra1-component 1"),
+    pytest.param("cp-als", [], 0, id="cp-als-extra2-the fit"),
+    pytest.param("sparse-cp-als", ["--lambda-u", "0.1"], 0,
+                 id="sparse-cp-als-extra3-the fit"),
+    pytest.param("hooi", [], 0, id="hooi-extra4-the fit"),
+    pytest.param("fpca-halfsmooth", [], 0,
+                 id="fpca-halfsmooth-extra5-the fit"),
 ])
 def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, method, extra,
-                                            named):
+                                            loop):
+    # a deflation fit runs a loop per component; ALS and HOOI fits run one
     out = tmp_path / "model"
     code = main(["decompose", "--method", method, "--rank", "2",
                  "--max-iter", "1", *extra,
@@ -453,9 +458,31 @@ def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, method, extra,
                  "--out", str(out)])
     assert code == 0
     err = capsys.readouterr().err
-    assert f"hopca: {method}: {named} did not converge within --max-iter 1" \
-        in err
+    assert f"hopca: {method}: loop {loop} did not converge within " \
+        "--max-iter 1" in err
     assert (out / "U.csv").exists()
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_no_loop_ends_silently(tmp_path, capsys, method):
+    # one sweep converges no loop, so every loop of the fit is named
+    entry = METHODS[method]
+    lam = {"spec": "bic", "fixed": 0.1}.get(entry.penalty)
+    path = _noisy_rank_one_file(tmp_path)
+    model = entry.fit(fileio.read_tensor3(path), 2, SolverConfig(max_iter=1),
+                      None if lam is None else PenaltySpec.lasso(u=lam))
+    diag = model.diagnostics
+    loops = len(diag["converged"])
+    assert len(diag["iterations"]) == len(diag["objective_traces"]) == loops
+    assert diag["converged"] == [False] * loops
+    assert (loops == 0) == (method == "hosvd")
+    extra = [] if lam is None else ["--lambda-u", str(lam)]
+    assert main(["decompose", "--method", method, "--rank", "2",
+                 "--max-iter", "1", *extra, "--input", str(path),
+                 "--out", str(tmp_path / "model")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"hopca: {method}: loop {k} did not converge within --max-iter 1"
+        for k in range(loops)]
 
 
 @pytest.mark.parametrize("method, extra", [

@@ -274,7 +274,7 @@ class TestHooi:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 6, 6))
         model = hooi(x, (2, 2, 2), SolverConfig(max_iter=30, tol=1e-14))
-        trace = model.diagnostics["core_norm_trace"]
+        trace = model.diagnostics["objective_traces"][-1]
         assert np.all(np.diff(trace) >= -1e-10)
 
 

@@ -17,8 +17,8 @@ from hopca.sparse import PenaltySpec, SparseDiagnostics, sparse_cp_tpa
 
 K = 2
 SHAPE = (6, 5, 4)
-PER_COMPONENT = {"method", "objective_traces", "iterations_per_component",
-                 "converged_per_component", "lambdas", "nnz", "greedy_d",
+PER_COMPONENT = {"method", "objective_traces", "iterations", "converged",
+                 "lambdas", "nnz", "greedy_d",
                  "component_order", "residual_norm", "truncated_at"}
 FITS = {
     "tpa": (lambda x: tpa(x, K), {"orthogonalized"}),
@@ -43,7 +43,7 @@ def test_uniform_per_component_diagnostics(method):
     assert diag["method"] == method
     assert set(diag) - extra == PER_COMPONENT
     assert diag["truncated_at"] is None
-    assert len(diag["converged_per_component"]) == K
+    assert len(diag["converged"]) == K
     detail = SparseDiagnostics.from_model(model)
     assert len(detail.iterations) == K
     assert len(detail.objective_traces) == K

@@ -11,7 +11,7 @@ from hopca.cli import main
 from hopca.decompose import CpModel, SolverConfig, hosvd, tpa
 from hopca.generalized import QuadOperators, SmootherSet
 from hopca.simulate import METHODS, SimScenarioSpec, simulate
-from hopca.sparse import PenaltySpec, sparse_cp_tpa
+from hopca.sparse import PenaltySpec, sparse_cp_tpa, sparse_hosvd
 
 
 def test_t3_round_trip_is_bit_exact(tmp_path):
@@ -165,6 +165,26 @@ def test_diagnostics_round_trip(tmp_path):
     assert out["converged"] == "true"
     assert float(out["residual_norm"]) == 0.25
     assert "skipped_array" not in out
+
+
+@pytest.mark.parametrize("fit, written", [
+    (lambda x, cfg: tpa(x, 2, cfg),
+     {"orthogonalized", "residual_norm", "truncated_at"}),
+    (lambda x, cfg: sparse_hosvd(x, (2, 2, 2), PenaltySpec.lasso(u="bic"),
+                                 cfg), {"sparse"}),
+], ids=["tpa", "sparse-hosvd"])
+def test_diagnostics_txt_carries_the_loop_lists(tmp_path, fit, written):
+    x = np.random.default_rng(8).standard_normal((6, 5, 4))
+    model = fit(x, SolverConfig(max_iter=1))
+    fileio.save_model(tmp_path / "model", model)
+    out = fileio.read_diagnostics(tmp_path / "model" / "diagnostics.txt")
+    diag = model.diagnostics
+    assert len(diag["iterations"]) == 2
+    assert out["iterations"] == ",".join(map(str, diag["iterations"]))
+    assert out["converged"] == ",".join("true" if c else "false"
+                                        for c in diag["converged"])
+    # traces, per-mode dicts and arrays stay out of diagnostics.txt
+    assert set(out) == {"method", "iterations", "converged", *written}
 
 
 def fit_entry(name, x):

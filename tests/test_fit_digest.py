@@ -30,6 +30,19 @@ def test_a_fit_has_one_digest_and_another_fit_another():
     assert digest(fpca_rank_one(x, s)) == digest(fpca_rank_one(x, s))
 
 
+def test_a_models_traces_have_their_own_digest():
+    tool = load_tool()
+    x = np.random.default_rng(7).standard_normal((4, 3, 5))
+    model = tpa(x, 2)
+    retraced = dataclasses.replace(model, diagnostics={
+        **model.diagnostics,
+        "objective_traces": [t + 1.0 for t in
+                             model.diagnostics["objective_traces"]]})
+    assert tool.digest(retraced) == tool.digest(model)
+    assert tool.trace_digest(retraced) != tool.trace_digest(model)
+    assert tool.trace_digest(tpa(x, 2)) == tool.trace_digest(model)
+
+
 def test_support_scores_have_one_digest_and_other_scores_another():
     score_digest = load_tool().score_digest
     x = np.random.default_rng(6).standard_normal((5, 4, 3))

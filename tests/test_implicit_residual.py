@@ -178,7 +178,7 @@ def test_a_deflation_after_the_start_of_x_allocates_nothing_tensor_sized():
         finally:
             tracemalloc.stop()
     # three components were fit (a third of pure noise may be the zero fit)
-    assert len(model.diagnostics["iterations_per_component"]) == 3
+    assert len(model.diagnostics["iterations"]) == 3
     # the input check's finiteness mask takes one byte per entry, an
     # eighth of the tensor; a formed residual or unfolding takes all of it
     assert peak < x.nbytes // 4

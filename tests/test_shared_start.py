@@ -82,7 +82,7 @@ def test_the_start_of_x_is_computed_once(monkeypatch):
     assert not fits[0][0][0].flags.writeable
     # two singular-vector calls for the start of x and none for a second
     # component, which starts from an update of the memo's Grams of x
-    second = sum(len(model.diagnostics["iterations_per_component"]) == 2
+    second = sum(len(model.diagnostics["iterations"]) == 2
                  for _, model in fits)
     assert second >= 1
     assert len(svd_inputs) == 2

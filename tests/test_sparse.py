@@ -329,7 +329,7 @@ class TestSparseHooi:
         x = rng.standard_normal((6, 6, 6))
         model = sparse_hooi(x, (2, 2, 2), PenaltySpec.lasso(u=0.5),
                             SolverConfig(max_iter=15))
-        trace = model.diagnostics["core_norm_trace"]
+        trace = model.diagnostics["objective_traces"][-1]
         assert model.diagnostics["core_norm"] == pytest.approx(
             np.max(trace), abs=1e-12)
         assert frob_norm(model.core) == pytest.approx(

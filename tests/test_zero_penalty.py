@@ -81,5 +81,5 @@ def test_one_sweep_of_sparse_hooi_is_not_converged(shape, seed, lam):
     x, ranks = tensor(shape, seed), ranks_for(shape, seed)
     model = sparse_hooi(x, ranks, PenaltySpec.lasso(u=lam),
                         SolverConfig(max_iter=1))
-    assert model.diagnostics["converged"] is False
-    assert model.diagnostics["iterations"] == 1
+    assert model.diagnostics["converged"][-1] is False
+    assert model.diagnostics["iterations"][-1] == 1

@@ -5,11 +5,14 @@ The fits are every method of ``hopca.simulate.METHODS`` on one scenario-1
 and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC lasso on
 the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on u), and
 every fit of the benchmark's mono-small instance set (seed 2024, pass
-0).  A digest covers the factors, the weights or the core, and the
-objective traces, as raw float64 bytes.  Each scenario fit also gets a
-``support`` line: one digest of its ``support_metrics`` against the
-simulated truth (tp, fp, mse, permutation and signs), so that recovery
-scores are diffed the same way.
+0).  A digest covers the factors and the weights or the core, and a
+rank-one fit's also its objective trace, as raw float64 bytes.  Each
+scenario fit also gets a ``support`` line: one digest of its
+``support_metrics`` against the simulated truth (tp, fp, mse,
+permutation and signs), so that recovery scores are diffed the same way;
+and a ``trace`` line: one digest of the objective traces of its loops, so
+that a change that only adds loops to a fit's report still shows that
+its fits are the same.
 
 Usage, from the repository root::
 
@@ -29,17 +32,21 @@ SEED = 2024
 
 
 def digest(fit) -> str:
-    """SHA-256 over a fit's factors, weights or core, and objective
-    traces: a :class:`CpModel`, :class:`TuckerModel`, :class:`RankOneFit`
-    or :class:`FpcaFit`."""
+    """SHA-256 over a fit's factors and weights or core: a
+    :class:`CpModel` or :class:`TuckerModel`; for a :class:`RankOneFit`
+    or :class:`FpcaFit` also over its objective trace."""
     if hasattr(fit, "U"):
         arrays = [fit.U, fit.V, fit.W,
                   fit.core if hasattr(fit, "core") else fit.d]
-        arrays += list(fit.diagnostics.get("objective_traces", []))
     else:
         arrays = [fit.u, fit.v, fit.w, getattr(fit, "d", 0.0),
                   fit.objective_trace]
     return _sha256(arrays)
+
+
+def trace_digest(model) -> str:
+    """SHA-256 over the objective traces of a model's loops."""
+    return _sha256(model.diagnostics.get("objective_traces", []))
 
 
 def score_digest(metrics) -> str:
@@ -106,6 +113,7 @@ def main() -> int:
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{score_digest(support_metrics(fit, truth))}  {label} support",
               flush=True)
+        print(f"{trace_digest(fit)}  {label} trace", flush=True)
     for label, fit in mono_small_fits():
         print(f"{digest(fit)}  {label}", flush=True)
     return 0
