@@ -2,7 +2,11 @@
 rank-one power scheme with deflation (optionally Gram-Schmidt
 orthogonalized).  The power scheme runs on the penalized rank-one
 engine and the deflation loop that the sparse and generalized solvers
-share.
+share.  Their public solvers are each one call of a shared loop: the
+engine's two entry points (:func:`_fit_rank_one` for one fit,
+:func:`_fit_greedy` for a deflation), :func:`deflate`, the ALS loop or
+the Tucker loop.  The loops check the tensor, default the config and end
+the diagnostics with each method's extras.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
@@ -38,7 +42,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .evaluate import _bic_argmin, bic_path
-from .tensor3 import check_tensor3, frob_norm, khatri_rao, matricize, mode_mult
+from .tensor3 import (_mode_mult3, check_tensor3, frob_norm, khatri_rao,
+                      matricize, mode_mult)
 
 __all__ = [
     "SolverConfig",
@@ -144,8 +149,7 @@ class TuckerModel:
         return tuple(self.core.shape)
 
     def reconstruct(self) -> np.ndarray:
-        return mode_mult(mode_mult(mode_mult(self.core, self.U, 1),
-                                   self.V, 2), self.W, 3)
+        return _mode_mult3(self.core, self.U, self.V, self.W)
 
 
 @dataclass
@@ -429,23 +433,26 @@ def _init_cp_factors(x, K, init, rng):
 # CP alternating least squares
 
 
-def _als(x, K: int, cfg: SolverConfig, method: str,
-         steps=(None, None, None)) -> CpModel:
+def _als(x, K: int, cfg: SolverConfig | None, method: str,
+         steps=(None, None, None), **extras) -> CpModel:
     """K-component CP fit by alternating per-mode least-squares updates.
 
     Each sweep updates U, V and W in turn.  A mode's update gets the
     Khatri-Rao normal equations (``gram``, ``corr``) of the other two
-    factors and the current scaled factor as a warm start, and
-    ``steps[m](gram, corr, warm)`` returns the scaled factor with the
-    penalty level it used.  A None step is the exact normal-equation
+    factors and the current scaled factor as a warm start.  ``steps[m]``
+    makes the mode's step from ``||x||^2`` and ``x.size``, and the step
+    ``(gram, corr, warm)`` returns the scaled factor with the penalty
+    level it used.  A None step is the exact normal-equation
     solve, which falls back to the pseudo-inverse (flagged ``used_pinv``)
     when the system is singular.  Columns are rescaled to unit norm with
     the weights taken as the column norms; a column whose weight vanishes
     is zeroed in a penalized mode and keeps its previous direction
     otherwise.  Iteration stops when the relative residual changes by
-    less than ``tol``.
+    less than ``tol``.  ``cfg`` defaults to :class:`SolverConfig`; the
+    ``extras`` end the diagnostics.
     """
     x = check_tensor3(x)
+    cfg = cfg or SolverConfig()
     _reject_unread(cfg)
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -472,6 +479,7 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
         loop.converged = True
     else:
         unfoldings = [matricize(x, m) for m in (1, 2, 3)]
+        steps = [step and step(norm_x ** 2, x.size) for step in steps]
         for _ in loop.sweeps():
             for m in range(3):
                 # design matrix of our fiber order: kron(b_k, a_k) per column
@@ -497,7 +505,7 @@ def _als(x, K: int, cfg: SolverConfig, method: str,
         method, [loop], {m: [lev] * K for m, lev in zip(_MODES, levels)},
         _column_nnz(*factors), used_pinv=used_pinv,
         residual_norm=residual_trace[-1] if residual_trace else 0.0,
-        residual_trace=np.asarray(residual_trace)))
+        residual_trace=np.asarray(residual_trace), **extras))
 
 
 def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
@@ -509,7 +517,7 @@ def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     non-increasing across sweeps; a singular normal system falls back to
     the pseudo-inverse and is flagged in the diagnostics.
     """
-    return _als(x, K, cfg or SolverConfig(), "cp-als")
+    return _als(x, K, cfg, "cp-als")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +535,7 @@ def _check_ranks(x, ranks):
 
 
 def _tucker_core(x, U, V, W):
-    return mode_mult(mode_mult(mode_mult(x, U.T, 1), V.T, 2), W.T, 3)
+    return _mode_mult3(x, U.T, V.T, W.T)
 
 
 def _svd_step(m, k):
@@ -535,7 +543,7 @@ def _svd_step(m, k):
 
 
 def _tucker(x, ranks, method: str, steps=(None, None, None),
-            cfg: SolverConfig | None = None) -> TuckerModel:
+            cfg: SolverConfig | None = None, **extras) -> TuckerModel:
     """Tucker factors from one step per mode: HOSVD, then with ``cfg``
     HOOI sweeps under its iteration controls.
 
@@ -550,7 +558,7 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
     core norm is returned, ties going to the later sweep.  The model's
     loops are the steps' loops of the returned sweep, then with ``cfg``
     the sweeps, whose objective trace is the core norm of the HOSVD start
-    and of each sweep.
+    and of each sweep.  The ``extras`` end the diagnostics.
     """
     x = check_tensor3(x)
     ranks = _check_ranks(x, ranks)
@@ -570,7 +578,6 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
         loops += ran
     steps = [step or _svd_step for step in steps]
     core = _tucker_core(x, *factors)
-    extras = {}
     if cfg is not None:
         loop = _Loop(cfg, [frob_norm(core)])
         loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
@@ -593,7 +600,7 @@ def _tucker(x, ranks, method: str, steps=(None, None, None),
             loop.stop(norm)
         factors, core, levels, loops = best
         loops = [*loops, loop]
-        extras["core_norm"] = best_norm
+        extras = {"core_norm": best_norm, **extras}
     return TuckerModel(*factors, core, _diagnostics(
         method, loops, levels, _column_nnz(*factors), **extras))
 
@@ -895,14 +902,26 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
     return zero_fit()
 
 
-def _engine_fit(updates, cfg):
-    """The rank-one engine with fixed updates, as ``fit_one`` for deflate."""
-    return lambda x, terms, rng, basis: _rank_one(x, updates, cfg, rng, basis,
-                                                  terms)
+def _fit_rank_one(x, updates, cfg: SolverConfig | None) -> RankOneFit:
+    """Check ``x`` and fit one rank-one term to it with the engine's
+    ``updates``, under ``cfg`` (default :class:`SolverConfig`) and the
+    generator it seeds."""
+    cfg = cfg or SolverConfig()
+    return _rank_one(check_tensor3(x), updates, cfg, cfg.rng())
+
+
+def _fit_greedy(x, K: int, updates, cfg: SolverConfig | None, method: str,
+                **extras) -> CpModel:
+    """:func:`deflate` with one engine fit of ``updates`` per component,
+    under ``cfg`` (default :class:`SolverConfig`); the ``extras`` end the
+    diagnostics."""
+    cfg = cfg or SolverConfig()
+    return deflate(x, K, lambda x, terms, rng, basis: _rank_one(
+        x, updates, cfg, rng, basis, terms), cfg, method, **extras)
 
 
 def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
-            orthogonalize: bool = False) -> CpModel:
+            **extras) -> CpModel:
     """Greedy K-component CP model: each component is a rank-one fit of
     the residual the earlier ones leave, which is never formed on the
     normal path.
@@ -910,18 +929,20 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     ``fit_one(x, terms, rng, basis)`` returns a :class:`RankOneFit` with
     unit (or zero) factors of the residual that ``terms`` (a
     :class:`_Terms`, None for the first component) leave of ``x``;
-    ``basis`` holds the previous factors per mode when ``orthogonalize``
-    is set, else Nones.  The fits run in a :func:`_shared_grams` block on
-    ``x``, which is only read, so each later SVD start is an update of
-    the memo's Grams of ``x``; only a nearly vanished residual is formed,
-    and given to ``fit_one`` as ``x`` with no terms (see
-    :meth:`_Terms.target`).  The generator from ``cfg`` is shared by all
+    ``basis`` holds the previous factors per mode when the extra
+    ``orthogonalized`` is set, else Nones.  The fits run in a
+    :func:`_shared_grams` block on ``x``, which is only read, so each
+    later SVD start is an update of the memo's Grams of ``x``; only a
+    nearly vanished residual is formed, and given to ``fit_one`` as ``x``
+    with no terms (see :meth:`_Terms.target`).  The generator from ``cfg`` is shared by all
     components.  A zero tensor or a zero fit truncates the model
     (remaining columns zero-filled, ``truncated_at`` set).  Components
     are sorted by descending weight; the per-component diagnostics stay
-    in the greedy order, which ``component_order`` maps.
+    in the greedy order, which ``component_order`` maps.  The method's
+    ``extras`` end the diagnostics.
     """
     x = check_tensor3(x)
+    orthogonalize = extras.get("orthogonalized", False)
     if K < 1:
         raise ValueError("K must be >= 1")
     rng = cfg.rng()
@@ -955,7 +976,7 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
         {m: [int(np.count_nonzero(getattr(fit, m))) for fit in fits]
          for m in _MODES},
         greedy_d=greedy_d, component_order=order,
-        residual_norm=residual_norm, truncated_at=truncated_at))
+        residual_norm=residual_norm, truncated_at=truncated_at, **extras))
 
 
 def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:
@@ -984,8 +1005,5 @@ def tpa(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
     """
     cfg = cfg or SolverConfig()
     # deflate does the projection; the engine rejects the setting
-    engine_cfg = replace(cfg, orthogonalize=False)
-    model = deflate(x, K, _engine_fit(_PLAIN, engine_cfg), cfg, "tpa",
-                    cfg.orthogonalize)
-    model.diagnostics["orthogonalized"] = cfg.orthogonalize
-    return model
+    return _fit_greedy(x, K, _PLAIN, replace(cfg, orthogonalize=False), "tpa",
+                       orthogonalized=cfg.orthogonalize)

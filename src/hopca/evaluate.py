@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor3 import frob_norm, mode_mult
+from .tensor3 import _mode_mult3, frob_norm
 
 __all__ = [
     "VarianceReport",
@@ -81,7 +81,7 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     for k in range(1, upto_k + 1):
         pu, pv, pw = (_projection_matrix(f[:, :min(k, f.shape[1])])
                       for f in factors)
-        projected = mode_mult(mode_mult(mode_mult(x, pu, 1), pv, 2), pw, 3)
+        projected = _mode_mult3(x, pu, pv, pw)
         cumulative[k - 1] = frob_norm(projected) ** 2 / norm_sq
     return VarianceReport(cumulative)
 

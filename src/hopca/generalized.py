@@ -1,11 +1,19 @@
 """Extensions of the deflation scheme: general order-one convex penalties
-and non-negativity, quadratic-norm (structured) decompositions, and
-multi-way functional PCA in both its tri-convex and half-smoothing forms.
+(the group lasso here; the l1 and non-negative l1 penalties of
+:mod:`hopca.sparse` are re-exported), quadratic-norm (structured)
+decompositions with the q-weighted lasso they solve, and multi-way
+functional PCA in both its tri-convex and half-smoothing forms.
+
+The penalized and quadratic-norm solvers only choose the rank-one
+engine's per-mode updates: each is one call of the engine's single-fit
+or deflation entry point in :mod:`hopca.decompose`.  Functional PCA runs
+the same engine, and the same deflation loop, on the half-smoothed
+tensor; its half-smoothing form runs the Tucker loop on that tensor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +24,13 @@ from .decompose import (
     RankOneFit,
     SolverConfig,
     TuckerModel,
-    _engine_fit,
+    _fit_greedy,
+    _fit_rank_one,
     _ModeUpdate,
     _PLAIN,
     _rank_one,
+    _tucker,
     deflate,
-    hooi,
 )
 from .sparse import (
     l1_penalty,
@@ -29,7 +38,7 @@ from .sparse import (
     positive_threshold,
     soft_threshold,
 )
-from .tensor3 import check_tensor3, frob_norm, mode_mult, outer3
+from .tensor3 import _mode_mult3, check_tensor3, frob_norm, outer3
 
 __all__ = [
     "positive_threshold",
@@ -92,9 +101,7 @@ def general_cp_tpa_rank_one(x, penalties, cfg: SolverConfig | None = None
     penalized contraction objective is non-decreasing per update.  With
     the l1 penalty this is exactly the sparse rank-one fit.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    return _rank_one(x, _general_updates(penalties), cfg, cfg.rng())
+    return _fit_rank_one(x, _general_updates(penalties), cfg)
 
 
 def _general_updates(penalties):
@@ -104,12 +111,9 @@ def _general_updates(penalties):
 def general_cp_tpa(x, K: int, penalties, cfg: SolverConfig | None = None
                    ) -> CpModel:
     """Deflated multi-component fit with general penalties per mode."""
-    cfg = cfg or SolverConfig()
-    model = deflate(x, K, _engine_fit(_general_updates(penalties), cfg), cfg,
-                    "general-cp-tpa")
-    model.diagnostics.update(sparse=True,
-                             penalties=[pen.name for pen, _ in penalties])
-    return model
+    return _fit_greedy(x, K, _general_updates(penalties), cfg,
+                       "general-cp-tpa", sparse=True,
+                       penalties=[pen.name for pen, _ in penalties])
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +275,7 @@ def gcp_rank_one(x, q: QuadOperators, cfg: SolverConfig | None = None
     q-weighted triple contraction; with identity operators this is the
     plain power scheme.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    return _rank_one(x, _quad_updates(q, (0.0, 0.0, 0.0)), cfg, cfg.rng())
+    return _fit_rank_one(x, _quad_updates(q, (0.0, 0.0, 0.0)), cfg)
 
 
 def sparse_gcp_rank_one(x, q: QuadOperators, lam=(0.0, 0.0, 0.0),
@@ -284,27 +286,20 @@ def sparse_gcp_rank_one(x, q: QuadOperators, lam=(0.0, 0.0, 0.0),
     the component); reduces to the plain sparse fit for identity
     operators and to :func:`gcp_rank_one` at zero levels.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    return _rank_one(x, _quad_updates(q, lam), cfg, cfg.rng())
+    return _fit_rank_one(x, _quad_updates(q, lam), cfg)
 
 
 def gcp(x, q: QuadOperators, K: int, cfg: SolverConfig | None = None
         ) -> CpModel:
     """Deflated multi-component quadratic-norm decomposition."""
-    cfg = cfg or SolverConfig()
-    return deflate(x, K, _engine_fit(_quad_updates(q, (0.0, 0.0, 0.0)), cfg),
-                   cfg, "gcp")
+    return _fit_greedy(x, K, _quad_updates(q, (0.0, 0.0, 0.0)), cfg, "gcp")
 
 
 def sparse_gcp(x, q: QuadOperators, K: int, lam=(0.0, 0.0, 0.0),
                cfg: SolverConfig | None = None) -> CpModel:
     """Deflated sparse quadratic-norm decomposition."""
-    cfg = cfg or SolverConfig()
-    model = deflate(x, K, _engine_fit(_quad_updates(q, lam), cfg), cfg,
-                    "sparse-gcp")
-    model.diagnostics["sparse"] = True
-    return model
+    return _fit_greedy(x, K, _quad_updates(q, lam), cfg, "sparse-gcp",
+                       sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +390,7 @@ class SmootherSet:
 def _half_smooth(x, s: SmootherSet):
     """``x x1 S_u^{-1/2} x2 S_v^{-1/2} x3 S_w^{-1/2}`` and the three maps."""
     maps = tuple(s.inverse_sqrt(m) for m in ("u", "v", "w"))
-    smoothed = mode_mult(mode_mult(mode_mult(x, maps[0], 1), maps[1], 2),
-                         maps[2], 3)
-    return smoothed, maps
+    return _mode_mult3(x, *maps), maps
 
 
 def fpca_objective(x, s: SmootherSet, u, v, w) -> float:
@@ -476,9 +469,7 @@ def fpca(x, s: SmootherSet, K: int, cfg: SolverConfig | None = None
         return RankOneFit(*fit.normalized(), fit.iterations, fit.converged,
                           fit.objective_trace)
 
-    model = deflate(x, K, fit_one, cfg, "fpca")
-    model.diagnostics["alpha"] = s.alpha
-    return model
+    return deflate(x, K, fit_one, cfg, "fpca", alpha=s.alpha)
 
 
 def fpca_half_smoothing(x, s: SmootherSet, ranks,
@@ -492,12 +483,8 @@ def fpca_half_smoothing(x, s: SmootherSet, ranks,
     point of the tri-convex objective; stopped at the default tolerance
     it can still sit measurably off one.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    smoothed, (half_u, half_v, half_w) = _half_smooth(x, s)
-    inner = hooi(smoothed, ranks, cfg)
-    model = TuckerModel(half_u @ inner.U, half_v @ inner.V, half_w @ inner.W,
-                        inner.core, dict(inner.diagnostics))
-    model.diagnostics["method"] = "fpca-halfsmooth"
-    model.diagnostics["alpha"] = s.alpha
-    return model
+    smoothed, (half_u, half_v, half_w) = _half_smooth(check_tensor3(x), s)
+    inner = _tucker(smoothed, ranks, "fpca-halfsmooth",
+                    cfg=cfg or SolverConfig(), alpha=s.alpha)
+    return replace(inner, U=half_u @ inner.U, V=half_v @ inner.V,
+                   W=half_w @ inner.W)

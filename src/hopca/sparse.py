@@ -1,10 +1,13 @@
 """Sparse decompositions: the deflation-based soft-thresholding scheme
-(sparse rank-one fits with guaranteed monotone ascent), plus the three
-algorithmic baselines built from penalized PCA updates (sparse ALS,
-sparse HOSVD, sparse HOOI).
+(sparse rank-one fits whose objective ascends monotonically at fixed
+levels), plus the three algorithmic baselines built from penalized
+updates (sparse ALS, sparse HOSVD, sparse HOOI).
 
-The baselines run the one ALS loop and the one Tucker loop of
-:mod:`hopca.decompose` with a penalized step (lasso, penalized PCA) in
+Every solver is one call of a shared loop of :mod:`hopca.decompose`,
+which checks the tensor, defaults the config and labels the fit.  The
+rank-one fit and the deflation scheme give the rank-one engine one
+soft-thresholding update per mode.  The baselines run the one ALS loop
+and the one Tucker loop with a penalized step (lasso, penalized PCA) in
 each penalized mode; at zero penalty they are CP-ALS, HOSVD and HOOI.
 
 Penalty levels may be fixed per mode or selected per component and per
@@ -16,6 +19,7 @@ with weight zero and deflation subtracts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -28,18 +32,16 @@ from .decompose import (
     TuckerModel,
     _NO_PENALTY,
     _als,
-    _engine_fit,
+    _fit_greedy,
+    _fit_rank_one,
     _Loop,
     _ModeUpdate,
-    _rank_one,
     _reject_unread,
     _tucker,
-    deflate,
     leading_singular_vectors,
     normalize_or_zero,
 )
 from .evaluate import _bic, _bic_argmin, bic_path, default_lambda_grid
-from .tensor3 import check_tensor3, frob_norm
 
 __all__ = [
     "soft_threshold",
@@ -221,11 +223,9 @@ def sparse_cp_tpa_rank_one(x, lam=(0.0, 0.0, 0.0),
     terminates the component with weight zero (a defined outcome, not an
     error); at level zero it restarts the fit from a random start.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
     lam_u, lam_v, lam_w = (float(v) for v in lam)
     pen = PenaltySpec.lasso(lam_u, lam_v, lam_w)
-    return _rank_one(x, _mode_updates(pen), cfg, cfg.rng())
+    return _fit_rank_one(x, _mode_updates(pen), cfg)
 
 
 def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
@@ -237,11 +237,8 @@ def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
     component and update by BIC.  A zero component truncates the model
     with the remaining columns zero-filled and flagged.
     """
-    cfg = cfg or SolverConfig()
-    model = deflate(x, K, _engine_fit(_mode_updates(pen or PenaltySpec.none()),
-                                      cfg), cfg, "sparse-cp-tpa")
-    model.diagnostics["sparse"] = True
-    return model
+    return _fit_greedy(x, K, _mode_updates(pen or PenaltySpec.none()), cfg,
+                       "sparse-cp-tpa", sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +324,11 @@ def sparse_cp_als(x, K: int, pen: PenaltySpec | None = None,
     the penalized objective trace is reported without any monotonicity
     claim.
     """
-    x = check_tensor3(x)
     pen = pen or PenaltySpec.none()
     _require_lasso(pen)
-    norm_sq = frob_norm(x) ** 2
-    model = _als(x, K, cfg or SolverConfig(), "sparse-cp-als", _mode_steps(
-        pen, lambda p: _lasso_step(p, norm_sq, x.size)))
-    model.diagnostics["sparse"] = True
-    return model
+    return _als(x, K, cfg, "sparse-cp-als",
+                _mode_steps(pen, lambda p: partial(_lasso_step, p)),
+                sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +410,7 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     fits are the :class:`SparsePcaFit` of each component run, a zero fit
     last when one ends the run early.
     """
+    # a C-ordered copy of the F-ordered unfolding; the fits' bits depend on it
     m = np.asarray(m, dtype=float).copy()
     cfg = cfg or SolverConfig()
     left = np.zeros((m.shape[0], k))
@@ -456,10 +451,8 @@ def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
     """
     cfg = cfg or SolverConfig()
     _reject_unread(cfg, svd_start=True)
-    model = _tucker(x, ranks, "sparse-hosvd", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)))
-    model.diagnostics["sparse"] = True
-    return model
+    return _tucker(x, ranks, "sparse-hosvd", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), sparse=True)
 
 
 def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
@@ -470,7 +463,6 @@ def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
     with the largest core norm is returned along with the full trace.
     """
     cfg = cfg or SolverConfig()
-    model = _tucker(x, ranks, "sparse-hooi", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), cfg)
-    model.diagnostics["sparse"] = True
-    return model
+    return _tucker(x, ranks, "sparse-hooi", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), cfg,
+        sparse=True)

@@ -113,6 +113,12 @@ def mode_mult(x: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, x, axes=(1, ax)), 0, ax)
 
 
+def _mode_mult3(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+    """``x x1 a x2 b x3 c``: :func:`mode_mult` by mode 1, then 2, then 3."""
+    return mode_mult(mode_mult(mode_mult(x, a, 1), b, 2), c, 3)
+
+
 def contract_vec(x: np.ndarray, v: np.ndarray, mode: int) -> np.ndarray:
     """Contract a vector along one mode, reducing the order by one."""
     ax = _check_mode(mode)
@@ -158,9 +164,7 @@ def qnorm3(x: np.ndarray, q1: np.ndarray, q2: np.ndarray, q3: np.ndarray) -> flo
     negative inner value signals a non-PSD operator and raises.
     """
     x = check_tensor3(x)
-    xt = mode_mult(mode_mult(mode_mult(x, np.asarray(q1, dtype=float), 1),
-                             np.asarray(q2, dtype=float), 2),
-                   np.asarray(q3, dtype=float), 3)
+    xt = _mode_mult3(x, q1, q2, q3)
     inner = float(np.sum(xt * x))
     tol = 1e-10 * max(1.0, float(np.sum(x * x)))
     if inner < -tol:

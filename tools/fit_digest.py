@@ -3,16 +3,19 @@ checked for bit-identical fits with one ``diff`` of this script's output.
 
 The fits are every method of ``hopca.simulate.METHODS`` on one scenario-1
 and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC lasso on
-the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on u), and
-every fit of the benchmark's mono-small instance set (seed 2024, pass
-0).  A digest covers the factors and the weights or the core, and a
-rank-one fit's also its objective trace, as raw float64 bytes.  Each
-scenario fit also gets a ``support`` line: one digest of its
-``support_metrics`` against the simulated truth (tp, fp, mse,
-permutation and signs), so that recovery scores are diffed the same way;
-and a ``trace`` line: one digest of the objective traces of its loops, so
-that a change that only adds loops to a fit's report still shows that
-its fits are the same.
+the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on u), plus
+``general_cp_tpa`` on both with a size-2 group lasso on u at 0.3 (as
+``hopca decompose --penalty group`` builds it), and every fit of the
+benchmark's mono-small instance set (seed 2024, pass 0), where
+``tpa_rank_one`` and the l1 ``general_cp_tpa_rank_one`` join the
+benchmark's own four solvers.  A digest covers the factors and the
+weights or the core, and a rank-one fit's also its objective trace, as
+raw float64 bytes.  Each scenario fit also gets a ``support`` line: one
+digest of its ``support_metrics`` against the simulated truth (tp, fp,
+mse, permutation and signs), so that recovery scores are diffed the same
+way; and a ``trace`` line: one digest of the objective traces of its
+loops, so that a change that only adds loops to a fit's report still
+shows that its fits are the same.
 
 Usage, from the repository root::
 
@@ -66,8 +69,9 @@ def _sha256(arrays) -> str:
 
 
 def scenario_fits():
-    """(label, fit, truth) for every registry method on scenarios 1
-    and 2."""
+    """(label, fit, truth) for every registry method and the group-lasso
+    ``general_cp_tpa`` on scenarios 1 and 2."""
+    from hopca.cli import _fit_group
     from hopca.decompose import SolverConfig
     from hopca.simulate import METHODS, SimScenarioSpec, fit_method, simulate
     from hopca.sparse import PenaltySpec
@@ -83,6 +87,9 @@ def scenario_fits():
             else:
                 fit = fit_method(name, x, spec, cfg)
             yield f"s{scenario} {name}", fit, truth
+        fit = _fit_group(x, spec.k, (0.3, None, None), 2,
+                         SolverConfig(max_iter=100))
+        yield f"s{scenario} general-cp-tpa", fit, truth
 
 
 def mono_small_fits():
@@ -91,7 +98,7 @@ def mono_small_fits():
     from workloads import MonoSmall
 
     from hopca import generalized, sparse
-    from hopca.decompose import SolverConfig
+    from hopca.decompose import SolverConfig, tpa_rank_one
 
     load = MonoSmall()
     cfg = SolverConfig(tol=1e-10, max_iter=40)
@@ -102,6 +109,11 @@ def mono_small_fits():
                    sparse.sparse_cp_tpa_rank_one(inst.x, lam, cfg))
             yield (f"mono {j} sparse-gcp {frac}",
                    generalized.sparse_gcp_rank_one(inst.x, inst.q, lam, cfg))
+            yield (f"mono {j} general {frac}",
+                   generalized.general_cp_tpa_rank_one(
+                       inst.x, [(generalized.l1_penalty(), lev)
+                                for lev in lam], cfg))
+        yield f"mono {j} tpa", tpa_rank_one(inst.x, cfg)
         yield f"mono {j} gcp", generalized.gcp_rank_one(inst.x, inst.q, cfg)
         yield f"mono {j} fpca", generalized.fpca_rank_one(inst.x, inst.s, cfg)
 
