@@ -5,13 +5,18 @@ engine and the deflation loop that the sparse and generalized solvers
 share.  Their public solvers are each one call of a shared loop: the
 engine's two entry points (:func:`_fit_rank_one` for one fit,
 :func:`_fit_greedy` for a deflation), :func:`deflate`, the ALS loop or
-the Tucker loop.  The loops check the tensor, default the config and end
-the diagnostics with each method's extras.
+the Tucker loop.  Each loop enters through :func:`_shared_grams`, which
+checks the tensor when it opens a block on a new one, so a fit inside a
+block open on its tensor never checks it again.  The loops default and
+reject the config (the Tucker loop too: it sweeps only when asked) and
+end the diagnostics with each method's extras.  The engine's update rule
+is two helpers, :func:`_level` (a fixed level or BIC over a grid) and
+:func:`_penalty`, which the penalized PCA of :mod:`hopca.sparse` shares.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
 :func:`_shared_grams`, which a table replicate, a ROC sweep and every
-deflation open around their fits of one tensor, the Gram
+shared loop open around their fits of one tensor, the Gram
 eigendecomposition of each unfolding of that tensor is computed once,
 and so are the singular vectors taken from it.  Every SVD start of the
 tensor reads them: the (v, w) start of the power scheme, the CP-ALS
@@ -349,16 +354,17 @@ _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 @contextmanager
 def _shared_grams(x):
-    """Yield a read-only view of ``x``.  Within the block the Gram
-    eigendecomposition of each unfolding of that very view (``is``, not
-    equality) is computed once, and so are its leading singular vectors
-    for each (mode, k); both are kept read-only.  Opened on the view of
-    an enclosing block, the block is that block."""
+    """Check ``x`` (:func:`check_tensor3`) and yield a read-only view of
+    it.  Within the block the Gram eigendecomposition of each unfolding
+    of that very view (``is``, not equality) is computed once, and so are
+    its leading singular vectors for each (mode, k); both are kept
+    read-only.  Opened on the view of an enclosing block, the block is
+    that block, and ``x`` is neither checked nor scanned again."""
     memo = _GRAMS.get()
     if memo is not None and memo[0] is x:
         yield x
         return
-    view = np.asarray(x, dtype=float).view()
+    view = check_tensor3(x).view()
     view.flags.writeable = False
     token = _GRAMS.set((view, {}, {}))
     try:
@@ -451,61 +457,61 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
     less than ``tol``.  ``cfg`` defaults to :class:`SolverConfig`; the
     ``extras`` end the diagnostics.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    _reject_unread(cfg)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
-    d = np.zeros(K)
-    levels = [0.0, 0.0, 0.0]
-    used_pinv = False
+    with _shared_grams(x) as x:
+        cfg = cfg or SolverConfig()
+        _reject_unread(cfg)
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
+        d = np.zeros(K)
+        levels = [0.0, 0.0, 0.0]
+        used_pinv = False
 
-    def exact(gram, corr, warm):
-        nonlocal used_pinv
-        if np.linalg.cond(gram) < 1e12:
-            return np.linalg.solve(gram, corr.T).T, 0.0
-        used_pinv = True
-        return corr @ np.linalg.pinv(gram), 0.0
+        def exact(gram, corr, warm):
+            nonlocal used_pinv
+            if np.linalg.cond(gram) < 1e12:
+                return np.linalg.solve(gram, corr.T).T, 0.0
+            used_pinv = True
+            return corr @ np.linalg.pinv(gram), 0.0
 
-    # the absolute rule on the relative residual, not _converged
-    loop = _Loop(cfg, rule=lambda prev, value, tol: (
-        prev is not None and abs(prev - value) < tol))
-    norm_x = frob_norm(x)
-    residual_trace = []
-    if norm_x == 0.0:  # the zero fit, from no sweep
-        factors = [f if step is None else np.zeros_like(f)
-                   for f, step in zip(factors, steps)]
-        loop.converged = True
-    else:
-        unfoldings = [matricize(x, m) for m in (1, 2, 3)]
-        steps = [step and step(norm_x ** 2, x.size) for step in steps]
-        for _ in loop.sweeps():
-            for m in range(3):
-                # design matrix of our fiber order: kron(b_k, a_k) per column
-                a, b = (f for o, f in enumerate(factors) if o != m)
-                gram = (a.T @ a) * (b.T @ b)
-                corr = unfoldings[m] @ khatri_rao(b, a)
-                scaled, levels[m] = (steps[m] or exact)(gram, corr,
-                                                        factors[m] * d)
-                d = np.linalg.norm(scaled, axis=0)
-                live = d > _TINY
-                factors[m][:, live] = scaled[:, live] / d[live]
-                if steps[m] is not None:
-                    factors[m][:, ~live] = 0.0
-            resid = frob_norm(x - CpModel(*factors, d).reconstruct())
-            residual_trace.append(resid)
-            loop.objective_trace.append(0.5 * resid ** 2 + sum(
-                lev * float(np.sum(np.abs(f)))
-                for lev, f in zip(levels, factors)))
-            loop.stop(resid / norm_x)
-        *factors, d, _ = sort_components(*factors, d)
-        factors = canonicalize_cp_signs(*factors)
-    return CpModel(*factors, d, _diagnostics(
-        method, [loop], {m: [lev] * K for m, lev in zip(_MODES, levels)},
-        _column_nnz(*factors), used_pinv=used_pinv,
-        residual_norm=residual_trace[-1] if residual_trace else 0.0,
-        residual_trace=np.asarray(residual_trace), **extras))
+        # the absolute rule on the relative residual, not _converged
+        loop = _Loop(cfg, rule=lambda prev, value, tol: (
+            prev is not None and abs(prev - value) < tol))
+        norm_x = frob_norm(x)
+        residual_trace = []
+        if norm_x == 0.0:  # the zero fit, from no sweep
+            factors = [f if step is None else np.zeros_like(f)
+                       for f, step in zip(factors, steps)]
+            loop.converged = True
+        else:
+            unfoldings = [matricize(x, m) for m in (1, 2, 3)]
+            steps = [step and step(norm_x ** 2, x.size) for step in steps]
+            for _ in loop.sweeps():
+                for m in range(3):
+                    # design matrix of our fiber order: kron(b_k, a_k) cols
+                    a, b = (f for o, f in enumerate(factors) if o != m)
+                    gram = (a.T @ a) * (b.T @ b)
+                    corr = unfoldings[m] @ khatri_rao(b, a)
+                    scaled, levels[m] = (steps[m] or exact)(gram, corr,
+                                                            factors[m] * d)
+                    d = np.linalg.norm(scaled, axis=0)
+                    live = d > _TINY
+                    factors[m][:, live] = scaled[:, live] / d[live]
+                    if steps[m] is not None:
+                        factors[m][:, ~live] = 0.0
+                resid = frob_norm(x - CpModel(*factors, d).reconstruct())
+                residual_trace.append(resid)
+                loop.objective_trace.append(0.5 * resid ** 2 + sum(
+                    lev * float(np.sum(np.abs(f)))
+                    for lev, f in zip(levels, factors)))
+                loop.stop(resid / norm_x)
+            *factors, d, _ = sort_components(*factors, d)
+            factors = canonicalize_cp_signs(*factors)
+        return CpModel(*factors, d, _diagnostics(
+            method, [loop], {m: [lev] * K for m, lev in zip(_MODES, levels)},
+            _column_nnz(*factors), used_pinv=used_pinv,
+            residual_norm=residual_trace[-1] if residual_trace else 0.0,
+            residual_trace=np.asarray(residual_trace), **extras))
 
 
 def cp_als(x, K: int, cfg: SolverConfig | None = None) -> CpModel:
@@ -538,76 +544,78 @@ def _tucker_core(x, U, V, W):
     return _mode_mult3(x, U.T, V.T, W.T)
 
 
-def _svd_step(m, k):
+def _svd_step(m, k, cfg):
     return leading_singular_vectors(m, k), [0.0] * k, []
 
 
-def _tucker(x, ranks, method: str, steps=(None, None, None),
-            cfg: SolverConfig | None = None, **extras) -> TuckerModel:
-    """Tucker factors from one step per mode: HOSVD, then with ``cfg``
-    HOOI sweeps under its iteration controls.
+def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
+            steps=(None, None, None), sweeps: bool = False,
+            **extras) -> TuckerModel:
+    """Tucker factors from one step per mode: HOSVD, then with ``sweeps``
+    HOOI sweeps under the iteration controls of ``cfg`` (default
+    :class:`SolverConfig`).
 
-    ``steps[m](unfolding, rank)`` returns ``rank`` factor columns, the
-    penalty level of each and the loops it ran; a None step takes the
+    ``steps[m](unfolding, rank, cfg)`` returns ``rank`` factor columns,
+    the penalty level of each and the loops it ran; a None step takes the
     leading singular vectors and runs none.  The HOSVD start runs the
     steps on the unfoldings of ``x`` and passes each the memo's ``eig``
-    of its unfolding's transpose (see :func:`_gram_eig`) as a third
+    of its unfolding's transpose (see :func:`_gram_eig`) as a fourth
     argument; each sweep re-estimates every factor from ``x`` projected
     onto the other two.  Convergence (relative core-norm change below
     ``tol``) is first checked at sweep 2.  The sweep with the largest
     core norm is returned, ties going to the later sweep.  The model's
-    loops are the steps' loops of the returned sweep, then with ``cfg``
-    the sweeps, whose objective trace is the core norm of the HOSVD start
-    and of each sweep.  The ``extras`` end the diagnostics.
+    loops are the steps' loops of the returned sweep, then with
+    ``sweeps`` the sweeps, whose objective trace is the core norm of the
+    HOSVD start and of each sweep.  The ``extras`` end the diagnostics.
     """
-    x = check_tensor3(x)
-    ranks = _check_ranks(x, ranks)
-    if cfg is not None:
+    with _shared_grams(x) as x:
+        ranks = _check_ranks(x, ranks)
+        cfg = cfg or SolverConfig()
         _reject_unread(cfg, svd_start=True)
-    factors, levels, loops = [], {}, []
-    for m, (step, k) in enumerate(zip(steps, ranks)):
-        if step is None:  # a copy: the model's factors are not the memo's
-            f, lev, ran = (np.array(_unfolding_vectors(x, m + 1, k)),
-                           [0.0] * k, [])
-        else:
-            unfolding = matricize(x, m + 1)
-            f, lev, ran = step(unfolding, k,
-                               _gram_eig(x, m + 1, unfolding, right=True))
-        factors.append(f)
-        levels[_MODES[m]] = lev
-        loops += ran
-    steps = [step or _svd_step for step in steps]
-    core = _tucker_core(x, *factors)
-    if cfg is not None:
-        loop = _Loop(cfg, [frob_norm(core)])
-        loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
-        best, best_norm = (factors, core, levels, loops), frob_norm(core)
-        for _ in loop.sweeps():
-            factors, levels, loops = list(factors), dict(levels), []
-            for m in range(3):
-                y = x
-                for o in range(3):
-                    if o != m:
-                        y = mode_mult(y, factors[o].T, o + 1)
-                factors[m], levels[_MODES[m]], ran = steps[m](
-                    matricize(y, m + 1), ranks[m])
-                loops += ran
-            core = mode_mult(y, factors[2].T, 3)
-            norm = frob_norm(core)
-            loop.objective_trace.append(norm)
-            if norm >= best_norm:
-                best, best_norm = (factors, core, levels, loops), norm
-            loop.stop(norm)
-        factors, core, levels, loops = best
-        loops = [*loops, loop]
-        extras = {"core_norm": best_norm, **extras}
+        factors, levels, loops = [], {}, []
+        for m, (step, k) in enumerate(zip(steps, ranks)):
+            if step is None:  # a copy: the model's factors are not the memo's
+                f, lev, ran = (np.array(_unfolding_vectors(x, m + 1, k)),
+                               [0.0] * k, [])
+            else:
+                unfolding = matricize(x, m + 1)
+                f, lev, ran = step(unfolding, k, cfg, _gram_eig(
+                    x, m + 1, unfolding, right=True))
+            factors.append(f)
+            levels[_MODES[m]] = lev
+            loops += ran
+        steps = [step or _svd_step for step in steps]
+        core = _tucker_core(x, *factors)
+        if sweeps:
+            loop = _Loop(cfg, [frob_norm(core)])
+            loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
+            best, best_norm = (factors, core, levels, loops), frob_norm(core)
+            for _ in loop.sweeps():
+                factors, levels, loops = list(factors), dict(levels), []
+                for m in range(3):
+                    y = x
+                    for o in range(3):
+                        if o != m:
+                            y = mode_mult(y, factors[o].T, o + 1)
+                    factors[m], levels[_MODES[m]], ran = steps[m](
+                        matricize(y, m + 1), ranks[m], cfg)
+                    loops += ran
+                core = mode_mult(y, factors[2].T, 3)
+                norm = frob_norm(core)
+                loop.objective_trace.append(norm)
+                if norm >= best_norm:
+                    best, best_norm = (factors, core, levels, loops), norm
+                loop.stop(norm)
+            factors, core, levels, loops = best
+            loops = [*loops, loop]
+            extras = {"core_norm": best_norm, **extras}
     return TuckerModel(*factors, core, _diagnostics(
         method, loops, levels, _column_nnz(*factors), **extras))
 
 
 def hosvd(x, ranks) -> TuckerModel:
     """Tucker factors from the leading singular vectors of each unfolding."""
-    return _tucker(x, ranks, "hosvd")
+    return _tucker(x, ranks, None, "hosvd")
 
 
 def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
@@ -617,7 +625,7 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
     tensor projected onto the other two factors, so the core norm is
     non-decreasing; stops when its relative change drops below ``tol``.
     """
-    return _tucker(x, ranks, "hooi", cfg=cfg or SolverConfig())
+    return _tucker(x, ranks, cfg, "hooi", sweeps=True)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +672,23 @@ class _ModeUpdate:
 
 
 _PLAIN = (_ModeUpdate(),) * 3
+
+
+def _level(upd: _ModeUpdate, c, norm_sq, size) -> float:
+    """The level of an update of contraction ``c``: the update's fixed
+    level, or the one BIC selects over ``upd.grid(c)`` for a tensor of
+    ``size`` entries and squared norm ``norm_sq``."""
+    if upd.grid is None:
+        return upd.level
+    grid = upd.grid(c)
+    values, _ = bic_path(norm_sq, size, c, grid, upd.prox.prox)
+    return float(grid[_bic_argmin(values)])
+
+
+def _penalty(upd: _ModeUpdate, level, f) -> float:
+    """The penalty ``level * P(f)`` the objective deducts for factor
+    ``f`` (exactly 0 at level 0)."""
+    return level * upd.prox.evaluate(f) if level else 0.0
 
 
 def _project_out(vec, basis):
@@ -827,10 +852,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
 
     def update(m, c):
         upd = updates[m]
-        if upd.grid is not None:
-            grid = upd.grid(c)
-            values, _ = bic_path(norm_sq, x.size, c, grid, upd.prox.prox)
-            lam[m] = float(grid[_bic_argmin(values)])
+        lam[m] = _level(upd, c, norm_sq, x.size)
         if upd.q is None:
             return normalize_or_zero(upd.prox.prox(_project_out(c, basis[m]),
                                                    lam[m]))
@@ -840,9 +862,6 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
             c = warm[m] = qnorm_lasso_solve(c, upd.q, lam[m],
                                             lipschitz=lips[m], start=warm[m])
         return _q_normalize(c, upd.q)
-
-    def penalty(m, f):
-        return lam[m] * updates[m].prox.evaluate(f) if lam[m] else 0.0
 
     loop = _Loop(cfg)
 
@@ -867,7 +886,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         qf = [factors[0], weighted(1, v), weighted(2, w)]
         # each mode's penalty value; an update changes only its own
         # mode's factor and level, so only that entry is recomputed
-        pens = [penalty(m, f) for m, f in enumerate(factors)]
+        pens = [_penalty(upd, lev, f)
+                for upd, lev, f in zip(updates, lam, factors)]
         loop, restart = _Loop(cfg), False
         for _ in loop.sweeps():
             # x contracted with w feeds both the u- and the v-update
@@ -887,7 +907,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
                         return zero_fit()
                     restart = True
                     break
-                factors[m], qf[m], pens[m] = f, weighted(m, f), penalty(m, f)
+                factors[m], qf[m] = f, weighted(m, f)
+                pens[m] = _penalty(updates[m], lam[m], f)
                 d = float(f @ weighted(m, c))
                 objective = d - pens[0] - pens[1] - pens[2]
                 loop.objective_trace.append(objective)
@@ -903,11 +924,12 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
 
 
 def _fit_rank_one(x, updates, cfg: SolverConfig | None) -> RankOneFit:
-    """Check ``x`` and fit one rank-one term to it with the engine's
-    ``updates``, under ``cfg`` (default :class:`SolverConfig`) and the
-    generator it seeds."""
+    """Fit one rank-one term to ``x`` with the engine's ``updates``, in a
+    :func:`_shared_grams` block on ``x``, under ``cfg`` (default
+    :class:`SolverConfig`) and the generator it seeds."""
     cfg = cfg or SolverConfig()
-    return _rank_one(check_tensor3(x), updates, cfg, cfg.rng())
+    with _shared_grams(x) as x:
+        return _rank_one(x, updates, cfg, cfg.rng())
 
 
 def _fit_greedy(x, K: int, updates, cfg: SolverConfig | None, method: str,
@@ -931,24 +953,24 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     :class:`_Terms`, None for the first component) leave of ``x``;
     ``basis`` holds the previous factors per mode when the extra
     ``orthogonalized`` is set, else Nones.  The fits run in a
-    :func:`_shared_grams` block on ``x``, which is only read, so each
-    later SVD start is an update of the memo's Grams of ``x``; only a
-    nearly vanished residual is formed, and given to ``fit_one`` as ``x``
-    with no terms (see :meth:`_Terms.target`).  The generator from ``cfg`` is shared by all
-    components.  A zero tensor or a zero fit truncates the model
-    (remaining columns zero-filled, ``truncated_at`` set).  Components
-    are sorted by descending weight; the per-component diagnostics stay
-    in the greedy order, which ``component_order`` maps.  The method's
-    ``extras`` end the diagnostics.
+    :func:`_shared_grams` block on ``x``, which checks ``x`` and then only
+    reads it, so each later SVD start is an update of the memo's Grams of
+    ``x``; only a nearly vanished residual is formed, and given to
+    ``fit_one`` as ``x`` with no terms (see :meth:`_Terms.target`).  The
+    generator from ``cfg`` is shared by all components.  A zero tensor or
+    a zero fit truncates the model (remaining columns zero-filled,
+    ``truncated_at`` set).  Components are sorted by descending weight;
+    the per-component diagnostics stay in the greedy order, which
+    ``component_order`` maps.  The method's ``extras`` end the
+    diagnostics.
     """
-    x = check_tensor3(x)
-    orthogonalize = extras.get("orthogonalized", False)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    rng = cfg.rng()
-    fits = []
-    truncated_at = None
     with _shared_grams(x) as x:
+        orthogonalize = extras.get("orthogonalized", False)
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        rng = cfg.rng()
+        fits = []
+        truncated_at = None
         terms = _Terms(x, K)
         for k in range(K):
             target, given = terms.target()
@@ -987,11 +1009,10 @@ def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:
     vanishing contraction triggers up to five random re-initializations
     before falling back to the zero fit.
     """
-    x = check_tensor3(x)
-    cfg = cfg or SolverConfig()
-    if frob_norm(x) == 0.0:
-        raise ValueError("input tensor is zero")
-    return _rank_one(x, _PLAIN, cfg, cfg.rng())
+    with _shared_grams(x) as x:
+        if frob_norm(x) == 0.0:
+            raise ValueError("input tensor is zero")
+        return _fit_rank_one(x, _PLAIN, cfg)
 
 
 def tpa(x, K: int, cfg: SolverConfig | None = None) -> CpModel:

@@ -365,25 +365,18 @@ class SmootherSet:
         n, p, q = dims
         return cls(np.zeros((n, n)), np.zeros((p, p)), np.zeros((q, q)), 0.0)
 
-    @property
-    def s_u(self) -> np.ndarray:
-        return np.eye(self.omega_u.shape[0]) + self.alpha * self.omega_u
-
-    @property
-    def s_v(self) -> np.ndarray:
-        return np.eye(self.omega_v.shape[0]) + self.alpha * self.omega_v
-
-    @property
-    def s_w(self) -> np.ndarray:
-        return np.eye(self.omega_w.shape[0]) + self.alpha * self.omega_w
+    def smoother(self, mode: str) -> np.ndarray:
+        """The smoother ``S = I + alpha * Omega`` of ``mode`` ("u", "v"
+        or "w")."""
+        omega = getattr(self, f"omega_{mode}")
+        return np.eye(omega.shape[0]) + self.alpha * omega
 
     def inverse_sqrt(self, mode: str) -> np.ndarray:
         if mode not in self._cache:
-            omega = {"u": self.omega_u, "v": self.omega_v,
-                     "w": self.omega_w}[mode]
-            eye = np.eye(omega.shape[0])
-            self._cache[mode] = (eye if self.alpha == 0.0 or not np.any(omega)
-                                 else _inverse_sqrt(eye + self.alpha * omega))
+            smoother = self.smoother(mode)  # exactly I at zero alpha or Omega
+            self._cache[mode] = (smoother if self.alpha == 0.0
+                                 or not np.any(getattr(self, f"omega_{mode}"))
+                                 else _inverse_sqrt(smoother))
         return self._cache[mode]
 
 
@@ -396,8 +389,9 @@ def _half_smooth(x, s: SmootherSet):
 def fpca_objective(x, s: SmootherSet, u, v, w) -> float:
     """Roughness-penalized rank-one loss for the tri-convex formulation."""
     fit = x - outer3(u, v, w)
-    quad = (float(u @ (s.s_u @ u)) * float(v @ (s.s_v @ v))
-            * float(w @ (s.s_w @ w)))
+    quad = (float(u @ (s.smoother("u") @ u))
+            * float(v @ (s.smoother("v") @ v))
+            * float(w @ (s.smoother("w") @ w)))
     norms = (float(u @ u) * float(v @ v) * float(w @ w))
     return float(np.sum(fit * fit)) + quad - norms
 
@@ -484,7 +478,7 @@ def fpca_half_smoothing(x, s: SmootherSet, ranks,
     it can still sit measurably off one.
     """
     smoothed, (half_u, half_v, half_w) = _half_smooth(check_tensor3(x), s)
-    inner = _tucker(smoothed, ranks, "fpca-halfsmooth",
-                    cfg=cfg or SolverConfig(), alpha=s.alpha)
+    inner = _tucker(smoothed, ranks, cfg, "fpca-halfsmooth", sweeps=True,
+                    alpha=s.alpha)
     return replace(inner, U=half_u @ inner.U, V=half_v @ inner.V,
                    W=half_w @ inner.W)

@@ -6,9 +6,12 @@ updates (sparse ALS, sparse HOSVD, sparse HOOI).
 Every solver is one call of a shared loop of :mod:`hopca.decompose`,
 which checks the tensor, defaults the config and labels the fit.  The
 rank-one fit and the deflation scheme give the rank-one engine one
-soft-thresholding update per mode.  The baselines run the one ALS loop
-and the one Tucker loop with a penalized step (lasso, penalized PCA) in
-each penalized mode; at zero penalty they are CP-ALS, HOSVD and HOOI.
+soft-thresholding update per mode (:func:`_mode_update`).  The baselines
+run the one ALS loop and the one Tucker loop with a penalized step
+(lasso, penalized PCA) in each penalized mode; at zero penalty they are
+CP-ALS, HOSVD and HOOI.  The penalized PCA is the matrix case of the
+engine: a (left, right) pair of the same updates, whose levels and
+penalties the engine's own helpers pick and score.
 
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
@@ -34,14 +37,16 @@ from .decompose import (
     _als,
     _fit_greedy,
     _fit_rank_one,
+    _level,
     _Loop,
     _ModeUpdate,
+    _penalty,
     _reject_unread,
     _tucker,
     leading_singular_vectors,
     normalize_or_zero,
 )
-from .evaluate import _bic, _bic_argmin, bic_path, default_lambda_grid
+from .evaluate import _bic, _bic_argmin, default_lambda_grid
 
 __all__ = [
     "soft_threshold",
@@ -205,13 +210,17 @@ class SparseDiagnostics:
 # deflation scheme: thresholded rank-one fits
 
 
+def _mode_update(p: ModePenalty) -> _ModeUpdate:
+    """The engine update of one mode's penalty: the kind's prox at the
+    fixed level, or at the level BIC selects on every update."""
+    return _ModeUpdate(_KIND_PENALTY[p.kind],
+                       0.0 if p.is_adaptive else p.fixed_level(),
+                       p.grid_for if p.is_adaptive else None)
+
+
 def _mode_updates(pen: PenaltySpec):
-    """Engine updates for a penalty spec: the kind's prox at the fixed
-    level, or at the level BIC selects on every update."""
-    return tuple(_ModeUpdate(_KIND_PENALTY[p.kind],
-                             0.0 if p.is_adaptive else p.fixed_level(),
-                             p.grid_for if p.is_adaptive else None)
-                 for p in (pen.u, pen.v, pen.w))
+    """Engine updates for a penalty spec, one per mode."""
+    return tuple(_mode_update(p) for p in (pen.u, pen.v, pen.w))
 
 
 def sparse_cp_tpa_rank_one(x, lam=(0.0, 0.0, 0.0),
@@ -349,40 +358,45 @@ class SparsePcaFit:
     lam_right: float = 0.0
 
 
-def _sparse_pca_engine(m, left_pen: ModePenalty, lam_right, cfg,
-                       norm_sq=None, eig=None) -> SparsePcaFit:
+def _sparse_pca_engine(m, updates, cfg, norm_sq=None,
+                       eig=None) -> SparsePcaFit:
+    """Penalized rank-one SVD of ``m`` by alternating updates, the matrix
+    case of the rank-one engine's.
+
+    ``updates`` is the (left, right) pair of engine updates
+    (:class:`_ModeUpdate`).  Each side is the normalized prox of its
+    contraction at the level :func:`_level` picks (BIC reads
+    ``norm_sq``), and the objective ``<u, m v> - sum level * P(factor)``
+    is recorded after every update.
+    The right factor starts from the leading right singular vector of
+    ``m`` (``eig``: ``eigh`` of the Gram it is taken from, when given).  A
+    fully thresholded factor ends the fit with the zero fit.
+    """
     _reject_unread(cfg, svd_start=True)
-    threshold = _KIND_PENALTY[left_pen.kind].prox
-    adaptive = left_pen.is_adaptive
-    lam_left = 0.0 if adaptive else left_pen.fixed_level()
-    v = leading_singular_vectors(m.T, 1, eig=eig)[:, 0]
+    factors = [None, leading_singular_vectors(m.T, 1, eig=eig)[:, 0]]
+    lam = [upd.level for upd in updates]
+    pens = [0.0, _penalty(updates[1], lam[1], factors[1])]
     loop = _Loop(cfg)
     for _ in loop.sweeps():
-        c = m @ v
-        if adaptive:
-            grid = left_pen.grid_for(c)
-            values, _ = bic_path(norm_sq, m.size, c, grid, threshold)
-            lam_left = float(grid[_bic_argmin(values)])
-        u, nrm = normalize_or_zero(threshold(c, lam_left))
+        for side, upd in enumerate(updates):
+            c = m @ factors[1] if side == 0 else m.T @ factors[0]
+            level = lam[side] = _level(upd, c, norm_sq, m.size)
+            factors[side], nrm = normalize_or_zero(upd.prox.prox(c, level))
+            if nrm == 0.0:
+                break
+            pens[side] = _penalty(upd, level, factors[side])
+            objective = float(factors[side] @ c) - pens[0] - pens[1]
+            loop.objective_trace.append(objective)
         if nrm == 0.0:
             break
-        loop.objective_trace.append(
-            float(u @ c) - lam_left * float(np.sum(np.abs(u)))
-            - lam_right * float(np.sum(np.abs(v))))
-        cv = m.T @ u
-        v, nrm = normalize_or_zero(soft_threshold(cv, lam_right))
-        if nrm == 0.0:
-            break
-        objective = (float(v @ cv) - lam_left * float(np.sum(np.abs(u)))
-                     - lam_right * float(np.sum(np.abs(v))))
-        loop.objective_trace.append(objective)
         loop.stop(objective)
     if nrm == 0.0:  # a fully thresholded factor: the zero fit
-        u, v = np.zeros(m.shape[0]), np.zeros(m.shape[1])
+        factors = [np.zeros(m.shape[0]), np.zeros(m.shape[1])]
         loop.converged = True
+    u, v = factors
     d = float(u @ m @ v) if nrm else 0.0
     return SparsePcaFit(u, v, d, loop.iterations, loop.converged,
-                        np.asarray(loop.objective_trace), lam_left, lam_right)
+                        np.asarray(loop.objective_trace), *lam)
 
 
 def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
@@ -394,8 +408,9 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
     """
     m = np.asarray(m, dtype=float)
     cfg = cfg or SolverConfig()
-    return _sparse_pca_engine(m, ModePenalty("lasso", float(lam_left)),
-                              float(lam_right), cfg)
+    return _sparse_pca_engine(m, tuple(
+        _mode_update(ModePenalty("lasso", float(lam)))
+        for lam in (lam_left, lam_right)), cfg)
 
 
 def sparse_pca(m, k: int, left_pen: ModePenalty,
@@ -413,13 +428,15 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     # a C-ordered copy of the F-ordered unfolding; the fits' bits depend on it
     m = np.asarray(m, dtype=float).copy()
     cfg = cfg or SolverConfig()
+    updates = (_mode_update(left_pen),
+               _mode_update(ModePenalty("lasso", 0.0)))
     left = np.zeros((m.shape[0], k))
     right = np.zeros((m.shape[1], k))
     d = np.zeros(k)
     fits = []
     for comp in range(k):
-        fit = _sparse_pca_engine(m, left_pen, 0.0, cfg,
-                                 float(np.sum(m * m)), eig)
+        norm_sq = None if updates[0].grid is None else float(np.sum(m * m))
+        fit = _sparse_pca_engine(m, updates, cfg, norm_sq, eig)
         eig = None  # the next component starts from the deflated m
         fits.append(fit)
         if fit.d == 0.0:
@@ -429,15 +446,12 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     return left, right, d, fits
 
 
-def _pca_step(mode_pen: ModePenalty, cfg: SolverConfig):
+def _pca_step(mode_pen: ModePenalty, m, k, cfg, eig=None):
     """Tucker step for one penalized mode: the left factors of
     :func:`sparse_pca`, the chosen level of each component and its
     component fits as the loops."""
-    def step(m, k, eig=None):
-        left, _, _, fits = sparse_pca(m, k, mode_pen, cfg, eig)
-        return left, [fit.lam_left for fit in fits], fits
-
-    return step
+    left, _, _, fits = sparse_pca(m, k, mode_pen, cfg, eig)
+    return left, [fit.lam_left for fit in fits], fits
 
 
 def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
@@ -449,10 +463,9 @@ def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
     not orthonormal; an unpenalized mode takes the leading singular
     vectors, as :func:`hosvd` does.
     """
-    cfg = cfg or SolverConfig()
-    _reject_unread(cfg, svd_start=True)
-    return _tucker(x, ranks, "sparse-hosvd", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), sparse=True)
+    return _tucker(x, ranks, cfg, "sparse-hosvd", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: partial(_pca_step, p)),
+        sparse=True)
 
 
 def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
@@ -462,7 +475,6 @@ def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
     Convergence is not guaranteed, so iteration is capped and the sweep
     with the largest core norm is returned along with the full trace.
     """
-    cfg = cfg or SolverConfig()
-    return _tucker(x, ranks, "sparse-hooi", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: _pca_step(p, cfg)), cfg,
-        sparse=True)
+    return _tucker(x, ranks, cfg, "sparse-hooi", _mode_steps(
+        pen or PenaltySpec.none(), lambda p: partial(_pca_step, p)),
+        sweeps=True, sparse=True)

@@ -52,3 +52,31 @@ def test_support_scores_have_one_digest_and_other_scores_another():
                                                                 truth))
     flipped = dataclasses.replace(scores, signs=-scores.signs)
     assert score_digest(flipped) != score_digest(scores)
+
+
+def test_the_penalized_pca_has_fits_of_its_own():
+    tool = load_tool()
+    fits = dict(tool.pca_fits())
+    assert list(fits) == ["pca rank-one 0.4 0.2",
+                          *(f"pca nonneg 0.4 comp {c}" for c in range(3))]
+    digests = {label: tool.digest(fit) for label, fit in fits.items()}
+    assert len(set(digests.values())) == 4
+    assert {label: tool.digest(fit)
+            for label, fit in tool.pca_fits()} == digests
+    rank_one = fits["pca rank-one 0.4 0.2"]
+    # the positive right level zeroes entries of v, so it is exercised
+    assert 0 < np.count_nonzero(rank_one.v) < rank_one.v.size
+    assert (rank_one.lam_left, rank_one.lam_right) == (0.4, 0.2)
+    flipped = dataclasses.replace(rank_one, v=-rank_one.v)
+    assert tool.digest(flipped) != digests["pca rank-one 0.4 0.2"]
+    assert all(fit.lam_left == 0.4 and np.all(fit.u >= 0.0)
+               for label, fit in fits.items() if "nonneg" in label)
+
+
+def test_the_fixed_level_tucker_fits_are_digested_on_scenario_2():
+    fits = {label: fit for label, fit, _ in load_tool().scenario_fits()}
+    for method in ("sparse-hosvd", "sparse-hooi"):
+        fit = fits[f"s2 {method} u=2.0"]
+        assert fit.diagnostics["method"] == method
+        assert fit.diagnostics["lambdas"]["u"] == [2.0, 2.0]
+        assert 0 < min(fit.diagnostics["nnz"]["u"]) < fit.U.shape[0]

@@ -1,0 +1,81 @@
+"""Every shared loop enters through ``_shared_grams``, which checks its
+tensor when it opens a block on a new one.  A fit inside a block open on
+its own tensor therefore never checks (and never rescans) it again: a
+table replicate and a ROC replicate each check their tensor once."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from hopca import tensor3
+from hopca.decompose import SolverConfig, _shared_grams
+from hopca.simulate import (METHODS, TABLE_METHODS, SimScenarioSpec,
+                            _roc_replicate, _table_replicate)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The calls of ``check_tensor3``, counted wherever a package module
+    binds it."""
+    original, calls = tensor3.check_tensor3, []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return original(x)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "hopca" or name.startswith("hopca.")):
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_a_table_replicate_checks_its_tensor_once(checks):
+    spec = SimScenarioSpec(scenario=2, k=2, seed=2024)
+    out, _, failures = _table_replicate(spec, TABLE_METHODS, 0,
+                                        SolverConfig(max_iter=100), None)
+    assert failures == [] and sorted(out) == sorted(TABLE_METHODS)
+    assert len(checks) == 1
+
+
+def test_a_roc_replicate_checks_its_tensor_once(checks):
+    spec = SimScenarioSpec(scenario=1, k=2, seed=2024)
+    out = _roc_replicate(spec, ("sparse-cp-tpa", "cp-naive"), 0,
+                         SolverConfig(max_iter=60), None, 20)
+    assert all(out.values())
+    assert len(checks) == 1
+
+
+def test_a_fit_in_a_block_on_another_tensor_checks_its_own(checks):
+    x = np.random.default_rng(1).standard_normal((5, 4, 3))
+    with _shared_grams(x) as view:
+        METHODS["tpa"].fit(view, 2, SolverConfig())
+        METHODS["tpa"].fit(view + 1.0, 2, SolverConfig())
+    assert checks == [x.shape, x.shape]
+
+
+def with_nan(shape=(5, 4, 3)):
+    x = np.random.default_rng(2).standard_normal(shape)
+    x[1, 2, 0] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("bad", [with_nan(), np.ones((4, 3)),
+                                 np.ones((2, 2, 2, 2))],
+                         ids=["nan", "ndim2", "ndim4"])
+def test_opening_a_block_checks_the_tensor(bad):
+    with pytest.raises(ValueError):
+        with _shared_grams(bad):
+            pytest.fail("the block opened on a bad tensor")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_method_rejects_a_non_finite_tensor(name, value):
+    x = np.random.default_rng(3).standard_normal((5, 4, 3))
+    x[2, 1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        METHODS[name].fit(x, 2, SolverConfig())
