@@ -30,7 +30,9 @@ fit to ``x`` and the terms accepted so far (:class:`_Terms`): every
 contraction is the contraction of ``x`` less the terms' share, the SVD
 start is an eigendecomposition of the memo's Gram of ``x`` updated by
 the terms, and the norm BIC reads is in closed form.  Only a residual
-that has nearly vanished, or a tall unfolding's start, is formed.
+that has nearly vanished, or a tall unfolding's start, is formed.  The
+ALS loop reads its residual norm from the same closed form
+(:func:`_cp_norm_sq`) and takes its products on reshape views of ``x``.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -47,8 +49,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .evaluate import _bic_argmin, bic_path
-from .tensor3 import (_mode_mult3, check_tensor3, frob_norm, khatri_rao,
-                      matricize, mode_mult)
+from .tensor3 import (_mode_mult3, check_tensor3, frob_norm, matricize,
+                      mode_mult)
 
 __all__ = [
     "SolverConfig",
@@ -338,6 +340,16 @@ def _diagnostics(method: str, loops, lambdas, nnz, **extras) -> dict:
             "lambdas": lambdas, "nnz": nnz, **extras}
 
 
+def _cp_norm_sq(norm_sq_x, factors, d, inner) -> float:
+    """``||x - sum_k d_k u_k o v_k o w_k||^2`` in closed form, ``||x||^2 -
+    2 d^T inner + d^T (U^T U * V^T V * W^T W) d``, from ``||x||^2``, the
+    factors (U, V, W), the weights and ``inner[k] = <x, u_k o v_k o w_k>``
+    (Kolda & Bader 2009)."""
+    U, V, W = factors
+    cross = (U.T @ U) * (V.T @ V) * (W.T @ W)
+    return norm_sq_x - 2.0 * float(d @ inner) + float(d @ cross @ d)
+
+
 def _random_unit(rng, dim):
     vec = rng.standard_normal(dim)
     nrm = np.linalg.norm(vec)
@@ -453,9 +465,14 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
     when the system is singular.  Columns are rescaled to unit norm with
     the weights taken as the column norms; a column whose weight vanishes
     is zeroed in a penalized mode and keeps its previous direction
-    otherwise.  Iteration stops when the relative residual changes by
-    less than ``tol``.  ``cfg`` defaults to :class:`SolverConfig`; the
-    ``extras`` end the diagnostics.
+    otherwise.  The products are taken on reshape views of ``x`` (no copy
+    of a C-contiguous ``x``): ``x`` times W serves the U- and V-updates,
+    U^T times ``x`` the W-update, whose products give the residual norm in
+    closed form (:func:`_cp_norm_sq`); the residual is formed only when
+    its squared norm is at most ``_GRAM_RCOND`` times ``||x||^2``, where
+    the closed form has lost its digits.  Iteration stops when the
+    relative residual changes by less than ``tol``.  ``cfg`` defaults to
+    :class:`SolverConfig`; the ``extras`` end the diagnostics.
     """
     with _shared_grams(x) as x:
         cfg = cfg or SolverConfig()
@@ -484,14 +501,20 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
                        for f, step in zip(factors, steps)]
             loop.converged = True
         else:
-            unfoldings = [matricize(x, m) for m in (1, 2, 3)]
+            n, p, q = x.shape
             steps = [step and step(norm_x ** 2, x.size) for step in steps]
             for _ in loop.sweeps():
+                # x contracted with W feeds both the U- and the V-update
+                xw = np.dot(x.reshape(n * p, q), factors[2]).reshape(n, p, K)
                 for m in range(3):
-                    # design matrix of our fiber order: kron(b_k, a_k) cols
                     a, b = (f for o, f in enumerate(factors) if o != m)
                     gram = (a.T @ a) * (b.T @ b)
-                    corr = unfoldings[m] @ khatri_rao(b, a)
+                    if m < 2:  # x W contracted with V, or with the new U
+                        corr = np.einsum(("ijr,jr->ir", "ijr,ir->jr")[m],
+                                         xw, a)
+                    else:  # U^T x, contracted with V
+                        corr = np.einsum("rjk,jr->kr", np.dot(
+                            a.T, x.reshape(n, p * q)).reshape(K, p, q), b)
                     scaled, levels[m] = (steps[m] or exact)(gram, corr,
                                                             factors[m] * d)
                     d = np.linalg.norm(scaled, axis=0)
@@ -499,7 +522,12 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
                     factors[m][:, live] = scaled[:, live] / d[live]
                     if steps[m] is not None:
                         factors[m][:, ~live] = 0.0
-                resid = frob_norm(x - CpModel(*factors, d).reconstruct())
+                # the mode-3 products were taken with the final U and V
+                resid_sq = _cp_norm_sq(norm_x ** 2, factors, d, np.einsum(
+                    "kr,kr->r", factors[2], corr))
+                resid = (math.sqrt(resid_sq)
+                         if resid_sq > _GRAM_RCOND * norm_x ** 2 else
+                         frob_norm(x - CpModel(*factors, d).reconstruct()))
                 residual_trace.append(resid)
                 loop.objective_trace.append(0.5 * resid ** 2 + sum(
                     lev * float(np.sum(np.abs(f)))
@@ -760,9 +788,8 @@ class _Terms:
         """``||R||^2 = ||x||^2 - 2 sum_j d_j <x, t_j> + d^T (U^T U * V^T V
         * W^T W) d`` for the unit terms ``t_j``."""
         U, V, W, d = self.accepted()
-        inner = np.einsum("jk,jk->k", V, self._cv[:, :self.k])
-        cross = (U.T @ U) * (V.T @ V) * (W.T @ W)
-        return self.norm_sq_x - 2.0 * float(d @ inner) + float(d @ cross @ d)
+        return _cp_norm_sq(self.norm_sq_x, (U, V, W), d,
+                           np.einsum("jk,jk->k", V, self._cv[:, :self.k]))
 
     def residual(self):
         """``R`` formed: each term subtracted from ``x`` in turn."""

@@ -3,7 +3,10 @@
 The ``.t3`` text format stores a third-order tensor as a header line
 ``tensor3 n p q`` followed by whitespace-separated values in
 mode-1-fastest order.  Writers emit 17 significant digits so round trips
-are bit-exact; readers accept scientific notation.
+are bit-exact; readers accept scientific notation.  The file order is
+not the memory order: :func:`read_tensor3` returns a C-contiguous array,
+the layout on which every contraction of the solvers takes reshape views
+of the tensor instead of copying it.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
@@ -76,7 +79,7 @@ def write_tensor3(path, x) -> None:
 
 
 def read_tensor3(path) -> np.ndarray:
-    """Read a tensor from a ``.t3`` text file."""
+    """Read a tensor from a ``.t3`` text file, as a C-contiguous array."""
     with open(path, "rb") as fh:
         header = fh.readline().decode().split()
         if len(header) != 4 or header[0] != "tensor3":
@@ -92,7 +95,9 @@ def read_tensor3(path) -> np.ndarray:
         while block := fh.read(_READ_BLOCK):
             tokens = (block + fh.readline()).split()
             blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
-    return tensor3(np.concatenate(blocks), (n, p, q))
+    x = tensor3(np.concatenate(blocks), (n, p, q))
+    del blocks  # the one copy below then peaks at two tensors, not three
+    return np.ascontiguousarray(x)
 
 
 def write_matrix_csv(path, m) -> None:

@@ -29,6 +29,7 @@ from .decompose import (
     _ModeUpdate,
     _PLAIN,
     _rank_one,
+    _shared_grams,
     _tucker,
     deflate,
 )
@@ -38,7 +39,7 @@ from .sparse import (
     positive_threshold,
     soft_threshold,
 )
-from .tensor3 import _mode_mult3, check_tensor3, frob_norm, outer3
+from .tensor3 import _mode_mult3, frob_norm, outer3
 
 __all__ = [
     "positive_threshold",
@@ -437,7 +438,8 @@ def fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig | None = None
     factors.
     """
     cfg = cfg or SolverConfig()
-    return _fpca_rank_one(check_tensor3(x), s, cfg, cfg.rng())
+    with _shared_grams(x) as x:
+        return _fpca_rank_one(x, s, cfg, cfg.rng())
 
 
 def _fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig,
@@ -477,7 +479,10 @@ def fpca_half_smoothing(x, s: SmootherSet, ranks,
     point of the tri-convex objective; stopped at the default tolerance
     it can still sit measurably off one.
     """
-    smoothed, (half_u, half_v, half_w) = _half_smooth(check_tensor3(x), s)
+    with _shared_grams(x) as x:
+        smoothed, (half_u, half_v, half_w) = _half_smooth(x, s)
+    # a new tensor, which opens (and checks) a block of its own: a finite
+    # x can smooth to inf, since S^{-1/2} has rows of absolute sum above one
     inner = _tucker(smoothed, ranks, cfg, "fpca-halfsmooth", sweeps=True,
                     alpha=s.alpha)
     return replace(inner, U=half_u @ inner.U, V=half_v @ inner.V,

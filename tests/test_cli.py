@@ -235,7 +235,8 @@ def test_decompose_group_penalty(rank_one_file, tmp_path):
     assert all(row.all() or not row.any() for row in mask)
 
 
-@pytest.mark.parametrize("method", ["sparse-cp-tpa", "cp-als", "hooi"])
+@pytest.mark.parametrize("method", ["sparse-cp-tpa", "cp-als", "hooi",
+                                    "hosvd"])
 def test_orthogonalize_outside_tpa_exits_one(rank_one_file, tmp_path,
                                              capsys, method):
     # only tpa projects new components against the previous ones

@@ -22,6 +22,18 @@ def test_t3_round_trip_is_bit_exact(tmp_path):
     npt.assert_array_equal(fileio.read_tensor3(path), x)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_t3_read_is_c_contiguous_and_bit_equal(tmp_path, order):
+    # the solvers' contractions take reshape views of a C-contiguous tensor
+    x = np.asarray(np.random.default_rng(1).standard_normal((3, 4, 5)),
+                   order=order)
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    back = fileio.read_tensor3(path)
+    assert back.flags.c_contiguous and not back.flags.f_contiguous
+    assert back.shape == x.shape and back.tobytes() == x.tobytes()
+
+
 @st.composite
 def finite_tensors(draw):
     shape = draw(st.tuples(*(st.integers(1, 6) for _ in range(3))))

@@ -10,6 +10,8 @@ import pytest
 
 from hopca import tensor3
 from hopca.decompose import SolverConfig, _shared_grams
+from hopca.generalized import (SmootherSet, _half_smooth, fpca_half_smoothing,
+                               fpca_rank_one)
 from hopca.simulate import (METHODS, TABLE_METHODS, SimScenarioSpec,
                             _roc_replicate, _table_replicate)
 
@@ -57,6 +59,33 @@ def test_a_fit_in_a_block_on_another_tensor_checks_its_own(checks):
     assert checks == [x.shape, x.shape]
 
 
+FPCA_ENTRIES = {
+    "fpca_rank_one": lambda x, s: fpca_rank_one(x, s, SolverConfig()),
+    "fpca_half_smoothing": lambda x, s: fpca_half_smoothing(
+        x, s, (2, 2, 2), SolverConfig()),
+}
+# the half-smoothed tensor is a new tensor, checked by its own block
+SMOOTHED_CHECKS = {"fpca_rank_one": 0, "fpca_half_smoothing": 1}
+
+
+@pytest.mark.parametrize("name", sorted(FPCA_ENTRIES))
+def test_an_fpca_fit_in_a_block_on_its_tensor_does_not_rescan_it(checks,
+                                                                  name):
+    x = np.random.default_rng(4).standard_normal((6, 5, 4))
+    s = SmootherSet.second_difference(x.shape, 1.0)
+    with _shared_grams(x) as view:
+        FPCA_ENTRIES[name](view, s)
+    # the block's own check on opening, then the smoothed tensor's
+    assert checks == [x.shape] * (1 + SMOOTHED_CHECKS[name])
+
+
+@pytest.mark.parametrize("name", sorted(FPCA_ENTRIES))
+def test_an_fpca_fit_checks_its_tensor_once(checks, name):
+    x = np.random.default_rng(4).standard_normal((6, 5, 4))
+    FPCA_ENTRIES[name](x, SmootherSet.second_difference(x.shape, 1.0))
+    assert checks == [x.shape] * (1 + SMOOTHED_CHECKS[name])
+
+
 def with_nan(shape=(5, 4, 3)):
     x = np.random.default_rng(2).standard_normal(shape)
     x[1, 2, 0] = np.nan
@@ -79,3 +108,19 @@ def test_every_method_rejects_a_non_finite_tensor(name, value):
     x[2, 1, 1] = value
     with pytest.raises(ValueError, match="finite"):
         METHODS[name].fit(x, 2, SolverConfig())
+
+
+def test_half_smoothing_rejects_a_finite_tensor_that_smooths_to_inf():
+    # S^{-1/2} has spectral norm at most one, but a row's entries of
+    # either sign sum in absolute value to more than one
+    shape = (6, 5, 4)
+    s = SmootherSet.second_difference(shape, 1.0)
+    impulse = np.zeros(shape)
+    impulse[0, 0, 0] = 1.0
+    _, (half_u, _, _) = _half_smooth(impulse, s)
+    row = np.abs(half_u).sum(axis=1).argmax()
+    x = np.zeros(shape)
+    x[:, 0, 0] = np.sign(half_u[row]) * 1.7e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="finite"):
+        fpca_half_smoothing(x, s, (1, 1, 1), SolverConfig())
