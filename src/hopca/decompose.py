@@ -33,6 +33,9 @@ the terms, and the norm BIC reads is in closed form.  Only a residual
 that has nearly vanished, or a tall unfolding's start, is formed.  The
 ALS loop reads its residual norm from the same closed form
 (:func:`_cp_norm_sq`) and takes its products on reshape views of ``x``.
+The penalized PCA of :mod:`hopca.sparse` deflates its unfolding the same
+way: a later start updates the memo's Gram by the accepted components,
+and :func:`_updated_top` finds its top eigenvector without forming it.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -68,6 +71,10 @@ _TINY = 1e-300
 _MODES = ("u", "v", "w")
 # smallest sigma_k^2 / sigma_1^2 for which the Gram route keeps its accuracy
 _GRAM_RCOND = 1e-8
+# Lanczos steps an updated Gram's top pair may take, and the Ritz residual,
+# relative to the top eigenvalue of the Gram it updates, that accepts it
+_LANCZOS_STEPS = 24
+_RITZ_RTOL = 1e-14
 
 
 @dataclass
@@ -229,7 +236,7 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
     uu = None
     if k <= min(rows, cols):
         wide = rows <= cols
-        lam, vecs = eig or np.linalg.eigh(m @ m.T if wide else m.T @ m)
+        lam, vecs = eig or np.linalg.eigh(_gram(m))
         lam = np.clip(lam[::-1][:k], 0.0, None)
         if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
             vecs = vecs[:, ::-1][:, :k]
@@ -245,6 +252,57 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
     if return_values:
         return uu, sv
     return uu
+
+
+def _gram(m):
+    """The smaller Gram matrix of ``m``: ``m m^T`` for a wide or square
+    ``m``, ``m^T m`` for a tall one."""
+    return m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+
+
+def _updated_top(eig, a, c, d, mid):
+    """The top eigenvector of ``H = G - A D C^T - C D A^T + A D M D A^T``
+    (``D = diag(d)``, ``M = mid``), where ``eig`` is ``eigh`` of ``G``;
+    None when it is not found to rounding level.
+
+    Lanczos with full reorthogonalization runs from ``G``'s eigenvectors
+    weighted by their eigenvalues.  Each product with ``H`` goes through
+    ``G``'s eigenbasis and the low-rank terms, so no matrix is formed.
+    The top Ritz pair is accepted once its residual ``||H y - theta y||``
+    is at most ``_RITZ_RTOL`` times ``G``'s top eigenvalue, within
+    ``_LANCZOS_STEPS`` steps, and only when ``theta`` is at least
+    ``_GRAM_RCOND`` times that eigenvalue (below it the update keeps too
+    few digits).  On None the caller forms the matrix.
+    """
+    lam, vecs = eig
+    ad = a * d
+
+    def times(y):
+        t = ad.T @ y
+        return (vecs @ (lam * (vecs.T @ y)) - ad @ (c.T @ y) - c @ t
+                + ad @ (mid @ t))
+
+    scale, steps = lam[-1], min(_LANCZOS_STEPS, lam.size)
+    basis = np.zeros((lam.size, steps + 1))
+    tri = np.zeros((steps + 1, steps + 1))  # Lanczos matrix, lower triangle
+    start = vecs @ lam
+    basis[:, 0] = start / math.sqrt(np.dot(start, start))
+    for j in range(steps):
+        q = basis[:, :j + 1]
+        w = times(q[:, j])
+        for _ in range(2):  # twice is enough (Giraud et al. 2005)
+            h = q.T @ w
+            w -= q @ h
+            tri[j, j] += h[j]
+        tri[j + 1, j] = beta = math.sqrt(np.dot(w, w))
+        theta, s = np.linalg.eigh(tri[:j + 1, :j + 1])
+        if beta * abs(s[j, -1]) <= _RITZ_RTOL * scale:
+            y = q @ s[:, -1]
+            r = times(y) - theta[-1] * y
+            return y if (theta[-1] >= _GRAM_RCOND * scale and math.sqrt(
+                np.dot(r, r)) <= _RITZ_RTOL * scale) else None
+        basis[:, j + 1] = w / beta
+    return None
 
 
 def _complete_orthonormal(basis, k):
@@ -406,9 +464,8 @@ def _gram_eig(x, mode, m=None, right=False):
     key = (mode, wide != right)  # True: m m^T, False: m^T m
     if key not in memo[1]:
         a = matricize(x, mode) if m is None else m
-        a = a.T if right else a
         memo[1][key] = tuple(_read_only(e) for e in np.linalg.eigh(
-            a @ a.T if wide else a.T @ a))
+            _gram(a.T if right else a)))
     return memo[1][key]
 
 

@@ -11,7 +11,8 @@ run the one ALS loop and the one Tucker loop with a penalized step
 (lasso, penalized PCA) in each penalized mode; at zero penalty they are
 CP-ALS, HOSVD and HOOI.  The penalized PCA is the matrix case of the
 engine: a (left, right) pair of the same updates, whose levels and
-penalties the engine's own helpers pick and score.
+penalties the engine's own helpers pick and score, and whose deflation
+is implicit as the engine's is (:class:`_Deflated`).
 
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
@@ -34,15 +35,20 @@ from .decompose import (
     SolverConfig,
     TuckerModel,
     _NO_PENALTY,
+    _GRAM_RCOND,
     _als,
+    _column_signs,
+    _cp_norm_sq,
     _fit_greedy,
     _fit_rank_one,
     _level,
     _Loop,
     _ModeUpdate,
+    _gram,
     _penalty,
     _reject_unread,
     _tucker,
+    _updated_top,
     leading_singular_vectors,
     normalize_or_zero,
 )
@@ -65,6 +71,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_EPS = np.finfo(float).eps
 
 
 def soft_threshold(x, lam: float):
@@ -358,29 +365,119 @@ class SparsePcaFit:
     lam_right: float = 0.0
 
 
-def _sparse_pca_engine(m, updates, cfg, norm_sq=None,
-                       eig=None) -> SparsePcaFit:
-    """Penalized rank-one SVD of ``m`` by alternating updates, the matrix
-    case of the rank-one engine's.
+class _Deflated:
+    """The matrix ``m' = m - L diag(d) R^T`` a penalized PCA leaves of
+    ``m`` after accepting the unit columns (L, R, d), formed only where
+    the implicit algebra loses its digits.
+
+    Its products are ``m'v = m v - L(d * R^T v)`` and ``m'^T u = m^T u -
+    R(d * L^T u)``; ``||m'||^2`` is :func:`_cp_norm_sq` with a third
+    factor of ones and ``inner_j = u_j^T m v_j``.  ``eig`` is ``eigh`` of
+    the Gram that :func:`leading_singular_vectors` takes of ``m^T``
+    (computed when not given): ``G = m^T m`` when ``m`` has no more
+    columns than rows, else ``m m^T``.  ``m`` is only read.
+    """
+
+    def __init__(self, m, eig=None):
+        self.count = 0  # columns accepted, also before a rebase
+        self._rebase(m, eig)
+        # a formed m' of norm at most eps max(m.shape) ||m|| is rounding noise
+        self.noise_sq = (_EPS * max(m.shape)) ** 2 * self.norm_sq_m
+
+    def _rebase(self, m, eig=None):
+        rows, cols = m.shape
+        self.m, self.eig = m, eig or np.linalg.eigh(_gram(m.T))
+        self.tall = cols <= rows  # G is m^T m, the kept C = m^T L
+        self.norm_sq_m = float(np.sum(m * m))
+        self.left, self.right = np.zeros((rows, 0)), np.zeros((cols, 0))
+        self.kept = np.zeros((cols if self.tall else rows, 0))
+        self.d = self.inner = np.zeros(0)
+
+    def accept(self, fit: SparsePcaFit) -> None:
+        c = self.m.T @ fit.u if self.tall else self.m @ fit.v
+        self.inner = np.append(self.inner, c @ (fit.v if self.tall else fit.u))
+        self.kept = np.column_stack([self.kept, c])
+        self.left = np.column_stack([self.left, fit.u])
+        self.right = np.column_stack([self.right, fit.v])
+        self.d = np.append(self.d, fit.d)
+        self.count += 1
+
+    def times(self, v):
+        """``m' v``."""
+        return self.m @ v - self.left @ (self.d * (self.right.T @ v))
+
+    def times_t(self, u):
+        """``m'^T u``."""
+        return self.m.T @ u - self.right @ (self.d * (self.left.T @ u))
+
+    def weight(self, u, v) -> float:
+        """``u^T m' v``."""
+        return float(u @ self.m @ v
+                     - self.d @ ((self.left.T @ u) * (self.right.T @ v)))
+
+    def norm_sq(self) -> float:
+        """``||m'||^2`` in closed form."""
+        return _cp_norm_sq(self.norm_sq_m, (self.left, self.right, np.ones(
+            (1, self.d.size))), self.d, self.inner)
+
+    def start(self):
+        """The leading right singular vector of ``m'``, signed as
+        :func:`leading_singular_vectors` signs it; None once ``m``'s rank
+        is used up (as many columns accepted as ``min(m.shape)``, or a
+        formed ``m'`` at the rounding level of ``m``).
+
+        With columns accepted it is the top eigenvector of the deflated
+        Gram ``G - A D C^T - C D A^T + A D (B^T B) D A^T`` (A, B = R, L for
+        ``G = m^T m``, else L, R and the vector mapped through ``m'^T``),
+        from :func:`_updated_top`.  When ``||m'||^2`` is at most
+        ``_GRAM_RCOND ||m||^2``, or that top pair is not found, ``m'`` is
+        formed and becomes the ``m`` of the components that follow.
+        """
+        if self.count >= min(self.m.shape):
+            return None
+        if self.d.size and self.norm_sq() > _GRAM_RCOND * self.norm_sq_m:
+            a, b = ((self.right, self.left) if self.tall
+                    else (self.left, self.right))
+            top = _updated_top(self.eig, a, self.kept, self.d, b.T @ b)
+            if top is not None:
+                top = normalize_or_zero(top if self.tall
+                                        else self.times_t(top))[0]
+                return top * _column_signs(top[:, None])[0]
+        if self.d.size:
+            formed = self.m - (self.left * self.d) @ self.right.T
+            if float(np.sum(formed * formed)) <= self.noise_sq:
+                return None
+            self._rebase(formed)
+        return leading_singular_vectors(self.m.T, 1, eig=self.eig)[:, 0]
+
+
+def _sparse_pca_engine(rest: _Deflated, updates, cfg) -> SparsePcaFit:
+    """Penalized rank-one SVD of the matrix ``rest`` stands for by
+    alternating updates, the matrix case of the rank-one engine's.
 
     ``updates`` is the (left, right) pair of engine updates
     (:class:`_ModeUpdate`).  Each side is the normalized prox of its
-    contraction at the level :func:`_level` picks (BIC reads
-    ``norm_sq``), and the objective ``<u, m v> - sum level * P(factor)``
-    is recorded after every update.
-    The right factor starts from the leading right singular vector of
-    ``m`` (``eig``: ``eigh`` of the Gram it is taken from, when given).  A
-    fully thresholded factor ends the fit with the zero fit.
+    contraction (``m'v`` or ``m'^T u``, taken implicitly) at the level
+    :func:`_level` picks (BIC reads ``||m'||^2`` in closed form), and the
+    objective ``<u, m' v> - sum level * P(factor)`` is recorded after
+    every update.  The right factor starts from ``rest.start()``.  A
+    fully thresholded factor, or no start, ends the fit with the zero fit.
     """
     _reject_unread(cfg, svd_start=True)
-    factors = [None, leading_singular_vectors(m.T, 1, eig=eig)[:, 0]]
+    start = rest.start()
+    factors = [None, start]
     lam = [upd.level for upd in updates]
-    pens = [0.0, _penalty(updates[1], lam[1], factors[1])]
+    pens = [0.0, 0.0 if start is None else _penalty(updates[1], lam[1], start)]
+    norm_sq = (rest.norm_sq() if any(upd.grid is not None for upd in updates)
+               else None)
     loop = _Loop(cfg)
+    loop.converged = start is None  # m's rank is used up: no sweep
+    nrm = 0.0
     for _ in loop.sweeps():
         for side, upd in enumerate(updates):
-            c = m @ factors[1] if side == 0 else m.T @ factors[0]
-            level = lam[side] = _level(upd, c, norm_sq, m.size)
+            c = (rest.times(factors[1]) if side == 0
+                 else rest.times_t(factors[0]))
+            level = lam[side] = _level(upd, c, norm_sq, rest.m.size)
             factors[side], nrm = normalize_or_zero(upd.prox.prox(c, level))
             if nrm == 0.0:
                 break
@@ -390,11 +487,11 @@ def _sparse_pca_engine(m, updates, cfg, norm_sq=None,
         if nrm == 0.0:
             break
         loop.stop(objective)
-    if nrm == 0.0:  # a fully thresholded factor: the zero fit
-        factors = [np.zeros(m.shape[0]), np.zeros(m.shape[1])]
+    if nrm == 0.0:  # a fully thresholded factor or no start: the zero fit
+        factors = [np.zeros(rest.m.shape[0]), np.zeros(rest.m.shape[1])]
         loop.converged = True
     u, v = factors
-    d = float(u @ m @ v) if nrm else 0.0
+    d = rest.weight(u, v) if nrm else 0.0
     return SparsePcaFit(u, v, d, loop.iterations, loop.converged,
                         np.asarray(loop.objective_trace), *lam)
 
@@ -406,9 +503,8 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
     With both levels zero this converges to the leading singular pair; a
     fully thresholded factor terminates with weight zero.
     """
-    m = np.asarray(m, dtype=float)
     cfg = cfg or SolverConfig()
-    return _sparse_pca_engine(m, tuple(
+    return _sparse_pca_engine(_Deflated(np.asarray(m, dtype=float)), tuple(
         _mode_update(ModePenalty("lasso", float(lam)))
         for lam in (lam_left, lam_right)), cfg)
 
@@ -421,12 +517,19 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     given, is ``eigh`` of the Gram matrix it is taken from (see
     :func:`hopca.decompose.leading_singular_vectors` on ``m.T``).
 
+    The deflation is implicit (:class:`_Deflated`): ``m`` is only read,
+    every product and the norm BIC reads are those of the deflated
+    matrix, and each later component starts from the top eigenvector of
+    ``eig``'s Gram updated by the accepted components, found by a few
+    Lanczos steps.  The deflated matrix is formed, and its own ``eigh``
+    taken, only where that loses digits.
+
     Returns (left factors, right factors, weights, component fits); the
     fits are the :class:`SparsePcaFit` of each component run, a zero fit
-    last when one ends the run early.
+    last when one ends the run early, as it does once ``m``'s rank is
+    used up.
     """
-    # a C-ordered copy of the F-ordered unfolding; the fits' bits depend on it
-    m = np.asarray(m, dtype=float).copy()
+    m = np.asarray(m, dtype=float)
     cfg = cfg or SolverConfig()
     updates = (_mode_update(left_pen),
                _mode_update(ModePenalty("lasso", 0.0)))
@@ -434,15 +537,14 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     right = np.zeros((m.shape[1], k))
     d = np.zeros(k)
     fits = []
+    rest = _Deflated(m, eig)
     for comp in range(k):
-        norm_sq = None if updates[0].grid is None else float(np.sum(m * m))
-        fit = _sparse_pca_engine(m, updates, cfg, norm_sq, eig)
-        eig = None  # the next component starts from the deflated m
+        fit = _sparse_pca_engine(rest, updates, cfg)
         fits.append(fit)
         if fit.d == 0.0:
             break
         left[:, comp], right[:, comp], d[comp] = fit.u, fit.v, fit.d
-        m = m - fit.d * np.outer(fit.u, fit.v)
+        rest.accept(fit)
     return left, right, d, fits
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 
-from hopca.decompose import tpa
+from hopca.decompose import SolverConfig, tpa
 from hopca.evaluate import support_metrics
 from hopca.generalized import SmootherSet, fpca_rank_one
+from hopca.simulate import SimScenarioSpec, fit_method, simulate
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fit_digest.py"
 
@@ -80,3 +81,20 @@ def test_the_fixed_level_tucker_fits_are_digested_on_scenario_2():
         assert fit.diagnostics["method"] == method
         assert fit.diagnostics["lambdas"]["u"] == [2.0, 2.0]
         assert 0 < min(fit.diagnostics["nnz"]["u"]) < fit.U.shape[0]
+
+
+def test_fits_of_a_tensor_read_back_are_digested_per_family():
+    """One fit per family of the scenario-1 tensor after a ``.t3`` round
+    trip; the read-back tensor has the written one's values and layout, so
+    each fit has the digests of the same fit of the written tensor."""
+    tool = load_tool()
+    fits = dict(tool.t3_fits())
+    assert list(fits) == [f"s1 t3 {name}" for name in tool.T3_METHODS]
+    spec = SimScenarioSpec(1, seed=tool.SEED)
+    x = simulate(spec).x
+    for name in tool.T3_METHODS:
+        fit = fits[f"s1 t3 {name}"]
+        assert fit.diagnostics["method"] == name
+        again = fit_method(name, x, spec, SolverConfig(max_iter=100))
+        assert tool.digest(fit) == tool.digest(again)
+        assert tool.trace_digest(fit) == tool.trace_digest(again)

@@ -25,6 +25,7 @@ from hopca.sparse import (
     sparse_cp_tpa_rank_one,
     sparse_hooi,
     sparse_hosvd,
+    sparse_pca,
     sparse_pca_rank_one,
 )
 from hopca.tensor3 import frob_norm, khatri_rao, matricize, outer3
@@ -255,6 +256,16 @@ class TestSparsePca:
         fit = sparse_pca_rank_one(m, 0.4, 0.2, SolverConfig(tol=1e-13))
         assert np.all(np.diff(fit.objective_trace) >= -1e-10)
 
+    def test_a_component_past_the_rank_is_the_zero_fit(self):
+        # the level zeroes entries of u, so m' = m - d u v^T is not zero
+        m = np.random.default_rng(23).standard_normal((12, 1))
+        left, _, d, fits = sparse_pca(m, 2, ModePenalty("lasso", 0.5))
+        assert len(fits) == 2 and d[0] > 0.0
+        assert 0 < np.count_nonzero(left[:, 0]) < 12
+        assert (fits[1].d, fits[1].iterations, fits[1].converged) == (
+            0.0, 0, True)
+        npt.assert_array_equal(left[:, 1], np.zeros(12))
+
 
 def separated_tensor(rng, dims=(8, 7, 6)):
     """Rank-2 signal with well separated spectrum plus small noise."""
@@ -334,3 +345,30 @@ class TestSparseHooi:
             np.max(trace), abs=1e-12)
         assert frob_norm(model.core) == pytest.approx(
             np.max(trace), abs=1e-9)
+
+
+class TestRankUsedUp:
+    """A penalized mode whose unfolding's rank is used up gets the zero
+    fit for its later components, not a component of rounding noise."""
+
+    def tensors(self):
+        rng = np.random.default_rng(0)
+        x = outer3(rng.standard_normal(12), rng.standard_normal(5),
+                   rng.standard_normal(4))
+        return x, x + 0.01 * rng.standard_normal(x.shape)
+
+    def error(self, solver, x):
+        model = solver(x, (2, 1, 1), PenaltySpec.lasso(u="bic"))
+        return frob_norm(x - model.reconstruct()) / frob_norm(x), model
+
+    @pytest.mark.parametrize("solver", [sparse_hosvd, sparse_hooi])
+    def test_an_exact_rank_one_tensor_is_reconstructed(self, solver):
+        x, _ = self.tensors()
+        error, model = self.error(solver, x)
+        assert error <= 1e-14
+        npt.assert_array_equal(model.U[:, 1], np.zeros(12))
+
+    def test_a_noisy_rank_one_tensor_keeps_its_fit(self):
+        _, x = self.tensors()
+        error, _ = self.error(sparse_hooi, x)
+        assert error <= 0.25  # the lasso's shrinkage: 0.199

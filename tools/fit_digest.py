@@ -12,14 +12,18 @@ where ``tpa_rank_one`` and the l1 ``general_cp_tpa_rank_one`` join the
 benchmark's own four solvers.  The penalized PCA gets two fits of its
 own on a seeded 12 x 8 matrix: ``sparse_pca_rank_one`` at levels (0.4,
 0.2), and each component fit of a three-component ``sparse_pca`` at a
-fixed non-negative lasso level 0.4.  A digest covers the factors and
-the weights or the core, and a rank-one fit's also its objective trace,
-as raw float64 bytes.  Each scenario fit also gets a ``support`` line: one
-digest of its ``support_metrics`` against the simulated truth (tp, fp,
-mse, permutation and signs), so that recovery scores are diffed the same
-way; and a ``trace`` line: one digest of the objective traces of its
-loops, so that a change that only adds loops to a fit's report still
-shows that its fits are the same.
+fixed non-negative lasso level 0.4.  One fit per family (cp-als, tpa,
+sparse-cp-tpa, hooi and sparse-hosvd) is also made of the scenario-1
+tensor written to a ``.t3`` file and read back, as ``hopca decompose``
+reads it, so that a change to the layout the reader returns shows in
+those lines, which carry a ``trace`` line too.  A digest covers the
+factors and the weights or the core, and a rank-one fit's also its
+objective trace, as raw float64 bytes.  Each scenario fit also gets a
+``support`` line: one digest of its ``support_metrics`` against the
+simulated truth (tp, fp, mse, permutation and signs), so that recovery
+scores are diffed the same way; and a ``trace`` line: one digest of the
+objective traces of its loops, so that a change that only adds loops to
+a fit's report still shows that its fits are the same.
 
 Usage, from the repository root::
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +107,26 @@ def scenario_fits():
         yield f"s2 {fit.diagnostics['method']} u=2.0", fit, truth
 
 
+T3_METHODS = ("cp-als", "tpa", "sparse-cp-tpa", "hooi", "sparse-hosvd")
+
+
+def t3_fits():
+    """(label, fit) for each method of ``T3_METHODS`` on the scenario-1
+    tensor after a ``write_tensor3``/``read_tensor3`` round trip."""
+    from hopca.decompose import SolverConfig
+    from hopca.fileio import read_tensor3, write_tensor3
+    from hopca.simulate import SimScenarioSpec, fit_method, simulate
+
+    spec = SimScenarioSpec(1, seed=SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.t3"
+        write_tensor3(path, simulate(spec).x)
+        x = read_tensor3(path)
+    for name in T3_METHODS:
+        yield f"s1 t3 {name}", fit_method(name, x, spec,
+                                          SolverConfig(max_iter=100))
+
+
 def pca_fits():
     """(label, fit) for the penalized PCA's own fits."""
     from hopca.sparse import ModePenalty, sparse_pca, sparse_pca_rank_one
@@ -146,6 +171,9 @@ def main() -> int:
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{score_digest(support_metrics(fit, truth))}  {label} support",
               flush=True)
+        print(f"{trace_digest(fit)}  {label} trace", flush=True)
+    for label, fit in t3_fits():
+        print(f"{digest(fit)}  {label}", flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
     for label, fit in (*mono_small_fits(), *pca_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
