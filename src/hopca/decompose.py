@@ -11,7 +11,10 @@ block open on its tensor never checks it again.  The loops default and
 reject the config (the Tucker loop too: it sweeps only when asked) and
 end the diagnostics with each method's extras.  The engine's update rule
 is two helpers, :func:`_level` (a fixed level or BIC over a grid) and
-:func:`_penalty`, which the penalized PCA of :mod:`hopca.sparse` shares.
+:func:`_penalty`.  The penalized PCA of :mod:`hopca.sparse` runs on the
+engine too: a matrix is the tensor view ``m[:, :, None]``, and a size-one
+third mode with a plain update is the fixed factor ``[1.0]``, which takes
+no start and no update and whose product is the view ``x[:, :, 0]``.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
@@ -25,17 +28,18 @@ of the penalized PCA.  The memo lives in a ``ContextVar``, so other
 threads and contexts never see it, and it serves that one tensor only,
 never a residual.
 
-Deflation does not form its residual either.  Each later component is
-fit to ``x`` and the terms accepted so far (:class:`_Terms`): every
-contraction is the contraction of ``x`` less the terms' share, the SVD
-start is an eigendecomposition of the memo's Gram of ``x`` updated by
-the terms, and the norm BIC reads is in closed form.  Only a residual
-that has nearly vanished, or a tall unfolding's start, is formed.  The
-ALS loop reads its residual norm from the same closed form
-(:func:`_cp_norm_sq`) and takes its products on reshape views of ``x``.
-The penalized PCA of :mod:`hopca.sparse` deflates its unfolding the same
-way: a later start updates the memo's Gram by the accepted components,
-and :func:`_updated_top` finds its top eigenvector without forming it.
+Deflation does not form its residual either.  One loop,
+:func:`_greedy`, runs every deflation, the penalized PCA's included: each
+later component is fit to ``x`` and the terms accepted so far
+(:class:`_Terms`).  Every contraction is the contraction of ``x`` less
+the terms' share, the norm BIC reads is in closed form, and the SVD start
+is the top eigenvector of the memo's Gram of ``x`` updated by the terms,
+on the wide or the tall side of the unfolding, which
+:func:`_updated_top` finds without forming it (one small ``eigh`` where
+it does not).  Only a residual that has nearly vanished is formed, and
+one at the rounding level of ``x`` ends the run.  The ALS loop reads its
+residual norm from the same closed form (:func:`_cp_norm_sq`) and takes
+its products on reshape views of ``x``.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -52,8 +56,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .evaluate import _bic_argmin, bic_path
-from .tensor3 import (_mode_mult3, check_tensor3, frob_norm, matricize,
-                      mode_mult)
+from .tensor3 import (_mode_mult3, check_tensor3, frob_norm, khatri_rao,
+                      matricize, mode_mult)
 
 __all__ = [
     "SolverConfig",
@@ -68,11 +72,13 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_EPS = np.finfo(float).eps
 _MODES = ("u", "v", "w")
 # smallest sigma_k^2 / sigma_1^2 for which the Gram route keeps its accuracy
 _GRAM_RCOND = 1e-8
-# Lanczos steps an updated Gram's top pair may take, and the Ritz residual,
-# relative to the top eigenvalue of the Gram it updates, that accepts it
+# Lanczos steps an updated Gram's top pair may take (a Gram no larger takes
+# one eigh instead), and the Ritz residual, relative to the top eigenvalue
+# of the Gram it updates, that accepts it
 _LANCZOS_STEPS = 24
 _RITZ_RTOL = 1e-14
 
@@ -185,8 +191,11 @@ class RankOneFit:
 
 
 def _times_w(x, w):
-    """x contracted along mode 3 with ``w``: n x p matrix."""
+    """x contracted along mode 3 with ``w``: n x p matrix, the view
+    ``x[:, :, 0]`` when ``w`` is ``[1.0]`` (bit for bit the product)."""
     n, p, q = x.shape
+    if q == 1 and w[0] == 1.0:
+        return x[:, :, 0]
     return np.dot(x.reshape(n * p, q), w).reshape(n, p)
 
 
@@ -423,20 +432,24 @@ _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
 @contextmanager
-def _shared_grams(x):
+def _shared_grams(x, grams=None):
     """Check ``x`` (:func:`check_tensor3`) and yield a read-only view of
     it.  Within the block the Gram eigendecomposition of each unfolding
     of that very view (``is``, not equality) is computed once, and so are
     its leading singular vectors for each (mode, k); both are kept
     read-only.  Opened on the view of an enclosing block, the block is
-    that block, and ``x`` is neither checked nor scanned again."""
+    that block, and ``x`` is neither checked nor scanned again.  With
+    ``grams`` the caller answers for ``x``, a float array: the block
+    opens on it unchecked, its memo seeded with ``grams[mode]``, ``eigh``
+    of the smaller Gram (:func:`_gram`) of each given mode's unfolding."""
     memo = _GRAMS.get()
     if memo is not None and memo[0] is x:
         yield x
         return
-    view = check_tensor3(x).view()
+    view = (x if grams is not None else check_tensor3(x)).view()
     view.flags.writeable = False
-    token = _GRAMS.set((view, {}, {}))
+    token = _GRAMS.set((view, {(mode, x.shape[mode - 1] ** 2 <= x.size): eig
+                               for mode, eig in (grams or {}).items()}, {}))
     try:
         yield view
     finally:
@@ -484,11 +497,12 @@ def _unfolding_vectors(x, mode, k):
 
 
 def init_rank_one(x, init, rng):
-    """Starting (v, w) pair: leading mode-2/mode-3 singular vectors, or random."""
+    """Starting (v, w) pair: leading mode-2/mode-3 singular vectors (of a
+    size-one mode, ``[1.0]``), or random."""
     if init != "hosvd":
         return _random_unit(rng, x.shape[1]), _random_unit(rng, x.shape[2])
-    return (_unfolding_vectors(x, 2, 1)[:, 0],
-            _unfolding_vectors(x, 3, 1)[:, 0])
+    return tuple(_unfolding_vectors(x, mode, 1)[:, 0] if x.shape[mode - 1] > 1
+                 else np.ones(1) for mode in (2, 3))
 
 
 def _init_cp_factors(x, K, init, rng):
@@ -826,7 +840,10 @@ class _Terms:
             f[:, k] = col
         self.d[k] = fit.d
         self._cv[:, k] = contract_v(self.x, fit.u, fit.w)
-        self._cw[:, k] = contract_w(self.x, fit.u, fit.v)
+        # with a size-one third mode <x, u o v> is v^T cv / w: no pass over x
+        self._cw[:, k] = (contract_w(self.x, fit.u, fit.v)
+                          if self.x.shape[2] > 1
+                          else (fit.v @ self._cv[:, k]) / fit.w)
         self.k += 1
 
     def accepted(self):
@@ -861,47 +878,77 @@ class _Terms:
                 resid -= term
         return resid
 
+    def residual_norm(self) -> float:
+        """``||R||``: the closed form, or ``R`` formed where that has lost
+        its digits (see :meth:`target`)."""
+        norm_sq = self.norm_sq()
+        if norm_sq > _GRAM_RCOND * self.norm_sq_x:
+            return math.sqrt(norm_sq)
+        return frob_norm(self.residual())
+
     def target(self):
         """What the next component is fit on and with which terms: ``x``
-        with these, or with none before the first.  When ``||R||^2`` is at
-        most ``_GRAM_RCOND ||x||^2`` its closed form has lost its digits,
-        so ``R`` is formed and returned with none."""
-        if not self.k:
-            return self.x, None
+        with these (with none before the first), or None when nothing is
+        left.  When ``||R||^2`` is at most ``_GRAM_RCOND ||x||^2`` its
+        closed form has lost its digits, so ``R`` is formed and returned
+        with none; a formed ``R`` at the rounding level of ``x``, ``||R||
+        <= eps max(dims) ||x||`` (a zero ``x`` among them), leaves
+        nothing."""
         if self.norm_sq() > _GRAM_RCOND * self.norm_sq_x:
-            return self.x, self
-        return self.residual(), None
+            return self.x, (self if self.k else None)
+        resid = self.residual()
+        noise = _EPS * max(self.x.shape) * math.sqrt(self.norm_sq_x)
+        return (resid if frob_norm(resid) > noise else None), None
 
     def start(self, mode):
         """The leading left singular vector of the mode-``mode`` (2 or 3)
-        unfolding of ``R``, signed as :func:`leading_singular_vectors`
-        signs it.
+        unfolding ``R_(m) = X_(m) - A D B^T`` of ``R`` (A the mode's
+        factors, B the Khatri-Rao product of the other two), signed as
+        :func:`leading_singular_vectors` signs it; ``[1.0]`` for a
+        size-one mode.
 
-        For a wide unfolding ``R_(m) = X_(m) - A D B^T`` (A the mode's
-        factors, B the Khatri-Rao product of the other two) its Gram is
-        ``G - A D C^T - C D A^T + A D M D A^T`` with ``G`` the memo's Gram
-        of ``x``, ``C = X_(m) B`` the kept contractions and ``M = B^T B``
-        the Hadamard product of the other two factor Grams: one small
-        ``eigh``.  A tall unfolding, or an updated top eigenvalue below
-        ``_GRAM_RCOND`` times ``G``'s (the subtraction then keeps too few
-        digits), takes the full route on ``R`` formed.
+        It is the top eigenvector of the memo's Gram ``G`` of ``X_(m)``
+        updated by the terms.  For a wide unfolding ``G = X_(m) X_(m)^T``
+        and ``R_(m) R_(m)^T = G - A D C^T - C D A^T + A D (B^T B) D A^T``,
+        with ``C = X_(m) B`` the kept contractions.  For a tall one ``G =
+        X_(m)^T X_(m)``, ``R_(m)^T R_(m)`` is the same update with A and B
+        swapped and ``C = X_(m)^T A``, and its top eigenvector maps through
+        ``R_(m)``.  :func:`_updated_top` finds it without forming the
+        update when ``G`` is larger than ``_LANCZOS_STEPS``; otherwise, or
+        where it fails, one small ``eigh`` of the formed update does.  When
+        the top eigenvalue is below ``_GRAM_RCOND`` times ``G``'s (the
+        update then keeps too few digits), the start is taken of ``R``
+        formed.
         """
+        if self.x.shape[mode - 1] == 1:
+            return np.ones(1)
         U, V, W, d = self.accepted()
-        a, c, other = ((V, self._cv[:, :self.k], W) if mode == 2
+        f, c, other = ((V, self._cv[:, :self.k], W) if mode == 2
                        else (W, self._cw[:, :self.k], V))
+        a, mid = f, (U.T @ U) * (other.T @ other)
+        lam, vecs = eig = _gram_eig(self.x, mode)
         rows = self.x.shape[mode - 1]
-        if rows <= self.x.size // rows:
-            lam, vecs = _gram_eig(self.x, mode)
+        tall = rows > self.x.size // rows
+        if tall:
+            unfolding, b = matricize(self.x, mode), khatri_rao(other, U)
+            a, c, mid = b, unfolding.T @ f, f.T @ f
+        top = None
+        if lam.size > _LANCZOS_STEPS:
+            top = _updated_top(eig, a, c, d, mid)
+        if top is None:
             ad = a * d
             ac = ad @ c.T
-            gram = ((vecs * lam) @ vecs.T - ac - ac.T
-                    + ad @ ((U.T @ U) * (other.T @ other)) @ ad.T)
-            lam_r, vecs_r = np.linalg.eigh(gram)
+            lam_r, vecs_r = np.linalg.eigh((vecs * lam) @ vecs.T - ac - ac.T
+                                           + ad @ mid @ ad.T)
             if lam_r[-1] >= _GRAM_RCOND * lam[-1]:
-                top = vecs_r[:, -1:]
-                return (top * _column_signs(top))[:, 0]
-        return leading_singular_vectors(matricize(self.residual(), mode),
-                                        1)[:, 0]
+                top = vecs_r[:, -1]
+        if top is None:
+            top = leading_singular_vectors(matricize(self.residual(), mode),
+                                           1)[:, 0]
+        elif tall:  # R_(m) y = X_(m) y - A D B^T y
+            top = unfolding @ top - f @ (d * (b.T @ top))
+        top = normalize_or_zero(top)[0]
+        return top * _column_signs(top[:, None])[0]
 
 
 def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
@@ -915,12 +962,15 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
     that each update is projected against before normalization.  With
     ``terms`` the fit is of the residual they leave of ``x``: every
     contraction, the SVD start and the norm BIC reads are the
-    residual's, from :class:`_Terms`.  A factor that vanishes at level 0
-    restarts the fit from a random start (up to five times, then the
-    zero fit); one that vanishes at a positive level ends it with the
-    zero fit.
+    residual's, from :class:`_Terms`.  A size-one third mode with a
+    plain update is the fixed factor ``[1.0]``: it takes no update, and
+    ``x`` contracted with it is the view ``x[:, :, 0]``.  A factor that
+    vanishes at level 0 restarts the fit from a random start (up to five
+    times, then the zero fit); one that vanishes at a positive level ends
+    it with the zero fit.
     """
     _reject_unread(cfg)
+    fixed_w = x.shape[2] == 1 and updates[2] == _PLAIN[2]
     if any(upd.q is not None for upd in updates):
         from .generalized import _power_lambda_max, qnorm_lasso_solve
     norm_sq = None
@@ -963,7 +1013,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         else:
             v0, w0 = init_rank_one(x, init, rng)
         (v, nv), (w, nw) = (_feasible_start(v0, updates[1]),
-                            _feasible_start(w0, updates[2]))
+                            (np.ones(1), 1.0) if fixed_w
+                            else _feasible_start(w0, updates[2]))
         if nv == 0.0 or nw == 0.0:
             continue
         factors = [np.zeros(x.shape[0]), v, w]
@@ -976,7 +1027,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         for _ in loop.sweeps():
             # x contracted with w feeds both the u- and the v-update
             xw = _times_w(x, qf[2])
-            for m in range(3):
+            for m in range(2 if fixed_w else 3):
                 if m == 0:
                     c = np.dot(xw, qf[1])
                 elif m == 1:
@@ -1026,6 +1077,27 @@ def _fit_greedy(x, K: int, updates, cfg: SolverConfig | None, method: str,
         x, updates, cfg, rng, basis, terms), cfg, method, **extras)
 
 
+def _greedy(terms: _Terms, count: int, fit_one, rng, orthogonalize=False):
+    """The deflation loop: up to ``count`` fits ``fit_one(x, terms, rng,
+    basis)`` of what ``terms`` leave (see :meth:`_Terms.target`), each
+    accepted into ``terms`` in turn; ``basis`` holds the accepted factors
+    per mode with ``orthogonalize``, else Nones.  Returns the fits and the
+    component at which nothing was left or a zero fit ended the run (None
+    when neither did)."""
+    fits = []
+    for k in range(count):
+        target, given = terms.target()
+        if target is None:
+            return fits, k
+        basis = (terms.accepted()[:3] if orthogonalize and k
+                 else (None, None, None))
+        fits.append(fit_one(target, given, rng, basis))
+        if fits[-1].d <= 0.0:
+            return fits, k
+        terms.accept(fits[-1])
+    return fits, None
+
+
 def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
             **extras) -> CpModel:
     """Greedy K-component CP model: each component is a rank-one fit of
@@ -1041,37 +1113,20 @@ def deflate(x, K: int, fit_one, cfg: SolverConfig, method: str,
     reads it, so each later SVD start is an update of the memo's Grams of
     ``x``; only a nearly vanished residual is formed, and given to
     ``fit_one`` as ``x`` with no terms (see :meth:`_Terms.target`).  The
-    generator from ``cfg`` is shared by all components.  A zero tensor or
-    a zero fit truncates the model (remaining columns zero-filled,
-    ``truncated_at`` set).  Components are sorted by descending weight;
-    the per-component diagnostics stay in the greedy order, which
-    ``component_order`` maps.  The method's ``extras`` end the
-    diagnostics.
+    generator from ``cfg`` is shared by all components.  A zero tensor, a
+    residual at the rounding level of ``x`` or a zero fit truncates the
+    model (remaining columns zero-filled, ``truncated_at`` set).
+    Components are sorted by descending weight; the per-component
+    diagnostics stay in the greedy order, which ``component_order``
+    maps.  The method's ``extras`` end the diagnostics.
     """
     with _shared_grams(x) as x:
-        orthogonalize = extras.get("orthogonalized", False)
         if K < 1:
             raise ValueError("K must be >= 1")
-        rng = cfg.rng()
-        fits = []
-        truncated_at = None
         terms = _Terms(x, K)
-        for k in range(K):
-            target, given = terms.target()
-            if given is None and frob_norm(target) == 0.0:
-                truncated_at = k
-                break
-            basis = (terms.accepted()[:3] if orthogonalize and k
-                     else (None, None, None))
-            fit = fit_one(target, given, rng, basis)
-            fits.append(fit)
-            if fit.d <= 0.0:
-                truncated_at = k
-                break
-            terms.accept(fit)
-        target, given = terms.target()
-        residual_norm = (frob_norm(target) if given is None
-                         else float(np.sqrt(terms.norm_sq())))
+        fits, truncated_at = _greedy(terms, K, fit_one, cfg.rng(),
+                                     extras.get("orthogonalized", False))
+        residual_norm = terms.residual_norm()
 
     greedy_d = terms.d.copy()
     U, V, W, d, order = sort_components(*terms.factors, terms.d)

@@ -95,9 +95,9 @@ def read_tensor3(path) -> np.ndarray:
         while block := fh.read(_READ_BLOCK):
             tokens = (block + fh.readline()).split()
             blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
-    x = tensor3(np.concatenate(blocks), (n, p, q))
-    del blocks  # the one copy below then peaks at two tensors, not three
-    return np.ascontiguousarray(x)
+    flat = np.concatenate(blocks)
+    del blocks  # tensor3's C-contiguous copy then peaks at two tensors
+    return tensor3(flat, (n, p, q))
 
 
 def write_matrix_csv(path, m) -> None:

@@ -9,10 +9,11 @@ rank-one fit and the deflation scheme give the rank-one engine one
 soft-thresholding update per mode (:func:`_mode_update`).  The baselines
 run the one ALS loop and the one Tucker loop with a penalized step
 (lasso, penalized PCA) in each penalized mode; at zero penalty they are
-CP-ALS, HOSVD and HOOI.  The penalized PCA is the matrix case of the
-engine: a (left, right) pair of the same updates, whose levels and
-penalties the engine's own helpers pick and score, and whose deflation
-is implicit as the engine's is (:class:`_Deflated`).
+CP-ALS, HOSVD and HOOI.  The penalized PCA runs on the engine itself: a
+matrix ``m`` is the tensor view ``m[:, :, None]``, whose size-one third
+mode with a plain update is the fixed factor ``[1.0]``, and its
+components are the engine's deflation loop on that view, with one
+implicit deflation for both (:class:`hopca.decompose._Terms`).
 
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
@@ -35,22 +36,17 @@ from .decompose import (
     SolverConfig,
     TuckerModel,
     _NO_PENALTY,
-    _GRAM_RCOND,
+    _PLAIN,
     _als,
-    _column_signs,
-    _cp_norm_sq,
     _fit_greedy,
     _fit_rank_one,
-    _level,
-    _Loop,
+    _greedy,
     _ModeUpdate,
-    _gram,
-    _penalty,
+    _rank_one,
     _reject_unread,
+    _shared_grams,
+    _Terms,
     _tucker,
-    _updated_top,
-    leading_singular_vectors,
-    normalize_or_zero,
 )
 from .evaluate import _bic, _bic_argmin, default_lambda_grid
 
@@ -71,7 +67,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_EPS = np.finfo(float).eps
 
 
 def soft_threshold(x, lam: float):
@@ -365,135 +360,41 @@ class SparsePcaFit:
     lam_right: float = 0.0
 
 
-class _Deflated:
-    """The matrix ``m' = m - L diag(d) R^T`` a penalized PCA leaves of
-    ``m`` after accepting the unit columns (L, R, d), formed only where
-    the implicit algebra loses its digits.
+def _pca(m, k, updates, cfg, eig=None):
+    """Up to ``k`` engine fits of ``updates``, a (left, right) pair, to
+    the matrix ``m`` and to what the earlier ones leave of it, on the
+    tensor view ``m[:, :, None]``, whose third factor is fixed at
+    ``[1.0]``; no more than ``min(m.shape)``, the rank of ``m``.
 
-    Its products are ``m'v = m v - L(d * R^T v)`` and ``m'^T u = m^T u -
-    R(d * L^T u)``; ``||m'||^2`` is :func:`_cp_norm_sq` with a third
-    factor of ones and ``inner_j = u_j^T m v_j``.  ``eig`` is ``eigh`` of
-    the Gram that :func:`leading_singular_vectors` takes of ``m^T``
-    (computed when not given): ``G = m^T m`` when ``m`` has no more
-    columns than rows, else ``m m^T``.  ``m`` is only read.
+    ``m`` is only read: the deflation is the engine's (:class:`_Terms`).
+    ``eig`` seeds the view's memo with the mode-2 Gram its starts update
+    (``eigh`` of :func:`_gram` of ``m.T``); ``m`` is then not scanned
+    for it.  Returns (left factors, right factors, weights, component
+    fits), a zero fit last when the run ends before ``k`` fits.
     """
-
-    def __init__(self, m, eig=None):
-        self.count = 0  # columns accepted, also before a rebase
-        self._rebase(m, eig)
-        # a formed m' of norm at most eps max(m.shape) ||m|| is rounding noise
-        self.noise_sq = (_EPS * max(m.shape)) ** 2 * self.norm_sq_m
-
-    def _rebase(self, m, eig=None):
-        rows, cols = m.shape
-        self.m, self.eig = m, eig or np.linalg.eigh(_gram(m.T))
-        self.tall = cols <= rows  # G is m^T m, the kept C = m^T L
-        self.norm_sq_m = float(np.sum(m * m))
-        self.left, self.right = np.zeros((rows, 0)), np.zeros((cols, 0))
-        self.kept = np.zeros((cols if self.tall else rows, 0))
-        self.d = self.inner = np.zeros(0)
-
-    def accept(self, fit: SparsePcaFit) -> None:
-        c = self.m.T @ fit.u if self.tall else self.m @ fit.v
-        self.inner = np.append(self.inner, c @ (fit.v if self.tall else fit.u))
-        self.kept = np.column_stack([self.kept, c])
-        self.left = np.column_stack([self.left, fit.u])
-        self.right = np.column_stack([self.right, fit.v])
-        self.d = np.append(self.d, fit.d)
-        self.count += 1
-
-    def times(self, v):
-        """``m' v``."""
-        return self.m @ v - self.left @ (self.d * (self.right.T @ v))
-
-    def times_t(self, u):
-        """``m'^T u``."""
-        return self.m.T @ u - self.right @ (self.d * (self.left.T @ u))
-
-    def weight(self, u, v) -> float:
-        """``u^T m' v``."""
-        return float(u @ self.m @ v
-                     - self.d @ ((self.left.T @ u) * (self.right.T @ v)))
-
-    def norm_sq(self) -> float:
-        """``||m'||^2`` in closed form."""
-        return _cp_norm_sq(self.norm_sq_m, (self.left, self.right, np.ones(
-            (1, self.d.size))), self.d, self.inner)
-
-    def start(self):
-        """The leading right singular vector of ``m'``, signed as
-        :func:`leading_singular_vectors` signs it; None once ``m``'s rank
-        is used up (as many columns accepted as ``min(m.shape)``, or a
-        formed ``m'`` at the rounding level of ``m``).
-
-        With columns accepted it is the top eigenvector of the deflated
-        Gram ``G - A D C^T - C D A^T + A D (B^T B) D A^T`` (A, B = R, L for
-        ``G = m^T m``, else L, R and the vector mapped through ``m'^T``),
-        from :func:`_updated_top`.  When ``||m'||^2`` is at most
-        ``_GRAM_RCOND ||m||^2``, or that top pair is not found, ``m'`` is
-        formed and becomes the ``m`` of the components that follow.
-        """
-        if self.count >= min(self.m.shape):
-            return None
-        if self.d.size and self.norm_sq() > _GRAM_RCOND * self.norm_sq_m:
-            a, b = ((self.right, self.left) if self.tall
-                    else (self.left, self.right))
-            top = _updated_top(self.eig, a, self.kept, self.d, b.T @ b)
-            if top is not None:
-                top = normalize_or_zero(top if self.tall
-                                        else self.times_t(top))[0]
-                return top * _column_signs(top[:, None])[0]
-        if self.d.size:
-            formed = self.m - (self.left * self.d) @ self.right.T
-            if float(np.sum(formed * formed)) <= self.noise_sq:
-                return None
-            self._rebase(formed)
-        return leading_singular_vectors(self.m.T, 1, eig=self.eig)[:, 0]
-
-
-def _sparse_pca_engine(rest: _Deflated, updates, cfg) -> SparsePcaFit:
-    """Penalized rank-one SVD of the matrix ``rest`` stands for by
-    alternating updates, the matrix case of the rank-one engine's.
-
-    ``updates`` is the (left, right) pair of engine updates
-    (:class:`_ModeUpdate`).  Each side is the normalized prox of its
-    contraction (``m'v`` or ``m'^T u``, taken implicitly) at the level
-    :func:`_level` picks (BIC reads ``||m'||^2`` in closed form), and the
-    objective ``<u, m' v> - sum level * P(factor)`` is recorded after
-    every update.  The right factor starts from ``rest.start()``.  A
-    fully thresholded factor, or no start, ends the fit with the zero fit.
-    """
+    m = np.asarray(m, dtype=float)
+    cfg = cfg or SolverConfig()
     _reject_unread(cfg, svd_start=True)
-    start = rest.start()
-    factors = [None, start]
-    lam = [upd.level for upd in updates]
-    pens = [0.0, 0.0 if start is None else _penalty(updates[1], lam[1], start)]
-    norm_sq = (rest.norm_sq() if any(upd.grid is not None for upd in updates)
-               else None)
-    loop = _Loop(cfg)
-    loop.converged = start is None  # m's rank is used up: no sweep
-    nrm = 0.0
-    for _ in loop.sweeps():
-        for side, upd in enumerate(updates):
-            c = (rest.times(factors[1]) if side == 0
-                 else rest.times_t(factors[0]))
-            level = lam[side] = _level(upd, c, norm_sq, rest.m.size)
-            factors[side], nrm = normalize_or_zero(upd.prox.prox(c, level))
-            if nrm == 0.0:
-                break
-            pens[side] = _penalty(upd, level, factors[side])
-            objective = float(factors[side] @ c) - pens[0] - pens[1]
-            loop.objective_trace.append(objective)
-        if nrm == 0.0:
-            break
-        loop.stop(objective)
-    if nrm == 0.0:  # a fully thresholded factor or no start: the zero fit
-        factors = [np.zeros(rest.m.shape[0]), np.zeros(rest.m.shape[1])]
-        loop.converged = True
-    u, v = factors
-    d = rest.weight(u, v) if nrm else 0.0
-    return SparsePcaFit(u, v, d, loop.iterations, loop.converged,
-                        np.asarray(loop.objective_trace), *lam)
+    n, p = m.shape
+    updates = (*updates, _PLAIN[2])
+    with _shared_grams(m[:, :, None], {2: eig} if eig else {}) as x:
+        terms = _Terms(x, k)
+        if not np.isfinite(terms.norm_sq_x):
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        fits, _ = _greedy(terms, min(k, n, p), lambda x, terms, rng, basis:
+                          _rank_one(x, updates, cfg, rng, basis, terms),
+                          cfg.rng())
+    fits = [SparsePcaFit(f.u, f.v, f.d, f.iterations, f.converged,
+                         f.objective_trace, f.lambdas["u"], f.lambdas["v"])
+            for f in fits]
+    if len(fits) < k and (not fits or fits[-1].d > 0.0):
+        fits.append(SparsePcaFit(np.zeros(n), np.zeros(p), 0.0, 0, True,
+                                 lam_left=updates[0].level))
+    return terms.factors[0], terms.factors[1], terms.d, fits
+
+
+def _lasso(level):
+    return _mode_update(ModePenalty("lasso", float(level)))
 
 
 def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
@@ -501,12 +402,10 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
     """Rank-one penalized SVD by alternating soft-thresholding.
 
     With both levels zero this converges to the leading singular pair; a
-    fully thresholded factor terminates with weight zero.
+    fully thresholded factor terminates with weight zero.  A non-finite
+    ``m`` raises ValueError.
     """
-    cfg = cfg or SolverConfig()
-    return _sparse_pca_engine(_Deflated(np.asarray(m, dtype=float)), tuple(
-        _mode_update(ModePenalty("lasso", float(lam)))
-        for lam in (lam_left, lam_right)), cfg)
+    return _pca(m, 1, (_lasso(lam_left), _lasso(lam_right)), cfg)[3][0]
 
 
 def sparse_pca(m, k: int, left_pen: ModePenalty,
@@ -517,35 +416,24 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
     given, is ``eigh`` of the Gram matrix it is taken from (see
     :func:`hopca.decompose.leading_singular_vectors` on ``m.T``).
 
-    The deflation is implicit (:class:`_Deflated`): ``m`` is only read,
-    every product and the norm BIC reads are those of the deflated
-    matrix, and each later component starts from the top eigenvector of
-    ``eig``'s Gram updated by the accepted components, found by a few
-    Lanczos steps.  The deflated matrix is formed, and its own ``eigh``
-    taken, only where that loses digits.
+    Each component is a fit of the rank-one engine to the tensor view
+    ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``, and the
+    deflation is the engine's: ``m`` is only read, every product and the
+    norm BIC reads are those of the deflated matrix, and each later
+    component starts from the top eigenvector of ``eig``'s Gram updated
+    by the accepted components, found by a few Lanczos steps (one small
+    ``eigh`` for a small Gram).  The deflated matrix is formed only where
+    that loses digits.  As in the engine, a factor that vanishes at level
+    0 restarts its fit from a random start (seeded by ``cfg``), and one
+    that vanishes at a positive level gives the zero fit.
 
     Returns (left factors, right factors, weights, component fits); the
     fits are the :class:`SparsePcaFit` of each component run, a zero fit
     last when one ends the run early, as it does once ``m``'s rank is
-    used up.
+    used up (``min(m.shape)`` components, or a deflated matrix at the
+    rounding level of ``m``).  A non-finite ``m`` raises ValueError.
     """
-    m = np.asarray(m, dtype=float)
-    cfg = cfg or SolverConfig()
-    updates = (_mode_update(left_pen),
-               _mode_update(ModePenalty("lasso", 0.0)))
-    left = np.zeros((m.shape[0], k))
-    right = np.zeros((m.shape[1], k))
-    d = np.zeros(k)
-    fits = []
-    rest = _Deflated(m, eig)
-    for comp in range(k):
-        fit = _sparse_pca_engine(rest, updates, cfg)
-        fits.append(fit)
-        if fit.d == 0.0:
-            break
-        left[:, comp], right[:, comp], d[comp] = fit.u, fit.v, fit.d
-        rest.accept(fit)
-    return left, right, d, fits
+    return _pca(m, k, (_mode_update(left_pen), _lasso(0.0)), cfg, eig)
 
 
 def _pca_step(mode_pen: ModePenalty, m, k, cfg, eig=None):

@@ -40,7 +40,9 @@ def tensor3(values, dims=None) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray of shape ``(n, p, q)``, dtype float64.
+    numpy.ndarray of shape ``(n, p, q)``, dtype float64; C-contiguous
+    when built from a flat sequence, the layout on which the solvers'
+    contractions take reshape views instead of copies.
     """
     x = np.asarray(values, dtype=float)
     if dims is not None:
@@ -51,7 +53,7 @@ def tensor3(values, dims=None) -> np.ndarray:
             raise ValueError(
                 f"expected {n * p * q} values for dims {dims}, got {x.size}"
             )
-        x = x.reshape((n, p, q), order="F")
+        x = np.ascontiguousarray(x.reshape((n, p, q), order="F"))
     return check_tensor3(x)
 
 

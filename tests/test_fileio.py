@@ -1,5 +1,7 @@
 """File format checks: .t3 round trips, CSV matrices, model directories."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -32,6 +34,21 @@ def test_t3_read_is_c_contiguous_and_bit_equal(tmp_path, order):
     back = fileio.read_tensor3(path)
     assert back.flags.c_contiguous and not back.flags.f_contiguous
     assert back.shape == x.shape and back.tobytes() == x.tobytes()
+
+
+def test_t3_read_peaks_at_two_tensors(tmp_path):
+    # the parsed values and their C-contiguous copy, not a third tensor
+    x = np.random.default_rng(2).standard_normal((60, 60, 50))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    tracemalloc.start()
+    try:
+        back = fileio.read_tensor3(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == x.tobytes()
+    assert peak < 2.5 * x.nbytes
 
 
 @st.composite

@@ -74,6 +74,19 @@ def test_the_penalized_pca_has_fits_of_its_own():
                for label, fit in fits.items() if "nonneg" in label)
 
 
+def test_each_component_of_the_pca_of_three_unfoldings_is_digested():
+    """Three BIC components of each unfolding, so that the later starts
+    (tall view, wide view, small Gram) have digests of their own."""
+    tool = load_tool()
+    fits = dict(tool.unfolding_pca_fits())
+    shapes = ("1000x400", "20x20000", "100x10000")
+    assert list(fits) == [
+        f"pca s{scenario} mode {mode} {shape} bic comp {comp}"
+        for (scenario, mode), shape in zip(tool.UNFOLDINGS, shapes)
+        for comp in range(3)]
+    assert all(fit.d > 0.0 for fit in fits.values())
+
+
 def test_the_fixed_level_tucker_fits_are_digested_on_scenario_2():
     fits = {label: fit for label, fit, _ in load_tool().scenario_fits()}
     for method in ("sparse-hosvd", "sparse-hooi"):

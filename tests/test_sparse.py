@@ -266,6 +266,29 @@ class TestSparsePca:
             0.0, 0, True)
         npt.assert_array_equal(left[:, 1], np.zeros(12))
 
+    def test_a_factor_vanishing_at_level_zero_restarts_the_fit(self):
+        # the signed start v = b gives m v = -|b|^2 a, which the
+        # non-negative threshold at level 0 zeroes; as in the engine, the
+        # fit restarts from a random start and finds the pair (a, -b)
+        rng = np.random.default_rng(25)
+        a, b = np.abs(rng.standard_normal(7)), np.abs(rng.standard_normal(5))
+        m = -np.outer(a, b)
+        left, right, d, fits = sparse_pca(m, 1,
+                                          ModePenalty("nonneg_lasso", 0.0))
+        assert d[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b))
+        npt.assert_allclose(left[:, 0], a / np.linalg.norm(a), atol=1e-10)
+        npt.assert_allclose(d[0] * np.outer(left[:, 0], right[:, 0]), m,
+                            atol=1e-10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_matrix_raises_value_error(self, value):
+        m = np.random.default_rng(24).standard_normal((6, 5))
+        m[2, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            sparse_pca(m, 2, ModePenalty("lasso", 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            sparse_pca_rank_one(m, 0.1)
+
 
 def separated_tensor(rng, dims=(8, 7, 6)):
     """Rank-2 signal with well separated spectrum plus small noise."""
@@ -367,6 +390,21 @@ class TestRankUsedUp:
         error, model = self.error(solver, x)
         assert error <= 1e-14
         npt.assert_array_equal(model.U[:, 1], np.zeros(12))
+
+    @pytest.mark.parametrize("solver", [
+        lambda x: tpa(x, 2),
+        lambda x: sparse_cp_tpa(x, 2, PenaltySpec.lasso(u="bic"))],
+        ids=["tpa", "sparse-cp-tpa"])
+    def test_the_deflation_ends_once_the_residual_is_rounding_noise(
+            self, solver):
+        # the residual after the first component is at the rounding level
+        # of x: no second component is fit to it
+        x, _ = self.tensors()
+        model = solver(x)
+        assert model.diagnostics["truncated_at"] == 1
+        assert model.d[1] == 0.0
+        for f in (model.U, model.V, model.W):
+            npt.assert_array_equal(f[:, 1], np.zeros(f.shape[0]))
 
     def test_a_noisy_rank_one_tensor_keeps_its_fit(self):
         _, x = self.tensors()

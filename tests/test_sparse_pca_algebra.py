@@ -1,23 +1,36 @@
 """The penalized PCA's implicit deflation against the formed one.
 
-``sparse.sparse_pca`` never forms ``m' = m - L diag(d) R^T``: its
-products, ``||m'||^2``, the weights and each later start come from ``m``
-and the accepted columns (``sparse._Deflated``), the start from a few
-Lanczos steps on the updated Gram (``decompose._updated_top``).  The
-oracle is the formed route: ``m'`` subtracted term by term, and the
+``sparse.sparse_pca`` is the rank-one engine's deflation on the tensor
+view ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``: it
+never forms ``m' = m - L diag(d) R^T``.  Its products, ``||m'||^2``, the
+weights and each later start come from ``m`` and the accepted terms
+(``decompose._Terms``), the start from a few Lanczos steps on the
+updated Gram (``decompose._updated_top``) or one small ``eigh`` of it.
+The oracle is the formed route: ``m'`` subtracted term by term, and the
 leading right singular vector of ``m'`` from ``leading_singular_vectors``.
 """
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hopca.decompose as decompose
 import hopca.sparse as sparse
 from hopca.decompose import (
     _GRAM_RCOND,
+    _PLAIN,
+    RankOneFit,
     SolverConfig,
+    _fit_rank_one,
+    _gram_eig,
     _shared_grams,
+    _Terms,
     _updated_top,
+    contract_u,
+    contract_v,
+    contract_w,
     leading_singular_vectors,
 )
 from hopca.simulate import SimScenarioSpec, fit_method, simulate
@@ -45,16 +58,25 @@ def formed(m, fits):
 
 def count_formed_starts(monkeypatch):
     """Count the starts that take the formed route (the first component's
-    start is one of them)."""
+    start, from the memo, is one of them)."""
     calls = []
-    real = sparse.leading_singular_vectors
+    real = decompose.leading_singular_vectors
 
     def counting(m, k, **kwargs):
         calls.append(m.shape)
         return real(m, k, **kwargs)
 
-    monkeypatch.setattr(sparse, "leading_singular_vectors", counting)
+    monkeypatch.setattr(decompose, "leading_singular_vectors", counting)
     return calls
+
+
+def accepted_terms(view, fits):
+    """A ``_Terms`` of the view with the component fits accepted, each
+    with its fixed third factor ``[1.0]``."""
+    terms = _Terms(view, 3)
+    for fit in fits:
+        terms.accept(RankOneFit(fit.u, fit.v, np.ones(1), fit.d))
+    return terms
 
 
 CASES = [(seed, shape, pen)
@@ -77,24 +99,29 @@ def test_each_component_matches_the_formed_deflation(seed, shape, pen,
     assert len(calls) == 1  # only the first start is formed
     scale = np.linalg.norm(m)
     rng = np.random.default_rng(seed + 100)
+    one = np.ones(1)
     for j in range(3):
-        rest = sparse._Deflated(m)
-        for fit in fits[:j]:
-            rest.accept(fit)
-        oracle = formed(m, fits[:j])
-        u, v = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
-        npt.assert_allclose(rest.times(v), oracle @ v,
-                            rtol=0, atol=TOL * scale * np.linalg.norm(v))
-        npt.assert_allclose(rest.times_t(u), oracle.T @ u,
-                            rtol=0, atol=TOL * scale * np.linalg.norm(u))
-        assert abs(rest.norm_sq() - np.sum(oracle ** 2)) <= TOL * scale ** 2
-        fit = fits[j]
-        assert abs(rest.weight(fit.u, fit.v) - fit.u @ oracle @ fit.v) <= (
-            TOL * scale)
-        assert abs(fit.d - fit.u @ oracle @ fit.v) <= TOL * scale
-        npt.assert_allclose(rest.start(),
-                            leading_singular_vectors(oracle.T, 1)[:, 0],
-                            rtol=0, atol=TOL)
+        with _shared_grams(m[:, :, None]) as view:
+            terms = accepted_terms(view, fits[:j])
+            oracle = formed(m, fits[:j])
+            u, v = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+            npt.assert_allclose(
+                contract_u(view, v, one) - terms.correction(0, (u, v, one)),
+                oracle @ v, rtol=0, atol=TOL * scale * np.linalg.norm(v))
+            npt.assert_allclose(
+                contract_v(view, u, one) - terms.correction(1, (u, v, one)),
+                oracle.T @ u, rtol=0, atol=TOL * scale * np.linalg.norm(u))
+            assert abs(terms.norm_sq() - np.sum(oracle ** 2)) <= (
+                TOL * scale ** 2)
+            fit = fits[j]
+            qf = (fit.u, fit.v, one)
+            weight = (contract_w(view, fit.u, fit.v)
+                      - terms.correction(2, qf))[0]
+            assert abs(weight - fit.u @ oracle @ fit.v) <= TOL * scale
+            assert abs(fit.d - fit.u @ oracle @ fit.v) <= TOL * scale
+            npt.assert_allclose(terms.start(2),
+                                leading_singular_vectors(oracle.T, 1)[:, 0],
+                                rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("seed,shape,pen", CASES, ids=IDS)
@@ -104,13 +131,11 @@ def test_the_fits_match_the_formed_route(seed, shape, pen):
     m = spiked(seed, shape, [9.0, 5.0, 3.0])
     cfg = SolverConfig(tol=1e-10)
     _, _, _, fits = sparse_pca(m, 3, pen, cfg)
-    updates = (sparse._mode_update(pen),
-               sparse._mode_update(ModePenalty("lasso", 0.0)))
+    updates = (sparse._mode_update(pen), sparse._lasso(0.0), _PLAIN[2])
     for j, fit in enumerate(fits):
-        oracle = sparse._sparse_pca_engine(
-            sparse._Deflated(formed(m, fits[:j])), updates, cfg)
+        oracle = _fit_rank_one(formed(m, fits[:j])[:, :, None], updates, cfg)
         assert fit.iterations == oracle.iterations
-        assert fit.lam_left == pytest.approx(oracle.lam_left, rel=TOL)
+        assert fit.lam_left == pytest.approx(oracle.lambdas["u"], rel=TOL)
         npt.assert_allclose(fit.u, oracle.u, rtol=0, atol=1e-10)
         npt.assert_allclose(fit.v, oracle.v, rtol=0, atol=1e-10)
         assert fit.d == pytest.approx(oracle.d, rel=1e-10)
@@ -152,15 +177,28 @@ def test_lanczos_top_refuses_an_eigenvalue_below_the_gram_rcond():
             assert abs(abs(y[-2]) - 1.0) <= TOL
 
 
-def test_a_clustered_top_pair_takes_the_formed_route(monkeypatch):
+@pytest.mark.parametrize("shape", [(80, 40), (40, 80)],
+                         ids=["wide-unfolding", "tall-unfolding"])
+def test_a_clustered_top_pair_takes_one_small_eigh(shape, monkeypatch):
     """After the first component the top pair is 1e-6 apart and sits on
     37 more values within 25% of it: the Lanczos steps cannot resolve it,
-    and the start is the formed one."""
-    m = spiked(4, (80, 40), [9.0, 4.0, 4.0 * (1 - 1e-6),
-                             *np.linspace(3.99, 3.0, 37)], noise=0.0)
+    and the start is one ``eigh`` of the 40 x 40 updated Gram (the view's
+    mode-2 unfolding is wide for a tall ``m``, tall for a wide one), not
+    the formed route."""
+    m = spiked(4, shape, [9.0, 4.0, 4.0 * (1 - 1e-6),
+                          *np.linspace(3.99, 3.0, 37)], noise=0.0)
     calls = count_formed_starts(monkeypatch)
+    sizes = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     _, _, _, fits = sparse_pca(m, 2, ModePenalty("lasso", 0.0))
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert sizes.count(40) == 2  # the memo's Gram and the updated one
     assert fits[1].d == pytest.approx(4.0, rel=1e-3)
 
 
@@ -196,3 +234,24 @@ def test_no_full_eigh_of_the_tall_unfolding_beyond_the_memos(monkeypatch):
         for name in ("sparse-hosvd", "sparse-hooi"):
             fit_method(name, x, spec, SolverConfig(max_iter=100))
     assert sizes.count(400) == 1
+
+
+def test_a_later_start_on_the_tall_view_allocates_nothing_matrix_sized():
+    """A wide ``m`` has a tall mode-2 view unfolding ``m^T``: the later
+    start maps the top eigenvector of the updated ``m m^T`` through the
+    deflated ``m^T`` on views of ``m``, and forms neither."""
+    m = spiked(6, (30, 4000), [9.0, 5.0, 3.0])
+    _, _, _, fits = sparse_pca(m, 2, ModePenalty("lasso", 0.05))
+    with _shared_grams(m[:, :, None]) as view:
+        _gram_eig(view, 2)  # the memo's Gram, as the Tucker loop hands it
+        terms = accepted_terms(view, fits)
+        tracemalloc.start()
+        try:
+            start = terms.start(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    npt.assert_allclose(start, leading_singular_vectors(formed(m, fits).T,
+                                                        1)[:, 0],
+                        rtol=0, atol=TOL)
+    assert peak < m.nbytes // 4

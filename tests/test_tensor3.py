@@ -57,6 +57,17 @@ class TestConstructor:
         with pytest.raises(ValueError):
             tensor3(np.arange(7.0), (2, 2, 2))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (5, 1, 3), (1, 1, 6)])
+    def test_flat_values_give_a_c_contiguous_tensor_of_the_same_bits(
+            self, shape):
+        # the solvers' contractions take reshape views of a C-contiguous x
+        values = np.random.default_rng(3).standard_normal(int(np.prod(shape)))
+        x = tensor3(values, shape)
+        assert x.flags.c_contiguous and x.shape == shape
+        want = values.reshape(shape, order="F")
+        assert x.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert x.ravel(order="F").tobytes() == values.tobytes()
+
 
 class TestMatricize:
     def test_mode1_linear_example(self):

@@ -12,7 +12,11 @@ where ``tpa_rank_one`` and the l1 ``general_cp_tpa_rank_one`` join the
 benchmark's own four solvers.  The penalized PCA gets two fits of its
 own on a seeded 12 x 8 matrix: ``sparse_pca_rank_one`` at levels (0.4,
 0.2), and each component fit of a three-component ``sparse_pca`` at a
-fixed non-negative lasso level 0.4.  One fit per family (cp-als, tpa,
+fixed non-negative lasso level 0.4; and each component fit of a
+three-component BIC lasso ``sparse_pca`` (``max_iter=100``) of three
+unfoldings, of the tall, the wide and the much wider kind the Tucker
+methods fit: scenario-2 modes 1 (1000 x 400) and 2 (20 x 20000), and
+scenario-1 mode 1 (100 x 10000).  One fit per family (cp-als, tpa,
 sparse-cp-tpa, hooi and sparse-hosvd) is also made of the scenario-1
 tensor written to a ``.t3`` file and read back, as ``hopca decompose``
 reads it, so that a change to the layout the reader returns shows in
@@ -128,7 +132,7 @@ def t3_fits():
 
 
 def pca_fits():
-    """(label, fit) for the penalized PCA's own fits."""
+    """(label, fit) for the penalized PCA's own fits of a small matrix."""
     from hopca.sparse import ModePenalty, sparse_pca, sparse_pca_rank_one
 
     m = np.random.default_rng(SEED).standard_normal((12, 8))
@@ -136,6 +140,26 @@ def pca_fits():
     _, _, _, fits = sparse_pca(m, 3, ModePenalty("nonneg_lasso", 0.4))
     for comp, fit in enumerate(fits):
         yield f"pca nonneg 0.4 comp {comp}", fit
+
+
+UNFOLDINGS = ((2, 1), (2, 2), (1, 1))  # (scenario, mode)
+
+
+def unfolding_pca_fits():
+    """(label, fit) for each component fit of the BIC penalized PCA of
+    each unfolding of ``UNFOLDINGS``."""
+    from hopca.decompose import SolverConfig
+    from hopca.simulate import SimScenarioSpec, simulate
+    from hopca.sparse import ModePenalty, sparse_pca
+    from hopca.tensor3 import matricize
+
+    for scenario, mode in UNFOLDINGS:
+        m = matricize(simulate(SimScenarioSpec(scenario, seed=SEED)).x, mode)
+        _, _, _, fits = sparse_pca(m, 3, ModePenalty("lasso", None),
+                                   SolverConfig(max_iter=100))
+        for comp, fit in enumerate(fits):
+            yield (f"pca s{scenario} mode {mode} {m.shape[0]}x{m.shape[1]} "
+                   f"bic comp {comp}"), fit
 
 
 def mono_small_fits():
@@ -175,7 +199,8 @@ def main() -> int:
     for label, fit in t3_fits():
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
-    for label, fit in (*mono_small_fits(), *pca_fits()):
+    for label, fit in (*mono_small_fits(), *pca_fits(),
+                       *unfolding_pca_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
     return 0
 
