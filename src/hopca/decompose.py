@@ -3,18 +3,24 @@ rank-one power scheme with deflation (optionally Gram-Schmidt
 orthogonalized).  The power scheme runs on the penalized rank-one
 engine and the deflation loop that the sparse and generalized solvers
 share.  Their public solvers are each one call of a shared loop: the
-engine's two entry points (:func:`_fit_rank_one` for one fit,
-:func:`_fit_greedy` for a deflation), :func:`deflate`, the ALS loop or
-the Tucker loop.  Each loop enters through :func:`_shared_grams`, which
-checks the tensor when it opens a block on a new one, so a fit inside a
-block open on its tensor never checks it again.  The loops default and
-reject the config (the Tucker loop too: it sweeps only when asked) and
-end the diagnostics with each method's extras.  The engine's update rule
-is two helpers, :func:`_level` (a fixed level or BIC over a grid) and
-:func:`_penalty`.  The penalized PCA of :mod:`hopca.sparse` runs on the
-engine too: a matrix is the tensor view ``m[:, :, None]``, and a size-one
-third mode with a plain update is the fixed factor ``[1.0]``, which takes
-no start and no update and whose product is the view ``x[:, :, 0]``.
+engine's entry points (:func:`_fit_rank_one` for one fit,
+:func:`_fit_greedy` for a deflation, :func:`_fit_unfolding` for the
+penalized PCA of an unfolding), :func:`deflate`, the ALS loop or the
+Tucker loop.  Each loop enters through :func:`_shared_grams`, which
+checks the tensor when it opens a block on a new one (its entries are
+finite and its squared norm does not overflow), so a fit inside a block
+open on its tensor never checks it again.  The loops default and reject
+the config (the Tucker loop too: it sweeps only when asked) and end the
+diagnostics with each method's extras.  The engine's update rule is two
+helpers, :func:`_level` (a fixed level or BIC over a grid) and
+:func:`_penalty`.  The Tucker loop takes one engine update per mode and
+runs one pass, :func:`_tucker_pass`, for its HOSVD start and for each
+HOOI sweep: a penalized mode takes the left factors of
+:func:`_fit_unfolding`, the penalized PCA that :mod:`hopca.sparse` also
+wraps.  It runs on the engine too: the unfolding ``m`` is the tensor view
+``m[:, :, None]``, and a size-one third mode with a plain update is the
+fixed factor ``[1.0]``, which takes no start and no update and whose
+product is the view ``x[:, :, 0]``.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
@@ -24,9 +30,9 @@ eigendecomposition of each unfolding of that tensor is computed once,
 and so are the singular vectors taken from it.  Every SVD start of the
 tensor reads them: the (v, w) start of the power scheme, the CP-ALS
 start, the HOSVD start of the Tucker methods and the first right vector
-of the penalized PCA.  The memo lives in a ``ContextVar``, so other
-threads and contexts never see it, and it serves that one tensor only,
-never a residual.
+of the penalized PCA of an unfolding of that tensor.  The memo lives in
+a ``ContextVar``, so other threads and contexts never see it, and it
+serves that one tensor only, never a residual.
 
 Deflation does not form its residual either.  One loop,
 :func:`_greedy`, runs every deflation, the penalized PCA's included: each
@@ -81,6 +87,7 @@ _GRAM_RCOND = 1e-8
 # of the Gram it updates, that accepts it
 _LANCZOS_STEPS = 24
 _RITZ_RTOL = 1e-14
+_OVERFLOW = "finite entries, but the squared norm overflows float64: rescale"
 
 
 @dataclass
@@ -433,12 +440,13 @@ _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 @contextmanager
 def _shared_grams(x, grams=None):
-    """Check ``x`` (:func:`check_tensor3`) and yield a read-only view of
-    it.  Within the block the Gram eigendecomposition of each unfolding
-    of that very view (``is``, not equality) is computed once, and so are
-    its leading singular vectors for each (mode, k); both are kept
-    read-only.  Opened on the view of an enclosing block, the block is
-    that block, and ``x`` is neither checked nor scanned again.  With
+    """Check ``x`` (:func:`check_tensor3`, and that ``||x||^2`` does not
+    overflow) and yield a read-only view of it.  Within the block the
+    Gram eigendecomposition of each unfolding of that very view (``is``,
+    not equality) is computed once, and so are its leading singular
+    vectors for each (mode, k); both are kept read-only.  Opened on the
+    view of an enclosing block, the block is that block, and ``x`` is
+    neither checked nor scanned again.  With
     ``grams`` the caller answers for ``x``, a float array: the block
     opens on it unchecked, its memo seeded with ``grams[mode]``, ``eigh``
     of the smaller Gram (:func:`_gram`) of each given mode's unfolding."""
@@ -447,6 +455,9 @@ def _shared_grams(x, grams=None):
         yield x
         return
     view = (x if grams is not None else check_tensor3(x)).view()
+    with np.errstate(over="ignore"):  # the error below says so
+        if grams is None and math.isinf(frob_norm(view)):
+            raise ValueError(_OVERFLOW)
     view.flags.writeable = False
     token = _GRAMS.set((view, {(mode, x.shape[mode - 1] ** 2 <= x.size): eig
                                for mode, eig in (grams or {}).items()}, {}))
@@ -639,77 +650,76 @@ def _check_ranks(x, ranks):
     return ranks
 
 
-def _tucker_core(x, U, V, W):
-    return _mode_mult3(x, U.T, V.T, W.T)
+def _tucker_pass(x, ranks, updates, cfg, factors=None):
+    """One pass of the Tucker loop over the three modes, in turn: the
+    HOSVD start when ``factors`` is None, else a HOOI sweep from them.
 
-
-def _svd_step(m, k, cfg):
-    return leading_singular_vectors(m, k), [0.0] * k, []
+    Each factor is estimated from the mode unfolding of ``y``: ``x``
+    itself at the start, so a block open on ``x`` serves it from the
+    memo, and in a sweep ``x`` projected onto the other two factors,
+    those of this sweep where they are already new.  A None update takes
+    the leading singular vectors, at level 0; a :class:`_ModeUpdate`
+    takes the left factors of a penalized PCA (:func:`_fit_unfolding`),
+    with each component's level and its fit as a loop.  Returns the
+    factors, the levels per mode, the loops and the core.
+    """
+    factors = [None] * 3 if factors is None else list(factors)
+    start, levels, loops = factors[0] is None, {}, []
+    for m, (upd, k) in enumerate(zip(updates, ranks)):
+        y = x
+        for o in range(3):
+            if o != m and not start:
+                y = mode_mult(y, factors[o].T, o + 1)
+        if upd is None:  # a copy: the model's factors are not the memo's
+            factors[m] = np.array(_unfolding_vectors(y, m + 1, k))
+            levels[_MODES[m]] = [0.0] * k
+        else:
+            factors[m], _, _, fits = _fit_unfolding(y, m + 1, k,
+                                                    (upd, _PLAIN[1]), cfg)
+            levels[_MODES[m]] = [fit.lambdas["u"] for fit in fits]
+            loops += fits
+    # in a sweep the last y is x projected onto the new U and V
+    core = (_mode_mult3(x, *(f.T for f in factors)) if start
+            else mode_mult(y, factors[2].T, 3))
+    return factors, levels, loops, core
 
 
 def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
-            steps=(None, None, None), sweeps: bool = False,
+            updates=(None, None, None), sweeps: bool = False,
             **extras) -> TuckerModel:
-    """Tucker factors from one step per mode: HOSVD, then with ``sweeps``
+    """Tucker factors from one engine update per mode (None for the
+    leading singular vectors): the HOSVD start, then with ``sweeps``
     HOOI sweeps under the iteration controls of ``cfg`` (default
-    :class:`SolverConfig`).
+    :class:`SolverConfig`), each one :func:`_tucker_pass`.
 
-    ``steps[m](unfolding, rank, cfg)`` returns ``rank`` factor columns,
-    the penalty level of each and the loops it ran; a None step takes the
-    leading singular vectors and runs none.  The HOSVD start runs the
-    steps on the unfoldings of ``x`` and passes each the memo's ``eig``
-    of its unfolding's transpose (see :func:`_gram_eig`) as a fourth
-    argument; each sweep re-estimates every factor from ``x`` projected
-    onto the other two.  Convergence (relative core-norm change below
-    ``tol``) is first checked at sweep 2.  The sweep with the largest
-    core norm is returned, ties going to the later sweep.  The model's
-    loops are the steps' loops of the returned sweep, then with
-    ``sweeps`` the sweeps, whose objective trace is the core norm of the
-    HOSVD start and of each sweep.  The ``extras`` end the diagnostics.
+    Convergence (relative core-norm change below ``tol``) is first
+    checked at sweep 2.  The pass with the largest core norm is
+    returned, ties going to the later one.  The model's loops are the
+    penalized PCAs' fits of the returned pass, then with ``sweeps`` the
+    sweeps, whose objective trace is the core norm of the HOSVD start
+    and of each sweep.  The ``extras`` end the diagnostics.
     """
     with _shared_grams(x) as x:
         ranks = _check_ranks(x, ranks)
         cfg = cfg or SolverConfig()
         _reject_unread(cfg, svd_start=True)
-        factors, levels, loops = [], {}, []
-        for m, (step, k) in enumerate(zip(steps, ranks)):
-            if step is None:  # a copy: the model's factors are not the memo's
-                f, lev, ran = (np.array(_unfolding_vectors(x, m + 1, k)),
-                               [0.0] * k, [])
-            else:
-                unfolding = matricize(x, m + 1)
-                f, lev, ran = step(unfolding, k, cfg, _gram_eig(
-                    x, m + 1, unfolding, right=True))
-            factors.append(f)
-            levels[_MODES[m]] = lev
-            loops += ran
-        steps = [step or _svd_step for step in steps]
-        core = _tucker_core(x, *factors)
+        best = run = _tucker_pass(x, ranks, updates, cfg)
         if sweeps:
-            loop = _Loop(cfg, [frob_norm(core)])
+            best_norm = frob_norm(run[3])  # (factors, levels, loops, core)
+            loop = _Loop(cfg, [best_norm])
             loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
-            best, best_norm = (factors, core, levels, loops), frob_norm(core)
-            for _ in loop.sweeps():
-                factors, levels, loops = list(factors), dict(levels), []
-                for m in range(3):
-                    y = x
-                    for o in range(3):
-                        if o != m:
-                            y = mode_mult(y, factors[o].T, o + 1)
-                    factors[m], levels[_MODES[m]], ran = steps[m](
-                        matricize(y, m + 1), ranks[m], cfg)
-                    loops += ran
-                core = mode_mult(y, factors[2].T, 3)
-                norm = frob_norm(core)
+            for _ in loop.sweeps():  # each from the last pass's factors
+                run = _tucker_pass(x, ranks, updates, cfg, run[0])
+                norm = frob_norm(run[3])
                 loop.objective_trace.append(norm)
                 if norm >= best_norm:
-                    best, best_norm = (factors, core, levels, loops), norm
+                    best, best_norm = run, norm
                 loop.stop(norm)
-            factors, core, levels, loops = best
-            loops = [*loops, loop]
             extras = {"core_norm": best_norm, **extras}
+        factors, levels, loops, core = best
     return TuckerModel(*factors, core, _diagnostics(
-        method, loops, levels, _column_nnz(*factors), **extras))
+        method, [*loops, loop] if sweeps else loops, levels,
+        _column_nnz(*factors), **extras))
 
 
 def hosvd(x, ranks) -> TuckerModel:
@@ -1075,6 +1085,41 @@ def _fit_greedy(x, K: int, updates, cfg: SolverConfig | None, method: str,
     cfg = cfg or SolverConfig()
     return deflate(x, K, lambda x, terms, rng, basis: _rank_one(
         x, updates, cfg, rng, basis, terms), cfg, method, **extras)
+
+
+def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
+    """Penalized PCA of the mode-``mode`` unfolding ``m`` of ``y``: up to
+    ``k`` engine fits of ``updates``, a (left, right) pair, to ``m`` and
+    to what the earlier ones leave of it, no more than ``min(m.shape)``
+    (the rank of ``m``), under ``cfg`` (default :class:`SolverConfig`).
+
+    The fits run on the tensor view ``m[:, :, None]``, whose third factor
+    is fixed at ``[1.0]``, through :func:`_greedy`: ``m`` is only read
+    and the deflation is the engine's (:class:`_Terms`).  The view's
+    memo starts from the memo's Gram of ``m`` (:func:`_gram_eig`) when a
+    block is open on ``y``, so ``m`` is not scanned for it again; the
+    view is not checked, and a non-finite ``||m||^2`` raises ValueError.
+    Returns (left factors, right factors, weights, component fits), a
+    zero fit last when the run ends before ``k`` fits.
+    """
+    cfg = cfg or SolverConfig()
+    _reject_unread(cfg, svd_start=True)
+    m = matricize(y, mode)
+    eig = _gram_eig(y, mode, m, right=True)
+    updates = (*updates, _PLAIN[2])
+    with _shared_grams(m[:, :, None], {2: eig} if eig else {}) as view:
+        terms = _Terms(view, k)
+        if not np.isfinite(terms.norm_sq_x):
+            raise ValueError(_OVERFLOW if np.all(np.isfinite(m)) else
+                             "matrix entries must be finite (no NaN/Inf)")
+        fits, _ = _greedy(terms, min(k, *m.shape), lambda x, terms, rng,
+                          basis: _rank_one(x, updates, cfg, rng, basis, terms),
+                          cfg.rng())
+    if len(fits) < k and (not fits or fits[-1].d > 0.0):
+        fits.append(RankOneFit(*(np.zeros(n) for n in view.shape), 0.0, 0,
+                               True, lambdas={"u": updates[0].level,
+                                              "v": 0.0}))
+    return terms.factors[0], terms.factors[1], terms.d, fits
 
 
 def _greedy(terms: _Terms, count: int, fit_one, rng, orthogonalize=False):

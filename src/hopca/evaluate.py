@@ -119,7 +119,12 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
     lam^2 nnz M2 / ||f||^2`` with ``||f||^2 = M2 + nnz (mu - lam)^2``.
     One sort and three suffix sums give every level at once; the sums
     are taken of the entries' distances below the largest one, so
-    entries just above a level lose no digits.
+    entries just above a level lose no digits.  The sums and ``lam^2 nnz
+    M2 / ||f||^2`` (a fourth power of the entries' scale) are formed on
+    the entries and levels scaled by the power of two of the largest
+    entry, and unscaled after.  Scaling by a power of two is exact: the
+    bits are the unscaled form's wherever that neither overflows nor
+    underflows, and no scale of ``c`` with a finite ``||c||^2`` does.
 
     Returns ``(bic_values, nnz)`` arrays aligned with ``grid``.
     """
@@ -129,12 +134,14 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
     if np.any(grid < 0):
         raise ValueError("penalty values must be non-negative")
     a = np.sort(np.abs(threshold(contraction, 0.0)))
+    start = np.searchsorted(a, grid, side="right")
+    exp = np.frexp(a[-1])[1]
+    a, grid = np.ldexp(a, -exp), np.ldexp(grid, -exp)
     below = a[-1] - a
     # suffix sums of a^2, below and below^2; the last column is "none above"
     sums = np.zeros((3, a.size + 1))
     sums[:, :-1] = np.cumsum(np.stack([a * a, below, below * below])[:, ::-1],
                              axis=1)[:, ::-1]
-    start = np.searchsorted(a, grid, side="right")
     nnz = a.size - start
     s2, b1, b2 = sums[:, start]
     live = nnz > 0
@@ -142,7 +149,8 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
     scatter = np.maximum(b2 - b1 * b1 / n, 0.0)
     gap = a[-1] - grid - b1 / n  # mean entry above the level, less the level
     f_sq = np.where(live, scatter + n * gap * gap, 1.0)
-    fc_sq = s2 - grid * grid * n * scatter / f_sq  # (f @ c)^2
+    # (f @ c)^2, unscaled
+    fc_sq = np.ldexp(s2 - grid * grid * n * scatter / f_sq, 2 * exp)
     resid_sq = np.where(live, norm_sq - fc_sq, norm_sq)
     return _bic(resid_sq, nnz, size), nnz
 

@@ -481,8 +481,9 @@ def fpca_half_smoothing(x, s: SmootherSet, ranks,
     """
     with _shared_grams(x) as x:
         smoothed, (half_u, half_v, half_w) = _half_smooth(x, s)
-    # a new tensor, which opens (and checks) a block of its own: a finite
-    # x can smooth to inf, since S^{-1/2} has rows of absolute sum above one
+    # a new tensor, which opens (and checks) a block of its own; it cannot
+    # overflow, as x's block refused an overflowing ||x||^2 and S^{-1/2}
+    # has spectral norm at most one
     inner = _tucker(smoothed, ranks, cfg, "fpca-halfsmooth", sweeps=True,
                     alpha=s.alpha)
     return replace(inner, U=half_u @ inner.U, V=half_v @ inner.V,

@@ -7,13 +7,14 @@ Every solver is one call of a shared loop of :mod:`hopca.decompose`,
 which checks the tensor, defaults the config and labels the fit.  The
 rank-one fit and the deflation scheme give the rank-one engine one
 soft-thresholding update per mode (:func:`_mode_update`).  The baselines
-run the one ALS loop and the one Tucker loop with a penalized step
-(lasso, penalized PCA) in each penalized mode; at zero penalty they are
-CP-ALS, HOSVD and HOOI.  The penalized PCA runs on the engine itself: a
-matrix ``m`` is the tensor view ``m[:, :, None]``, whose size-one third
-mode with a plain update is the fixed factor ``[1.0]``, and its
-components are the engine's deflation loop on that view, with one
-implicit deflation for both (:class:`hopca.decompose._Terms`).
+run the one ALS loop with a lasso step, and the one Tucker loop with the
+same engine update, in each penalized mode; at zero penalty they are
+CP-ALS, HOSVD and HOOI.  The Tucker loop runs the penalized PCA of each
+penalized mode's unfolding (:func:`hopca.decompose._fit_unfolding`), and
+:func:`sparse_pca` is that call on the view ``m[:, :, None]`` of a matrix
+``m``, whose size-one third mode with a plain update is the fixed factor
+``[1.0]``: its components are the engine's deflation loop on that view,
+with one implicit deflation for both (:class:`hopca.decompose._Terms`).
 
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
@@ -40,12 +41,8 @@ from .decompose import (
     _als,
     _fit_greedy,
     _fit_rank_one,
-    _greedy,
+    _fit_unfolding,
     _ModeUpdate,
-    _rank_one,
-    _reject_unread,
-    _shared_grams,
-    _Terms,
     _tucker,
 )
 from .evaluate import _bic, _bic_argmin, default_lambda_grid
@@ -285,8 +282,9 @@ def lasso_coordinate_descent(gram, corr, lam: float,
 
 
 def _mode_steps(pen: PenaltySpec, make):
-    """Per-mode steps of a shared loop: ``make(mode_penalty)`` for each
-    penalized mode, None (the exact unpenalized step) for the rest."""
+    """Per-mode steps of a shared loop, the ALS loop's lasso steps or the
+    Tucker loop's engine updates: ``make(mode_penalty)`` for each
+    penalized mode, None (the loop's unpenalized step) for the rest."""
     return tuple(None if p.kind == "none" else make(p)
                  for p in (pen.u, pen.v, pen.w))
 
@@ -360,41 +358,15 @@ class SparsePcaFit:
     lam_right: float = 0.0
 
 
-def _pca(m, k, updates, cfg, eig=None):
-    """Up to ``k`` engine fits of ``updates``, a (left, right) pair, to
-    the matrix ``m`` and to what the earlier ones leave of it, on the
-    tensor view ``m[:, :, None]``, whose third factor is fixed at
-    ``[1.0]``; no more than ``min(m.shape)``, the rank of ``m``.
-
-    ``m`` is only read: the deflation is the engine's (:class:`_Terms`).
-    ``eig`` seeds the view's memo with the mode-2 Gram its starts update
-    (``eigh`` of :func:`_gram` of ``m.T``); ``m`` is then not scanned
-    for it.  Returns (left factors, right factors, weights, component
-    fits), a zero fit last when the run ends before ``k`` fits.
-    """
+def _pca(m, k, updates, cfg):
+    """:func:`hopca.decompose._fit_unfolding` of the view ``m[:, :, None]``
+    (whose mode-1 unfolding is ``m``), its fits as :class:`SparsePcaFit`."""
     m = np.asarray(m, dtype=float)
-    cfg = cfg or SolverConfig()
-    _reject_unread(cfg, svd_start=True)
-    n, p = m.shape
-    updates = (*updates, _PLAIN[2])
-    with _shared_grams(m[:, :, None], {2: eig} if eig else {}) as x:
-        terms = _Terms(x, k)
-        if not np.isfinite(terms.norm_sq_x):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        fits, _ = _greedy(terms, min(k, n, p), lambda x, terms, rng, basis:
-                          _rank_one(x, updates, cfg, rng, basis, terms),
-                          cfg.rng())
-    fits = [SparsePcaFit(f.u, f.v, f.d, f.iterations, f.converged,
-                         f.objective_trace, f.lambdas["u"], f.lambdas["v"])
-            for f in fits]
-    if len(fits) < k and (not fits or fits[-1].d > 0.0):
-        fits.append(SparsePcaFit(np.zeros(n), np.zeros(p), 0.0, 0, True,
-                                 lam_left=updates[0].level))
-    return terms.factors[0], terms.factors[1], terms.d, fits
-
-
-def _lasso(level):
-    return _mode_update(ModePenalty("lasso", float(level)))
+    left, right, d, fits = _fit_unfolding(m[:, :, None], 1, k, updates, cfg)
+    return left, right, d, [
+        SparsePcaFit(f.u, f.v, f.d, f.iterations, f.converged,
+                     f.objective_trace, f.lambdas["u"], f.lambdas["v"])
+        for f in fits]
 
 
 def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
@@ -405,43 +377,37 @@ def sparse_pca_rank_one(m, lam_left: float = 0.0, lam_right: float = 0.0,
     fully thresholded factor terminates with weight zero.  A non-finite
     ``m`` raises ValueError.
     """
-    return _pca(m, 1, (_lasso(lam_left), _lasso(lam_right)), cfg)[3][0]
+    pen = PenaltySpec.lasso(float(lam_left), float(lam_right))
+    return _pca(m, 1, _mode_updates(pen)[:2], cfg)[3][0]
 
 
 def sparse_pca(m, k: int, left_pen: ModePenalty,
-               cfg: SolverConfig | None = None, eig=None):
+               cfg: SolverConfig | None = None):
     """First k penalized principal components with rank-one deflation;
     only the left factors are penalized.  The first component starts
-    from the leading right singular vector of ``m``; ``eig``, when
-    given, is ``eigh`` of the Gram matrix it is taken from (see
-    :func:`hopca.decompose.leading_singular_vectors` on ``m.T``).
+    from the leading right singular vector of ``m``.
 
     Each component is a fit of the rank-one engine to the tensor view
     ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``, and the
     deflation is the engine's: ``m`` is only read, every product and the
     norm BIC reads are those of the deflated matrix, and each later
-    component starts from the top eigenvector of ``eig``'s Gram updated
-    by the accepted components, found by a few Lanczos steps (one small
-    ``eigh`` for a small Gram).  The deflated matrix is formed only where
-    that loses digits.  As in the engine, a factor that vanishes at level
-    0 restarts its fit from a random start (seeded by ``cfg``), and one
-    that vanishes at a positive level gives the zero fit.
+    component starts from the top eigenvector of the Gram of ``m``
+    updated by the accepted components, found by a few Lanczos steps
+    (one small ``eigh`` for a small Gram).  The deflated matrix is formed
+    only where that loses digits.  As in the engine, a factor that
+    vanishes at level 0 restarts its fit from a random start (seeded by
+    ``cfg``), and one that vanishes at a positive level gives the zero
+    fit.  This is the penalized PCA the sparse Tucker methods run on each
+    unfolding (:func:`hopca.decompose._fit_unfolding`).
 
     Returns (left factors, right factors, weights, component fits); the
     fits are the :class:`SparsePcaFit` of each component run, a zero fit
     last when one ends the run early, as it does once ``m``'s rank is
     used up (``min(m.shape)`` components, or a deflated matrix at the
-    rounding level of ``m``).  A non-finite ``m`` raises ValueError.
+    rounding level of ``m``).  A non-finite ``m``, or one whose squared
+    norm overflows, raises ValueError.
     """
-    return _pca(m, k, (_mode_update(left_pen), _lasso(0.0)), cfg, eig)
-
-
-def _pca_step(mode_pen: ModePenalty, m, k, cfg, eig=None):
-    """Tucker step for one penalized mode: the left factors of
-    :func:`sparse_pca`, the chosen level of each component and its
-    component fits as the loops."""
-    left, _, _, fits = sparse_pca(m, k, mode_pen, cfg, eig)
-    return left, [fit.lam_left for fit in fits], fits
+    return _pca(m, k, (_mode_update(left_pen), _PLAIN[1]), cfg)
 
 
 def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
@@ -454,8 +420,7 @@ def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
     vectors, as :func:`hosvd` does.
     """
     return _tucker(x, ranks, cfg, "sparse-hosvd", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: partial(_pca_step, p)),
-        sparse=True)
+        pen or PenaltySpec.none(), _mode_update), sparse=True)
 
 
 def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
@@ -466,5 +431,4 @@ def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
     with the largest core norm is returned along with the full trace.
     """
     return _tucker(x, ranks, cfg, "sparse-hooi", _mode_steps(
-        pen or PenaltySpec.none(), lambda p: partial(_pca_step, p)),
-        sweeps=True, sparse=True)
+        pen or PenaltySpec.none(), _mode_update), sweeps=True, sparse=True)

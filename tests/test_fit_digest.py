@@ -111,3 +111,23 @@ def test_fits_of_a_tensor_read_back_are_digested_per_family():
         again = fit_method(name, x, spec, SolverConfig(max_iter=100))
         assert tool.digest(fit) == tool.digest(again)
         assert tool.trace_digest(fit) == tool.trace_digest(again)
+
+
+def test_the_bic_tucker_fits_penalize_every_mode_of_scenarios_3_and_4():
+    """A penalized PCA runs in every mode, modes 2 and 3 on the wide
+    unfoldings, and its levels are BIC's; the (3, 2, 1) fit has a
+    non-negative v at level 0.5 and a trace line of its own."""
+    tool = load_tool()
+    fits = {label: fit for label, fit, _ in tool.all_modes_fits()}
+    assert list(fits) == [f"s{s} {m}" for s in (3, 4)
+                          for m in ("sparse-hosvd", "sparse-hooi")]
+    for fit in fits.values():
+        for mode, f in zip("uvw", (fit.U, fit.V, fit.W)):
+            assert min(fit.diagnostics["lambdas"][mode]) > 0.0
+            assert 0 < np.count_nonzero(f[:, 0]) < f.shape[0]
+    (label, fit), = tool.uneven_ranks_fits()
+    assert label == "s4 sparse-hooi (3, 2, 1) u=bic v=nonneg 0.5"
+    assert fit.ranks == (3, 2, 1)
+    assert fit.diagnostics["lambdas"]["v"] == [0.5, 0.5]
+    assert np.all(fit.V >= 0.0) and np.count_nonzero(fit.V) < fit.V.shape[0]
+    assert fit.diagnostics["converged"][-1]

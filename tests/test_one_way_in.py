@@ -8,12 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from hopca import tensor3
+from hopca import fileio, tensor3
+from hopca.cli import main
 from hopca.decompose import SolverConfig, _shared_grams
 from hopca.generalized import (SmootherSet, _half_smooth, fpca_half_smoothing,
                                fpca_rank_one)
 from hopca.simulate import (METHODS, TABLE_METHODS, SimScenarioSpec,
                             _roc_replicate, _table_replicate)
+from hopca.sparse import ModePenalty, sparse_pca
 
 
 @pytest.fixture
@@ -108,6 +110,39 @@ def test_every_method_rejects_a_non_finite_tensor(name, value):
     x[2, 1, 1] = value
     with pytest.raises(ValueError, match="finite"):
         METHODS[name].fit(x, 2, SolverConfig())
+
+
+def huge():
+    """A finite 6 x 5 x 4 tensor whose squared norm overflows float64."""
+    return np.random.default_rng(0).standard_normal((6, 5, 4)) * 1e160
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_method_rejects_a_tensor_whose_squared_norm_overflows(name):
+    with pytest.raises(ValueError, match="finite entries, but the squared "
+                       "norm overflows"):
+        METHODS[name].fit(huge(), 2, SolverConfig())
+
+
+def test_the_penalized_pca_tells_an_overflow_from_a_non_finite_entry():
+    m = huge()[:, :, 0]
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="overflows"):
+        sparse_pca(m, 2, ModePenalty("lasso", 0.1))
+    m[0, 0] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="must be finite"):
+        sparse_pca(m, 2, ModePenalty("lasso", 0.1))
+
+
+def test_the_cli_exits_three_on_a_tensor_whose_squared_norm_overflows(
+        tmp_path, capsys):
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, huge())  # reading and writing stay permissive
+    assert np.array_equal(fileio.read_tensor3(path), huge())
+    assert main(["decompose", "--method", "tpa", "--rank", "1", "--input",
+                 str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_half_smoothing_rejects_a_finite_tensor_that_smooths_to_inf():

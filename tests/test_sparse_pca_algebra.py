@@ -131,7 +131,7 @@ def test_the_fits_match_the_formed_route(seed, shape, pen):
     m = spiked(seed, shape, [9.0, 5.0, 3.0])
     cfg = SolverConfig(tol=1e-10)
     _, _, _, fits = sparse_pca(m, 3, pen, cfg)
-    updates = (sparse._mode_update(pen), sparse._lasso(0.0), _PLAIN[2])
+    updates = (sparse._mode_update(pen), _PLAIN[1], _PLAIN[2])
     for j, fit in enumerate(fits):
         oracle = _fit_rank_one(formed(m, fits[:j])[:, :, None], updates, cfg)
         assert fit.iterations == oracle.iterations

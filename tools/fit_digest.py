@@ -1,33 +1,38 @@
 """Print one SHA-256 digest per fit, so that two source trees can be
 checked for bit-identical fits with one ``diff`` of this script's output.
 
-The fits are every method of ``hopca.simulate.METHODS`` on one scenario-1
-and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC lasso on
-the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on u), plus
-``general_cp_tpa`` on both with a size-2 group lasso on u at 0.3 (as
-``hopca decompose --penalty group`` builds it), ``sparse_hosvd`` and
-``sparse_hooi`` on scenario 2 at a fixed lasso level 2.0 on u, and every
-fit of the benchmark's mono-small instance set (seed 2024, pass 0),
-where ``tpa_rank_one`` and the l1 ``general_cp_tpa_rank_one`` join the
-benchmark's own four solvers.  The penalized PCA gets two fits of its
-own on a seeded 12 x 8 matrix: ``sparse_pca_rank_one`` at levels (0.4,
-0.2), and each component fit of a three-component ``sparse_pca`` at a
-fixed non-negative lasso level 0.4; and each component fit of a
-three-component BIC lasso ``sparse_pca`` (``max_iter=100``) of three
-unfoldings, of the tall, the wide and the much wider kind the Tucker
-methods fit: scenario-2 modes 1 (1000 x 400) and 2 (20 x 20000), and
-scenario-1 mode 1 (100 x 10000).  One fit per family (cp-als, tpa,
-sparse-cp-tpa, hooi and sparse-hosvd) is also made of the scenario-1
-tensor written to a ``.t3`` file and read back, as ``hopca decompose``
-reads it, so that a change to the layout the reader returns shows in
-those lines, which carry a ``trace`` line too.  A digest covers the
-factors and the weights or the core, and a rank-one fit's also its
-objective trace, as raw float64 bytes.  Each scenario fit also gets a
-``support`` line: one digest of its ``support_metrics`` against the
-simulated truth (tp, fp, mse, permutation and signs), so that recovery
-scores are diffed the same way; and a ``trace`` line: one digest of the
-objective traces of its loops, so that a change that only adds loops to
-a fit's report still shows that its fits are the same.
+The fits are every method of ``hopca.simulate.METHODS`` on one
+scenario-1 and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC
+lasso on the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on
+u), plus ``general_cp_tpa`` on both with a size-2 group lasso on u at
+0.3 (as ``hopca decompose --penalty group`` builds it), ``sparse_hosvd``
+and ``sparse_hooi`` on scenario 2 at a fixed lasso level 2.0 on u, the
+BIC ``sparse_hosvd`` and ``sparse_hooi`` of scenarios 3 and 4, whose
+three modes are all sparse, so that a penalized PCA runs in every mode
+and on the wide unfoldings of modes 2 and 3, and ``sparse_hooi`` of the
+scenario-4 tensor at ranks (3, 2, 1) with BIC on u and a non-negative
+lasso 0.5 on v; and every fit of the benchmark's mono-small instance set
+(seed 2024, pass 0), where ``tpa_rank_one`` and the l1
+``general_cp_tpa_rank_one`` join the benchmark's own four solvers.  The
+penalized PCA gets two fits of its own on a seeded 12 x 8 matrix:
+``sparse_pca_rank_one`` at levels (0.4, 0.2), and each component fit of
+a three-component ``sparse_pca`` at a fixed non-negative lasso level
+0.4; and each component fit of a three-component BIC lasso
+``sparse_pca`` (``max_iter=100``) of three unfoldings, of the tall, the
+wide and the much wider kind the Tucker methods fit: scenario-2 modes 1
+(1000 x 400) and 2 (20 x 20000), and scenario-1 mode 1 (100 x 10000).
+One fit per family (cp-als, tpa, sparse-cp-tpa, hooi and sparse-hosvd)
+is also made of the scenario-1 tensor written to a ``.t3`` file and read
+back, as ``hopca decompose`` reads it, so that a change to the layout
+the reader returns shows in those lines, which carry a ``trace`` line
+too, as the (3, 2, 1) fit does.  A digest covers the factors and the
+weights or the core, and a rank-one fit's also its objective trace, as
+raw float64 bytes.  Each scenario fit also gets a ``support`` line: one
+digest of its ``support_metrics`` against the simulated truth (tp, fp,
+mse, permutation and signs), so that recovery scores are diffed the same
+way; and a ``trace`` line: one digest of the objective traces of its
+loops, so that a change that only adds loops to a fit's report still
+shows that its fits are the same.
 
 Usage, from the repository root::
 
@@ -84,7 +89,7 @@ def _sha256(arrays) -> str:
 
 def scenario_fits():
     """(label, fit, truth) for every registry method and the group-lasso
-    ``general_cp_tpa`` on scenarios 1 and 2, and the fixed-level
+    ``general_cp_tpa`` on scenarios 1 and 2, the fixed-level
     ``sparse_hosvd`` and ``sparse_hooi`` on scenario 2."""
     from hopca.cli import _fit_group
     from hopca.decompose import SolverConfig
@@ -109,6 +114,35 @@ def scenario_fits():
         fit = solver(x, (spec.k,) * 3, PenaltySpec.lasso(u=2.0),
                      SolverConfig(max_iter=100))
         yield f"s2 {fit.diagnostics['method']} u=2.0", fit, truth
+
+
+def all_modes_fits():
+    """(label, fit, truth) for the BIC ``sparse_hosvd`` and ``sparse_hooi``
+    on scenarios 3 and 4, which penalize every mode."""
+    from hopca.decompose import SolverConfig
+    from hopca.simulate import SimScenarioSpec, fit_method, simulate
+
+    for scenario in (3, 4):
+        spec = SimScenarioSpec(scenario, seed=SEED)
+        truth = simulate(spec)
+        for name in ("sparse-hosvd", "sparse-hooi"):
+            yield (f"s{scenario} {name}",
+                   fit_method(name, truth.x, spec, SolverConfig(max_iter=100)),
+                   truth)
+
+
+def uneven_ranks_fits():
+    """(label, fit) for ``sparse_hooi`` of the scenario-4 tensor at ranks
+    (3, 2, 1), BIC lasso on u and a non-negative lasso 0.5 on v (support
+    scores need equal ranks, so it has none)."""
+    from hopca.decompose import SolverConfig
+    from hopca.simulate import SimScenarioSpec, simulate
+    from hopca.sparse import ModePenalty, PenaltySpec, sparse_hooi
+
+    x = simulate(SimScenarioSpec(4, seed=SEED)).x
+    pen = PenaltySpec(ModePenalty("lasso"), ModePenalty("nonneg_lasso", 0.5))
+    yield ("s4 sparse-hooi (3, 2, 1) u=bic v=nonneg 0.5",
+           sparse_hooi(x, (3, 2, 1), pen, SolverConfig(max_iter=100)))
 
 
 T3_METHODS = ("cp-als", "tpa", "sparse-cp-tpa", "hooi", "sparse-hosvd")
@@ -191,12 +225,12 @@ def mono_small_fits():
 def main() -> int:
     from hopca.evaluate import support_metrics
 
-    for label, fit, truth in scenario_fits():
+    for label, fit, truth in (*scenario_fits(), *all_modes_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{score_digest(support_metrics(fit, truth))}  {label} support",
               flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
-    for label, fit in t3_fits():
+    for label, fit in (*t3_fits(), *uneven_ranks_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
     for label, fit in (*mono_small_fits(), *pca_fits(),
