@@ -9,6 +9,7 @@ selection path).  Exit codes: 0 ok, 1 usage, 2 I/O, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from contextlib import contextmanager
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fileio
-from .decompose import CpModel, SolverConfig, _reject_unread, tpa_rank_one
+from .decompose import CpModel, SolverConfig, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
 from .evaluate import bic_select, variance_explained
 from .generalized import (
@@ -48,11 +49,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 @contextmanager
@@ -110,18 +108,23 @@ def _load(read, path, what: str):
 
 def _unread_flags(args, entry) -> list[str]:
     """The decompose flags given that the registry entry's solver would
-    not read: a lambda without a ``penalty``, a penalty kind where the
-    solver takes no spec (only lasso levels, if any), a matrix file
-    without an ``operator``, a smoother flag without smoothers, a
-    difference order beside roughness files and a group size without
-    groups."""
+    not read: ``--orthogonalize`` outside tpa, a random ``--init`` where
+    the solver starts from singular vectors (``tucker``), a lambda
+    without a ``penalty``, a penalty kind where the solver takes no spec
+    (only lasso levels, if any), the group penalty outside
+    sparse-cp-tpa, a matrix file without an ``operator``, a smoother
+    flag without smoothers, a difference order beside roughness files
+    and a group size without groups."""
     files = {"--q1": args.q1, "--q2": args.q2, "--q3": args.q3}
-    given = {}
+    given = {"--orthogonalize": args.orthogonalize and args.method != "tpa",
+             "--init": entry.tucker and args.init != "hosvd"}
     if not entry.penalty:
         given.update({"--lambda-u": args.lambda_u, "--lambda-v": args.lambda_v,
                       "--lambda-w": args.lambda_w})
     if entry.penalty != "spec":
         given["--penalty"] = args.penalty != "lasso"
+    elif args.method != "sparse-cp-tpa":
+        given["--penalty"] = args.penalty == "group"
     if not entry.operator:
         given.update(files)
     if entry.operator != "s":
@@ -137,19 +140,10 @@ def _cmd_decompose(args) -> int:
     method = args.method
     entry = METHODS[method]
     tucker = entry.tucker
-    # the library's rules on settings a method would ignore: tpa alone
-    # reads orthogonalize, and the Tucker methods start from singular vectors
-    with _flag_values("--orthogonalize applies only to tpa"):
-        _reject_unread(SolverConfig(
-            orthogonalize=args.orthogonalize and method != "tpa"))
-    with _flag_values("--init random does not apply to Tucker methods"):
-        _reject_unread(SolverConfig(init=args.init), svd_start=tucker)
     unread = _unread_flags(args, entry)
     if unread:
         raise CliError(1, f"{method} does not read {', '.join(unread)}")
     group = args.penalty == "group"
-    if group and method != "sparse-cp-tpa":
-        raise CliError(1, "the group penalty is available for sparse-cp-tpa")
     cfg = _solver_config(args, init=args.init,
                          orthogonalize=args.orthogonalize)
     lams = [_parse_lambda(v) for v in (args.lambda_u, args.lambda_v,
@@ -222,14 +216,11 @@ def _cmd_simulate(args) -> int:
     truth = simulate(spec)
     # the truth is a sparse CP model; its reconstruction is the noise-free
     # signal, and the spec rides in its diagnostics
+    dims = "x".join(map(str, spec.dims))
     fileio.save_model(args.out, CpModel(truth.U, truth.V, truth.W, truth.d, {
-        "scenario": spec.scenario, "k": spec.k, "sparsity": spec.sparsity,
-        "signal": spec.signal, "seed": spec.seed, "noise": spec.noise,
-        "dims": "x".join(str(d) for d in spec.dims), "sparse": True,
-    }))
+        **dataclasses.asdict(spec), "dims": dims, "sparse": True}))
     fileio.write_tensor3(os.path.join(args.out, "x.t3"), truth.x)
-    print(f"scenario {spec.scenario} ({'x'.join(map(str, spec.dims))}) "
-          f"-> {args.out}")
+    print(f"scenario {spec.scenario} ({dims}) -> {args.out}")
     return 0
 
 
@@ -244,21 +235,23 @@ def _methods_list(text: str, allowed) -> list[str]:
     return names
 
 
+def _write_csv(out, name, header, rows) -> None:
+    """Write the CSV ``out/name``, making the directory ``out``."""
+    os.makedirs(out, exist_ok=True)
+    fileio.write_table_csv(os.path.join(out, name), list(header), rows)
+
+
 def _cmd_table(args) -> int:
     spec, cfg = _scenario_spec(args), _solver_config(args)
     methods = _methods_list(args.methods, TABLE_METHODS)
     grid = _parse_grid(args.grid).lam
     result = run_table_experiment(spec, methods, args.replicates, cfg=cfg,
                                   jobs=args.jobs, lam_grid=grid)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_table_csv(os.path.join(args.out, "metrics.csv"),
-                           list(result.header), result.rows)
-    fileio.write_table_csv(os.path.join(args.out, "timings.csv"),
-                           list(result.timing_header), result.timings)
+    _write_csv(args.out, "metrics.csv", result.header, result.rows)
+    _write_csv(args.out, "timings.csv", result.timing_header, result.timings)
     if result.failures:
-        fileio.write_table_csv(os.path.join(args.out, "failures.csv"),
-                               ["method", "replicate", "error"],
-                               result.failures)
+        _write_csv(args.out, "failures.csv", ["method", "replicate", "error"],
+                   result.failures)
     for row in result.rows:
         print(",".join(str(v) for v in row))
     if result.failures and not result.rows:
@@ -274,9 +267,7 @@ def _cmd_roc(args) -> int:
     grid = None if grid is None else np.atleast_1d(grid)
     result = run_roc_experiment(spec, methods, args.replicates, grid=grid,
                                 cfg=cfg, jobs=args.jobs, points=args.points)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_table_csv(os.path.join(args.out, "roc.csv"),
-                           list(result.header), result.rows)
+    _write_csv(args.out, "roc.csv", result.header, result.rows)
     print(f"wrote {len(result.rows)} ROC rows -> {args.out}/roc.csv")
     return 0
 
@@ -291,10 +282,8 @@ def _cmd_varex(args) -> int:
     x = _load(fileio.read_tensor3, args.input, "tensor")
     model = _load(fileio.load_model, args.model, "model")
     report = variance_explained(x, model, args.k)
-    os.makedirs(args.out, exist_ok=True)
     rows = [(k + 1, value) for k, value in enumerate(report.cumulative)]
-    fileio.write_table_csv(os.path.join(args.out, "varex.csv"),
-                           ["k", "cumulative_varex"], rows)
+    _write_csv(args.out, "varex.csv", ["k", "cumulative_varex"], rows)
     for k, value in rows:
         print(f"{k},{value:.12g}")
     return 0
@@ -309,10 +298,8 @@ def _cmd_bic(args) -> int:
                    "v": lambda: contract_v(x, fit.u, fit.w),
                    "w": lambda: contract_w(x, fit.u, fit.v)}[args.mode]()
     selection = bic_select(x, contraction, pen.grid_for(contraction))
-    os.makedirs(args.out, exist_ok=True)
     rows = list(zip(selection.grid, selection.bic_values, selection.nnz))
-    fileio.write_table_csv(os.path.join(args.out, "bic.csv"),
-                           ["lambda", "bic", "nnz"], rows)
+    _write_csv(args.out, "bic.csv", ["lambda", "bic", "nnz"], rows)
     print(f"lambda*={selection.lam:.12g}")
     return 0
 
@@ -379,28 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
-    tab = sub.add_parser("table", help="replicated recovery-metric table")
-    add_scenario_flags(tab)
-    tab.add_argument("--methods", required=True,
-                     help=f"comma list from: {', '.join(TABLE_METHODS)}")
-    tab.add_argument("--replicates", type=_positive_int, default=10)
-    tab.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
-    tab.add_argument("--jobs", type=_positive_int, default=1)
-    tab.add_argument("--out", required=True)
-    add_solver_flags(tab)
-    tab.set_defaults(func=_cmd_table)
+    def add_experiment(name, text, methods, replicates, func):
+        p = sub.add_parser(name, help=text)
+        add_scenario_flags(p)
+        p.add_argument("--methods", required=True,
+                       help=f"comma list from: {', '.join(methods)}")
+        p.add_argument("--replicates", type=_positive_int, default=replicates)
+        p.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
+        p.add_argument("--jobs", type=_positive_int, default=1)
+        p.add_argument("--out", required=True)
+        add_solver_flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    roc = sub.add_parser("roc", help="replicated ROC sweep")
-    add_scenario_flags(roc)
-    roc.add_argument("--methods", required=True,
-                     help=f"comma list from: {', '.join(ROC_METHODS)}")
-    roc.add_argument("--replicates", type=_positive_int, default=5)
-    roc.add_argument("--grid", help="lambda grid (comma list) or 'auto'")
+    add_experiment("table", "replicated recovery-metric table",
+                   TABLE_METHODS, 10, _cmd_table)
+    roc = add_experiment("roc", "replicated ROC sweep", ROC_METHODS, 5,
+                         _cmd_roc)
     roc.add_argument("--points", type=_positive_int, default=20)
-    roc.add_argument("--jobs", type=_positive_int, default=1)
-    roc.add_argument("--out", required=True)
-    add_solver_flags(roc)
-    roc.set_defaults(func=_cmd_roc)
 
     var = sub.add_parser("varex", help="cumulative variance explained")
     var.add_argument("--input", required=True)

@@ -328,9 +328,12 @@ def _complete_orthonormal(basis, k):
     return qq[:, :k]
 
 
-def normalize_or_zero(vec):
-    """Rescale to unit norm, or return the zero vector unchanged."""
-    nrm = math.sqrt(np.dot(vec, vec))
+def normalize_or_zero(vec, q=None):
+    """Rescale to unit norm, the q-norm ``sqrt(vec^T q vec)`` with an
+    operator ``q``, or return the zero vector unchanged (a norm of at
+    most ``_TINY``); with the norm."""
+    nrm = (math.sqrt(np.dot(vec, vec)) if q is None
+           else math.sqrt(max(float(vec @ (q @ vec)), 0.0)))
     if nrm <= _TINY:
         return np.zeros_like(vec), 0.0
     return vec / nrm, nrm
@@ -450,8 +453,7 @@ def _shared_grams(x, grams=None):
     ``grams`` the caller answers for ``x``, a float array: the block
     opens on it unchecked, its memo seeded with ``grams[mode]``, ``eigh``
     of the smaller Gram (:func:`_gram`) of each given mode's unfolding."""
-    memo = _GRAMS.get()
-    if memo is not None and memo[0] is x:
+    if _memo(x) is not None:
         yield x
         return
     view = (x if grams is not None else check_tensor3(x)).view()
@@ -467,6 +469,13 @@ def _shared_grams(x, grams=None):
         _GRAMS.reset(token)
 
 
+def _memo(x):
+    """The memo of a :func:`_shared_grams` block open on ``x`` itself,
+    else None."""
+    memo = _GRAMS.get()
+    return memo if memo is not None and memo[0] is x else None
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -479,8 +488,8 @@ def _gram_eig(x, mode, m=None, right=False):
     sides of a non-square ``m`` share its smaller Gram; a square ``m``
     keeps m m^T and m^T m apart.  Without ``m`` the unfolding is formed
     only when the Gram is not memoized yet."""
-    memo = _GRAMS.get()
-    if memo is None or memo[0] is not x:
+    memo = _memo(x)
+    if memo is None:
         return None
     rows = x.shape[mode - 1]
     cols = x.size // rows
@@ -496,8 +505,8 @@ def _gram_eig(x, mode, m=None, right=False):
 def _unfolding_vectors(x, mode, k):
     """First ``k`` left singular vectors of the mode unfolding of ``x``,
     read-only from the memo of a block open on ``x``."""
-    memo = _GRAMS.get()
-    if memo is None or memo[0] is not x:
+    memo = _memo(x)
+    if memo is None:
         return leading_singular_vectors(matricize(x, mode), k)
     if (mode, k) not in memo[2]:
         m = matricize(x, mode)
@@ -806,18 +815,11 @@ def _project_out(vec, basis):
     return vec
 
 
-def _q_normalize(y, q):
-    nrm = math.sqrt(max(float(y @ (q @ y)), 0.0))
-    if nrm <= _TINY:
-        return np.zeros_like(y), 0.0
-    return y / nrm, nrm
-
-
 def _feasible_start(vec, upd):
     """A unit starting factor projected onto the mode's domain and
     normalized again (kept as is when the projection leaves it alone)."""
     if upd.q is not None:
-        return _q_normalize(vec, upd.q)
+        return normalize_or_zero(vec, upd.q)
     proj = upd.prox.prox(vec, 0.0)
     if np.array_equal(proj, vec):
         return vec, 1.0
@@ -829,8 +831,9 @@ class _Terms:
     stand for the residual ``R = x - sum_j d_j u_j o v_j o w_j`` without
     forming it.
 
-    Each term keeps the x-contractions ``contract_v(x, u_j, w_j)`` and
-    ``contract_w(x, u_j, v_j)``, taken once when it is accepted.  From
+    Each term keeps the x-contractions ``contract_v(x, u_j, w_j)`` and,
+    for a third mode longer than one, ``contract_w(x, u_j, v_j)``, taken
+    once when it is accepted.  From
     them, the factors and the memo's Grams of ``x`` follow every
     contraction of ``R``, its norm and its SVD start, by the unfolding
     algebra of Kolda & Bader (2009, section 4).  ``x`` is only read.
@@ -850,10 +853,8 @@ class _Terms:
             f[:, k] = col
         self.d[k] = fit.d
         self._cv[:, k] = contract_v(self.x, fit.u, fit.w)
-        # with a size-one third mode <x, u o v> is v^T cv / w: no pass over x
-        self._cw[:, k] = (contract_w(self.x, fit.u, fit.v)
-                          if self.x.shape[2] > 1
-                          else (fit.v @ self._cv[:, k]) / fit.w)
+        if self.x.shape[2] > 1:  # a size-one mode's start(3) is [1.0]
+            self._cw[:, k] = contract_w(self.x, fit.u, fit.v)
         self.k += 1
 
     def accepted(self):
@@ -1005,13 +1006,12 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
                 lips[m] = _power_lambda_max(upd.q)
             c = warm[m] = qnorm_lasso_solve(c, upd.q, lam[m],
                                             lipschitz=lips[m], start=warm[m])
-        return _q_normalize(c, upd.q)
+        return normalize_or_zero(c, upd.q)
 
     loop = _Loop(cfg)
 
-    def zero_fit():
-        return RankOneFit(np.zeros(x.shape[0]), np.zeros(x.shape[1]),
-                          np.zeros(x.shape[2]), 0.0, loop.iterations, True,
+    def fit(factors, d, converged):
+        return RankOneFit(*factors, d, loop.iterations, converged,
                           np.asarray(loop.objective_trace),
                           dict(zip(_MODES, lam)))
 
@@ -1049,7 +1049,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
                 f, nrm = update(m, c)
                 if nrm == 0.0:
                     if lam[m] > 0.0:
-                        return zero_fit()
+                        return fit(map(np.zeros, x.shape), 0.0, True)
                     restart = True
                     break
                 factors[m], qf[m] = f, weighted(m, f)
@@ -1061,11 +1061,9 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
                 break
             loop.stop(objective)
         if not restart:
-            return RankOneFit(*factors, d, loop.iterations, loop.converged,
-                              np.asarray(loop.objective_trace),
-                              dict(zip(_MODES, lam)))
+            return fit(factors, d, loop.converged)
     loop = _Loop(cfg)
-    return zero_fit()
+    return fit(map(np.zeros, x.shape), 0.0, True)
 
 
 def _fit_rank_one(x, updates, cfg: SolverConfig | None) -> RankOneFit:

@@ -121,9 +121,7 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"

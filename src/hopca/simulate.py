@@ -304,6 +304,11 @@ def _table_replicate(spec: SimScenarioSpec, methods, rep: int,
     return out, timings, failures
 
 
+def _nanmean(values) -> float:
+    """The mean of the defined ``values``, NaN when none is defined."""
+    return np.nan if np.all(np.isnan(values)) else float(np.nanmean(values))
+
+
 def run_table_experiment(spec: SimScenarioSpec, methods: Sequence[str],
                          replicates: int, cfg: SolverConfig | None = None,
                          jobs: int = 1, lam_grid=None) -> TableResult:
@@ -328,13 +333,10 @@ def run_table_experiment(spec: SimScenarioSpec, methods: Sequence[str],
         k = metrics[0].tp.shape[1]
         for comp in range(k):
             for m_idx, mode in enumerate(_MODES):
-                tps = [m.tp[m_idx, comp] for m in metrics]
-                fps = [m.fp[m_idx, comp] for m in metrics]
-                tp = (float(np.nanmean(tps))
-                      if not np.all(np.isnan(tps)) else np.nan)
-                fp = (float(np.nanmean(fps))
-                      if not np.all(np.isnan(fps)) else np.nan)
-                rows.append((name, comp, mode, tp, fp, mse))
+                rows.append((name, comp, mode,
+                             _nanmean([m.tp[m_idx, comp] for m in metrics]),
+                             _nanmean([m.fp[m_idx, comp] for m in metrics]),
+                             mse))
     return TableResult(rows, timings, failures)
 
 

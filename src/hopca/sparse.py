@@ -259,8 +259,11 @@ def lasso_coordinate_descent(gram, corr, lam: float,
 
     Solves ``min 0.5 ||Y - C @ H.T||_F^2 + lam * ||C||_1`` given
     ``gram = H.T @ H`` and ``corr = Y @ H``, sweeping columns (at most
-    1000 times) until the largest coefficient change is below 1e-8.  A
-    zero Gram diagonal (dead regressor) pins its column to zero.
+    1000 times) until the largest coefficient change is at most 1e-8
+    times the largest coefficient magnitude after the sweep, a relative
+    stop, so the fit scales with the data (an all-zero solution that a
+    sweep leaves unchanged stops too).  A zero Gram diagonal (dead
+    regressor) pins its column to zero.
     """
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
@@ -276,7 +279,7 @@ def lasso_coordinate_descent(gram, corr, lam: float,
             step = float(np.max(np.abs(new - coef[:, j]))) if new.size else 0.0
             delta = max(delta, step)
             coef[:, j] = new
-        if delta <= 1e-8:
+        if delta <= 1e-8 * float(np.max(np.abs(coef), initial=0.0)):
             break
     return coef
 

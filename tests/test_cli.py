@@ -170,6 +170,40 @@ def test_bad_token_in_body_exits_two(tmp_path, capsys, body):
     assert "oops" in capsys.readouterr().err
 
 
+def test_non_integer_dims_in_the_header_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.t3"
+    bad.write_text("tensor3 2 two 1\n1 2 3 4\n")
+    code = main(["decompose", "--method", "tpa", "--input", str(bad),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-integer dims" in capsys.readouterr().err
+
+
+def test_a_matrix_file_holding_nan_exits_two(rank_one_file, tmp_path,
+                                             capsys):
+    path, _ = rank_one_file
+    q1 = tmp_path / "q1.csv"
+    q1.write_text("nan\n")
+    code = main(["decompose", "--method", "gcp", "--q1", str(q1),
+                 "--input", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_path_naming_a_file_exits_two(rank_one_file, tmp_path,
+                                             capsys):
+    # the model directory cannot be made: main's OSError handler answers
+    path, _ = rank_one_file
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    code = main(["decompose", "--method", "tpa", "--input", str(path),
+                 "--out", str(out)])
+    assert code == 2
+    assert "I/O error" in capsys.readouterr().err
+    assert out.read_text() == "a file\n"
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # a non-PSD quadratic operator is a numerical failure, not an I/O one
     rng = np.random.default_rng(2)
@@ -282,11 +316,15 @@ _DECOMPOSE = ["decompose", "--method", "tpa"]
     _DECOMPOSE + ["--tol", "0"],
     _DECOMPOSE + ["--rank", "0"],
     _DECOMPOSE + ["--rank", "a"],
+    _DECOMPOSE + ["--rank", "1,2"],
+    ["decompose", "--rank", "1,2", "--method", "hooi"],
     ["decompose", "--method", "sparse-cp-tpa", "--lambda-u", "abc"],
+    ["decompose", "--method", "sparse-cp-tpa", "--lambda-u", ","],
     ["decompose", "--method", "fpca", "--alpha", "-1"],
     ["decompose", "--method", "sparse-cp-tpa", "--penalty", "group",
      "--lambda-u", "0.4", "--group-size", "0"],
     ["table", "--scenario", "2", "--methods", "tpa", "--replicates", "0"],
+    ["table", "--scenario", "2", "--methods", "tpa,nope"],
     ["roc", "--scenario", "2", "--methods", "sparse-cp-tpa",
      "--points", "0"],
     ["simulate", "--scenario", "2", "--sparsity", "1.5"],
@@ -378,6 +416,7 @@ def test_table_with_one_working_method_exits_zero(tmp_path, monkeypatch):
     (["--method", "hooi", "--lambda-w", "bic"], "--lambda-w"),
     (["--method", "tpa", "--penalty", "nonneg"], "--penalty"),
     (["--method", "cp-als", "--penalty", "group"], "--penalty"),
+    (["--method", "sparse-hooi", "--penalty", "group"], "--penalty"),
     (["--method", "sparse-gcp", "--lambda-u", "0.3", "--penalty", "nonneg"],
      "--penalty"),
     (["--method", "tpa", "--q1", "nofile.csv"], "--q1"),

@@ -8,6 +8,7 @@ import numpy as np
 
 from hopca.decompose import SolverConfig, tpa
 from hopca.evaluate import support_metrics
+from hopca.fileio import write_tensor3
 from hopca.generalized import SmootherSet, fpca_rank_one
 from hopca.simulate import SimScenarioSpec, fit_method, simulate
 
@@ -131,3 +132,22 @@ def test_the_bic_tucker_fits_penalize_every_mode_of_scenarios_3_and_4():
     assert fit.diagnostics["lambdas"]["v"] == [0.5, 0.5]
     assert np.all(fit.V >= 0.0) and np.count_nonzero(fit.V) < fit.V.shape[0]
     assert fit.diagnostics["converged"][-1]
+
+
+def test_an_output_directory_has_one_digest_and_a_changed_byte_another(
+        tmp_path):
+    tool = load_tool()
+    x = tmp_path / "x.t3"
+    write_tensor3(x, np.random.default_rng(8).standard_normal((4, 3, 5)))
+    for out in ("a", "b"):
+        tool._cli("decompose", "--method", "sparse-cp-tpa", "--lambda-u",
+                  "bic", "--rank", 2, "--input", x, "--out", tmp_path / out)
+    first = tool.directory_digest(tmp_path / "a")
+    assert tool.directory_digest(tmp_path / "b") == first and len(first) == 64
+    (tmp_path / "a" / "timings.csv").write_text("wall times\n")
+    assert tool.directory_digest(tmp_path / "a") == first
+    weights = tmp_path / "a" / "d.csv"
+    data = bytearray(weights.read_bytes())
+    data[-2] ^= 1
+    weights.write_bytes(bytes(data))
+    assert tool.directory_digest(tmp_path / "a") != first

@@ -34,6 +34,15 @@ way; and a ``trace`` line: one digest of the objective traces of its
 loops, so that a change that only adds loops to a fit's report still
 shows that its fits are the same.
 
+The command line's files get one line per output directory: a digest of
+the bytes of the files it holds, in sorted name order, with
+``timings.csv`` (wall times) left out.  The directories are written by
+in-process ``hopca`` runs into a temporary directory: ``simulate`` of
+scenario 2 (seed 3); ``decompose`` of its tensor by every method of
+``METHODS`` (BIC lasso on u, sparse-gcp at a fixed 0.3) and by the
+group penalty; ``varex`` and ``bic`` of the tpa model; ``table`` with 2
+replicates and ``roc`` with 1.
+
 Usage, from the repository root::
 
     PYTHONPATH=src python3 tools/fit_digest.py > digests.txt
@@ -41,7 +50,9 @@ Usage, from the repository root::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -222,6 +233,67 @@ def mono_small_fits():
         yield f"mono {j} fpca", generalized.fpca_rank_one(inst.x, inst.s, cfg)
 
 
+def directory_digest(path) -> str:
+    """SHA-256 over the names and bytes of the files of directory
+    ``path``, in sorted name order, ``timings.csv`` left out."""
+    h = hashlib.sha256()
+    for item in sorted(Path(path).iterdir()):
+        if item.name != "timings.csv":
+            data = item.read_bytes()
+            h.update(f"{item.name} {len(data)}\n".encode())
+            h.update(data)
+    return h.hexdigest()
+
+
+def _cli(*argv) -> None:
+    """``hopca *argv`` in process, its printing muted; a failing run
+    raises with its stderr."""
+    from hopca.cli import main
+
+    argv, err = [str(a) for a in argv], io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"hopca {' '.join(argv)} exited {code}: "
+                           f"{err.getvalue()}")
+
+
+def cli_runs(tmp):
+    """(label, output directory) for each ``hopca`` run, written under
+    the directory ``tmp``."""
+    from hopca.simulate import METHODS, ROC_METHODS, TABLE_METHODS
+
+    tmp = Path(tmp)
+    x = tmp / "sim" / "x.t3"
+    _cli("simulate", "--scenario", 2, "--seed", 3, "--out", tmp / "sim")
+    yield "cli simulate s2 seed 3", tmp / "sim"
+    runs = {name: ["--method", name] for name in METHODS}
+    for name, entry in METHODS.items():
+        if entry.penalty:
+            runs[name] += ["--lambda-u",
+                           "0.3" if entry.penalty == "fixed" else "bic"]
+    runs["group"] = ["--method", "sparse-cp-tpa", "--penalty", "group",
+                     "--lambda-u", "0.3"]
+    for label, argv in runs.items():
+        out = tmp / "decompose" / label
+        _cli("decompose", *argv, "--rank", 2, "--max-iter", 100,
+             "--input", x, "--out", out)
+        yield f"cli decompose {label}", out
+    _cli("varex", "--input", x, "--model", tmp / "decompose" / "tpa",
+         "--out", tmp / "varex")
+    yield "cli varex tpa", tmp / "varex"
+    _cli("bic", "--input", x, "--mode", "u", "--out", tmp / "bic")
+    yield "cli bic u", tmp / "bic"
+    scenario = ("--scenario", 2, "--max-iter", 100)
+    _cli("table", *scenario, "--methods", ",".join(TABLE_METHODS),
+         "--replicates", 2, "--out", tmp / "table")
+    yield "cli table s2 2 replicates", tmp / "table"
+    _cli("roc", *scenario, "--methods", ",".join(ROC_METHODS),
+         "--replicates", 1, "--points", 5, "--out", tmp / "roc")
+    yield "cli roc s2 1 replicate", tmp / "roc"
+
+
 def main() -> int:
     from hopca.evaluate import support_metrics
 
@@ -236,6 +308,9 @@ def main() -> int:
     for label, fit in (*mono_small_fits(), *pca_fits(),
                        *unfolding_pca_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, path in cli_runs(tmp):
+            print(f"{directory_digest(path)}  {label}", flush=True)
     return 0
 
 
