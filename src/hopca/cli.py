@@ -235,6 +235,14 @@ def _methods_list(text: str, allowed) -> list[str]:
     return names
 
 
+def _check_out(out) -> None:
+    """Exit 2 before any input is read or any fit runs when ``--out``
+    names something other than a directory, where every subcommand would
+    fail only on its first write."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise CliError(2, f"I/O error: --out {out} is not a directory")
+
+
 def _write_csv(out, name, header, rows) -> None:
     """Write the CSV ``out/name``, making the directory ``out``."""
     os.makedirs(out, exist_ok=True)
@@ -410,6 +418,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         print(f"hopca: {exc}", file=sys.stderr)

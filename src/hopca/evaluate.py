@@ -4,7 +4,8 @@ metrics (true/false positive rates, signal MSE, ROC sweeps).
 The variance-explained computation projects the tensor onto the span of
 the first k factor columns per mode, which handles correlated (and even
 zero) factor columns; for orthonormal factors it reduces to the squared
-core norm over the squared tensor norm.
+core norm over the squared tensor norm.  It contracts the tensor with
+an orthonormal basis of each span, so its intermediates are k-sized.
 """
 
 from __future__ import annotations
@@ -45,20 +46,18 @@ class VarianceReport:
     cumulative: np.ndarray
 
 
-def _projection_matrix(cols: np.ndarray) -> np.ndarray:
-    """Projection onto the column span, via an eigen-floored pseudo-inverse.
+def _orthonormal_basis(cols: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span: ``cols V L^(-1/2)`` for
+    the eigenpairs (L, V) of the Gram matrix above ``1e-12 * max(L_max,
+    1)``.
 
     Zero or collinear columns make the Gram matrix singular, so small
-    eigenvalues are dropped rather than inverted.
+    eigenvalues are dropped rather than inverted; zero columns give an
+    n x 0 basis.
     """
-    if cols.size == 0 or not np.any(cols):
-        return np.zeros((cols.shape[0], cols.shape[0]))
-    gram = cols.T @ cols
-    vals, vecs = np.linalg.eigh(gram)
-    cutoff = 1e-12 * max(float(vals[-1]), 1.0)
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    pinv = (vecs * inv) @ vecs.T
-    return cols @ pinv @ cols.T
+    vals, vecs = np.linalg.eigh(cols.T @ cols)
+    keep = vals > 1e-12 * max(float(np.max(vals, initial=0.0)), 1.0)
+    return cols @ (vecs[:, keep] / np.sqrt(vals[keep]))
 
 
 def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
@@ -68,6 +67,9 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     first k factor columns and the squared-norm ratio is reported.  Works
     for any model exposing ``U``, ``V``, ``W`` (CP or Tucker style); for a
     Tucker model with unequal ranks each mode is capped at its own width.
+    The projection's norm is taken as ``||x x1 Qu' x2 Qv' x3 Qw'||`` with
+    orthonormal bases Q of the columns, so each intermediate is k-sized
+    in the mode it has contracted and no n x n projection is formed.
     """
     norm_sq = frob_norm(x) ** 2
     if norm_sq == 0.0:
@@ -79,10 +81,9 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
         raise ValueError(f"upto_k must be in [1, {max_k}], got {upto_k}")
     cumulative = np.zeros(upto_k)
     for k in range(1, upto_k + 1):
-        pu, pv, pw = (_projection_matrix(f[:, :min(k, f.shape[1])])
-                      for f in factors)
-        projected = _mode_mult3(x, pu, pv, pw)
-        cumulative[k - 1] = frob_norm(projected) ** 2 / norm_sq
+        bases = [_orthonormal_basis(f[:, :min(k, f.shape[1])]).T
+                 for f in factors]
+        cumulative[k - 1] = frob_norm(_mode_mult3(x, *bases)) ** 2 / norm_sq
     return VarianceReport(cumulative)
 
 

@@ -6,7 +6,10 @@ mode-1-fastest order.  Writers emit 17 significant digits so round trips
 are bit-exact; readers accept scientific notation.  The file order is
 not the memory order: :func:`read_tensor3` returns a C-contiguous array,
 the layout on which every contraction of the solvers takes reshape views
-of the tensor instead of copying it.
+of the tensor instead of copying it.  Each side holds one tensor: the
+writer puts a slab of mode-3 planes at a time into file order, and the
+reader checks the header against the body's size, allocates the result
+once and fills it block by block as it parses.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
@@ -29,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .decompose import CpModel, TuckerModel
-from .tensor3 import check_tensor3, tensor3
+from .tensor3 import check_tensor3
 
 __all__ = [
     "read_tensor3",
@@ -50,8 +53,8 @@ __all__ = [
 ]
 
 _VALUES_PER_LINE = 8
-_WRITE_BLOCK = _VALUES_PER_LINE * 1024  # values formatted at a time
-_READ_BLOCK = 1 << 16  # bytes of .t3 body parsed at a time
+_WRITE_BLOCK = _VALUES_PER_LINE * 256  # values formatted at a time
+_READ_BLOCK = 1 << 14  # bytes of .t3 body parsed at a time
 _MODES = ("u", "v", "w")
 _FACTOR_FILES = ("U.csv", "V.csv", "W.csv")
 
@@ -60,22 +63,27 @@ def write_tensor3(path, x) -> None:
     """Write a tensor to a ``.t3`` text file."""
     x = check_tensor3(x)
     n, p, q = x.shape
-    flat = x.ravel(order="F")
-    full = flat.size - flat.size % _VALUES_PER_LINE
-    # one %-format per line of eight gives the text of f"{v:.17g}" per
-    # value; converting a block at a time bounds the Python floats alive
-    # (tolist() of a whole 100^3 tensor holds 32 MB of them)
+    # a slab of whole mode-3 planes (about _WRITE_BLOCK values) is copied
+    # into file order at a time, not the whole tensor; one %-format per
+    # line of eight gives the text of f"{v:.17g}" per value, and
+    # converting a block at a time bounds the Python floats alive
+    # (tolist() of a whole 100^3 tensor holds 32 MB of them); the values
+    # of a partial line carry over to the next block
+    planes = max(1, _WRITE_BLOCK // (n * p))
     row = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
+    carry = []
     with open(path, "w") as fh:
         fh.write(f"tensor3 {n} {p} {q}\n")
-        for start in range(0, full, _WRITE_BLOCK):
-            values = flat[start:min(start + _WRITE_BLOCK, full)].tolist()
-            fh.write("".join([row % tuple(values[i:i + _VALUES_PER_LINE])
-                              for i in range(0, len(values),
-                                             _VALUES_PER_LINE)]))
-        if full < flat.size:
-            fh.write(" ".join("%.17g" % v for v in flat[full:].tolist())
-                     + "\n")
+        for k in range(0, q, planes):
+            slab = x[:, :, k:k + planes].ravel(order="F")
+            for start in range(0, slab.size, _WRITE_BLOCK):
+                values = carry + slab[start:start + _WRITE_BLOCK].tolist()
+                full = len(values) - len(values) % _VALUES_PER_LINE
+                fh.write("".join([row % tuple(values[i:i + _VALUES_PER_LINE])
+                                  for i in range(0, full, _VALUES_PER_LINE)]))
+                carry = values[full:]
+        if carry:
+            fh.write(" ".join("%.17g" % v for v in carry) + "\n")
 
 
 def read_tensor3(path) -> np.ndarray:
@@ -88,16 +96,30 @@ def read_tensor3(path) -> np.ndarray:
             n, p, q = (int(t) for t in header[1:])
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer dims in header") from exc
-        # the body is parsed in blocks of whole lines: a token list of all
-        # of it would hold one object per value (about 70 MB at 100^3);
+        count = n * p * q
+        # each value takes a digit and a separator, the last one a digit
+        room = (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 2
+        if min(n, p, q) < 1 or count > room:
+            raise ValueError(f"{path}: header dims {n} {p} {q} ask for "
+                             f"{count} values; the body holds at most {room}")
+        x = np.empty((n, p, q))
+        # the body is parsed in blocks of whole lines straight into x (the
+        # file order is the C order of x.T), since a token list of all of
+        # it would hold one object per value (about 70 MB at 100^3);
         # float() names a bad token, and bytes split faster than str
-        blocks = [np.zeros(0)]
+        flat, filled = x.T.flat, 0
         while block := fh.read(_READ_BLOCK):
             tokens = (block + fh.readline()).split()
-            blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
-    flat = np.concatenate(blocks)
-    del blocks  # tensor3's C-contiguous copy then peaks at two tensors
-    return tensor3(flat, (n, p, q))
+            if filled + len(tokens) > count:
+                raise ValueError(f"{path}: expected {count} values for "
+                                 f"dims {(n, p, q)}, got more")
+            flat[filled:filled + len(tokens)] = np.fromiter(
+                map(float, tokens), float, len(tokens))
+            filled += len(tokens)
+    if filled != count:
+        raise ValueError(f"{path}: expected {count} values for dims "
+                         f"{(n, p, q)}, got {filled}")
+    return check_tensor3(x)
 
 
 def write_matrix_csv(path, m) -> None:

@@ -197,14 +197,16 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     signs theta and support A give a candidate: ``u_A`` solves
     ``q_AA u_A = (q y)_A - lam theta_A`` and u is zero off A.  The
     candidate is returned when its signs are theta and its KKT residual
-    is at most 1e-10 (a coordinate whose solved sign differs from theta
-    shows a residual of about 2 lam, which that bound alone misses for
-    a level below it).  Otherwise the stop is the plain one: the iterate
-    itself is returned once its own KKT residual is at most 1e-10, or
-    after 100000 steps.  Once proximal gradient has found the
+    is at most ``tol = 1e-10 * max(||q y||_inf, lam)`` (a coordinate
+    whose solved sign differs from theta shows a residual of about
+    2 lam, which that bound alone misses for a level below it).
+    Otherwise the stop is the plain one: the iterate itself is returned
+    once its own KKT residual is at most ``tol``, or after 100000 steps.
+    The bound scales with the problem, so scaling y and lam together
+    scales the result.  Once proximal gradient has found the
     minimizer's signs the candidate is the minimizer up to the rounding
-    of one linear solve, so the result is exact rather than up to 1e-10
-    off in KKT terms.
+    of one linear solve, so the result is exact rather than up to
+    ``tol`` off in KKT terms.
     Without ``lipschitz`` q is checked by a Cholesky factorization.
     ``start`` warm-starts the iteration: its own sign pattern gives the
     first candidate, before any step, and a start that is the minimizer
@@ -228,6 +230,8 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     u = np.zeros_like(y) if start is None else np.asarray(start,
                                                           dtype=float).copy()
     qy = q @ y
+    # the KKT residual is in the units of q y and lam, so the stop is too
+    tol = 1e-10 * max(float(np.abs(qy).max(initial=0.0)), lam)
     for step in range(int(start is None), 100001):
         if step:
             u = soft_threshold(u - (q @ u - qy) / lip, lam / lip)
@@ -242,10 +246,10 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
         except np.linalg.LinAlgError:  # q_AA singular: q is not definite
             pass
         else:
-            if (qnorm_lasso_kkt_residual(y, q, lam, candidate) <= 1e-10
+            if (qnorm_lasso_kkt_residual(y, q, lam, candidate) <= tol
                     and (np.sign(candidate) == theta).all()):
                 return candidate
-        if qnorm_lasso_kkt_residual(y, q, lam, u) <= 1e-10:
+        if qnorm_lasso_kkt_residual(y, q, lam, u) <= tol:
             break
     return u
 

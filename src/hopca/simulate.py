@@ -139,7 +139,12 @@ def simulate(spec: SimScenarioSpec, replicate: int | None = None) -> SimTruth:
     d = spec.d
     x_signal = decompose.CpModel(*(factors[m] for m in _MODES),
                                  d).reconstruct()
-    x = x_signal + spec.noise * rng.standard_normal(dims)
+    # built in place, so the peak is one tensor beside the signal without
+    # relying on NumPy to reuse temporaries; the same draws and the same
+    # sums as x_signal + noise * draws, bit for bit
+    x = rng.standard_normal(dims)
+    x *= spec.noise
+    x += x_signal
     supports = {m: factors[m] != 0 for m in _MODES}
     return SimTruth(spec, factors["u"], factors["v"], factors["w"], d,
                     supports, x_signal, x)

@@ -62,7 +62,10 @@ def check_tensor3(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise ValueError(f"expected a 3-way array, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    # min and max propagate a NaN and reach an infinity, and unlike
+    # np.isfinite(x) they need no temporary the size of x
+    if not (np.isfinite(x.min(initial=0.0))
+            and np.isfinite(x.max(initial=0.0))):
         raise ValueError("tensor entries must be finite (no NaN/Inf)")
     return x
 

@@ -5,7 +5,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from hopca import fileio
+from hopca import cli, decompose, fileio
 from hopca.cli import main
 from hopca.decompose import CpModel, SolverConfig
 from hopca.simulate import METHODS, SimScenarioSpec, simulate
@@ -191,9 +191,19 @@ def test_a_matrix_file_holding_nan_exits_two(rank_one_file, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def calls_of(monkeypatch, module, name) -> list:
+    """Record the calls of ``module.name`` (looked up at call time)."""
+    calls, func = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append(a) or func(*a, **kw))
+    return calls
+
+
 def test_an_out_path_naming_a_file_exits_two(rank_one_file, tmp_path,
-                                             capsys):
-    # the model directory cannot be made: main's OSError handler answers
+                                             capsys, monkeypatch):
+    # the model directory cannot be made, which is found before the work
+    reads = calls_of(monkeypatch, fileio, "read_tensor3")
+    fits = calls_of(monkeypatch, decompose, "tpa")
     path, _ = rank_one_file
     out = tmp_path / "taken"
     out.write_text("a file\n")
@@ -202,6 +212,29 @@ def test_an_out_path_naming_a_file_exits_two(rank_one_file, tmp_path,
     assert code == 2
     assert "I/O error" in capsys.readouterr().err
     assert out.read_text() == "a file\n"
+    assert reads == [] and fits == []
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["simulate", "--scenario", "1"], cli, "simulate"),
+    (["table", "--scenario", "1", "--methods", "tpa"], cli,
+     "run_table_experiment"),
+    (["roc", "--scenario", "1", "--methods", "sparse-cp-tpa"], cli,
+     "run_roc_experiment"),
+    (["varex", "--input", "x.t3", "--model", "model"], fileio,
+     "read_tensor3"),
+    (["bic", "--input", "x.t3", "--mode", "u"], fileio, "read_tensor3"),
+], ids=["simulate", "table", "roc", "varex", "bic"])
+def test_every_out_naming_a_file_exits_two_before_the_work(
+        tmp_path, capsys, monkeypatch, argv, module, name):
+    work = calls_of(monkeypatch, module, name)
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"hopca: I/O error: --out {out} is "
+                                       "not a directory\n")
+    assert out.read_text() == "a file\n"
+    assert work == []
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopca.decompose import CpModel, hosvd
+from hopca.decompose import CpModel, TuckerModel, hosvd
 from hopca.evaluate import (
     bic_select,
     default_lambda_grid,
@@ -20,7 +20,7 @@ from hopca.evaluate import (
     variance_explained,
 )
 from hopca.sparse import soft_threshold
-from hopca.tensor3 import frob_norm, outer3
+from hopca.tensor3 import _mode_mult3, frob_norm, outer3
 
 
 def unit(rng, dim):
@@ -53,7 +53,61 @@ def kron_projection_oracle(x, model, k):
     return float(projected @ projected) / float(vec @ vec)
 
 
+def projection_matrix_varex(x, model, upto_k):
+    """The variance-explained curve by the dense n x n projection
+    matrices of each mode, from the eigen-floored pseudo-inverse of the
+    Gram matrix (the reference for the orthonormal-basis form)."""
+    def projection(cols):
+        if cols.size == 0 or not np.any(cols):
+            return np.zeros((cols.shape[0], cols.shape[0]))
+        vals, vecs = np.linalg.eigh(cols.T @ cols)
+        cutoff = 1e-12 * max(float(vals[-1]), 1.0)
+        inv = np.where(vals > cutoff,
+                       1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+        return cols @ ((vecs * inv) @ vecs.T) @ cols.T
+
+    factors = (model.U, model.V, model.W)
+    return np.array([
+        frob_norm(_mode_mult3(x, *(projection(f[:, :min(k, f.shape[1])])
+                                   for f in factors))) ** 2
+        / frob_norm(x) ** 2 for k in range(1, upto_k + 1)])
+
+
+def awkward_model(seed):
+    """A random CP (even seeds) or Tucker model with unequal ranks, at
+    scales 1e-5, 1 or 1e5, whose factors may hold a zero column, two
+    collinear columns or no nonzero column; and a tensor to explain."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 7, 3))
+    ranks = (tuple(int(r) for r in rng.integers(1, 5, 3)) if seed % 2
+             else (int(rng.integers(1, 5)),) * 3)
+    factors = []
+    for dim, rank in zip(dims, ranks):
+        f = rng.standard_normal((dim, rank)) * 10.0 ** rng.choice([-5, 0, 5])
+        kind = rng.integers(4)
+        if kind == 1:
+            f[:, rng.integers(rank)] = 0.0
+        elif kind == 2 and rank > 1:
+            f[:, 1] = -3.0 * f[:, 0]
+        elif kind == 3:
+            f[:] = 0.0
+        factors.append(f)
+    x = rng.standard_normal(dims) * 10.0 ** rng.choice([-5, 0, 5])
+    model = (TuckerModel(*factors, rng.standard_normal(ranks)) if seed % 2
+             else CpModel(*factors, np.ones(ranks[0])))
+    return x, model
+
+
 class TestVarianceExplained:
+    def test_matches_the_projection_matrix_formula(self):
+        for seed in range(200):
+            x, model = awkward_model(seed)
+            curve = variance_explained(x, model).cumulative
+            npt.assert_allclose(
+                curve, projection_matrix_varex(x, model, curve.size),
+                rtol=0, atol=1e-12, err_msg=f"seed {seed}")
+
+
     def test_exact_rank_one_model_explains_everything(self):
         rng = np.random.default_rng(0)
         u, v, w = unit(rng, 4), unit(rng, 5), unit(rng, 6)

@@ -36,21 +36,6 @@ def test_t3_read_is_c_contiguous_and_bit_equal(tmp_path, order):
     assert back.shape == x.shape and back.tobytes() == x.tobytes()
 
 
-def test_t3_read_peaks_at_two_tensors(tmp_path):
-    # the parsed values and their C-contiguous copy, not a third tensor
-    x = np.random.default_rng(2).standard_normal((60, 60, 50))
-    path = tmp_path / "x.t3"
-    fileio.write_tensor3(path, x)
-    tracemalloc.start()
-    try:
-        back = fileio.read_tensor3(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.tobytes() == x.tobytes()
-    assert peak < 2.5 * x.nbytes
-
-
 @st.composite
 def finite_tensors(draw):
     shape = draw(st.tuples(*(st.integers(1, 6) for _ in range(3))))
@@ -95,9 +80,13 @@ EXTREMES = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e300, -1e-300, 0.0,
     np.array([-2.5]).reshape(1, 1, 1),
     np.array(EXTREMES).reshape(1, 1, 11),
     np.array(EXTREMES[:8]).reshape(2, 2, 2),
+    # slabs of 292 planes of 7 values: 2044 a slab, 4 carried on
+    np.random.default_rng(5).standard_normal((7, 1, 700)),
+    # planes of 9225 values, each formatted in five blocks, 1 carried on
+    np.random.default_rng(6).standard_normal((9, 1025, 3)),
 ], ids=["short-last-line", "9225-values", "exponents-300", "1x1x1",
         "extremes-11",
-        "extremes-8"])
+        "extremes-8", "carried-lines", "planes-over-a-block"])
 def test_t3_writer_bytes_match_per_value_format(tmp_path, x):
     path = tmp_path / "x.t3"
     fileio.write_tensor3(path, x)
@@ -132,6 +121,46 @@ def test_t3_wrong_count(tmp_path):
     path.write_text("tensor3 2 2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         fileio.read_tensor3(path)
+
+
+def test_t3_too_many_values(tmp_path):
+    path = tmp_path / "bad.t3"
+    path.write_text("tensor3 2 2 1\n1 2 3 4\n5\n")
+    with pytest.raises(ValueError, match="expected 4 values"):
+        fileio.read_tensor3(path)
+
+
+@pytest.mark.parametrize("dims", ["0 2 2", "2 -1 2", "2 2 0"])
+def test_t3_non_positive_dims(tmp_path, dims):
+    path = tmp_path / "bad.t3"
+    path.write_text(f"tensor3 {dims}\n1 2 3 4\n")
+    with pytest.raises(ValueError, match="header dims"):
+        fileio.read_tensor3(path)
+
+
+def test_t3_header_beyond_the_body_is_refused_before_allocating(tmp_path):
+    # 10^15 values cannot fit in a 6-byte body (each takes 2 bytes but
+    # the last); the reader refuses before it asks for 8 PB
+    path = tmp_path / "huge.t3"
+    path.write_text("tensor3 100000 100000 100000\n1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000000000000 values"):
+            fileio.read_tensor3(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["decompose", "--method", "tpa", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_t3_body_without_a_final_newline_is_read(tmp_path):
+    # three values in five bytes: the guard allows the last value's
+    # missing separator
+    path = tmp_path / "x.t3"
+    path.write_text("tensor3 1 1 3\n1 2 3")
+    npt.assert_array_equal(fileio.read_tensor3(path).ravel(), [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("body", ["1 2 oops 4\n", "1 2 3 oops\n"])

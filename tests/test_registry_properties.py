@@ -95,24 +95,21 @@ def test_permuting_a_mode_permutes_the_fit(name, shape, seed, mode):
 
 
 SCALES = (1e-8, 1e-3, 7.3, 1e5)
-# sparse_gcp's q-lasso solve stops on an absolute 1e-10 KKT residual; it is
-# shown below, at c = 1e-8
-ABSOLUTE_STOPS = {("sparse-gcp", 1e-8)}
 
 
 @PROPERTY
 @pytest.mark.parametrize("name, c", [
-    (name, c) for name in sorted(METHODS) for c in SCALES
-    if (name, c) not in ABSOLUTE_STOPS])
+    (name, c) for name in sorted(METHODS) for c in SCALES])
 @given(shape=dims, seed=seeds)
 def test_scaling_the_tensor_and_its_levels_scales_the_fit(name, c, shape,
                                                           seed):
     assert_scales(name, c, spiked(shape, seed)[1], 0.5)
 
 
-@pytest.mark.xfail(strict=True, reason="an absolute stopping rule")
 @pytest.mark.parametrize("name", ["sparse-gcp"])
-def test_an_absolute_stop_does_not_scale(name):
+def test_a_relative_stop_scales(name):
+    # an absolute 1e-10 KKT stop of the q-lasso moved these fits by up to
+    # 8.6e-7 relative at c = 1e-8
     for seed in range(4):
         assert_scales(name, 1e-8, spiked((5, 6, 4), seed)[1], 0.5)
 

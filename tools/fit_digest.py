@@ -40,8 +40,8 @@ the bytes of the files it holds, in sorted name order, with
 in-process ``hopca`` runs into a temporary directory: ``simulate`` of
 scenario 2 (seed 3); ``decompose`` of its tensor by every method of
 ``METHODS`` (BIC lasso on u, sparse-gcp at a fixed 0.3) and by the
-group penalty; ``varex`` and ``bic`` of the tpa model; ``table`` with 2
-replicates and ``roc`` with 1.
+group penalty; ``varex`` of the tpa and the sparse-cp-tpa models;
+``bic`` of mode u; ``table`` with 2 replicates and ``roc`` with 1.
 
 Usage, from the repository root::
 
@@ -280,9 +280,11 @@ def cli_runs(tmp):
         _cli("decompose", *argv, "--rank", 2, "--max-iter", 100,
              "--input", x, "--out", out)
         yield f"cli decompose {label}", out
-    _cli("varex", "--input", x, "--model", tmp / "decompose" / "tpa",
-         "--out", tmp / "varex")
-    yield "cli varex tpa", tmp / "varex"
+    for label in ("tpa", "sparse-cp-tpa"):
+        out = tmp / "varex" / label
+        _cli("varex", "--input", x, "--model", tmp / "decompose" / label,
+             "--out", out)
+        yield f"cli varex {label}", out
     _cli("bic", "--input", x, "--mode", "u", "--out", tmp / "bic")
     yield "cli bic u", tmp / "bic"
     scenario = ("--scenario", 2, "--max-iter", 100)
