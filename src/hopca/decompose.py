@@ -30,9 +30,14 @@ eigendecomposition of each unfolding of that tensor is computed once,
 and so are the singular vectors taken from it.  Every SVD start of the
 tensor reads them: the (v, w) start of the power scheme, the CP-ALS
 start, the HOSVD start of the Tucker methods and the first right vector
-of the penalized PCA of an unfolding of that tensor.  The memo lives in
-a ``ContextVar``, so other threads and contexts never see it, and it
-serves that one tensor only, never a residual.
+of the penalized PCA of an unfolding of that tensor.  The block also
+keeps ``||x||`` from its check, which every fit inside it reads.  The
+memo lives in a ``ContextVar``, so other threads and contexts never see
+it, and it serves that one tensor only, never a residual.  No Gram, start
+or penalized PCA copies an unfolding of the tensor where the result does
+not depend on the unfolding's column order (:func:`_unfolding`): modes 1
+and 3 are reshape views, and mode 2's Gram sums slab products
+(:func:`_unfolding_gram`).
 
 Deflation does not form its residual either.  One loop,
 :func:`_greedy`, runs every deflation, the penalized PCA's included: each
@@ -87,6 +92,8 @@ _GRAM_RCOND = 1e-8
 # of the Gram it updates, that accepts it
 _LANCZOS_STEPS = 24
 _RITZ_RTOL = 1e-14
+# entries per slab of the mode-2 Gram's slab products
+_SLAB = 1 << 16
 _OVERFLOW = "finite entries, but the squared norm overflows float64: rescale"
 
 
@@ -249,16 +256,13 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
     if k > rows:
         raise ValueError(f"cannot take {k} orthonormal columns of length "
                          f"{rows}")
-    uu = None
-    if k <= min(rows, cols):
-        wide = rows <= cols
-        lam, vecs = eig or np.linalg.eigh(_gram(m))
-        lam = np.clip(lam[::-1][:k], 0.0, None)
-        if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
-            vecs = vecs[:, ::-1][:, :k]
-            uu = vecs if wide else np.linalg.qr(m @ vecs)[0]
-            sv = np.sqrt(lam)
-    if uu is None:
+    top = (_gram_top(eig or np.linalg.eigh(_gram(m)), k)
+           if k <= min(rows, cols) else None)
+    if top is not None:
+        uu, sv = top
+        if rows > cols:
+            uu = np.linalg.qr(m @ uu)[0]
+    else:
         uu, sv, _ = np.linalg.svd(m, full_matrices=False)
         if uu.shape[1] < k:
             uu = _complete_orthonormal(uu, k)
@@ -268,6 +272,18 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
     if return_values:
         return uu, sv
     return uu
+
+
+def _gram_top(eig, k):
+    """The top ``k`` eigenvectors of a Gram matrix from its ``eigh``
+    ``eig``, largest first, with the square roots of their clipped
+    eigenvalues; None when the Gram route has lost its accuracy (a zero
+    Gram, or ``sigma_k^2 < _GRAM_RCOND sigma_1^2``)."""
+    lam, vecs = eig
+    lam = np.clip(lam[::-1][:k], 0.0, None)
+    if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
+        return vecs[:, ::-1][:, :k], np.sqrt(lam)
+    return None
 
 
 def _gram(m):
@@ -437,32 +453,38 @@ def _random_unit(rng, dim):
 
 
 # (the read-only view a _shared_grams block is open on, its Gram
-# eigendecompositions by (mode, side), its singular vectors by (mode, k))
+# eigendecompositions by (mode, side), its singular vectors by (mode, k),
+# its Frobenius norm)
 _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
 @contextmanager
-def _shared_grams(x, grams=None):
+def _shared_grams(x, grams=None, norm=None):
     """Check ``x`` (:func:`check_tensor3`, and that ``||x||^2`` does not
     overflow) and yield a read-only view of it.  Within the block the
-    Gram eigendecomposition of each unfolding of that very view (``is``,
-    not equality) is computed once, and so are its leading singular
-    vectors for each (mode, k); both are kept read-only.  Opened on the
-    view of an enclosing block, the block is that block, and ``x`` is
-    neither checked nor scanned again.  With
-    ``grams`` the caller answers for ``x``, a float array: the block
-    opens on it unchecked, its memo seeded with ``grams[mode]``, ``eigh``
-    of the smaller Gram (:func:`_gram`) of each given mode's unfolding."""
+    norm that check computed is kept (:func:`_norm`), and the Gram
+    eigendecomposition of each unfolding of that very view (``is``, not
+    equality) is computed once, and so are its leading singular vectors
+    for each (mode, k); both are kept read-only.  Opened on the view of
+    an enclosing block, the block is that block, and ``x`` is neither
+    checked nor scanned again.  With ``grams`` the caller answers for
+    ``x``, a float array of norm ``norm``: the block opens on it
+    unchecked, its memo seeded with ``grams[mode]``, ``eigh`` of the
+    smaller Gram (:func:`_gram_eig`) of each given mode's unfolding."""
     if _memo(x) is not None:
         yield x
         return
-    view = (x if grams is not None else check_tensor3(x)).view()
-    with np.errstate(over="ignore"):  # the error below says so
-        if grams is None and math.isinf(frob_norm(view)):
+    if grams is None:
+        x = check_tensor3(x)
+        with np.errstate(over="ignore"):  # the error below says so
+            norm = frob_norm(x)
+        if math.isinf(norm):
             raise ValueError(_OVERFLOW)
+    view = x.view()
     view.flags.writeable = False
     token = _GRAMS.set((view, {(mode, x.shape[mode - 1] ** 2 <= x.size): eig
-                               for mode, eig in (grams or {}).items()}, {}))
+                               for mode, eig in (grams or {}).items()}, {},
+                        norm))
     try:
         yield view
     finally:
@@ -476,44 +498,97 @@ def _memo(x):
     return memo if memo is not None and memo[0] is x else None
 
 
+def _norm(x) -> float:
+    """``||x||``: kept by a block open on ``x``, else computed."""
+    memo = _memo(x)
+    return frob_norm(x) if memo is None else memo[3]
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
 
 
-def _gram_eig(x, mode, m=None, right=False):
+def _unfolding(x, mode):
+    """The mode-``mode`` unfolding of ``x``, its columns in the order that
+    reads ``x`` in place: ``x.reshape(n, p q)`` for mode 1 and
+    ``x.reshape(n p, q).T`` for mode 3, views of a C-contiguous ``x``.
+    Mode 2 has no such view, so it is :func:`matricize`'s copy (the view
+    ``x[:, :, 0].T`` for a size-one third mode).  An unfolding's column
+    order is a convention (Kolda & Bader 2009, section 2.4): its row Gram
+    and left singular vectors do not depend on it."""
+    n, p, q = x.shape
+    if mode == 1:
+        return x.reshape(n, p * q)
+    if mode == 3:
+        return x.reshape(n * p, q).T
+    return x[:, :, 0].T if q == 1 else matricize(x, 2)
+
+
+def _unfolding_gram(x, mode, rows):
+    """The Gram matrix of the mode-``mode`` unfolding ``X`` of ``x`` (see
+    :func:`_unfolding`): ``X X^T`` with ``rows``, else ``X^T X`` in the
+    unfolding's column order.  Mode 2's ``X X^T`` of a third mode longer
+    than one sums the products of slabs ``x[i0:i1]`` of about ``_SLAB``
+    entries, each copied with its mode 2 first, so that no unfolding of
+    ``x`` is formed."""
+    n, p, q = x.shape
+    if mode == 2 and rows and q > 1:
+        step = max(1, _SLAB // (p * q))
+        gram = np.zeros((p, p))
+        for i in range(0, n, step):
+            slab = x[i:i + step].transpose(1, 0, 2).reshape(p, -1)
+            gram += slab @ slab.T
+            del slab  # before the next slab is copied
+        return gram
+    a = _unfolding(x, mode)
+    return a @ a.T if rows else a.T @ a
+
+
+def _gram_eig(x, mode, right=False):
     """``eigh`` of the Gram matrix :func:`leading_singular_vectors` forms
-    of ``m``, the mode unfolding of ``x`` (of ``m.T`` with ``right``),
-    from the memo of a block open on ``x``; None outside one.  The two
-    sides of a non-square ``m`` share its smaller Gram; a square ``m``
-    keeps m m^T and m^T m apart.  Without ``m`` the unfolding is formed
-    only when the Gram is not memoized yet."""
-    memo = _memo(x)
-    if memo is None:
-        return None
+    of the mode unfolding ``X`` of ``x`` (of ``X^T`` with ``right``),
+    from :func:`_unfolding_gram`, inside and outside a block; a block open
+    on ``x`` computes it once and keeps it read-only.  The two sides of a
+    non-square ``X`` share its smaller Gram; a square ``X`` keeps ``X
+    X^T`` and ``X^T X`` apart."""
     rows = x.shape[mode - 1]
     cols = x.size // rows
     wide = cols <= rows if right else rows <= cols
-    key = (mode, wide != right)  # True: m m^T, False: m^T m
-    if key not in memo[1]:
-        a = matricize(x, mode) if m is None else m
-        memo[1][key] = tuple(_read_only(e) for e in np.linalg.eigh(
-            _gram(a.T if right else a)))
-    return memo[1][key]
+    key = (mode, wide != right)  # True: X X^T, False: X^T X
+    memo = _memo(x)
+    if memo is not None and key in memo[1]:
+        return memo[1][key]
+    eig = tuple(_read_only(e)
+                for e in np.linalg.eigh(_unfolding_gram(x, *key)))
+    if memo is not None:
+        memo[1][key] = eig
+    return eig
 
 
 def _unfolding_vectors(x, mode, k):
     """First ``k`` left singular vectors of the mode unfolding of ``x``,
-    read-only from the memo of a block open on ``x``."""
+    from :func:`_gram_eig`, read-only from the memo of a block open on
+    ``x``.  :func:`leading_singular_vectors` gets the views of
+    :func:`_unfolding` for modes 1 and 3 (and mode 2 of a size-one third
+    mode); any other mode-2 unfolding is formed only where that function
+    reads it (a tall unfolding, or the SVD fallback), and a wide one's
+    Gram route takes no matrix."""
     memo = _memo(x)
-    if memo is None:
-        return leading_singular_vectors(matricize(x, mode), k)
-    if (mode, k) not in memo[2]:
-        m = matricize(x, mode)
-        eig = _gram_eig(x, mode, m) if k <= min(m.shape) else None
-        memo[2][mode, k] = _read_only(leading_singular_vectors(m, k,
-                                                               eig=eig))
-    return memo[2][mode, k]
+    if memo is not None and (mode, k) in memo[2]:
+        return memo[2][mode, k]
+    rows = x.shape[mode - 1]
+    eig = _gram_eig(x, mode) if k <= min(rows, x.size // rows) else None
+    # a wide mode-2 unfolding with q > 1 is a copy the Gram route skips
+    top = (_gram_top(eig, k) if eig and mode == 2 and x.shape[2] > 1
+           and rows ** 2 <= x.size else None)
+    if top is not None:
+        vecs = top[0] * _column_signs(top[0])
+    else:
+        vecs = leading_singular_vectors(_unfolding(x, mode), k, eig=eig)
+    if memo is not None:
+        memo[2][mode, k] = _read_only(vecs)
+    return vecs
 
 
 def init_rank_one(x, init, rng):
@@ -585,7 +660,7 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
         # the absolute rule on the relative residual, not _converged
         loop = _Loop(cfg, rule=lambda prev, value, tol: (
             prev is not None and abs(prev - value) < tol))
-        norm_x = frob_norm(x)
+        norm_x = _norm(x)
         residual_trace = []
         if norm_x == 0.0:  # the zero fit, from no sweep
             factors = [f if step is None else np.zeros_like(f)
@@ -716,7 +791,7 @@ def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
         if sweeps:
             best_norm = frob_norm(run[3])  # (factors, levels, loops, core)
             loop = _Loop(cfg, [best_norm])
-            loop.converged = frob_norm(x) == 0.0  # no sweep of a zero tensor
+            loop.converged = _norm(x) == 0.0  # no sweep of a zero tensor
             for _ in loop.sweeps():  # each from the last pass's factors
                 run = _tucker_pass(x, ranks, updates, cfg, run[0])
                 norm = frob_norm(run[3])
@@ -790,6 +865,7 @@ class _ModeUpdate:
 
 
 _PLAIN = (_ModeUpdate(),) * 3
+_OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
 def _level(upd: _ModeUpdate, c, norm_sq, size) -> float:
@@ -842,10 +918,14 @@ class _Terms:
     def __init__(self, x, K):
         n, p, q = x.shape
         self.x, self.k = x, 0
-        self.norm_sq_x = frob_norm(x) ** 2
+        self.norm_sq_x = _norm(x) ** 2
         self.d = np.zeros(K)
         self.factors = (np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K)))
         self._cv, self._cw = np.zeros((p, K)), np.zeros((q, K))
+        self._slice()
+        # a size-one third mode whose accepted factors are all [1.0] (the
+        # fixed factor), so their product with a w of [1.0] is all ones
+        self._unit_w = q == 1
 
     def accept(self, fit: RankOneFit) -> None:
         k = self.k
@@ -855,19 +935,31 @@ class _Terms:
         self._cv[:, k] = contract_v(self.x, fit.u, fit.w)
         if self.x.shape[2] > 1:  # a size-one mode's start(3) is [1.0]
             self._cw[:, k] = contract_w(self.x, fit.u, fit.v)
+        self._unit_w = self._unit_w and fit.w[0] == 1.0
         self.k += 1
+        self._slice()
+
+    def _slice(self):
+        self._accepted = (*(f[:, :self.k] for f in self.factors),
+                          self.d[:self.k])
 
     def accepted(self):
-        """(U, V, W, d) of the accepted terms."""
-        return (*(f[:, :self.k] for f in self.factors), self.d[:self.k])
+        """(U, V, W, d) of the accepted terms (views, kept until the next
+        term is accepted)."""
+        return self._accepted
 
     def correction(self, m, qf):
         """The terms' share of the mode-``m`` contraction against the
         other two modes' entries of ``qf``: the contraction of ``x``
-        less this is the contraction of ``R``."""
-        *f, d = self.accepted()
-        a, b = (o for o in range(3) if o != m)
-        return f[m] @ (d * (f[a].T @ qf[a]) * (f[b].T @ qf[b]))
+        less this is the contraction of ``R``.  A product that is all
+        ones (unit third factors against a w of [1.0]) is skipped: it
+        would multiply by exactly 1."""
+        *f, d = self._accepted
+        a, b = _OTHER_MODES[m]
+        share = d * (f[a].T @ qf[a])
+        if b < 2 or not (self._unit_w and qf[2][0] == 1.0):
+            share *= f[b].T @ qf[b]
+        return f[m] @ share
 
     def norm_sq(self) -> float:
         """``||R||^2 = ||x||^2 - 2 sum_j d_j <x, t_j> + d^T (U^T U * V^T V
@@ -940,8 +1032,9 @@ class _Terms:
         lam, vecs = eig = _gram_eig(self.x, mode)
         rows = self.x.shape[mode - 1]
         tall = rows > self.x.size // rows
-        if tall:
-            unfolding, b = matricize(self.x, mode), khatri_rao(other, U)
+        if tall:  # B in the column order of the unfolding's view
+            unfolding = _unfolding(self.x, mode)
+            b = khatri_rao(other, U) if mode == 2 else khatri_rao(U, V)
             a, c, mid = b, unfolding.T @ f, f.T @ f
         top = None
         if lam.size > _LANCZOS_STEPS:
@@ -954,7 +1047,7 @@ class _Terms:
             if lam_r[-1] >= _GRAM_RCOND * lam[-1]:
                 top = vecs_r[:, -1]
         if top is None:
-            top = leading_singular_vectors(matricize(self.residual(), mode),
+            top = leading_singular_vectors(_unfolding(self.residual(), mode),
                                            1)[:, 0]
         elif tall:  # R_(m) y = X_(m) y - A D B^T y
             top = unfolding @ top - f @ (d * (b.T @ top))
@@ -986,7 +1079,7 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
         from .generalized import _power_lambda_max, qnorm_lasso_solve
     norm_sq = None
     if any(upd.grid is not None for upd in updates):
-        norm_sq = frob_norm(x) ** 2 if terms is None else terms.norm_sq()
+        norm_sq = _norm(x) ** 2 if terms is None else terms.norm_sq()
     lips: list[float | None] = [None, None, None]
     warm: list[np.ndarray | None] = [None, None, None]
     lam = [0.0, 0.0, 0.0]
@@ -1091,25 +1184,31 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     to what the earlier ones leave of it, no more than ``min(m.shape)``
     (the rank of ``m``), under ``cfg`` (default :class:`SolverConfig`).
 
-    The fits run on the tensor view ``m[:, :, None]``, whose third factor
-    is fixed at ``[1.0]``, through :func:`_greedy`: ``m`` is only read
-    and the deflation is the engine's (:class:`_Terms`).  The view's
-    memo starts from the memo's Gram of ``m`` (:func:`_gram_eig`) when a
-    block is open on ``y``, so ``m`` is not scanned for it again; the
-    view is not checked, and a non-finite ``||m||^2`` raises ValueError.
-    Returns (left factors, right factors, weights, component fits), a
-    zero fit last when the run ends before ``k`` fits.
+    ``m`` is the unfolding :func:`_unfolding` gives: for modes 1 and 3 a
+    view of a C-contiguous ``y``, its columns in another order than
+    :func:`matricize`'s, which moves the right factors' entries but not
+    the left factors; mode 2 is a copy.  The fits run on the tensor view
+    ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``, through
+    :func:`_greedy`: ``m`` is only read and the deflation is the
+    engine's (:class:`_Terms`).  The view's block takes ``||y||`` and
+    the Gram of ``m`` from :func:`_norm` and :func:`_gram_eig` (the
+    memo's, when a block is open on ``y``), so ``m`` is not scanned for
+    them again; the view is not checked, and a non-finite ``||m||``
+    raises ValueError.  Returns (left factors, right factors, weights,
+    component fits), a zero fit last when the run ends before ``k``
+    fits.
     """
     cfg = cfg or SolverConfig()
     _reject_unread(cfg, svd_start=True)
-    m = matricize(y, mode)
-    eig = _gram_eig(y, mode, m, right=True)
+    m = _unfolding(y, mode)
+    norm = _norm(y)
+    if not math.isfinite(norm):
+        raise ValueError(_OVERFLOW if np.all(np.isfinite(m)) else
+                         "matrix entries must be finite (no NaN/Inf)")
     updates = (*updates, _PLAIN[2])
-    with _shared_grams(m[:, :, None], {2: eig} if eig else {}) as view:
+    with _shared_grams(m[:, :, None], {2: _gram_eig(y, mode, right=True)},
+                       norm) as view:
         terms = _Terms(view, k)
-        if not np.isfinite(terms.norm_sq_x):
-            raise ValueError(_OVERFLOW if np.all(np.isfinite(m)) else
-                             "matrix entries must be finite (no NaN/Inf)")
         fits, _ = _greedy(terms, min(k, *m.shape), lambda x, terms, rng,
                           basis: _rank_one(x, updates, cfg, rng, basis, terms),
                           cfg.rng())
@@ -1192,7 +1291,7 @@ def tpa_rank_one(x, cfg: SolverConfig | None = None) -> RankOneFit:
     before falling back to the zero fit.
     """
     with _shared_grams(x) as x:
-        if frob_norm(x) == 0.0:
+        if _norm(x) == 0.0:
             raise ValueError("input tensor is zero")
         return _fit_rank_one(x, _PLAIN, cfg)
 

@@ -293,10 +293,14 @@ def _support_rates(estimated, truth) -> RecoveryMetrics:
 
 
 def signal_mse(estimated, truth) -> float:
-    """Mean squared error of the reconstruction against the noise-free signal."""
+    """Mean squared error of the reconstruction against the noise-free
+    signal.  The difference is taken and squared in the reconstruction's
+    own array, so no other tensor-sized array is made."""
     x_signal = truth.x_signal
-    diff = estimated.reconstruct() - x_signal
-    return float(np.sum(diff * diff)) / x_signal.size
+    diff = estimated.reconstruct()
+    diff -= x_signal
+    diff *= diff
+    return float(np.sum(diff)) / x_signal.size
 
 
 # ---------------------------------------------------------------------------

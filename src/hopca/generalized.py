@@ -28,6 +28,7 @@ from .decompose import (
     _fit_rank_one,
     _ModeUpdate,
     _PLAIN,
+    _norm,
     _rank_one,
     _shared_grams,
     _tucker,
@@ -39,7 +40,7 @@ from .sparse import (
     positive_threshold,
     soft_threshold,
 )
-from .tensor3 import _mode_mult3, frob_norm, outer3
+from .tensor3 import _mode_mult3, outer3
 
 __all__ = [
     "positive_threshold",
@@ -453,7 +454,7 @@ def _fpca_rank_one(x, s: SmootherSet, cfg: SolverConfig,
     scale = fit.d ** (1.0 / 3.0)
     factors = (fit.u, fit.v, fit.w)
     u, v, w = (scale * (half @ f) for half, f in zip(maps, factors))
-    trace = frob_norm(x) ** 2 - fit.objective_trace ** 2
+    trace = _norm(x) ** 2 - fit.objective_trace ** 2
     return FpcaFit(u, v, w, fit.iterations, fit.converged, trace)
 
 

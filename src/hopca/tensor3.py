@@ -81,7 +81,13 @@ def matricize(x: np.ndarray, mode: int) -> np.ndarray:
 
     Mode 1 yields shape ``(n, p*q)`` with entry ``(i, j + p*k) = x[i, j, k]``;
     modes 2 and 3 cycle the remaining indices in the same fiber order
-    (mode 2: ``(j, i + n*k)``, mode 3: ``(k, i + n*j)``).
+    (mode 2: ``(j, i + n*k)``, mode 3: ``(k, i + n*j)``).  On the
+    C-contiguous tensors :func:`tensor3` returns this is a copy of ``x``.
+    The solvers' Grams, SVD starts and penalized PCAs do not depend on the
+    column order, so they read modes 1 and 3 through reshape views with
+    the columns in another order (``hopca.decompose._unfolding``); this
+    layout stays the reference, and mode 2's unfolding where one is
+    formed.
     """
     ax = _check_mode(mode)
     x = np.asarray(x)

@@ -88,6 +88,22 @@ def test_each_component_of_the_pca_of_three_unfoldings_is_digested():
     assert all(fit.d > 0.0 for fit in fits.values())
 
 
+def test_the_memo_has_a_gram_and_a_start_digest_per_mode():
+    """Two lines per mode of the scenario-1 and scenario-2 tensors: the
+    Gram ``eigh`` and the k-column start of a block open on the tensor,
+    each the same in a second block and each its own."""
+    tool = load_tool()
+    lines = [(label, tool._sha256(arrays))
+             for label, arrays in tool.memo_grams()]
+    assert [label for label, _ in lines] == [
+        f"s{scenario} memo {what} mode {mode}{' k 2' * (what == 'start')}"
+        for scenario in (1, 2) for mode in (1, 2, 3)
+        for what in ("gram", "start")]
+    assert len({d for _, d in lines}) == len(lines)
+    assert [(label, tool._sha256(arrays))
+            for label, arrays in tool.memo_grams()] == lines
+
+
 def test_the_fixed_level_tucker_fits_are_digested_on_scenario_2():
     fits = {label: fit for label, fit, _ in load_tool().scenario_fits()}
     for method in ("sparse-hosvd", "sparse-hooi"):

@@ -14,7 +14,7 @@ from hopca.decompose import SolverConfig, _shared_grams, init_rank_one
 from hopca.evaluate import roc_sweep
 from hopca.simulate import METHODS
 from hopca.sparse import PenaltySpec
-from hopca.tensor3 import matricize
+from hopca.tensor3 import frob_norm
 
 CFG = SolverConfig(max_iter=60)
 SPARSE_CP_TPA = sparse.sparse_cp_tpa  # the unwrapped solver
@@ -42,8 +42,9 @@ GRID = [0.0, 0.3, 1.0, 2.0, 4.0, 100.0]
 
 def sweep_capturing(monkeypatch, x, truth):
     """Run the sparse-cp-tpa sweep, recording each refit's arguments and
-    model, and the inputs of every singular-vector call."""
-    fits, svd_inputs = [], []
+    model, the inputs of every singular-vector call and the (mode, side)
+    of every unfolding Gram formed."""
+    fits, svd_inputs, grams = [], [], []
 
     def capture(*args, **kwargs):
         model = SPARSE_CP_TPA(*args, **kwargs)
@@ -54,17 +55,22 @@ def sweep_capturing(monkeypatch, x, truth):
         svd_inputs.append(np.array(m))
         return svd(m, *args, **kwargs)
 
-    svd = decompose.leading_singular_vectors
+    def count_gram(y, mode, rows):
+        grams.append((mode, rows))
+        return gram(y, mode, rows)
+
+    svd, gram = decompose.leading_singular_vectors, decompose._unfolding_gram
     monkeypatch.setattr(sparse, "sparse_cp_tpa", capture)
     monkeypatch.setattr(decompose, "leading_singular_vectors", count_svd)
+    monkeypatch.setattr(decompose, "_unfolding_gram", count_gram)
     points = roc_sweep(x, truth, "sparse-cp-tpa", GRID, CFG, modes=("u",))
     assert points
-    return fits, svd_inputs
+    return fits, svd_inputs, grams
 
 
 def test_each_refit_equals_a_fresh_fit(monkeypatch):
     x, truth = instance()
-    fits, _ = sweep_capturing(monkeypatch, x, truth)
+    fits, _, _ = sweep_capturing(monkeypatch, x, truth)
     assert len(fits) == len(GRID)
     for (_, k, pen, cfg), model in fits:
         fresh = SPARSE_CP_TPA(x.copy(), k, pen, cfg)
@@ -75,20 +81,21 @@ def test_each_refit_equals_a_fresh_fit(monkeypatch):
 
 def test_the_start_of_x_is_computed_once(monkeypatch):
     x, truth = instance()
-    fits, svd_inputs = sweep_capturing(monkeypatch, x, truth)
+    fits, svd_inputs, grams = sweep_capturing(monkeypatch, x, truth)
     # every fit reads the same read-only view of x
     views = {id(args[0]) for args, _ in fits}
     assert len(views) == 1
     assert not fits[0][0][0].flags.writeable
-    # two singular-vector calls for the start of x and none for a second
-    # component, which starts from an update of the memo's Grams of x
+    # one Gram per mode for the (v, w) start of x and none for a second
+    # component, which starts from an update of the memo's Grams of x;
+    # the wide mode-2 start reads its Gram only, so one singular-vector
+    # call (mode 3's, on the view of x) is left
     second = sum(len(model.diagnostics["iterations"]) == 2
                  for _, model in fits)
     assert second >= 1
-    assert len(svd_inputs) == 2
-    for i, a in enumerate(svd_inputs):
-        assert not any(a.shape == b.shape and np.array_equal(a, b)
-                       for b in svd_inputs[:i])
+    assert grams == [(2, True), (3, True)]
+    assert [a.shape for a in svd_inputs] == [(x.shape[2], x.size
+                                             // x.shape[2])]
 
 
 def test_the_callers_tensor_stays_writable_and_unchanged():
@@ -156,14 +163,18 @@ def test_after_a_two_component_sweep_the_memo_holds_x_only():
     x, truth = instance()
     with _shared_grams(x) as view:
         roc_sweep(view, truth, "sparse-cp-tpa", GRID, CFG, modes=("u",))
-        key, grams, vectors = decompose._GRAMS.get()
+        key, grams, vectors, norm = decompose._GRAMS.get()
     assert key is view
+    assert norm == frob_norm(x)  # the block's check, kept
     # the (v, w) start of x: one Gram and one vector per mode; the
     # second components start from residuals, which the memo never sees
     assert set(grams) == {(2, True), (3, True)}
     assert set(vectors) == {(2, 1), (3, 1)}
-    for mode in (2, 3):
-        m = matricize(x, mode)
+    n, p, q = x.shape
+    # the unfoldings' row Grams, formed without matricize: mode 3 on the
+    # view of x, mode 2 from x with its mode 2 first (one slab of x here)
+    for mode, m in ((2, x.transpose(1, 0, 2).reshape(p, n * q)),
+                    (3, x.reshape(n * p, q).T)):
         lam, vecs = grams[mode, True]
         assert np.array_equal(lam, np.linalg.eigh(m @ m.T)[0])
         assert np.array_equal(vectors[mode, 1],

@@ -32,7 +32,11 @@ digest of its ``support_metrics`` against the simulated truth (tp, fp,
 mse, permutation and signs), so that recovery scores are diffed the same
 way; and a ``trace`` line: one digest of the objective traces of its
 loops, so that a change that only adds loops to a fit's report still
-shows that its fits are the same.
+shows that its fits are the same.  The memo of a block open on the
+scenario-1 and the scenario-2 tensor gets two lines per mode: its Gram
+``eigh`` and its start (the first ``k`` left singular vectors), so that
+a change to the route that forms a Gram shows apart from the fits it
+moves.
 
 The command line's files get one line per output directory: a digest of
 the bytes of the files it holds, in sorted name order, with
@@ -207,6 +211,23 @@ def unfolding_pca_fits():
                    f"bic comp {comp}"), fit
 
 
+def memo_grams():
+    """(label, arrays) for the memo's Gram ``eigh`` and start of each
+    unfolding of the scenario-1 and scenario-2 tensors, as a block open on
+    the tensor computes them."""
+    from hopca.decompose import _gram_eig, _shared_grams, _unfolding_vectors
+    from hopca.simulate import SimScenarioSpec, simulate
+
+    for scenario in (1, 2):
+        spec = SimScenarioSpec(scenario, seed=SEED)
+        with _shared_grams(simulate(spec).x) as view:
+            for mode in (1, 2, 3):
+                yield (f"s{scenario} memo gram mode {mode}",
+                       list(_gram_eig(view, mode)))
+                yield (f"s{scenario} memo start mode {mode} k {spec.k}",
+                       [_unfolding_vectors(view, mode, spec.k)])
+
+
 def mono_small_fits():
     """(label, fit) for every fit of the mono-small instance set."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -310,6 +331,8 @@ def main() -> int:
     for label, fit in (*mono_small_fits(), *pca_fits(),
                        *unfolding_pca_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
+    for label, arrays in memo_grams():
+        print(f"{_sha256(arrays)}  {label}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, path in cli_runs(tmp):
             print(f"{directory_digest(path)}  {label}", flush=True)
