@@ -25,18 +25,15 @@ product is the view ``x[:, :, 0]``.
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
 :func:`_shared_grams`, which a table replicate, a ROC sweep and every
-shared loop open around their fits of one tensor, the Gram
-eigendecomposition of each unfolding of that tensor is computed once,
-and so are the singular vectors taken from it.  Every SVD start of the
-tensor reads them: the (v, w) start of the power scheme, the CP-ALS
-start, the HOSVD start of the Tucker methods and the first right vector
-of the penalized PCA of an unfolding of that tensor.  The block also
-keeps ``||x||`` from its check, which every fit inside it reads.  The
-memo lives in a ``ContextVar``, so other threads and contexts never see
-it, and it serves that one tensor only, never a residual.  No Gram, start
-or penalized PCA copies an unfolding of the tensor where the result does
-not depend on the unfolding's column order (:func:`_unfolding`): modes 1
-and 3 are reshape views, and mode 2's Gram sums slab products
+shared loop open around their fits of one tensor, the Gram of each
+unfolding of that tensor is formed once, and so are the singular vectors
+from its Lanczos top pairs (:func:`_top_pairs`), which every SVD start
+of the tensor reads.  The block also keeps ``||x||`` from its check.
+The memo lives in a ``ContextVar``, so other threads and contexts never
+see it, and it serves that one tensor only, never a residual.  No Gram,
+start or penalized PCA copies an unfolding of the tensor where the result
+does not depend on the unfolding's column order (:func:`_unfolding`):
+modes 1 and 3 are reshape views, and mode 2's Gram sums slab products
 (:func:`_unfolding_gram`).
 
 Deflation does not form its residual either.  One loop,
@@ -45,12 +42,11 @@ later component is fit to ``x`` and the terms accepted so far
 (:class:`_Terms`).  Every contraction is the contraction of ``x`` less
 the terms' share, the norm BIC reads is in closed form, and the SVD start
 is the top eigenvector of the memo's Gram of ``x`` updated by the terms,
-on the wide or the tall side of the unfolding, which
-:func:`_updated_top` finds without forming it (one small ``eigh`` where
-it does not).  Only a residual that has nearly vanished is formed, and
-one at the rounding level of ``x`` ends the run.  The ALS loop reads its
-residual norm from the same closed form (:func:`_cp_norm_sq`) and takes
-its products on reshape views of ``x``.
+whose Lanczos top pair :func:`_top_pairs` finds without forming it (one
+``eigh`` where it does not).  Only a residual that has nearly vanished is
+formed, and one at the rounding level of ``x`` ends the run.  The ALS
+loop reads its residual norm from the same closed form
+(:func:`_cp_norm_sq`) and takes its products on views of ``x``.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -87,9 +83,9 @@ _EPS = np.finfo(float).eps
 _MODES = ("u", "v", "w")
 # smallest sigma_k^2 / sigma_1^2 for which the Gram route keeps its accuracy
 _GRAM_RCOND = 1e-8
-# Lanczos steps an updated Gram's top pair may take (a Gram no larger takes
-# one eigh instead), and the Ritz residual, relative to the top eigenvalue
-# of the Gram it updates, that accepts it
+# Lanczos steps a Gram's top pairs may take (a Gram no larger takes one
+# eigh instead), and the Ritz residual, relative to the top eigenvalue, that
+# accepts them
 _LANCZOS_STEPS = 24
 _RITZ_RTOL = 1e-14
 # entries per slab of the mode-2 Gram's slab products
@@ -232,22 +228,22 @@ def contract_w(x, u, v):
     return np.dot(np.dot(u, x.reshape(n, p * q)).reshape(p, q).T, v)
 
 
-def leading_singular_vectors(m, k, return_values=False, eig=None):
+def leading_singular_vectors(m, k, return_values=False, gram=None):
     """First ``k`` left singular vectors of ``m`` (orthonormal columns).
 
-    The vectors come from ``eigh`` of the smaller Gram matrix: ``m m^T``
-    for a wide or square ``m``, whose top eigenvectors are the left
-    vectors; ``m^T m`` for a tall one, whose top eigenvectors ``v`` map
-    back through ``m v``, orthonormalized by QR.  The singular values are
-    the square roots of the clipped eigenvalues.  Squaring ``m`` squares
-    its condition number, so a plain SVD is used instead when
-    ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram vectors would then be off by
-    about ``eps sigma_1^2 / sigma_k^2``), when ``m`` is zero, or when
-    ``k`` exceeds the column count (the SVD basis is then completed
-    deterministically to ``k`` columns).  Each column's largest-magnitude
-    entry is made positive, so the result does not depend on the route.
-    With ``return_values`` the first ``k`` singular values come too.
-    ``eig`` is ``eigh`` of that Gram matrix when the caller has it.
+    The vectors come from the Lanczos top pairs (:func:`_top_pairs`) of
+    the smaller Gram: ``m m^T`` for a wide or square ``m``, whose top
+    eigenvectors are the left vectors; ``m^T m`` for a tall one, whose top
+    eigenvectors ``v`` map back through ``m v``, orthonormalized by QR.
+    The singular values are the square roots of the clipped eigenvalues.
+    Squaring ``m`` squares its condition number, so a plain SVD is used
+    instead when ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram vectors would
+    then be off by about ``eps sigma_1^2 / sigma_k^2``), when ``m`` is
+    zero, or when ``k`` exceeds the column count (the SVD basis is then
+    completed deterministically to ``k`` columns).  Each column's
+    largest-magnitude entry is made positive, so the result does not
+    depend on the route.  With ``return_values`` the first ``k`` singular
+    values come too, and ``gram`` is that Gram if the caller has it.
     ``k`` above the row count raises ValueError: no more than ``rows``
     orthonormal columns exist.
     """
@@ -256,10 +252,11 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
     if k > rows:
         raise ValueError(f"cannot take {k} orthonormal columns of length "
                          f"{rows}")
-    top = (_gram_top(eig or np.linalg.eigh(_gram(m)), k)
-           if k <= min(rows, cols) else None)
+    if gram is None and k <= min(rows, cols):
+        gram = m @ m.T if rows <= cols else m.T @ m
+    top = _top_pairs(gram, k) if k <= min(rows, cols) else None
     if top is not None:
-        uu, sv = top
+        uu, sv = top[0], np.sqrt(top[1])
         if rows > cols:
             uu = np.linalg.qr(m @ uu)[0]
     else:
@@ -269,57 +266,58 @@ def leading_singular_vectors(m, k, return_values=False, eig=None):
             sv = np.concatenate([sv, np.zeros(k - sv.size)])
         uu, sv = uu[:, :k], sv[:k]
     uu = uu * _column_signs(uu)
-    if return_values:
-        return uu, sv
-    return uu
+    return (uu, sv) if return_values else uu
 
 
-def _gram_top(eig, k):
-    """The top ``k`` eigenvectors of a Gram matrix from its ``eigh``
-    ``eig``, largest first, with the square roots of their clipped
-    eigenvalues; None when the Gram route has lost its accuracy (a zero
-    Gram, or ``sigma_k^2 < _GRAM_RCOND sigma_1^2``)."""
-    lam, vecs = eig
-    lam = np.clip(lam[::-1][:k], 0.0, None)
-    if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * lam[0]:
-        return vecs[:, ::-1][:, :k], np.sqrt(lam)
+def _top_pairs(gram, k, update=None, scale=None):
+    """The top ``k`` eigenpairs (vectors, values clipped at 0) of the Gram
+    ``G = gram`` or, with ``update = (A, C, d, M)``, of ``H = G - A D C^T -
+    C D A^T + A D M D A^T`` (``D = diag(d)``); None when the ``k``-th value
+    is 0 or below ``_GRAM_RCOND`` times ``scale`` (default: the top one).
+
+    Above order ``_LANCZOS_STEPS``, for ``k`` at most a quarter of it, they
+    are the Ritz pairs of :func:`_lanczos`, whose products go through ``G``
+    and the terms; else, or where those do not converge, ``eigh`` of ``H``.
+    """
+    times, order = gram.__matmul__, gram.shape[0]
+    if update is not None:
+        a, c, d, mid = update
+        ad = a * d
+
+        def times(y):
+            t = ad.T @ y
+            return gram @ y - ad @ (c.T @ y) - c @ t + ad @ (mid @ t)
+
+    pairs = (_lanczos(times, order, k, scale)
+             if 4 * k <= _LANCZOS_STEPS < order else None)
+    if pairs is None:
+        if update is not None:
+            ac = ad @ c.T
+            gram = gram - ac - ac.T + ad @ mid @ ad.T
+        lam, vecs = np.linalg.eigh(gram)
+        pairs = lam[::-1][:k], vecs[:, ::-1][:, :k]
+    lam = np.clip(pairs[0], 0.0, None)
+    if lam[0] > 0.0 and lam[-1] >= _GRAM_RCOND * (
+            lam[0] if scale is None else scale):
+        return pairs[1], lam
     return None
 
 
-def _gram(m):
-    """The smaller Gram matrix of ``m``: ``m m^T`` for a wide or square
-    ``m``, ``m^T m`` for a tall one."""
-    return m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-
-
-def _updated_top(eig, a, c, d, mid):
-    """The top eigenvector of ``H = G - A D C^T - C D A^T + A D M D A^T``
-    (``D = diag(d)``, ``M = mid``), where ``eig`` is ``eigh`` of ``G``;
-    None when it is not found to rounding level.
-
-    Lanczos with full reorthogonalization runs from ``G``'s eigenvectors
-    weighted by their eigenvalues.  Each product with ``H`` goes through
-    ``G``'s eigenbasis and the low-rank terms, so no matrix is formed.
-    The top Ritz pair is accepted once its residual ``||H y - theta y||``
-    is at most ``_RITZ_RTOL`` times ``G``'s top eigenvalue, within
-    ``_LANCZOS_STEPS`` steps, and only when ``theta`` is at least
-    ``_GRAM_RCOND`` times that eigenvalue (below it the update keeps too
-    few digits).  On None the caller forms the matrix.
+def _lanczos(times, order, k, scale=None):
+    """The top ``k`` Ritz pairs (values, vectors) of the symmetric ``H``
+    of that order whose product is ``times``: Lanczos with full
+    reorthogonalization (Golub & Van Loan 2013, 10.1-10.3) from a
+    fixed-seed normal draw, which unlike ``H 1`` or ``diag(H)`` is
+    orthogonal to no eigenvector (almost surely).  Every fourth step they
+    are accepted once each residual ``||H y - theta y||`` is at most
+    ``_RITZ_RTOL`` times ``scale`` (default: the top Ritz value); None
+    when that takes over ``_LANCZOS_STEPS`` steps.
     """
-    lam, vecs = eig
-    ad = a * d
-
-    def times(y):
-        t = ad.T @ y
-        return (vecs @ (lam * (vecs.T @ y)) - ad @ (c.T @ y) - c @ t
-                + ad @ (mid @ t))
-
-    scale, steps = lam[-1], min(_LANCZOS_STEPS, lam.size)
-    basis = np.zeros((lam.size, steps + 1))
-    tri = np.zeros((steps + 1, steps + 1))  # Lanczos matrix, lower triangle
-    start = vecs @ lam
-    basis[:, 0] = start / math.sqrt(np.dot(start, start))
-    for j in range(steps):
+    basis = np.zeros((order, _LANCZOS_STEPS + 1))
+    tri = np.zeros((_LANCZOS_STEPS + 1,) * 2)  # Lanczos matrix, lower half
+    basis[:, 0] = normalize_or_zero(
+        np.random.default_rng(0).standard_normal(order))[0]
+    for j in range(_LANCZOS_STEPS):
         q = basis[:, :j + 1]
         w = times(q[:, j])
         for _ in range(2):  # twice is enough (Giraud et al. 2005)
@@ -327,12 +325,13 @@ def _updated_top(eig, a, c, d, mid):
             w -= q @ h
             tri[j, j] += h[j]
         tri[j + 1, j] = beta = math.sqrt(np.dot(w, w))
-        theta, s = np.linalg.eigh(tri[:j + 1, :j + 1])
-        if beta * abs(s[j, -1]) <= _RITZ_RTOL * scale:
-            y = q @ s[:, -1]
-            r = times(y) - theta[-1] * y
-            return y if (theta[-1] >= _GRAM_RCOND * scale and math.sqrt(
-                np.dot(r, r)) <= _RITZ_RTOL * scale) else None
+        if j >= k - 1 and (j % 4 == 3 or beta == 0.0):
+            theta, s = np.linalg.eigh(-tri[:j + 1, :j + 1])  # largest first
+            if beta * np.max(np.abs(s[j, :k])) <= _RITZ_RTOL * (
+                    -theta[0] if scale is None else scale):
+                return -theta[:k], q @ s[:, :k]
+        if beta == 0.0:
+            return None
         basis[:, j + 1] = w / beta
     return None
 
@@ -452,9 +451,9 @@ def _random_unit(rng, dim):
     return vec / nrm
 
 
-# (the read-only view a _shared_grams block is open on, its Gram
-# eigendecompositions by (mode, side), its singular vectors by (mode, k),
-# its Frobenius norm)
+# (the read-only view a _shared_grams block is open on, its Grams by
+# (mode, side), its singular vectors and values by (mode, k), its
+# Frobenius norm)
 _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
@@ -462,15 +461,15 @@ _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 def _shared_grams(x, grams=None, norm=None):
     """Check ``x`` (:func:`check_tensor3`, and that ``||x||^2`` does not
     overflow) and yield a read-only view of it.  Within the block the
-    norm that check computed is kept (:func:`_norm`), and the Gram
-    eigendecomposition of each unfolding of that very view (``is``, not
-    equality) is computed once, and so are its leading singular vectors
-    for each (mode, k); both are kept read-only.  Opened on the view of
-    an enclosing block, the block is that block, and ``x`` is neither
+    norm that check computed is kept (:func:`_norm`), and the Gram of
+    each unfolding of that very view (``is``, not equality) is formed
+    once, and so are its leading singular vectors for each (mode, k),
+    from its Lanczos top pairs; both are kept read-only.  Opened on the
+    view of an enclosing block, the block is that block, and ``x`` is neither
     checked nor scanned again.  With ``grams`` the caller answers for
     ``x``, a float array of norm ``norm``: the block opens on it
-    unchecked, its memo seeded with ``grams[mode]``, ``eigh`` of the
-    smaller Gram (:func:`_gram_eig`) of each given mode's unfolding."""
+    unchecked, its memo seeded with ``grams[mode]``, the smaller Gram
+    (:func:`_smaller_gram`) of each given mode's unfolding."""
     if _memo(x) is not None:
         yield x
         return
@@ -545,13 +544,11 @@ def _unfolding_gram(x, mode, rows):
     return a @ a.T if rows else a.T @ a
 
 
-def _gram_eig(x, mode, right=False):
-    """``eigh`` of the Gram matrix :func:`leading_singular_vectors` forms
-    of the mode unfolding ``X`` of ``x`` (of ``X^T`` with ``right``),
-    from :func:`_unfolding_gram`, inside and outside a block; a block open
-    on ``x`` computes it once and keeps it read-only.  The two sides of a
-    non-square ``X`` share its smaller Gram; a square ``X`` keeps ``X
-    X^T`` and ``X^T X`` apart."""
+def _smaller_gram(x, mode, right=False):
+    """The smaller Gram of the mode unfolding ``X`` of ``x`` (of ``X^T``
+    with ``right``), by :func:`_unfolding_gram`; a block open on ``x``
+    forms it once, read-only.  The two sides of a non-square ``X`` share
+    its smaller Gram; a square ``X`` keeps ``X X^T`` and ``X^T X`` apart."""
     rows = x.shape[mode - 1]
     cols = x.size // rows
     wide = cols <= rows if right else rows <= cols
@@ -559,36 +556,38 @@ def _gram_eig(x, mode, right=False):
     memo = _memo(x)
     if memo is not None and key in memo[1]:
         return memo[1][key]
-    eig = tuple(_read_only(e)
-                for e in np.linalg.eigh(_unfolding_gram(x, *key)))
+    gram = _read_only(_unfolding_gram(x, *key))
     if memo is not None:
-        memo[1][key] = eig
-    return eig
+        memo[1][key] = gram
+    return gram
 
 
-def _unfolding_vectors(x, mode, k):
-    """First ``k`` left singular vectors of the mode unfolding of ``x``,
-    from :func:`_gram_eig`, read-only from the memo of a block open on
-    ``x``.  :func:`leading_singular_vectors` gets the views of
+def _unfolding_vectors(x, mode, k, return_values=False):
+    """First ``k`` left singular vectors (and values) of the mode
+    unfolding of ``x``, from the top pairs of :func:`_smaller_gram`; a
+    block open on ``x`` keeps them read-only per k (a k = 1 start is not a
+    slice of a k = 2 one).  :func:`leading_singular_vectors` gets the views of
     :func:`_unfolding` for modes 1 and 3 (and mode 2 of a size-one third
     mode); any other mode-2 unfolding is formed only where that function
     reads it (a tall unfolding, or the SVD fallback), and a wide one's
     Gram route takes no matrix."""
     memo = _memo(x)
-    if memo is not None and (mode, k) in memo[2]:
-        return memo[2][mode, k]
-    rows = x.shape[mode - 1]
-    eig = _gram_eig(x, mode) if k <= min(rows, x.size // rows) else None
-    # a wide mode-2 unfolding with q > 1 is a copy the Gram route skips
-    top = (_gram_top(eig, k) if eig and mode == 2 and x.shape[2] > 1
-           and rows ** 2 <= x.size else None)
-    if top is not None:
-        vecs = top[0] * _column_signs(top[0])
-    else:
-        vecs = leading_singular_vectors(_unfolding(x, mode), k, eig=eig)
-    if memo is not None:
-        memo[2][mode, k] = _read_only(vecs)
-    return vecs
+    top = None if memo is None else memo[2].get((mode, k))
+    if top is None:
+        rows = x.shape[mode - 1]
+        gram = (_smaller_gram(x, mode) if k <= min(rows, x.size // rows)
+                else None)
+        # a wide mode-2 unfolding with q > 1 is a copy the Gram route skips
+        top = (_top_pairs(gram, k) if gram is not None and mode == 2
+               and x.shape[2] > 1 and rows ** 2 <= x.size else None)
+        if top is not None:
+            top = top[0] * _column_signs(top[0]), np.sqrt(top[1])
+        else:
+            top = leading_singular_vectors(_unfolding(x, mode), k,
+                                           return_values=True, gram=gram)
+        if memo is not None:
+            memo[2][mode, k] = top = tuple(map(_read_only, top))
+    return top if return_values else top[0]
 
 
 def init_rank_one(x, init, rng):
@@ -1016,12 +1015,10 @@ class _Terms:
         with ``C = X_(m) B`` the kept contractions.  For a tall one ``G =
         X_(m)^T X_(m)``, ``R_(m)^T R_(m)`` is the same update with A and B
         swapped and ``C = X_(m)^T A``, and its top eigenvector maps through
-        ``R_(m)``.  :func:`_updated_top` finds it without forming the
-        update when ``G`` is larger than ``_LANCZOS_STEPS``; otherwise, or
-        where it fails, one small ``eigh`` of the formed update does.  When
-        the top eigenvalue is below ``_GRAM_RCOND`` times ``G``'s (the
-        update then keeps too few digits), the start is taken of ``R``
-        formed.
+        ``R_(m)``.  :func:`_top_pairs` finds it without forming the update
+        (or with one small ``eigh`` of it).  When the top eigenvalue is
+        below ``_GRAM_RCOND`` times ``G``'s (the update then keeps too few
+        digits), the start is taken of ``R`` formed.
         """
         if self.x.shape[mode - 1] == 1:
             return np.ones(1)
@@ -1029,28 +1026,22 @@ class _Terms:
         f, c, other = ((V, self._cv[:, :self.k], W) if mode == 2
                        else (W, self._cw[:, :self.k], V))
         a, mid = f, (U.T @ U) * (other.T @ other)
-        lam, vecs = eig = _gram_eig(self.x, mode)
         rows = self.x.shape[mode - 1]
         tall = rows > self.x.size // rows
         if tall:  # B in the column order of the unfolding's view
             unfolding = _unfolding(self.x, mode)
             b = khatri_rao(other, U) if mode == 2 else khatri_rao(U, V)
             a, c, mid = b, unfolding.T @ f, f.T @ f
-        top = None
-        if lam.size > _LANCZOS_STEPS:
-            top = _updated_top(eig, a, c, d, mid)
-        if top is None:
-            ad = a * d
-            ac = ad @ c.T
-            lam_r, vecs_r = np.linalg.eigh((vecs * lam) @ vecs.T - ac - ac.T
-                                           + ad @ mid @ ad.T)
-            if lam_r[-1] >= _GRAM_RCOND * lam[-1]:
-                top = vecs_r[:, -1]
+        # scale: G's top eigenvalue, sigma_1^2 of the first start
+        top = _top_pairs(_smaller_gram(self.x, mode), 1, (a, c, d, mid),
+                         _unfolding_vectors(self.x, mode, 1, True)[1][0] ** 2)
         if top is None:
             top = leading_singular_vectors(_unfolding(self.residual(), mode),
                                            1)[:, 0]
-        elif tall:  # R_(m) y = X_(m) y - A D B^T y
-            top = unfolding @ top - f @ (d * (b.T @ top))
+        else:
+            top = top[0][:, 0]
+            if tall:  # R_(m) y = X_(m) y - A D B^T y
+                top = unfolding @ top - f @ (d * (b.T @ top))
         top = normalize_or_zero(top)[0]
         return top * _column_signs(top[:, None])[0]
 
@@ -1191,7 +1182,7 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``, through
     :func:`_greedy`: ``m`` is only read and the deflation is the
     engine's (:class:`_Terms`).  The view's block takes ``||y||`` and
-    the Gram of ``m`` from :func:`_norm` and :func:`_gram_eig` (the
+    the Gram of ``m`` from :func:`_norm` and :func:`_smaller_gram` (the
     memo's, when a block is open on ``y``), so ``m`` is not scanned for
     them again; the view is not checked, and a non-finite ``||m||``
     raises ValueError.  Returns (left factors, right factors, weights,
@@ -1206,7 +1197,7 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
         raise ValueError(_OVERFLOW if np.all(np.isfinite(m)) else
                          "matrix entries must be finite (no NaN/Inf)")
     updates = (*updates, _PLAIN[2])
-    with _shared_grams(m[:, :, None], {2: _gram_eig(y, mode, right=True)},
+    with _shared_grams(m[:, :, None], {2: _smaller_gram(y, mode, right=True)},
                        norm) as view:
         terms = _Terms(view, k)
         fits, _ = _greedy(terms, min(k, *m.shape), lambda x, terms, rng,

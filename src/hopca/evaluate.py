@@ -292,11 +292,45 @@ def _support_rates(estimated, truth) -> RecoveryMetrics:
                            rows.size, k_mismatch=(k_est != truth.U.shape[1]))
 
 
+def _tucker_form(model):
+    """(core, factors) of a Tucker model, or of a CP model as the Tucker
+    form with the diagonal core ``diag(d)``."""
+    core = getattr(model, "core", None)
+    if core is None:
+        d = np.asarray(model.d, dtype=float)
+        core = np.zeros((d.size,) * 3)
+        core[(np.arange(d.size),) * 3] = d
+    return core, (model.U, model.V, model.W)
+
+
+def _inner(a, b) -> float:
+    """``<A, B>`` of two Tucker forms: ``B``'s core taken into ``A``'s
+    factors through ``U_a^T U_b``, ``V_a^T V_b`` and ``W_a^T W_b``, then
+    its inner product with ``A``'s core."""
+    (core_a, fa), (core, fb) = a, b
+    for f, g in zip(fa, fb):  # mode by mode; three turns restore the order
+        core = np.tensordot(core, f.T @ g, axes=(0, 1))
+    return float(np.vdot(core_a, core))
+
+
 def signal_mse(estimated, truth) -> float:
     """Mean squared error of the reconstruction against the noise-free
-    signal.  The difference is taken and squared in the reconstruction's
-    own array, so no other tensor-sized array is made."""
+    signal ``M``.  With a CP truth ``(U, V, W, d)``, ``||M^ - M||^2`` is
+    ``<M^, M^> - 2 <M^, M> + <M, M>`` from the factors (:func:`_inner`),
+    with no tensor formed.  Where that is at most ``_GRAM_RCOND`` times
+    the larger squared norm it has lost its digits, as the closed forms of
+    :mod:`hopca.decompose` do; there, and where the truth has no factors,
+    the difference is taken and squared in the reconstruction's own array,
+    so no other tensor-sized array is made."""
+    from .decompose import _GRAM_RCOND
+
     x_signal = truth.x_signal
+    if getattr(truth, "d", None) is not None:
+        est, sig = _tucker_form(estimated), _tucker_form(truth)
+        est_sq, sig_sq = _inner(est, est), _inner(sig, sig)
+        err_sq = est_sq - 2.0 * _inner(est, sig) + sig_sq
+        if err_sq > _GRAM_RCOND * max(est_sq, sig_sq):
+            return err_sq / x_signal.size
     diff = estimated.reconstruct()
     diff -= x_signal
     diff *= diff
@@ -341,10 +375,10 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     unregularized model once and zero factor entries below each grid
     fraction of the column maximum.  All fits run in one
     :func:`hopca.decompose._shared_grams` block (the caller's, when
-    ``x`` is the view of one), so the Gram eigendecompositions of the
-    unfoldings of ``x`` and the SVD starts taken from them are computed
-    once per sweep; the fits only read ``x``.  Points are emitted for
-    each penalized mode and component where both rates are defined.
+    ``x`` is the view of one), so the Grams of the unfoldings of ``x``
+    and the SVD starts taken from them are computed once per sweep; the
+    fits only read ``x``.  Points are emitted for each penalized mode and
+    component where both rates are defined.
     """
     from .decompose import SolverConfig, _shared_grams
     from .simulate import METHODS

@@ -22,7 +22,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import decompose, evaluate, generalized, sparse
-from .decompose import SolverConfig, _shared_grams, contract_u, init_rank_one
+from .decompose import (_EPS, SolverConfig, _shared_grams, contract_u,
+                        init_rank_one)
 from .evaluate import RocPoint, roc_sweep, support_metrics
 from .sparse import PenaltySpec
 
@@ -359,11 +360,16 @@ class RocResult:
 
 
 def _default_sparse_grid(x, points: int) -> np.ndarray:
+    """Zero and ``points - 1`` log-spaced levels up to the first
+    contraction's zeroing level, the top one four ulps above it: at the
+    zeroing level itself whether the largest entry survives turns on
+    rounding."""
     v0, w0 = init_rank_one(x, "hosvd", np.random.default_rng(0))
     lam_max = float(np.max(np.abs(contract_u(x, v0, w0))))
     if lam_max <= 0:
         return np.zeros(points)
-    return evaluate.default_lambda_grid(lam_max, points - 1)
+    return evaluate.default_lambda_grid(lam_max * (1.0 + 4.0 * _EPS),
+                                        points - 1)
 
 
 def _roc_replicate(spec: SimScenarioSpec, methods, rep: int,

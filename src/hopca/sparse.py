@@ -388,20 +388,22 @@ def sparse_pca(m, k: int, left_pen: ModePenalty,
                cfg: SolverConfig | None = None):
     """First k penalized principal components with rank-one deflation;
     only the left factors are penalized.  The first component starts
-    from the leading right singular vector of ``m``.
+    from the leading right singular vector of ``m``, from the Lanczos top
+    pair of the Gram of ``m``.
 
     Each component is a fit of the rank-one engine to the tensor view
     ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``, and the
     deflation is the engine's: ``m`` is only read, every product and the
     norm BIC reads are those of the deflated matrix, and each later
-    component starts from the top eigenvector of the Gram of ``m``
-    updated by the accepted components, found by a few Lanczos steps
-    (one small ``eigh`` for a small Gram).  The deflated matrix is formed
-    only where that loses digits.  As in the engine, a factor that
-    vanishes at level 0 restarts its fit from a random start (seeded by
-    ``cfg``), and one that vanishes at a positive level gives the zero
-    fit.  This is the penalized PCA the sparse Tucker methods run on each
-    unfolding (:func:`hopca.decompose._fit_unfolding`).
+    component starts from the Lanczos top pair of the Gram of ``m``
+    updated by the accepted components, whose products go through the
+    Gram and the components (one small ``eigh`` for a small Gram).  The
+    deflated matrix is formed only where that loses digits.  As in the
+    engine, a factor that vanishes at level 0 restarts its fit from a
+    random start (seeded by ``cfg``), and one that vanishes at a positive
+    level gives the zero fit.  This is the penalized PCA the sparse
+    Tucker methods run on each unfolding
+    (:func:`hopca.decompose._fit_unfolding`).
 
     Returns (left factors, right factors, weights, component fits); the
     fits are the :class:`SparsePcaFit` of each component run, a zero fit

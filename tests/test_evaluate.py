@@ -356,6 +356,37 @@ class TestSignalMse:
         expected = frob_norm(x_signal) ** 2 / x_signal.size
         assert signal_mse(est, truth) == pytest.approx(expected, rel=1e-12)
 
+    def test_an_exact_estimate_in_another_order_reads_zero(self):
+        """The truth's components in reverse order: the closed form keeps
+        only rounding noise of ``||M||^2``, so the difference is formed."""
+        rng = np.random.default_rng(21)
+        U, V, W = (np.column_stack([unit(rng, n), unit(rng, n)])
+                   for n in (5, 4, 3))
+        d = np.array([10.0, 7.0])
+        truth = Truth(U, V, W, d, x_signal=CpModel(U, V, W, d).reconstruct())
+        est = CpModel(U[:, ::-1], V[:, ::-1], W[:, ::-1], d[::-1])
+        assert signal_mse(est, truth) == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    def test_a_cp_truth_scores_from_the_factors(self, kind):
+        """Against a CP truth the error comes from the factors, with no
+        reconstruction, and equals the formed difference's."""
+        rng = np.random.default_rng(20)
+        dims = (9, 7, 6)
+        U, V, W = (rng.standard_normal((n, 2)) for n in dims)
+        d = np.array([5.0, 3.0])
+        truth = Truth(U, V, W, d, x_signal=np.einsum(
+            "ik,jk,lk,k->ijl", U, V, W, d))
+        factors = [rng.standard_normal((n, r)) for n, r in zip(dims,
+                                                               (3, 2, 4))]
+        est = (CpModel(*(f[:, :2] for f in factors), np.array([4.0, 1.0]))
+               if kind == "cp" else
+               TuckerModel(*factors, rng.standard_normal((3, 2, 4))))
+        diff = est.reconstruct() - truth.x_signal
+        expected = np.sum(diff * diff) / diff.size
+        est.reconstruct = lambda: pytest.fail("the estimate was formed")
+        assert signal_mse(est, truth) == pytest.approx(expected, rel=1e-12)
+
 
 def sparse_truth(rng, dims=(14, 9, 8), weight=60.0):
     u = np.zeros(dims[0])

@@ -90,8 +90,8 @@ def test_each_component_of_the_pca_of_three_unfoldings_is_digested():
 
 def test_the_memo_has_a_gram_and_a_start_digest_per_mode():
     """Two lines per mode of the scenario-1 and scenario-2 tensors: the
-    Gram ``eigh`` and the k-column start of a block open on the tensor,
-    each the same in a second block and each its own."""
+    Gram with its top pairs and the k-column start of a block open on the
+    tensor, each the same in a second block and each its own."""
     tool = load_tool()
     lines = [(label, tool._sha256(arrays))
              for label, arrays in tool.memo_grams()]

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hopca import fileio
-from hopca.decompose import (CpModel, TuckerModel, _gram_eig,
-                             _shared_grams, _unfolding_vectors)
+from hopca.decompose import (CpModel, TuckerModel, _shared_grams,
+                             _smaller_gram, _unfolding_vectors)
 from hopca.evaluate import signal_mse, variance_explained
 from hopca.simulate import SimScenarioSpec, simulate
 from hopca.sparse import PenaltySpec, sparse_hosvd
@@ -67,7 +67,7 @@ def test_the_memos_grams_and_starts_copy_no_unfolding(x):
     def memo():
         with _shared_grams(x) as view:
             for mode in (1, 2, 3):
-                _gram_eig(view, mode)
+                _smaller_gram(view, mode)
                 _unfolding_vectors(view, mode, 2)
 
     _, peak = traced(memo)

@@ -1,4 +1,4 @@
-"""Inside a ``_shared_grams`` block the Gram eigendecompositions of the
+"""Inside a ``_shared_grams`` block the Gram matrices of the
 unfoldings of one tensor, and the SVD starts taken from them, are
 computed once and shared: every fit equals a fresh fit bit for bit, the
 caller's tensor is only read, and the memo serves nothing but that one
@@ -171,14 +171,15 @@ def test_after_a_two_component_sweep_the_memo_holds_x_only():
     assert set(grams) == {(2, True), (3, True)}
     assert set(vectors) == {(2, 1), (3, 1)}
     n, p, q = x.shape
-    # the unfoldings' row Grams, formed without matricize: mode 3 on the
-    # view of x, mode 2 from x with its mode 2 first (one slab of x here)
+    # the unfoldings' row Grams themselves, formed without matricize: mode
+    # 3 on the view of x, mode 2 from x with its mode 2 first (one slab of
+    # x here), and the start with its singular value from their top pair
     for mode, m in ((2, x.transpose(1, 0, 2).reshape(p, n * q)),
                     (3, x.reshape(n * p, q).T)):
-        lam, vecs = grams[mode, True]
-        assert np.array_equal(lam, np.linalg.eigh(m @ m.T)[0])
-        assert np.array_equal(vectors[mode, 1],
-                              decompose.leading_singular_vectors(m, 1))
+        assert np.array_equal(grams[mode, True], m @ m.T)
+        for got, want in zip(vectors[mode, 1],
+                             decompose.leading_singular_vectors(m, 1, True)):
+            assert np.array_equal(got, want)
 
 
 def _penalty(entry):

@@ -4,13 +4,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hopca.decompose import SolverConfig
+from hopca.decompose import SolverConfig, _shared_grams
 from hopca.simulate import (
+    METHODS,
     SimScenarioSpec,
+    _default_sparse_grid,
     run_roc_experiment,
     run_table_experiment,
     simulate,
 )
+from hopca.sparse import PenaltySpec
 from hopca.tensor3 import frob_norm
 
 
@@ -140,3 +143,17 @@ class TestRocExperiment:
         spec = SimScenarioSpec(2, k=1, seed=16, noise=0.0)
         result = run_roc_experiment(spec, ["sparse-cp-tpa"], 2, grid=[0.5])
         assert len(result.rows) == 1
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_the_default_grids_top_level_zeroes_the_first_u(self, scenario):
+        """The top level is a few ulps above the first contraction's
+        zeroing level, so no entry of the first component's u survives it
+        by rounding: the sparse CP fits, whose first u-update thresholds
+        that contraction, keep none."""
+        spec = SimScenarioSpec(scenario, seed=2024)
+        with _shared_grams(simulate(spec, replicate=0).x) as x:
+            top = _default_sparse_grid(x, 20)[-1]
+            for name in ("sparse-cp-tpa", "sparse-cp-als"):
+                model = METHODS[name].fit(x, 2, SolverConfig(max_iter=60),
+                                          PenaltySpec.lasso(u=top))
+                assert np.count_nonzero(model.U) == 0, name

@@ -5,7 +5,7 @@ view ``m[:, :, None]``, whose third factor is fixed at ``[1.0]``: it
 never forms ``m' = m - L diag(d) R^T``.  Its products, ``||m'||^2``, the
 weights and each later start come from ``m`` and the accepted terms
 (``decompose._Terms``), the start from a few Lanczos steps on the
-updated Gram (``decompose._updated_top``) or one small ``eigh`` of it.
+updated Gram (``decompose._top_pairs``) or one small ``eigh`` of it.
 The oracle is the formed route: ``m'`` subtracted term by term, and the
 leading right singular vector of ``m'`` from ``leading_singular_vectors``.
 """
@@ -20,20 +20,22 @@ import hopca.decompose as decompose
 import hopca.sparse as sparse
 from hopca.decompose import (
     _GRAM_RCOND,
+    _LANCZOS_STEPS,
     _PLAIN,
     RankOneFit,
     SolverConfig,
     _fit_rank_one,
-    _gram_eig,
     _shared_grams,
+    _smaller_gram,
     _Terms,
-    _updated_top,
+    _top_pairs,
     contract_u,
     contract_v,
     contract_w,
     leading_singular_vectors,
 )
-from hopca.simulate import SimScenarioSpec, fit_method, simulate
+from hopca.simulate import (TABLE_METHODS, SimScenarioSpec, fit_method,
+                            simulate)
 from hopca.sparse import ModePenalty, sparse_pca
 
 TOL = 1e-12
@@ -144,21 +146,21 @@ def test_the_fits_match_the_formed_route(seed, shape, pen):
 @pytest.mark.parametrize("seed", range(12))
 def test_lanczos_top_matches_eigh(seed):
     """On random PSD matrices, plain (no update) and updated by the
-    deflation of their top eigenpair, the helper's vector is ``eigh``'s."""
+    deflation of their top eigenpair, the top pair's vector is ``eigh``'s."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 80))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     lam = np.sort(rng.uniform(0.1, 1.0, n) * 0.6 ** np.arange(n))
     gram = (q * lam) @ q.T
-    eig = np.linalg.eigh(gram)
     none = np.zeros((n, 0))
     for a, c, d, mid in ((none, none, np.zeros(0), np.zeros((0, 0))),
                          (q[:, -1:], gram @ q[:, -1:], np.ones(1),
                           np.ones((1, 1)))):
         h = gram - (a * d) @ c.T - c @ (a * d).T + (a * d) @ mid @ (a * d).T
         top = np.linalg.eigh(h)[1][:, -1]
-        y = _updated_top(eig, a, c, d, mid)
-        assert y is not None
+        pairs = _top_pairs(gram, 1, (a, c, d, mid), lam[-1])
+        assert pairs is not None
+        y = pairs[0][:, 0]
         assert min(np.linalg.norm(y - top), np.linalg.norm(y + top)) <= TOL
 
 
@@ -169,12 +171,12 @@ def test_lanczos_top_refuses_an_eigenvalue_below_the_gram_rcond():
                           (10 * _GRAM_RCOND, True)):
         lam = np.array([second * 0.5 ** i for i in range(5, 0, -1)]
                        + [second, 1.0])
-        eig = (lam, np.eye(lam.size))
         top = np.eye(lam.size)[:, -1:]
-        y = _updated_top(eig, top, top, np.ones(1), np.ones((1, 1)))
-        assert (y is not None) == found
+        pairs = _top_pairs(np.diag(lam), 1, (top, top, np.ones(1),
+                                             np.ones((1, 1))), lam[-1])
+        assert (pairs is not None) == found
         if found:
-            assert abs(abs(y[-2]) - 1.0) <= TOL
+            assert abs(abs(pairs[0][-2, 0]) - 1.0) <= TOL
 
 
 @pytest.mark.parametrize("shape", [(80, 40), (40, 80)],
@@ -184,7 +186,8 @@ def test_a_clustered_top_pair_takes_one_small_eigh(shape, monkeypatch):
     37 more values within 25% of it: the Lanczos steps cannot resolve it,
     and the start is one ``eigh`` of the 40 x 40 updated Gram (the view's
     mode-2 unfolding is wide for a tall ``m``, tall for a wide one), not
-    the formed route."""
+    the formed route.  The memo's Gram, whose top pair stands apart, takes
+    Lanczos and no ``eigh``."""
     m = spiked(4, shape, [9.0, 4.0, 4.0 * (1 - 1e-6),
                           *np.linspace(3.99, 3.0, 37)], noise=0.0)
     calls = count_formed_starts(monkeypatch)
@@ -198,7 +201,7 @@ def test_a_clustered_top_pair_takes_one_small_eigh(shape, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     _, _, _, fits = sparse_pca(m, 2, ModePenalty("lasso", 0.0))
     assert len(calls) == 1
-    assert sizes.count(40) == 2  # the memo's Gram and the updated one
+    assert sizes.count(40) == 1  # the updated Gram only
     assert fits[1].d == pytest.approx(4.0, rel=1e-3)
 
 
@@ -218,8 +221,10 @@ def test_a_tiny_second_value_takes_the_formed_route(monkeypatch):
 
 
 def test_no_full_eigh_of_the_tall_unfolding_beyond_the_memos(monkeypatch):
-    """Inside one block on the scenario-2 tensor, sparse-hosvd and
-    sparse-hooi take no 400 x 400 ``eigh`` besides the memo's one."""
+    """Inside one block on the scenario-2 tensor, the eight table methods
+    take no ``eigh`` of order above ``_LANCZOS_STEPS``: the 400 x 400 Gram
+    of the tall mode-1 unfolding, the memo's, and its updates by deflation
+    give their top pairs to Lanczos."""
     spec = SimScenarioSpec(2, seed=2024)
     x = simulate(spec).x
     sizes = []
@@ -231,9 +236,9 @@ def test_no_full_eigh_of_the_tall_unfolding_beyond_the_memos(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     with _shared_grams(x) as x:
-        for name in ("sparse-hosvd", "sparse-hooi"):
+        for name in TABLE_METHODS:
             fit_method(name, x, spec, SolverConfig(max_iter=100))
-    assert sizes.count(400) == 1
+    assert sizes and max(sizes) <= _LANCZOS_STEPS
 
 
 def test_a_later_start_on_the_tall_view_allocates_nothing_matrix_sized():
@@ -243,7 +248,7 @@ def test_a_later_start_on_the_tall_view_allocates_nothing_matrix_sized():
     m = spiked(6, (30, 4000), [9.0, 5.0, 3.0])
     _, _, _, fits = sparse_pca(m, 2, ModePenalty("lasso", 0.05))
     with _shared_grams(m[:, :, None]) as view:
-        _gram_eig(view, 2)  # the memo's Gram, as the Tucker loop hands it
+        _smaller_gram(view, 2)  # the memo's Gram, as the Tucker loop hands it
         terms = accepted_terms(view, fits)
         tracemalloc.start()
         try:

@@ -34,9 +34,9 @@ way; and a ``trace`` line: one digest of the objective traces of its
 loops, so that a change that only adds loops to a fit's report still
 shows that its fits are the same.  The memo of a block open on the
 scenario-1 and the scenario-2 tensor gets two lines per mode: its Gram
-``eigh`` and its start (the first ``k`` left singular vectors), so that
-a change to the route that forms a Gram shows apart from the fits it
-moves.
+with the Gram's top ``k`` eigenpairs, and its start (the first ``k`` left
+singular vectors and values), so that a change to the route that forms a
+Gram or finds its top pairs shows apart from the fits it moves.
 
 The command line's files get one line per output directory: a digest of
 the bytes of the files it holds, in sorted name order, with
@@ -212,20 +212,23 @@ def unfolding_pca_fits():
 
 
 def memo_grams():
-    """(label, arrays) for the memo's Gram ``eigh`` and start of each
-    unfolding of the scenario-1 and scenario-2 tensors, as a block open on
-    the tensor computes them."""
-    from hopca.decompose import _gram_eig, _shared_grams, _unfolding_vectors
+    """(label, arrays) for the memo's Gram with its top pairs, and its
+    start, of each unfolding of the scenario-1 and scenario-2 tensors, as a
+    block open on the tensor computes them."""
+    from hopca.decompose import (_shared_grams, _smaller_gram, _top_pairs,
+                                 _unfolding_vectors)
     from hopca.simulate import SimScenarioSpec, simulate
 
     for scenario in (1, 2):
         spec = SimScenarioSpec(scenario, seed=SEED)
         with _shared_grams(simulate(spec).x) as view:
             for mode in (1, 2, 3):
+                gram = _smaller_gram(view, mode)
                 yield (f"s{scenario} memo gram mode {mode}",
-                       list(_gram_eig(view, mode)))
+                       [gram, *_top_pairs(gram, spec.k)])
                 yield (f"s{scenario} memo start mode {mode} k {spec.k}",
-                       [_unfolding_vectors(view, mode, spec.k)])
+                       list(_unfolding_vectors(view, mode, spec.k,
+                                               return_values=True)))
 
 
 def mono_small_fits():
