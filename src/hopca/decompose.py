@@ -42,11 +42,11 @@ later component is fit to ``x`` and the terms accepted so far
 (:class:`_Terms`).  Every contraction is the contraction of ``x`` less
 the terms' share, the norm BIC reads is in closed form, and the SVD start
 is the top eigenvector of the memo's Gram of ``x`` updated by the terms,
-whose Lanczos top pair :func:`_top_pairs` finds without forming it (one
-``eigh`` where it does not).  Only a residual that has nearly vanished is
-formed, and one at the rounding level of ``x`` ends the run.  The ALS
-loop reads its residual norm from the same closed form
-(:func:`_cp_norm_sq`) and takes its products on views of ``x``.
+whose Lanczos top pair :func:`_top_pairs` finds without forming it.  Only
+a residual that has nearly vanished is formed, and one at the rounding
+level of ``x`` ends the run.  The ALS loop reads its residual norm from
+the same closed form (:func:`_cp_norm_sq`) and takes its products on
+views of ``x``.
 Factor columns are unit norm; rank-one weights are non-negative;
 components are returned sorted by descending weight with the greedy
 computation order preserved in the diagnostics.
@@ -83,9 +83,8 @@ _EPS = np.finfo(float).eps
 _MODES = ("u", "v", "w")
 # smallest sigma_k^2 / sigma_1^2 for which the Gram route keeps its accuracy
 _GRAM_RCOND = 1e-8
-# Lanczos steps a Gram's top pairs may take (a Gram no larger takes one
-# eigh instead), and the Ritz residual, relative to the top eigenvalue, that
-# accepts them
+# Lanczos steps a run may take (a Gram no larger takes one eigh instead),
+# and the Ritz residual, relative to the top eigenvalue, that ends it
 _LANCZOS_STEPS = 24
 _RITZ_RTOL = 1e-14
 # entries per slab of the mode-2 Gram's slab products
@@ -231,21 +230,19 @@ def contract_w(x, u, v):
 def leading_singular_vectors(m, k, return_values=False, gram=None):
     """First ``k`` left singular vectors of ``m`` (orthonormal columns).
 
-    The vectors come from the Lanczos top pairs (:func:`_top_pairs`) of
-    the smaller Gram: ``m m^T`` for a wide or square ``m``, whose top
-    eigenvectors are the left vectors; ``m^T m`` for a tall one, whose top
-    eigenvectors ``v`` map back through ``m v``, orthonormalized by QR.
-    The singular values are the square roots of the clipped eigenvalues.
-    Squaring ``m`` squares its condition number, so a plain SVD is used
-    instead when ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram vectors would
-    then be off by about ``eps sigma_1^2 / sigma_k^2``), when ``m`` is
-    zero, or when ``k`` exceeds the column count (the SVD basis is then
-    completed deterministically to ``k`` columns).  Each column's
-    largest-magnitude entry is made positive, so the result does not
-    depend on the route.  With ``return_values`` the first ``k`` singular
-    values come too, and ``gram`` is that Gram if the caller has it.
-    ``k`` above the row count raises ValueError: no more than ``rows``
-    orthonormal columns exist.
+    They are the Lanczos top pairs (:func:`_top_pairs`) of the smaller
+    Gram: ``m m^T`` for a wide or square ``m``; ``m^T m`` for a tall one,
+    whose top eigenvectors ``v`` map back through ``m v``, orthonormalized
+    by QR.  The singular values are the square roots of the clipped
+    eigenvalues.  Squaring ``m`` squares its condition number, so a plain
+    SVD is used instead when ``sigma_k^2 < 1e-8 sigma_1^2`` (the Gram
+    vectors would then be off by about ``eps sigma_1^2 / sigma_k^2``),
+    when ``m`` is zero, or when ``k`` exceeds the column count (its basis
+    is then completed to ``k`` columns).  Each column's largest-magnitude
+    entry is made positive, so the result does not depend on the route.
+    With ``return_values`` the first ``k`` singular values come too, and
+    ``gram`` is that Gram if the caller has it.  ``k`` above the row count
+    raises ValueError: no more than ``rows`` orthonormal columns exist.
     """
     m = np.asarray(m, dtype=float)
     rows, cols = m.shape
@@ -275,9 +272,9 @@ def _top_pairs(gram, k, update=None, scale=None):
     C D A^T + A D M D A^T`` (``D = diag(d)``); None when the ``k``-th value
     is 0 or below ``_GRAM_RCOND`` times ``scale`` (default: the top one).
 
-    Above order ``_LANCZOS_STEPS``, for ``k`` at most a quarter of it, they
-    are the Ritz pairs of :func:`_lanczos`, whose products go through ``G``
-    and the terms; else, or where those do not converge, ``eigh`` of ``H``.
+    For ``k`` of 1 or 2 above order ``_LANCZOS_STEPS`` they are
+    :func:`_lanczos`'s, its products through ``G`` and the terms; else,
+    or where those do not converge, ``eigh`` of ``H``.
     """
     times, order = gram.__matmul__, gram.shape[0]
     if update is not None:
@@ -289,7 +286,7 @@ def _top_pairs(gram, k, update=None, scale=None):
             return gram @ y - ad @ (c.T @ y) - c @ t + ad @ (mid @ t)
 
     pairs = (_lanczos(times, order, k, scale)
-             if 4 * k <= _LANCZOS_STEPS < order else None)
+             if k <= 2 and _LANCZOS_STEPS < order else None)
     if pairs is None:
         if update is not None:
             ac = ad @ c.T
@@ -304,43 +301,47 @@ def _top_pairs(gram, k, update=None, scale=None):
 
 
 def _lanczos(times, order, k, scale=None):
-    """The top ``k`` Ritz pairs (values, vectors) of the symmetric ``H``
-    of that order whose product is ``times``: Lanczos with full
-    reorthogonalization (Golub & Van Loan 2013, 10.1-10.3) from a
-    fixed-seed normal draw, which unlike ``H 1`` or ``diag(H)`` is
-    orthogonal to no eigenvector (almost surely).  Every fourth step they
-    are accepted once each residual ``||H y - theta y||`` is at most
-    ``_RITZ_RTOL`` times ``scale`` (default: the top Ritz value); None
-    when that takes over ``_LANCZOS_STEPS`` steps.
+    """The top ``k`` eigenpairs (values, vectors) of the symmetric ``H``
+    of that order whose product is ``times``: per pair, the top Ritz pair
+    of Lanczos with full reorthogonalization (Golub & Van Loan 2013,
+    10.1-10.3) on ``H`` less the pairs before it, as one run sees a tied
+    top value once.  Each run starts from a fixed-seed normal draw (``H 1``
+    or ``diag(H)`` may be orthogonal to the top eigenvector) and accepts,
+    every fourth step, once ``||H y - theta y|| <= _RITZ_RTOL scale``
+    (default: the top value); None when a run takes over
+    ``_LANCZOS_STEPS`` steps.
     """
-    basis = np.zeros((order, _LANCZOS_STEPS + 1))
-    tri = np.zeros((_LANCZOS_STEPS + 1,) * 2)  # Lanczos matrix, lower half
-    basis[:, 0] = normalize_or_zero(
-        np.random.default_rng(0).standard_normal(order))[0]
-    for j in range(_LANCZOS_STEPS):
-        q = basis[:, :j + 1]
-        w = times(q[:, j])
-        for _ in range(2):  # twice is enough (Giraud et al. 2005)
-            h = q.T @ w
-            w -= q @ h
-            tri[j, j] += h[j]
-        tri[j + 1, j] = beta = math.sqrt(np.dot(w, w))
-        if j >= k - 1 and (j % 4 == 3 or beta == 0.0):
-            theta, s = np.linalg.eigh(-tri[:j + 1, :j + 1])  # largest first
-            if beta * np.max(np.abs(s[j, :k])) <= _RITZ_RTOL * (
-                    -theta[0] if scale is None else scale):
-                return -theta[:k], q @ s[:, :k]
-        if beta == 0.0:
-            return None
-        basis[:, j + 1] = w / beta
-    return None
+    rng = np.random.default_rng(0)
+    basis = np.zeros((order, k + _LANCZOS_STEPS))  # found pairs, then a run
+    values = np.zeros(k)
+    for i in range(k):
+        tri = np.zeros((_LANCZOS_STEPS + 1,) * 2)  # tridiagonal, lower half
+        basis[:, i] = normalize_or_zero(
+            _project_out(rng.standard_normal(order), basis[:, :i]))[0]
+        for j in range(_LANCZOS_STEPS):
+            q = basis[:, :i + j + 1]
+            w = times(q[:, -1])
+            for _ in range(2):  # twice is enough (Giraud et al. 2005)
+                h = q.T @ w
+                w -= q @ h
+                tri[j, j] += h[-1]
+            tri[j + 1, j] = beta = math.sqrt(np.dot(w, w))
+            if j % 4 == 3 or beta == 0.0:
+                theta, s = np.linalg.eigh(-tri[:j + 1, :j + 1])  # top first
+                values[i] = -theta[0]
+                if beta * abs(s[j, 0]) <= _RITZ_RTOL * (
+                        values[0] if scale is None else scale):
+                    basis[:, i:i + 1] = q[:, i:] @ s[:, :1]
+                    break
+            if beta == 0.0 or j == _LANCZOS_STEPS - 1:
+                return None
+            basis[:, i + j + 1] = w / beta
+    return values, basis[:, :k]
 
 
 def _complete_orthonormal(basis, k):
     # deterministic completion: QR against identity columns
-    n = basis.shape[0]
-    qq, _ = np.linalg.qr(np.hstack([basis, np.eye(n)]))
-    return qq[:, :k]
+    return np.linalg.qr(np.hstack([basis, np.eye(basis.shape[0])]))[0][:, :k]
 
 
 def normalize_or_zero(vec, q=None):
@@ -565,8 +566,8 @@ def _smaller_gram(x, mode, right=False):
 def _unfolding_vectors(x, mode, k, return_values=False):
     """First ``k`` left singular vectors (and values) of the mode
     unfolding of ``x``, from the top pairs of :func:`_smaller_gram`; a
-    block open on ``x`` keeps them read-only per k (a k = 1 start is not a
-    slice of a k = 2 one).  :func:`leading_singular_vectors` gets the views of
+    block open on ``x`` keeps them read-only per k.
+    :func:`leading_singular_vectors` gets the views of
     :func:`_unfolding` for modes 1 and 3 (and mode 2 of a size-one third
     mode); any other mode-2 unfolding is formed only where that function
     reads it (a tall unfolding, or the SVD fallback), and a wide one's
@@ -1016,7 +1017,7 @@ class _Terms:
         X_(m)^T X_(m)``, ``R_(m)^T R_(m)`` is the same update with A and B
         swapped and ``C = X_(m)^T A``, and its top eigenvector maps through
         ``R_(m)``.  :func:`_top_pairs` finds it without forming the update
-        (or with one small ``eigh`` of it).  When the top eigenvalue is
+        (or one ``eigh`` of it).  When the top eigenvalue is
         below ``_GRAM_RCOND`` times ``G``'s (the update then keeps too few
         digits), the start is taken of ``R`` formed.
         """
@@ -1122,12 +1123,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
             # x contracted with w feeds both the u- and the v-update
             xw = _times_w(x, qf[2])
             for m in range(2 if fixed_w else 3):
-                if m == 0:
-                    c = np.dot(xw, qf[1])
-                elif m == 1:
-                    c = np.dot(xw.T, qf[0])
-                else:
-                    c = contract_w(x, qf[0], qf[1])
+                c = (np.dot(xw, qf[1]) if m == 0 else np.dot(xw.T, qf[0])
+                     if m == 1 else contract_w(x, qf[0], qf[1]))
                 if terms is not None:
                     c = c - terms.correction(m, qf)
                 f, nrm = update(m, c)
