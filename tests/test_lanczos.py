@@ -18,7 +18,7 @@ import pytest
 import hopca.decompose as decompose
 from hopca.decompose import (_LANCZOS_STEPS, SolverConfig, _lanczos,
                              _shared_grams, _top_pairs, _unfolding_vectors,
-                             leading_singular_vectors)
+                             hosvd, leading_singular_vectors)
 from hopca.simulate import TABLE_METHODS, SimScenarioSpec, fit_method, simulate
 
 TOL = 1e-12
@@ -147,6 +147,21 @@ def test_tied_leading_singular_values_give_their_subspace():
     assert np.allclose(values, [5.0, 5.0], rtol=TOL)
     assert_span(vecs, u[:, :2])
     assert_span(np.linalg.svd(m)[0][:, :2], u[:, :2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hosvd_of_tied_orthogonal_terms_spans_their_factors(seed):
+    """A noise-free 30^3 tensor of three orthogonal rank-one terms with
+    weights (5, 5, 3): every unfolding has singular values (5, 5, 3),
+    and ``hosvd`` at ranks (2, 2, 2) returns the factors of the two tied
+    terms, up to a rotation."""
+    rng = np.random.default_rng(seed)
+    factors = [np.linalg.qr(rng.standard_normal((30, 3)))[0]
+               for _ in range(3)]
+    x = np.einsum("ik,jk,lk,k->ijl", *factors, np.array([5.0, 5.0, 3.0]))
+    model = hosvd(x, (2, 2, 2))
+    for got, want in zip((model.U, model.V, model.W), factors):
+        assert_span(got, want[:, :2])
 
 
 def test_k_above_two_takes_the_dense_eigh(monkeypatch):
