@@ -1,55 +1,45 @@
 """Unregularized decompositions: CP-ALS, HOSVD, HOOI, and the greedy
 rank-one power scheme with deflation (optionally Gram-Schmidt
-orthogonalized).  The power scheme runs on the penalized rank-one
-engine and the deflation loop that the sparse and generalized solvers
-share.  Their public solvers are each one call of a shared loop: the
-engine's entry points (:func:`_fit_rank_one` for one fit,
-:func:`_fit_greedy` for a deflation, :func:`_fit_unfolding` for the
-penalized PCA of an unfolding), :func:`deflate`, the ALS loop or the
-Tucker loop.  Each loop enters through :func:`_shared_grams`, which
-checks the tensor when it opens a block on a new one (its entries are
-finite and its squared norm does not overflow), so a fit inside a block
-open on its tensor never checks it again.  The loops default and reject
-the config (the Tucker loop too: it sweeps only when asked) and end the
-diagnostics with each method's extras.  The engine's update rule is two
-helpers, :func:`_level` (a fixed level or BIC over a grid) and
-:func:`_penalty`.  The Tucker loop takes one engine update per mode and
-runs one pass, :func:`_tucker_pass`, for its HOSVD start and for each
-HOOI sweep: a penalized mode takes the left factors of
-:func:`_fit_unfolding`, the penalized PCA that :mod:`hopca.sparse` also
-wraps.  It runs on the engine too: the unfolding ``m`` is the tensor view
-``m[:, :, None]``, and a size-one third mode with a plain update is the
-fixed factor ``[1.0]``, which takes no start and no update and whose
-product is the view ``x[:, :, 0]``.
+orthogonalized), on the penalized rank-one engine and the deflation loop
+that the sparse and generalized solvers share.  Each public solver is
+one call of a shared loop: the engine's entry points (:func:`_fit_rank_one`
+for one fit, :func:`_fit_greedy` for a deflation, :func:`_fit_unfolding`
+for the penalized PCA of an unfolding), :func:`deflate`, the ALS loop or
+the Tucker loop.  Each loop enters through :func:`_shared_grams`, which
+checks a tensor when it opens a block on it (finite entries, a squared
+norm that does not overflow), so a fit inside a block open on its tensor
+never checks it again.  The loops default and reject the config (the
+Tucker loop sweeps only when asked) and end the diagnostics with each
+method's extras.  The engine's update rule is :func:`_level` (a fixed
+level or BIC over a grid) and :func:`_penalty`.  The Tucker loop takes
+one engine update per mode and runs :func:`_tucker_pass` for its HOSVD
+start and each HOOI sweep: a penalized mode takes the left factors of
+:func:`_fit_unfolding`, the engine on the view ``m[:, :, None]`` of the
+unfolding ``m``, whose size-one third mode with a plain update is the
+fixed factor ``[1.0]``: no start, no update, and the product the view
+``x[:, :, 0]``.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
 :func:`_shared_grams`, which a table replicate, a ROC sweep and every
 shared loop open around their fits of one tensor, the Gram of each
-unfolding of that tensor is formed once, and so are the singular vectors
-from its Lanczos top pairs (:func:`_top_pairs`), which every SVD start
-of the tensor reads.  The block also keeps ``||x||`` from its check.
-The memo lives in a ``ContextVar``, so other threads and contexts never
-see it, and it serves that one tensor only, never a residual.  No Gram,
-start or penalized PCA copies an unfolding of the tensor where the result
-does not depend on the unfolding's column order (:func:`_unfolding`):
-modes 1 and 3 are reshape views, and mode 2's Gram sums slab products
-(:func:`_unfolding_gram`).
+unfolding, its singular vectors from Lanczos top pairs
+(:func:`_top_pairs`), ``||x||`` and each Tucker start are formed once.
+The memo lives in a ``ContextVar`` and serves that one tensor only,
+never a residual.  No Gram, start or penalized PCA copies an unfolding
+where its column order does not matter (:func:`_unfolding`): modes 1
+and 3 are reshape views, and mode 2's Gram sums slab products.
 
-Deflation does not form its residual either.  One loop,
-:func:`_greedy`, runs every deflation, the penalized PCA's included: each
-later component is fit to ``x`` and the terms accepted so far
-(:class:`_Terms`).  Every contraction is the contraction of ``x`` less
-the terms' share, the norm BIC reads is in closed form, and the SVD start
-is the top eigenvector of the memo's Gram of ``x`` updated by the terms,
-whose Lanczos top pair :func:`_top_pairs` finds without forming it.  Only
-a residual that has nearly vanished is formed, and one at the rounding
-level of ``x`` ends the run.  The ALS loop reads its residual norm from
-the same closed form (:func:`_cp_norm_sq`) and takes its products on
-views of ``x``.
-Factor columns are unit norm; rank-one weights are non-negative;
-components are returned sorted by descending weight with the greedy
-computation order preserved in the diagnostics.
+Deflation does not form its residual either.  :func:`_greedy` runs every
+deflation: each later component is fit to ``x`` and the terms accepted
+so far (:class:`_Terms`), which give each contraction, the norm BIC
+reads and the SVD start (the top eigenvector of the memo's Gram updated
+by the terms) in closed form.  Only a nearly vanished residual is
+formed, and one at the rounding level of ``x`` ends the run.  The ALS
+loop reads its residual norm from the same closed form
+(:func:`_cp_norm_sq`) and takes its products on views of ``x``.  Factor
+columns are unit norm; rank-one weights are non-negative; components are
+sorted by descending weight, the greedy order kept in the diagnostics.
 """
 
 from __future__ import annotations
@@ -57,7 +47,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -453,8 +444,8 @@ def _random_unit(rng, dim):
 
 
 # (the read-only view a _shared_grams block is open on, its Grams by
-# (mode, side), its singular vectors and values by (mode, k), its
-# Frobenius norm)
+# (mode, side), its starts: singular vectors and values by (mode, k) and
+# Tucker passes by (ranks, updates, config), its Frobenius norm)
 _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
@@ -465,7 +456,8 @@ def _shared_grams(x, grams=None, norm=None):
     norm that check computed is kept (:func:`_norm`), and the Gram of
     each unfolding of that very view (``is``, not equality) is formed
     once, and so are its leading singular vectors for each (mode, k),
-    from its Lanczos top pairs; both are kept read-only.  Opened on the
+    from its Lanczos top pairs, and each Tucker start (:func:`_tucker`);
+    all are kept read-only.  Opened on the
     view of an enclosing block, the block is that block, and ``x`` is neither
     checked nor scanned again.  With ``grams`` the caller answers for
     ``x``, a float array of norm ``norm``: the block opens on it
@@ -741,7 +733,10 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
     Each factor is estimated from the mode unfolding of ``y``: ``x``
     itself at the start, so a block open on ``x`` serves it from the
     memo, and in a sweep ``x`` projected onto the other two factors,
-    those of this sweep where they are already new.  A None update takes
+    those of this sweep where they are already new.  A sweep reads ``x``
+    twice (Kolda & Bader 2009, section 4.2): mode 1 takes ``x W`` on a
+    view of ``x``, then ``V^T``, and ``U^T x`` with the new U gives modes
+    2 and 3 and the core.  A None update takes
     the leading singular vectors, at level 0; a :class:`_ModeUpdate`
     takes the left factors of a penalized PCA (:func:`_fit_unfolding`),
     with each component's level and its fit as a loop.  Returns the
@@ -749,13 +744,18 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
     """
     factors = [None] * 3 if factors is None else list(factors)
     start, levels, loops = factors[0] is None, {}, []
+    n, p, q = x.shape
     for m, (upd, k) in enumerate(zip(updates, ranks)):
-        y = x
-        for o in range(3):
-            if o != m and not start:
-                y = mode_mult(y, factors[o].T, o + 1)
-        if upd is None:  # a copy: the model's factors are not the memo's
-            factors[m] = np.array(_unfolding_vectors(y, m + 1, k))
+        if start:
+            y = x
+        elif m == 0:
+            y = np.matmul(factors[1].T, np.dot(x.reshape(n * p, q),
+                                               factors[2]).reshape(n, p, -1))
+        else:  # U^T x times W^T in mode 3, then times the new V^T in mode 2
+            xu = mode_mult(x, factors[0].T, 1) if m == 1 else xu
+            y = mode_mult(xu, factors[3 - m].T, 4 - m)
+        if upd is None:
+            factors[m] = _unfolding_vectors(y, m + 1, k)
             levels[_MODES[m]] = [0.0] * k
         else:
             factors[m], _, _, fits = _fit_unfolding(y, m + 1, k,
@@ -776,18 +776,25 @@ def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
     HOOI sweeps under the iteration controls of ``cfg`` (default
     :class:`SolverConfig`), each one :func:`_tucker_pass`.
 
-    Convergence (relative core-norm change below ``tol``) is first
-    checked at sweep 2.  The pass with the largest core norm is
-    returned, ties going to the later one.  The model's loops are the
-    penalized PCAs' fits of the returned pass, then with ``sweeps`` the
-    sweeps, whose objective trace is the core norm of the HOSVD start
-    and of each sweep.  The ``extras`` end the diagnostics.
+    A block open on ``x`` keeps the start for each later fit with equal
+    ranks, updates and config (read only with a penalized mode): the same
+    bits, as each penalized PCA seeds its own generator.  Convergence
+    (relative core-norm change below ``tol``) is first checked at sweep
+    2.  A copy of the pass with the largest core norm is returned, ties
+    going to the later one.  The model's loops are the penalized PCAs'
+    fits of that pass, then with ``sweeps`` the sweeps, whose objective
+    trace is the core norm of the start and of each sweep.  The
+    ``extras`` end the diagnostics.
     """
     with _shared_grams(x) as x:
         ranks = _check_ranks(x, ranks)
         cfg = cfg or SolverConfig()
         _reject_unread(cfg, svd_start=True)
-        best = run = _tucker_pass(x, ranks, updates, cfg)
+        starts = {} if _memo(x) is None else _memo(x)[2]
+        key = ranks, updates, any(updates) and astuple(cfg)
+        if key not in starts:
+            starts[key] = _tucker_pass(x, ranks, updates, cfg)
+        best = run = starts[key]
         if sweeps:
             best_norm = frob_norm(run[3])  # (factors, levels, loops, core)
             loop = _Loop(cfg, [best_norm])
@@ -800,7 +807,7 @@ def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
                     best, best_norm = run, norm
                 loop.stop(norm)
             extras = {"core_norm": best_norm, **extras}
-        factors, levels, loops, core = best
+        factors, levels, loops, core = deepcopy(best)
     return TuckerModel(*factors, core, _diagnostics(
         method, [*loops, loop] if sweeps else loops, levels,
         _column_nnz(*factors), **extras))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -275,6 +274,8 @@ def _map_replicates(run, replicates: int, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, replicates)
     if workers == 1:
         return [run(rep) for rep in range(replicates)]
+    # imported here: the pool costs every interpreter time and memory
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(replicates)))
 

@@ -209,12 +209,23 @@ class SparseDiagnostics:
 # deflation scheme: thresholded rank-one fits
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """A mode's BIC grid as a value, so that equal penalties give equal
+    engine updates: :meth:`ModePenalty.grid_for` of the levels ``lam``
+    (a tuple), or of None for the default grid."""
+
+    lam: tuple | None
+    __call__ = ModePenalty.grid_for
+
+
 def _mode_update(p: ModePenalty) -> _ModeUpdate:
     """The engine update of one mode's penalty: the kind's prox at the
     fixed level, or at the level BIC selects on every update."""
     return _ModeUpdate(_KIND_PENALTY[p.kind],
                        0.0 if p.is_adaptive else p.fixed_level(),
-                       p.grid_for if p.is_adaptive else None)
+                       _Grid(p.lam if p.lam is None else tuple(p.lam))
+                       if p.is_adaptive else None)
 
 
 def _mode_updates(pen: PenaltySpec):
@@ -263,24 +274,65 @@ def lasso_coordinate_descent(gram, corr, lam: float,
     times the largest coefficient magnitude after the sweep, a relative
     stop, so the fit scales with the data (an all-zero solution that a
     sweep leaves unchanged stops too).  A zero Gram diagonal (dead
-    regressor) pins its column to zero.
+    regressor) pins its column to zero.  This is the one-level case of
+    :func:`_lasso_path`.
     """
+    return _lasso_path(gram, corr, [lam], warm)[0]
+
+
+def _lasso_path(gram, corr, levels, warm=None) -> np.ndarray:
+    """:func:`lasso_coordinate_descent` at each of the ``levels`` at once:
+    one coordinate descent over the (levels, n, K) stack of coefficients,
+    every level started from ``warm`` (else zero).  Each level keeps its
+    own stop rule and, once that holds, is swapped behind the live
+    levels, so that they are a prefix of the stack; the swaps are undone
+    at the end.  The sweeps fill two (levels, n) buffers by ``out=``
+    ufuncs, so the descent holds about two stacks."""
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
-    k = gram.shape[0]
-    coef = np.zeros_like(corr) if warm is None else np.array(warm, dtype=float)
+    lam = np.array(levels, dtype=float)  # swapped with the stack's slots
+    if np.any(lam < 0):
+        raise ValueError("threshold level must be non-negative")
     diag = np.diag(gram)
+    coef = np.empty((lam.size, *corr.shape))
+    coef[:] = 0.0 if warm is None else warm
+    live, swaps = lam.size, []
+    buf = np.empty((2, lam.size, corr.shape[0]))
     for _sweep in range(1000):
-        delta = 0.0
-        for j in range(k):
-            r = corr[:, j] - coef @ gram[:, j] + coef[:, j] * diag[j]
-            new = (soft_threshold(r, lam) / diag[j] if diag[j] > _TINY
-                   else np.zeros_like(r))
-            step = float(np.max(np.abs(new - coef[:, j]))) if new.size else 0.0
-            delta = max(delta, step)
-            coef[:, j] = new
-        if delta <= 1e-8 * float(np.max(np.abs(coef), initial=0.0)):
+        c, r, new = coef[:live], buf[0, :live], buf[1, :live]
+        level = lam[:live, None]
+        delta = np.zeros(live)
+        for j in range(gram.shape[0]):
+            col = c[..., j]
+            # corr_j - c gram_j + c_j diag_j, then its soft threshold
+            np.subtract(corr[:, j], np.matmul(c, gram[:, j], out=r), out=r)
+            r += np.multiply(col, diag[j], out=new)
+            if diag[j] > _TINY:
+                np.abs(r, out=new)
+                new -= level
+                np.maximum(new, 0.0, out=new)
+                np.copysign(new, r, out=new)  # np.sign(r) * new, faster
+                new /= diag[j]
+            else:
+                new[:] = 0.0
+            np.abs(np.subtract(new, col, out=r), out=r)
+            delta = np.maximum(delta, r.max(axis=1, initial=0.0))
+            col[...] = new
+        # each level's largest |coef|, taken with no |c| temporary
+        peak = np.maximum(c.max(axis=(1, 2), initial=0.0),
+                          -c.min(axis=(1, 2), initial=0.0))
+        done = delta <= 1e-8 * peak
+        live -= np.count_nonzero(done)
+        # the done levels before the new end swap with the live ones after
+        ahead = np.flatnonzero(done[:live])
+        behind = live + np.flatnonzero(~done[live:])
+        swaps.append((ahead, behind))
+        for a in (coef, lam):
+            a[ahead], a[behind] = a[behind], a[ahead]
+        if not live:
             break
+    for ahead, behind in reversed(swaps):
+        coef[ahead], coef[behind] = coef[behind], coef[ahead]
     return coef
 
 
@@ -294,8 +346,8 @@ def _mode_steps(pen: PenaltySpec, make):
 
 def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
     """ALS step for one penalized mode: the whole-factor lasso at the fixed
-    level, or at the level BIC selects over the mode's grid (solved in
-    descending order, each solve warm-started from the previous one)."""
+    level, or at the level BIC selects over the mode's grid, whose levels
+    are solved at once from ``warm`` (:func:`_lasso_path`)."""
     if not mode_pen.is_adaptive:
         level = mode_pen.fixed_level()
         return lambda gram, corr, warm: (
@@ -303,14 +355,14 @@ def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
 
     def step(gram, corr, warm):
         grid = np.sort(mode_pen.grid_for(corr))
-        coefs, values = [None] * grid.size, np.empty(grid.size)
-        coef = warm
-        for i in reversed(range(grid.size)):
-            coef = coefs[i] = lasso_coordinate_descent(gram, corr,
-                                                       float(grid[i]), coef)
-            values[i] = _bic(norm_sq - 2.0 * float(np.sum(coef * corr))
-                             + float(np.sum((coef @ gram) * coef)),
-                             np.count_nonzero(coef), size)
+        coefs = _lasso_path(gram, corr, grid, warm)
+        # each level's residual sum of squares, with one stack temporary
+        fit = np.multiply(coefs, corr)
+        cross = fit.sum(axis=(1, 2))
+        fit = np.matmul(coefs, gram, out=fit)
+        fit *= coefs
+        values = _bic(norm_sq - 2.0 * cross + fit.sum(axis=(1, 2)),
+                      np.count_nonzero(coefs, axis=(1, 2)), size)
         best = _bic_argmin(values)
         return coefs[best], float(grid[best])
 

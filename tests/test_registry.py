@@ -2,6 +2,7 @@
 attributes, so wrappers patched there (as the benchmark tracer does)
 see each fit; plus the replicate pool behind the experiment drivers."""
 
+import concurrent.futures
 import importlib
 import sys
 from types import SimpleNamespace
@@ -153,7 +154,9 @@ class RecordingPool:
 @pytest.fixture
 def pool(monkeypatch):
     RecordingPool.created = []
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    # simulate imports the pool where it starts one, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
     return RecordingPool.created
 
