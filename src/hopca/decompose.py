@@ -7,7 +7,7 @@ for one fit, :func:`_fit_greedy` for a deflation, :func:`_fit_unfolding`
 for the penalized PCA of an unfolding), :func:`deflate`, the ALS loop or
 the Tucker loop.  Each loop enters through :func:`_shared_grams`, which
 checks a tensor when it opens a block on it (finite entries, a squared
-norm that does not overflow), so a fit inside a block open on its tensor
+norm below overflow), so a fit inside a block open on its tensor
 never checks it again.  The loops default and reject the config (the
 Tucker loop sweeps only when asked) and end the diagnostics with each
 method's extras.  The engine's update rule is :func:`_level` (a fixed
@@ -25,10 +25,11 @@ may run concurrently.  The one shared value is context-local: inside
 shared loop open around their fits of one tensor, the Gram of each
 unfolding, its singular vectors from Lanczos top pairs
 (:func:`_top_pairs`), ``||x||`` and each Tucker start are formed once.
-The memo lives in a ``ContextVar`` and serves that one tensor only,
-never a residual.  No Gram, start or penalized PCA copies an unfolding
-where its column order does not matter (:func:`_unfolding`): modes 1
-and 3 are reshape views, and mode 2's Gram sums slab products.
+The memo lives in a ``ContextVar``, unseen by other threads and
+contexts, and serves that one tensor only, never a residual.  No Gram,
+start or penalized PCA copies an unfolding where its column order does
+not matter (:func:`_unfolding`): modes 1 and 3 are reshape views, and
+mode 2's Gram sums slab products.
 
 Deflation does not form its residual either.  :func:`_greedy` runs every
 deflation: each later component is fit to ``x`` and the terms accepted
@@ -751,7 +752,7 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
         elif m == 0:
             y = np.matmul(factors[1].T, np.dot(x.reshape(n * p, q),
                                                factors[2]).reshape(n, p, -1))
-        else:  # U^T x times W^T in mode 3, then times the new V^T in mode 2
+        else:  # U^T x, times W^T in mode 3, then the new V^T in mode 2
             xu = mode_mult(x, factors[0].T, 1) if m == 1 else xu
             y = mode_mult(xu, factors[3 - m].T, 4 - m)
         if upd is None:
