@@ -3,8 +3,9 @@ coordinate descent over the (levels, n, K) stack, each level from the
 step's warm start and under its own stop rule.  Every level equals the
 one-level solve, and the step chooses the level that the sequential
 chain (levels solved in descending order, each warm-started from the
-level above) chooses.  Properties are derandomized, so every run draws
-the same examples."""
+level above) chooses, on seeded problems and at every step of the
+sparse-cp-als fits of the benchmark's table-s2 instances 0-39.
+Properties are derandomized, so every run draws the same examples."""
 
 import numpy as np
 import pytest
@@ -104,10 +105,17 @@ def test_the_step_chooses_the_sequential_chains_level(seed):
     assert np.array_equal(coef, _lasso_path(gram, corr, [level], warm)[0])
 
 
-@pytest.mark.parametrize("index", [0, 1])
-def test_every_step_of_a_scenario_fit_chooses_as_the_chain(monkeypatch,
+def table_s2_seed(index):
+    """The seed of the benchmark's table-s2 instance ``index`` (seed 2024)."""
+    if index == 0:
+        return 2024
+    return int(np.random.SeedSequence([2024, index]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_every_step_of_a_table_s2_fit_chooses_as_the_chain(monkeypatch,
                                                            index):
-    spec = SimScenarioSpec(2, k=2, seed=index)
+    spec = SimScenarioSpec(2, k=2, seed=table_s2_seed(index))
     x = simulate(spec).x
     made, checked = _lasso_step, []
 
