@@ -858,17 +858,18 @@ class _ModeUpdate:
     against the other two factors, at a fixed ``level`` or, when ``grid``
     is set, at the level BIC selects over ``grid(contraction)`` on every
     update.  With an operator ``q`` the contraction is q-weighted, the
-    update solves the q-weighted lasso at ``level`` and normalizes in the
-    q-norm.
+    update solves the q-weighted lasso at ``level`` (step bound
+    ``lipschitz``) and normalizes in the q-norm.
     """
 
     prox: PenaltyFn = _NO_PENALTY
     level: float = 0.0
     grid: Callable[[np.ndarray], np.ndarray] | None = None
     q: np.ndarray | None = None
+    lipschitz: float | None = None
 
     def __post_init__(self):
-        if self.level < 0:
+        if not self.level >= 0:  # NaN too
             raise ValueError("penalty levels must be non-negative")
 
 
@@ -1076,11 +1077,10 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
     _reject_unread(cfg)
     fixed_w = x.shape[2] == 1 and updates[2] == _PLAIN[2]
     if any(upd.q is not None for upd in updates):
-        from .generalized import _power_lambda_max, qnorm_lasso_solve
+        from .generalized import qnorm_lasso_solve
     norm_sq = None
     if any(upd.grid is not None for upd in updates):
         norm_sq = _norm(x) ** 2 if terms is None else terms.norm_sq()
-    lips: list[float | None] = [None, None, None]
     warm: list[np.ndarray | None] = [None, None, None]
     lam = [0.0, 0.0, 0.0]
 
@@ -1095,10 +1095,8 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
             return normalize_or_zero(upd.prox.prox(_project_out(c, basis[m]),
                                                    lam[m]))
         if lam[m] > 0.0:
-            if lips[m] is None:
-                lips[m] = _power_lambda_max(upd.q)
             c = warm[m] = qnorm_lasso_solve(c, upd.q, lam[m],
-                                            lipschitz=lips[m], start=warm[m])
+                                            upd.lipschitz, warm[m])
         return normalize_or_zero(c, upd.q)
 
     loop = _Loop(cfg)

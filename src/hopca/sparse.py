@@ -71,7 +71,7 @@ def soft_threshold(x, lam: float):
     if lam < 0:
         raise ValueError("threshold level must be non-negative")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    return np.copysign(np.maximum(np.abs(x) - lam, 0.0), x)
 
 
 def positive_threshold(x, lam: float):
@@ -82,7 +82,7 @@ def positive_threshold(x, lam: float):
 
 
 def l1_penalty() -> PenaltyFn:
-    return PenaltyFn("l1", lambda x: float(np.sum(np.abs(x))), soft_threshold)
+    return PenaltyFn("l1", lambda x: np.abs(x).sum(), soft_threshold)
 
 
 def nonneg_l1_penalty() -> PenaltyFn:
@@ -120,14 +120,14 @@ class ModePenalty:
         if self.lam is None:
             return
         if np.isscalar(self.lam):
-            if self.lam < 0:
+            if not self.lam >= 0:  # NaN too
                 raise ValueError("lambda must be non-negative")
             self.lam = float(self.lam)
         else:
             grid = np.asarray(self.lam, dtype=float)
             if grid.ndim != 1 or grid.size == 0:
                 raise ValueError("lambda grid must be a non-empty vector")
-            if np.any(grid < 0):
+            if not np.all(grid >= 0):  # NaN too
                 raise ValueError("lambda grid must be non-negative")
             if grid.size > 1 and not np.all(np.diff(grid) > 0):
                 raise ValueError("lambda grid must be strictly increasing")

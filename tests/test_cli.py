@@ -394,7 +394,7 @@ _GRID_COMMANDS = {
 
 
 @pytest.mark.parametrize("grid", ["--grid=-1,0.1", "--grid=0.5,0.1",
-                                  "--grid=-1"])
+                                  "--grid=-1", "--grid=nan"])
 @pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
 def test_bad_grid_exits_one_before_any_work(tmp_path, capsys, command, grid):
     # a negative or non-increasing grid breaks the library's rule for
@@ -471,6 +471,24 @@ def test_flag_the_method_does_not_read_exits_one(tmp_path, capsys, argv,
     assert code == 1
     err = capsys.readouterr().err
     assert f"{argv[1]} does not read {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "sparse-cp-tpa", "--rank", "1", "--lambda-u", "nan"],
+    ["--method", "sparse-cp-tpa", "--lambda-v", "0.1,nan"],
+    ["--method", "sparse-gcp", "--rank", "1", "--lambda-u", "nan"],
+    ["--method", "fpca", "--alpha", "nan"],
+    ["--method", "fpca", "--alpha", "inf"],
+], ids=lambda argv: " ".join(argv[1:2] + argv[-2:]))
+def test_a_non_finite_level_or_weight_exits_one_before_the_input(
+        tmp_path, capsys, argv):
+    # the input does not exist: reading it would exit 2
+    out = tmp_path / "out"
+    code = main(["decompose", *argv, "--input", str(tmp_path / "none.t3"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip()
     assert not out.exists()
 
 

@@ -167,3 +167,22 @@ def test_an_output_directory_has_one_digest_and_a_changed_byte_another(
     data[-2] ^= 1
     weights.write_bytes(bytes(data))
     assert tool.directory_digest(tmp_path / "a") != first
+
+
+def test_the_standalone_q_lasso_has_a_cold_and_a_warm_line_per_problem():
+    """The solves find their own step bound; a warm start reaches the cold
+    solve's bits, as the minimizer is unique and the exact finish depends
+    only on its sign pattern, and the levels span dense to zero."""
+    tool = load_tool()
+    lines = list(tool.qlasso_solves())
+    assert [label for label, _ in lines] == [
+        f"qlasso {dim} {frac} {start}" for dim in tool.QLASSO_ORDERS
+        for frac in tool.QLASSO_FRACS for start in ("cold", "warm")]
+    digests = [tool._sha256(arrays) for _, arrays in lines]
+    assert [tool._sha256(arrays)
+            for _, arrays in tool.qlasso_solves()] == digests
+    assert digests[::2] == digests[1::2]
+    nnz = {label: np.count_nonzero(u) for label, (u,) in lines}
+    assert 0 < nnz["qlasso 30 0.3 cold"] < 30
+    assert nnz["qlasso 30 0.0 cold"] == 30
+    assert nnz["qlasso 30 1.2 cold"] == 0

@@ -36,7 +36,12 @@ shows that its fits are the same.  The memo of a block open on the
 scenario-1 and the scenario-2 tensor gets two lines per mode: its Gram
 with the Gram's top ``k`` eigenpairs, and its start (the first ``k`` left
 singular vectors and values), so that a change to the route that forms a
-Gram or finds its top pairs shows apart from the fits it moves.
+Gram or finds its top pairs shows apart from the fits it moves.  The
+standalone q-weighted lasso gets one ``qlasso`` line per solve of
+:data:`QLASSO_ORDERS` x :data:`QLASSO_FRACS` seeded problems (a positive
+definite q, a y, and a level that fraction of the zeroing level), cold
+and warm from a seeded random start, with no step bound given, so that
+the route that finds the bound itself is diffed too.
 
 The command line's files get one line per output directory: a digest of
 the bytes of the files it holds, in sorted name order, with
@@ -257,6 +262,29 @@ def mono_small_fits():
         yield f"mono {j} fpca", generalized.fpca_rank_one(inst.x, inst.s, cfg)
 
 
+QLASSO_ORDERS = (1, 4, 10, 30)
+QLASSO_FRACS = (0.0, 0.05, 0.3, 0.8, 1.2)
+
+
+def qlasso_solves():
+    """(label, [solution]) for each standalone ``qnorm_lasso_solve`` of
+    the seeded problems, cold and warm."""
+    from hopca.generalized import qnorm_lasso_solve
+
+    for dim in QLASSO_ORDERS:
+        for frac in QLASSO_FRACS:
+            rng = np.random.default_rng([SEED, dim, int(100 * frac)])
+            g = rng.standard_normal((dim, dim))
+            q = g @ g.T / dim + 0.5 * np.eye(dim)
+            y = rng.standard_normal(dim)
+            lam = frac * float(np.max(np.abs(q @ y)))
+            start = rng.standard_normal(dim)
+            yield (f"qlasso {dim} {frac} cold",
+                   [qnorm_lasso_solve(y, q, lam)])
+            yield (f"qlasso {dim} {frac} warm",
+                   [qnorm_lasso_solve(y, q, lam, start=start)])
+
+
 def directory_digest(path) -> str:
     """SHA-256 over the names and bytes of the files of directory
     ``path``, in sorted name order, ``timings.csv`` left out."""
@@ -334,7 +362,7 @@ def main() -> int:
     for label, fit in (*mono_small_fits(), *pca_fits(),
                        *unfolding_pca_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
-    for label, arrays in memo_grams():
+    for label, arrays in (*memo_grams(), *qlasso_solves()):
         print(f"{_sha256(arrays)}  {label}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, path in cli_runs(tmp):
