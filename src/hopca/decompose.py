@@ -10,14 +10,14 @@ checks a tensor when it opens a block on it (finite entries, a squared
 norm below overflow), so a fit inside a block open on its tensor
 never checks it again.  The loops default and reject the config (the
 Tucker loop sweeps only when asked) and end the diagnostics with each
-method's extras.  The engine's update rule is :func:`_level` (a fixed
-level or BIC over a grid) and :func:`_penalty`.  The Tucker loop takes
-one engine update per mode and runs :func:`_tucker_pass` for its HOSVD
-start and each HOOI sweep: a penalized mode takes the left factors of
-:func:`_fit_unfolding`, the engine on the view ``m[:, :, None]`` of the
-unfolding ``m``, whose size-one third mode with a plain update is the
-fixed factor ``[1.0]``: no start, no update, and the product the view
-``x[:, :, 0]``.
+method's extras.  Each loop takes one :class:`_ModeUpdate` per mode.
+The engine's update rule is :func:`_level` (a fixed level or BIC over a
+grid) and :func:`_penalty`.  The Tucker loop runs :func:`_tucker_pass`
+for its HOSVD start and each HOOI sweep: a penalized mode takes the
+left factors of :func:`_fit_unfolding`, the engine on the view
+``m[:, :, None]`` of the unfolding ``m``, whose size-one third mode with
+a plain update is the fixed factor ``[1.0]``: no start, no update, and
+the product the view ``x[:, :, 0]``.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
@@ -606,27 +606,69 @@ def _init_cp_factors(x, K, init, rng):
     return tuple(factors)
 
 
+@dataclass(frozen=True)
+class PenaltyFn:
+    """A convex, order-one homogeneous penalty with its proximal map.
+
+    ``prox(y, scale)`` must return ``argmin 0.5*||y - z||^2 + scale * P(z)``
+    and ``prox(y, 0)`` must reduce to projection onto the penalty's
+    domain (the identity for unconstrained penalties).
+    """
+
+    name: str
+    evaluate: Callable[[np.ndarray], float]
+    prox: Callable[[np.ndarray, float], np.ndarray]
+
+
+_NO_PENALTY = PenaltyFn("none", lambda x: 0.0, lambda y, scale: y)
+
+
+@dataclass(frozen=True)
+class _ModeUpdate:
+    """How a loop updates one factor; ``_PLAIN[m]`` is the loop's
+    unpenalized step (the ALS loop's exact solve, the Tucker loop's
+    leading singular vectors).
+
+    In the engine the factor is the normalized ``prox`` of the contraction
+    of the tensor against the other two factors, at a fixed ``level`` or,
+    when ``grid`` is set, at the level BIC selects over
+    ``grid(contraction)`` on every update.  With an operator ``q`` the
+    contraction is q-weighted, the update solves the q-weighted lasso at
+    ``level`` (step bound ``lipschitz``) and normalizes in the q-norm.
+    """
+
+    prox: PenaltyFn = _NO_PENALTY
+    level: float = 0.0
+    grid: Callable[[np.ndarray], np.ndarray] | None = None
+    q: np.ndarray | None = None
+    lipschitz: float | None = None
+
+    def __post_init__(self):
+        if not self.level >= 0:  # NaN too
+            raise ValueError("penalty levels must be non-negative")
+
+
+_PLAIN = (_ModeUpdate(),) * 3
+
+
 # ---------------------------------------------------------------------------
 # CP alternating least squares
 
 
 def _als(x, K: int, cfg: SolverConfig | None, method: str,
-         steps=(None, None, None), **extras) -> CpModel:
+         updates=_PLAIN, **extras) -> CpModel:
     """K-component CP fit by alternating per-mode least-squares updates.
 
-    Each sweep updates U, V and W in turn.  A mode's update gets the
-    Khatri-Rao normal equations (``gram``, ``corr``) of the other two
-    factors and the current scaled factor as a warm start.  ``steps[m]``
-    makes the mode's step from ``||x||^2`` and ``x.size``, and the step
-    ``(gram, corr, warm)`` returns the scaled factor with the penalty
-    level it used.  A None step is the exact normal-equation
-    solve, which falls back to the pseudo-inverse (flagged ``used_pinv``)
-    when the system is singular.  Columns are rescaled to unit norm with
-    the weights taken as the column norms; a column whose weight vanishes
-    is zeroed in a penalized mode and keeps its previous direction
-    otherwise.  The products are taken on reshape views of ``x`` (no copy
-    of a C-contiguous ``x``): ``x`` times W serves the U- and V-updates,
-    U^T times ``x`` the W-update, whose products give the residual norm in
+    Each sweep updates U, V and W in turn from the Khatri-Rao normal
+    equations of the other two factors: a plain update solves them
+    exactly, by the pseudo-inverse (flagged ``used_pinv``) when singular,
+    a penalized one by :func:`hopca.sparse._lasso_step`, warm from the
+    scaled factor.  Columns are rescaled to unit norm with the weights
+    taken as the column norms; a column whose weight vanishes is zeroed
+    in a penalized mode and keeps its previous direction otherwise.  The
+    products are taken on reshape views of ``x`` (no copy of a
+    C-contiguous ``x``): ``x`` times W serves the U- and V-updates, U^T
+    times ``x`` the W-update, whose products give the residual norm in
     closed form (:func:`_cp_norm_sq`); the residual is formed only when
     its squared norm is at most ``_GRAM_RCOND`` times ``||x||^2``, where
     the closed form has lost its digits.  Iteration stops when the
@@ -642,26 +684,20 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
         d = np.zeros(K)
         levels = [0.0, 0.0, 0.0]
         used_pinv = False
-
-        def exact(gram, corr, warm):
-            nonlocal used_pinv
-            if np.linalg.cond(gram) < 1e12:
-                return np.linalg.solve(gram, corr.T).T, 0.0
-            used_pinv = True
-            return corr @ np.linalg.pinv(gram), 0.0
-
+        penalized = [upd != plain for upd, plain in zip(updates, _PLAIN)]
+        if any(penalized):
+            from .sparse import _lasso_step
         # the absolute rule on the relative residual, not _converged
         loop = _Loop(cfg, rule=lambda prev, value, tol: (
             prev is not None and abs(prev - value) < tol))
         norm_x = _norm(x)
         residual_trace = []
         if norm_x == 0.0:  # the zero fit, from no sweep
-            factors = [f if step is None else np.zeros_like(f)
-                       for f, step in zip(factors, steps)]
+            factors = [np.zeros_like(f) if pen else f
+                       for f, pen in zip(factors, penalized)]
             loop.converged = True
         else:
             n, p, q = x.shape
-            steps = [step and step(norm_x ** 2, x.size) for step in steps]
             for _ in loop.sweeps():
                 # x contracted with W feeds both the U- and the V-update
                 xw = np.dot(x.reshape(n * p, q), factors[2]).reshape(n, p, K)
@@ -674,12 +710,19 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
                     else:  # U^T x, contracted with V
                         corr = np.einsum("rjk,jr->kr", np.dot(
                             a.T, x.reshape(n, p * q)).reshape(K, p, q), b)
-                    scaled, levels[m] = (steps[m] or exact)(gram, corr,
-                                                            factors[m] * d)
+                    if penalized[m]:
+                        scaled, levels[m] = _lasso_step(
+                            updates[m], gram, corr, factors[m] * d,
+                            norm_x ** 2, x.size)
+                    elif np.linalg.cond(gram) < 1e12:
+                        scaled = np.linalg.solve(gram, corr.T).T
+                    else:
+                        used_pinv = True
+                        scaled = corr @ np.linalg.pinv(gram)
                     d = np.linalg.norm(scaled, axis=0)
                     live = d > _TINY
                     factors[m][:, live] = scaled[:, live] / d[live]
-                    if steps[m] is not None:
+                    if penalized[m]:
                         factors[m][:, ~live] = 0.0
                 # the mode-3 products were taken with the final U and V
                 resid_sq = _cp_norm_sq(norm_x ** 2, factors, d, np.einsum(
@@ -737,16 +780,16 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
     those of this sweep where they are already new.  A sweep reads ``x``
     twice (Kolda & Bader 2009, section 4.2): mode 1 takes ``x W`` on a
     view of ``x``, then ``V^T``, and ``U^T x`` with the new U gives modes
-    2 and 3 and the core.  A None update takes
-    the leading singular vectors, at level 0; a :class:`_ModeUpdate`
-    takes the left factors of a penalized PCA (:func:`_fit_unfolding`),
-    with each component's level and its fit as a loop.  Returns the
-    factors, the levels per mode, the loops and the core.
+    2 and 3 and the core.  A plain update takes the leading singular
+    vectors, at level 0; a penalized one the left factors of a penalized
+    PCA (:func:`_fit_unfolding`), with each component's level and its fit
+    as a loop.  Returns the factors, the levels per mode, the loops and
+    the core.
     """
     factors = [None] * 3 if factors is None else list(factors)
     start, levels, loops = factors[0] is None, {}, []
     n, p, q = x.shape
-    for m, (upd, k) in enumerate(zip(updates, ranks)):
+    for m, (upd, plain, k) in enumerate(zip(updates, _PLAIN, ranks)):
         if start:
             y = x
         elif m == 0:
@@ -755,7 +798,7 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
         else:  # U^T x, times W^T in mode 3, then the new V^T in mode 2
             xu = mode_mult(x, factors[0].T, 1) if m == 1 else xu
             y = mode_mult(xu, factors[3 - m].T, 4 - m)
-        if upd is None:
+        if upd == plain:
             factors[m] = _unfolding_vectors(y, m + 1, k)
             levels[_MODES[m]] = [0.0] * k
         else:
@@ -770,16 +813,15 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
 
 
 def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
-            updates=(None, None, None), sweeps: bool = False,
+            updates=_PLAIN, sweeps: bool = False,
             **extras) -> TuckerModel:
-    """Tucker factors from one engine update per mode (None for the
-    leading singular vectors): the HOSVD start, then with ``sweeps``
-    HOOI sweeps under the iteration controls of ``cfg`` (default
-    :class:`SolverConfig`), each one :func:`_tucker_pass`.
+    """Tucker factors from one update per mode: the HOSVD start, then
+    with ``sweeps`` HOOI sweeps under the iteration controls of ``cfg``
+    (default :class:`SolverConfig`), each one :func:`_tucker_pass`.
 
     A block open on ``x`` keeps the start for each later fit with equal
-    ranks, updates and config (read only with a penalized mode): the same
-    bits, as each penalized PCA seeds its own generator.  Convergence
+    ranks and updates (and config, with a penalized mode): the same bits,
+    as each penalized PCA seeds its own generator.  Convergence
     (relative core-norm change below ``tol``) is first checked at sweep
     2.  A copy of the pass with the largest core norm is returned, ties
     going to the later one.  The model's loops are the penalized PCAs'
@@ -792,7 +834,7 @@ def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
         cfg = cfg or SolverConfig()
         _reject_unread(cfg, svd_start=True)
         starts = {} if _memo(x) is None else _memo(x)[2]
-        key = ranks, updates, any(updates) and astuple(cfg)
+        key = ranks, updates, updates != _PLAIN and astuple(cfg)
         if key not in starts:
             starts[key] = _tucker_pass(x, ranks, updates, cfg)
         best = run = starts[key]
@@ -833,47 +875,6 @@ def hooi(x, ranks, cfg: SolverConfig | None = None) -> TuckerModel:
 # the rank-one engine and the deflation loop behind every greedy method
 
 
-@dataclass(frozen=True)
-class PenaltyFn:
-    """A convex, order-one homogeneous penalty with its proximal map.
-
-    ``prox(y, scale)`` must return ``argmin 0.5*||y - z||^2 + scale * P(z)``
-    and ``prox(y, 0)`` must reduce to projection onto the penalty's
-    domain (the identity for unconstrained penalties).
-    """
-
-    name: str
-    evaluate: Callable[[np.ndarray], float]
-    prox: Callable[[np.ndarray, float], np.ndarray]
-
-
-_NO_PENALTY = PenaltyFn("none", lambda x: 0.0, lambda y, scale: y)
-
-
-@dataclass(frozen=True)
-class _ModeUpdate:
-    """How the rank-one engine updates one factor.
-
-    The factor is the normalized ``prox`` of the contraction of the tensor
-    against the other two factors, at a fixed ``level`` or, when ``grid``
-    is set, at the level BIC selects over ``grid(contraction)`` on every
-    update.  With an operator ``q`` the contraction is q-weighted, the
-    update solves the q-weighted lasso at ``level`` (step bound
-    ``lipschitz``) and normalizes in the q-norm.
-    """
-
-    prox: PenaltyFn = _NO_PENALTY
-    level: float = 0.0
-    grid: Callable[[np.ndarray], np.ndarray] | None = None
-    q: np.ndarray | None = None
-    lipschitz: float | None = None
-
-    def __post_init__(self):
-        if not self.level >= 0:  # NaN too
-            raise ValueError("penalty levels must be non-negative")
-
-
-_PLAIN = (_ModeUpdate(),) * 3
 _OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 

@@ -96,8 +96,11 @@ def default_lambda_grid(lam_max: float, num: int = 50) -> np.ndarray:
 
     The zero entry lets noiseless instances select the unpenalized exact
     fit; on noisy data the nonzero-count term keeps it from winning.
+    A negative or NaN ``lam_max`` raises ValueError.
     """
-    if lam_max <= 0.0:
+    if not lam_max >= 0:  # NaN too
+        raise ValueError("lam_max must be non-negative")
+    if lam_max == 0.0:
         return np.zeros(1)
     return np.concatenate([[0.0], np.geomspace(1e-3 * lam_max, lam_max, num)])
 
@@ -132,7 +135,7 @@ def bic_path(norm_sq: float, size: int, contraction: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("penalty grid is empty")
-    if np.any(grid < 0):
+    if not np.all(grid >= 0):  # NaN too
         raise ValueError("penalty values must be non-negative")
     a = np.sort(np.abs(threshold(contraction, 0.0)))
     start = np.searchsorted(a, grid, side="right")

@@ -206,7 +206,7 @@ def qnorm_lasso_solve(y, q, lam: float, lipschitz: float | None = None,
     """
     y = np.asarray(y, dtype=float).ravel()
     q = np.asarray(q, dtype=float)
-    if lam < 0:
+    if not lam >= 0:  # NaN too
         raise ValueError("lam must be non-negative")
     if lipschitz is None:
         try:

@@ -74,8 +74,8 @@ class SimScenarioSpec:
         if self.signal not in ("high", "low"):
             raise ValueError(f"signal must be 'high' or 'low', got "
                              f"{self.signal!r}")
-        if self.noise < 0:
-            raise ValueError("noise scale must be non-negative")
+        if not 0.0 <= self.noise < np.inf:  # NaN too
+            raise ValueError("noise scale must be finite and non-negative")
 
     @property
     def dims(self) -> tuple[int, int, int]:

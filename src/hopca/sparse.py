@@ -4,17 +4,19 @@ levels), plus the three algorithmic baselines built from penalized
 updates (sparse ALS, sparse HOSVD, sparse HOOI).
 
 Every solver is one call of a shared loop of :mod:`hopca.decompose`,
-which checks the tensor, defaults the config and labels the fit.  The
-rank-one fit and the deflation scheme give the rank-one engine one
-soft-thresholding update per mode (:func:`_mode_update`).  The baselines
-run the one ALS loop with a lasso step, and the one Tucker loop with the
-same engine update, in each penalized mode; at zero penalty they are
-CP-ALS, HOSVD and HOOI.  The Tucker loop runs the penalized PCA of each
-penalized mode's unfolding (:func:`hopca.decompose._fit_unfolding`), and
-:func:`sparse_pca` is that call on the view ``m[:, :, None]`` of a matrix
-``m``, whose size-one third mode with a plain update is the fixed factor
-``[1.0]``: its components are the engine's deflation loop on that view,
-with one implicit deflation for both (:class:`hopca.decompose._Terms`).
+which checks the tensor, defaults the config and labels the fit.  A
+penalty spec becomes one engine update per mode (:func:`_mode_updates`),
+and each solver hands that tuple to its loop.  In a penalized mode the
+rank-one fit and the deflation scheme soft-threshold in the engine, the
+ALS loop takes a lasso step (:func:`_lasso_step`) and the Tucker loop a
+penalized PCA.  An unpenalized mode's update is the loop's plain one, so
+with no penalty the baselines are CP-ALS, HOSVD and HOOI.  The Tucker
+loop runs the penalized PCA of each penalized mode's unfolding
+(:func:`hopca.decompose._fit_unfolding`), and :func:`sparse_pca` is that
+call on the view ``m[:, :, None]`` of a matrix ``m``, whose size-one
+third mode with a plain update is the fixed factor ``[1.0]``: its
+components are the engine's deflation loop on that view, with one
+implicit deflation for both (:class:`hopca.decompose._Terms`).
 
 Penalty levels may be fixed per mode or selected per component and per
 update by BIC over a grid.  Factors returned by every routine either
@@ -25,7 +27,6 @@ with weight zero and deflation subtracts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +69,7 @@ _TINY = 1e-300
 
 def soft_threshold(x, lam: float):
     """Elementwise ``sign(x) * max(|x| - lam, 0)``."""
-    if lam < 0:
+    if not lam >= 0:  # NaN too
         raise ValueError("threshold level must be non-negative")
     x = np.asarray(x, dtype=float)
     return np.copysign(np.maximum(np.abs(x) - lam, 0.0), x)
@@ -76,7 +77,7 @@ def soft_threshold(x, lam: float):
 
 def positive_threshold(x, lam: float):
     """Elementwise ``max(x - lam, 0)``: sparsity plus non-negativity."""
-    if lam < 0:
+    if not lam >= 0:  # NaN too
         raise ValueError("threshold level must be non-negative")
     return np.maximum(np.asarray(x, dtype=float) - lam, 0.0)
 
@@ -228,8 +229,10 @@ def _mode_update(p: ModePenalty) -> _ModeUpdate:
                        if p.is_adaptive else None)
 
 
-def _mode_updates(pen: PenaltySpec):
-    """Engine updates for a penalty spec, one per mode."""
+def _mode_updates(pen: PenaltySpec | None):
+    """The updates of a penalty spec (None: unpenalized), one per mode:
+    what every loop of :mod:`hopca.decompose` takes."""
+    pen = pen or PenaltySpec()
     return tuple(_mode_update(p) for p in (pen.u, pen.v, pen.w))
 
 
@@ -256,8 +259,8 @@ def sparse_cp_tpa(x, K: int, pen: PenaltySpec | None = None,
     component and update by BIC.  A zero component truncates the model
     with the remaining columns zero-filled and flagged.
     """
-    return _fit_greedy(x, K, _mode_updates(pen or PenaltySpec.none()), cfg,
-                       "sparse-cp-tpa", sparse=True)
+    return _fit_greedy(x, K, _mode_updates(pen), cfg, "sparse-cp-tpa",
+                       sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def _lasso_path(gram, corr, levels, warm=None) -> np.ndarray:
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
     lam = np.array(levels, dtype=float)  # swapped with the stack's slots
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):  # NaN too
         raise ValueError("threshold level must be non-negative")
     diag = np.diag(gram)
     coef = np.empty((lam.size, *corr.shape))
@@ -336,37 +339,26 @@ def _lasso_path(gram, corr, levels, warm=None) -> np.ndarray:
     return coef
 
 
-def _mode_steps(pen: PenaltySpec, make):
-    """Per-mode steps of a shared loop, the ALS loop's lasso steps or the
-    Tucker loop's engine updates: ``make(mode_penalty)`` for each
-    penalized mode, None (the loop's unpenalized step) for the rest."""
-    return tuple(None if p.kind == "none" else make(p)
-                 for p in (pen.u, pen.v, pen.w))
-
-
-def _lasso_step(mode_pen: ModePenalty, norm_sq: float, size: int):
-    """ALS step for one penalized mode: the whole-factor lasso at the fixed
-    level, or at the level BIC selects over the mode's grid, whose levels
-    are solved at once from ``warm`` (:func:`_lasso_path`)."""
-    if not mode_pen.is_adaptive:
-        level = mode_pen.fixed_level()
-        return lambda gram, corr, warm: (
-            lasso_coordinate_descent(gram, corr, level, warm=warm), level)
-
-    def step(gram, corr, warm):
-        grid = np.sort(mode_pen.grid_for(corr))
-        coefs = _lasso_path(gram, corr, grid, warm)
-        # each level's residual sum of squares, with one stack temporary
-        fit = np.multiply(coefs, corr)
-        cross = fit.sum(axis=(1, 2))
-        fit = np.matmul(coefs, gram, out=fit)
-        fit *= coefs
-        values = _bic(norm_sq - 2.0 * cross + fit.sum(axis=(1, 2)),
-                      np.count_nonzero(coefs, axis=(1, 2)), size)
-        best = _bic_argmin(values)
-        return coefs[best], float(grid[best])
-
-    return step
+def _lasso_step(upd: _ModeUpdate, gram, corr, warm, norm_sq: float,
+                size: int):
+    """The ALS loop's step for one penalized mode: the whole-factor lasso,
+    from ``warm``, at the update's fixed level, or at the level BIC
+    selects (``||x||^2 = norm_sq``, ``size`` entries) over its increasing
+    grid, whose levels are solved at once (:func:`_lasso_path`).  Returns
+    the coefficients and the level."""
+    if upd.grid is None:
+        return lasso_coordinate_descent(gram, corr, upd.level, warm), upd.level
+    grid = upd.grid(corr)
+    coefs = _lasso_path(gram, corr, grid, warm)
+    # each level's residual sum of squares, with one stack temporary
+    fit = np.multiply(coefs, corr)
+    cross = fit.sum(axis=(1, 2))
+    fit = np.matmul(coefs, gram, out=fit)
+    fit *= coefs
+    values = _bic(norm_sq - 2.0 * cross + fit.sum(axis=(1, 2)),
+                  np.count_nonzero(coefs, axis=(1, 2)), size)
+    best = _bic_argmin(values)
+    return coefs[best], float(grid[best])
 
 
 def _require_lasso(pen: PenaltySpec) -> None:
@@ -388,11 +380,8 @@ def sparse_cp_als(x, K: int, pen: PenaltySpec | None = None,
     the penalized objective trace is reported without any monotonicity
     claim.
     """
-    pen = pen or PenaltySpec.none()
-    _require_lasso(pen)
-    return _als(x, K, cfg, "sparse-cp-als",
-                _mode_steps(pen, lambda p: partial(_lasso_step, p)),
-                sparse=True)
+    _require_lasso(pen or PenaltySpec())
+    return _als(x, K, cfg, "sparse-cp-als", _mode_updates(pen), sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +465,8 @@ def sparse_hosvd(x, ranks, pen: PenaltySpec | None = None,
     not orthonormal; an unpenalized mode takes the leading singular
     vectors, as :func:`hosvd` does.
     """
-    return _tucker(x, ranks, cfg, "sparse-hosvd", _mode_steps(
-        pen or PenaltySpec.none(), _mode_update), sparse=True)
+    return _tucker(x, ranks, cfg, "sparse-hosvd", _mode_updates(pen),
+                   sparse=True)
 
 
 def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
@@ -487,5 +476,5 @@ def sparse_hooi(x, ranks, pen: PenaltySpec | None = None,
     Convergence is not guaranteed, so iteration is capped and the sweep
     with the largest core norm is returned along with the full trace.
     """
-    return _tucker(x, ranks, cfg, "sparse-hooi", _mode_steps(
-        pen or PenaltySpec.none(), _mode_update), sweeps=True, sparse=True)
+    return _tucker(x, ranks, cfg, "sparse-hooi", _mode_updates(pen),
+                   sweeps=True, sparse=True)

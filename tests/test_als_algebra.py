@@ -1,15 +1,19 @@
 """The CP-ALS sweep takes its products on reshape views of the tensor and
 its residual norm in closed form.  Each sweep is checked here against
 the textbook route: the mode unfolding times the Khatri-Rao product of
-the other two factors, and the residual tensor formed.  A spy step in
-every mode sees each product and mirrors the factor state of the loop,
-on random shapes and component counts, in C and Fortran layouts."""
+the other two factors, and the residual tensor formed.  A spy lasso step
+in every (penalized) mode sees each product and mirrors the factor state
+of the loop, on random shapes and component counts, in C and Fortran
+layouts."""
+
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopca import sparse
 from hopca.decompose import (
     _GRAM_RCOND,
     _TINY,
@@ -17,6 +21,7 @@ from hopca.decompose import (
     SolverConfig,
     _als,
     _init_cp_factors,
+    _ModeUpdate,
 )
 from hopca.tensor3 import frob_norm, khatri_rao, matricize
 
@@ -24,7 +29,8 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 def spied_fit(x, K, sweeps, solve):
-    """Run ``sweeps`` sweeps of the ALS loop with a spy step in every mode
+    """Run ``sweeps`` sweeps of the ALS loop with a spy lasso step in
+    every mode, each mode's update penalized at its own level (its index),
     that takes its scaled factor from ``solve(gram, corr)``.  Returns the
     model, the (product, textbook product) pair of every update and the
     factors and weights after every sweep, mirrored as the loop sets
@@ -33,20 +39,22 @@ def spied_fit(x, K, sweeps, solve):
     factors = list(_init_cp_factors(x, K, cfg.init, cfg.rng()))
     products, states = [], []
 
-    def spy(m):
-        def step(gram, corr, warm):
-            a, b = (f for o, f in enumerate(factors) if o != m)
-            products.append((corr, matricize(x, m + 1) @ khatri_rao(b, a)))
-            scaled = solve(gram, corr)
-            d = np.linalg.norm(scaled, axis=0)
-            live = d > _TINY
-            factors[m] = np.where(live, scaled / np.where(live, d, 1.0), 0.0)
-            if m == 2:
-                states.append(([f.copy() for f in factors], d))
-            return scaled, 0.0
-        return lambda norm_sq, size: step
+    def step(upd, gram, corr, warm, norm_sq, size):
+        m = int(upd.level)
+        a, b = (f for o, f in enumerate(factors) if o != m)
+        products.append((corr, matricize(x, m + 1) @ khatri_rao(b, a)))
+        scaled = solve(gram, corr)
+        d = np.linalg.norm(scaled, axis=0)
+        live = d > _TINY
+        factors[m] = np.where(live, scaled / np.where(live, d, 1.0), 0.0)
+        if m == 2:
+            states.append(([f.copy() for f in factors], d))
+        return scaled, 0.0
 
-    model = _als(x, K, cfg, "spy", tuple(spy(m) for m in range(3)))
+    updates = tuple(_ModeUpdate(sparse.l1_penalty(), float(m))
+                    for m in range(3))
+    with mock.patch.object(sparse, "_lasso_step", step):
+        model = _als(x, K, cfg, "spy", updates)
     return model, products, states
 
 

@@ -362,6 +362,9 @@ _DECOMPOSE = ["decompose", "--method", "tpa"]
      "--points", "0"],
     ["simulate", "--scenario", "2", "--sparsity", "1.5"],
     ["simulate", "--scenario", "2", "--noise", "-1"],
+    # refused before the truth files are written, not when x.t3 is
+    ["simulate", "--scenario", "2", "--noise", "nan"],
+    ["simulate", "--scenario", "2", "--noise", "inf"],
     ["bic", "--mode", "u", "--grid", "x"],
     ["varex", "--k", "0"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))

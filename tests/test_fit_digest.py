@@ -113,6 +113,19 @@ def test_the_fixed_level_tucker_fits_are_digested_on_scenario_2():
         assert 0 < min(fit.diagnostics["nnz"]["u"]) < fit.U.shape[0]
 
 
+def test_the_fixed_level_als_fit_is_digested_beside_the_tucker_fits():
+    """The ALS loop's fixed-level lasso step has a fit of its own."""
+    fits = {label: fit for label, fit, _ in load_tool().scenario_fits()}
+    assert [label for label in fits if label.endswith("u=2.0")] == [
+        f"s2 {method} u=2.0"
+        for method in ("sparse-cp-als", "sparse-hosvd", "sparse-hooi")]
+    fit = fits["s2 sparse-cp-als u=2.0"]
+    assert fit.diagnostics["method"] == "sparse-cp-als"
+    assert fit.diagnostics["lambdas"]["u"] == [2.0, 2.0]
+    assert fit.diagnostics["lambdas"]["v"] == [0.0, 0.0]
+    assert 0 < min(fit.diagnostics["nnz"]["u"]) < fit.U.shape[0]
+
+
 def test_fits_of_a_tensor_read_back_are_digested_per_family():
     """One fit per family of the scenario-1 tensor after a ``.t3`` round
     trip; the read-back tensor has the written one's values and layout, so

@@ -17,7 +17,7 @@ from hopca.decompose import SolverConfig
 from hopca.evaluate import _bic, _bic_argmin
 from hopca.simulate import SimScenarioSpec, fit_method, simulate
 from hopca.sparse import (ModePenalty, _lasso_path, _lasso_step,
-                          lasso_coordinate_descent)
+                          _mode_update, lasso_coordinate_descent)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 LEVEL_RTOL = 1e-8
@@ -99,7 +99,8 @@ def test_the_step_chooses_the_sequential_chains_level(seed):
     warm = truth + 0.1 * rng.standard_normal((n, k))
     mode_pen = ModePenalty("lasso", None)
     norm_sq, size = float(np.sum(y * y)), y.size
-    coef, level = _lasso_step(mode_pen, norm_sq, size)(gram, corr, warm)
+    coef, level = _lasso_step(_mode_update(mode_pen), gram, corr, warm,
+                              norm_sq, size)
     assert level == sequential_choice(mode_pen.grid_for(corr), norm_sq, size,
                                       gram, corr, warm)
     assert np.array_equal(coef, _lasso_path(gram, corr, [level], warm)[0])
@@ -119,16 +120,11 @@ def test_every_step_of_a_table_s2_fit_chooses_as_the_chain(monkeypatch,
     x = simulate(spec).x
     made, checked = _lasso_step, []
 
-    def checking(mode_pen, norm_sq, size):
-        step = made(mode_pen, norm_sq, size)
-
-        def check(gram, corr, warm):
-            coef, level = step(gram, corr, warm)
-            checked.append(level == sequential_choice(
-                mode_pen.grid_for(corr), norm_sq, size, gram, corr, warm))
-            return coef, level
-
-        return check
+    def checking(upd, gram, corr, warm, norm_sq, size):
+        coef, level = made(upd, gram, corr, warm, norm_sq, size)
+        checked.append(level == sequential_choice(
+            upd.grid(corr), norm_sq, size, gram, corr, warm))
+        return coef, level
 
     monkeypatch.setattr(sparse, "_lasso_step", checking)
     fit_method("sparse-cp-als", x, spec, SolverConfig(max_iter=100))

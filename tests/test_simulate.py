@@ -42,6 +42,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             SimScenarioSpec(1, signal="medium")
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_a_non_finite_noise_scale_is_refused(self, noise):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SimScenarioSpec(2, noise=noise)
+
 
 class TestSimulate:
     def test_sparse_factor_zero_count(self):

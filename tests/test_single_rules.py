@@ -19,11 +19,13 @@ from hopca.decompose import (
     hosvd,
     tpa,
 )
+from hopca.evaluate import bic_path, default_lambda_grid
 from hopca.generalized import (
     QuadOperators,
     SmootherSet,
     general_cp_tpa_rank_one,
     l1_penalty,
+    qnorm_lasso_solve,
     sparse_gcp,
 )
 from hopca.simulate import METHODS
@@ -31,6 +33,10 @@ from hopca.sparse import (
     ModePenalty,
     PenaltySpec,
     _lasso_step,
+    _mode_update,
+    lasso_coordinate_descent,
+    positive_threshold,
+    soft_threshold,
     sparse_cp_als,
     sparse_pca_rank_one,
 )
@@ -81,13 +87,28 @@ def test_negative_level_rejected_by_the_engine_update(solve):
         solve(noisy_rank_one(2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: soft_threshold(np.ones(3), np.nan),
+    lambda: positive_threshold(np.ones(3), np.nan),
+    lambda: lasso_coordinate_descent(np.eye(2), np.ones((3, 2)), np.nan),
+    lambda: bic_path(10.0, 27, np.ones(3), [0.0, np.nan], soft_threshold),
+    lambda: default_lambda_grid(np.nan),
+    # refused before any step: the solver would run all of its steps
+    lambda: qnorm_lasso_solve(np.ones(3), np.eye(3), np.nan),
+], ids=["soft_threshold", "positive_threshold", "lasso_coordinate_descent",
+        "bic_path", "default_lambda_grid", "qnorm_lasso_solve"])
+def test_a_nan_level_is_refused_by_each_public_level_taker(call):
+    with pytest.raises(ValueError, match="non-negative"):
+        call()
+
+
 def test_als_lasso_step_breaks_an_exact_bic_tie_to_the_larger_level():
     # levels 1 and 2 both zero every coefficient, so their BIC values are
     # equal to the last bit; both beat the dense fit at level 0
     gram = np.eye(1)
     corr = np.array([[0.1], [0.05]])
-    step = _lasso_step(ModePenalty("lasso", [0.0, 1.0, 2.0]), 100.0, 1000)
-    coef, level = step(gram, corr, None)
+    upd = _mode_update(ModePenalty("lasso", [0.0, 1.0, 2.0]))
+    coef, level = _lasso_step(upd, gram, corr, None, 100.0, 1000)
     assert level == 2.0
     npt.assert_array_equal(coef, np.zeros((2, 1)))
 
@@ -95,8 +116,8 @@ def test_als_lasso_step_breaks_an_exact_bic_tie_to_the_larger_level():
 def test_als_lasso_step_keeps_a_strictly_better_smaller_level():
     gram = np.eye(1)
     corr = np.array([[5.0], [0.01]])
-    step = _lasso_step(ModePenalty("lasso", [0.1, 1.0, 10.0]), 26.0, 100)
-    coef, level = step(gram, corr, None)
+    upd = _mode_update(ModePenalty("lasso", [0.1, 1.0, 10.0]))
+    coef, level = _lasso_step(upd, gram, corr, None, 26.0, 100)
     # residuals 1.99, 2 and 26 at one, one and no nonzero coefficients
     assert level == 0.1
     npt.assert_allclose(coef, [[4.9], [0.0]])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hopca import decompose
-from hopca.decompose import (SolverConfig, _mode_mult3, _shared_grams,
-                             _tucker_pass, hooi, hosvd)
+from hopca.decompose import (_PLAIN, SolverConfig, _mode_mult3,
+                             _shared_grams, _tucker_pass, hooi, hosvd)
 from hopca.simulate import SimScenarioSpec, simulate
 from hopca.sparse import PenaltySpec, sparse_hooi, sparse_hosvd
 from hopca.tensor3 import mode_mult
@@ -78,6 +78,22 @@ def test_hooi_after_hosvd_takes_its_start(x, monkeypatch):
     # one start (four arguments) for both fits; the rest are sweeps
     assert passes.count(4) == 1 and len(passes) > 1
     assert_same_tucker(after, alone)
+
+
+def test_an_unpenalized_sparse_hosvd_after_hosvd_runs_no_pass(x,
+                                                               monkeypatch):
+    # no penalty gives updates equal to the plain ones, so the same start
+    alone = sparse_hosvd(x.copy(), (2, 2, 2), PenaltySpec.none())
+    with _shared_grams(x) as view:
+        passes = []
+        run = decompose._tucker_pass
+        first = hosvd(view, (2, 2, 2))
+        monkeypatch.setattr(decompose, "_tucker_pass", lambda *args: (
+            passes.append(len(args)), run(*args))[1])
+        after = sparse_hosvd(view, (2, 2, 2), PenaltySpec.none())
+    assert passes == []
+    assert_same_tucker(after, alone)
+    assert_same_tucker(after, first)
 
 
 @pytest.mark.parametrize("ranks, pen, cfg", [
@@ -161,7 +177,7 @@ def test_each_sweep_projection_is_the_mode_mult_form(monkeypatch, shape,
         return vectors(y, mode, k, *args)
 
     monkeypatch.setattr(decompose, "_unfolding_vectors", record)
-    new, _, _, core = _tucker_pass(x, ranks, (None,) * 3, CFG, factors)
+    new, _, _, core = _tucker_pass(x, ranks, _PLAIN, CFG, factors)
     for got, want in zip([*seen, core],
                          mode_mult_projections(x, factors, new)):
         assert got.shape == want.shape
@@ -171,10 +187,10 @@ def test_each_sweep_projection_is_the_mode_mult_form(monkeypatch, shape,
 
 def test_a_sweep_allocates_nothing_the_size_of_x():
     x = np.random.default_rng(3).standard_normal((60, 60, 60))
-    start = _tucker_pass(x, (2, 2, 2), (None,) * 3, CFG)[0]
+    start = _tucker_pass(x, (2, 2, 2), _PLAIN, CFG)[0]
     tracemalloc.start()
     try:
-        _tucker_pass(x, (2, 2, 2), (None,) * 3, CFG, start)
+        _tucker_pass(x, (2, 2, 2), _PLAIN, CFG, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,8 +5,9 @@ The fits are every method of ``hopca.simulate.METHODS`` on one
 scenario-1 and one scenario-2 instance (seed 2024, ``max_iter=100``, BIC
 lasso on the scenario's sparse modes, sparse-gcp at a fixed level 0.3 on
 u), plus ``general_cp_tpa`` on both with a size-2 group lasso on u at
-0.3 (as ``hopca decompose --penalty group`` builds it), ``sparse_hosvd``
-and ``sparse_hooi`` on scenario 2 at a fixed lasso level 2.0 on u, the
+0.3 (as ``hopca decompose --penalty group`` builds it), ``sparse_cp_als``,
+``sparse_hosvd`` and ``sparse_hooi`` on scenario 2 at a fixed lasso level
+2.0 on u, the
 BIC ``sparse_hosvd`` and ``sparse_hooi`` of scenarios 3 and 4, whose
 three modes are all sparse, so that a penalized PCA runs in every mode
 and on the wide unfoldings of modes 2 and 3, and ``sparse_hooi`` of the
@@ -110,11 +111,13 @@ def _sha256(arrays) -> str:
 def scenario_fits():
     """(label, fit, truth) for every registry method and the group-lasso
     ``general_cp_tpa`` on scenarios 1 and 2, the fixed-level
-    ``sparse_hosvd`` and ``sparse_hooi`` on scenario 2."""
+    ``sparse_cp_als``, ``sparse_hosvd`` and ``sparse_hooi`` on scenario
+    2."""
     from hopca.cli import _fit_group
     from hopca.decompose import SolverConfig
     from hopca.simulate import METHODS, SimScenarioSpec, fit_method, simulate
-    from hopca.sparse import PenaltySpec, sparse_hooi, sparse_hosvd
+    from hopca.sparse import (PenaltySpec, sparse_cp_als, sparse_hooi,
+                              sparse_hosvd)
 
     for scenario in (1, 2):
         spec = SimScenarioSpec(scenario, seed=SEED)
@@ -130,8 +133,10 @@ def scenario_fits():
         fit = _fit_group(x, spec.k, (0.3, None, None), 2,
                          SolverConfig(max_iter=100))
         yield f"s{scenario} general-cp-tpa", fit, truth
-    for solver in (sparse_hosvd, sparse_hooi):
-        fit = solver(x, (spec.k,) * 3, PenaltySpec.lasso(u=2.0),
+    ranks = (spec.k,) * 3
+    for solver, rank in ((sparse_cp_als, spec.k), (sparse_hosvd, ranks),
+                         (sparse_hooi, ranks)):
+        fit = solver(x, rank, PenaltySpec.lasso(u=2.0),
                      SolverConfig(max_iter=100))
         yield f"s2 {fit.diagnostics['method']} u=2.0", fit, truth
 
