@@ -15,20 +15,18 @@ from hopca.sparse import (ModePenalty, PenaltySpec, _mode_updates,
 SPEC = PenaltySpec(ModePenalty("lasso", None), ModePenalty("lasso", 0.5))
 
 
-@pytest.mark.parametrize("solver, loop, position", [
-    (sparse_cp_tpa, "_fit_greedy", 2),
-    (sparse_cp_als, "_als", 4),
-    (sparse_hosvd, "_tucker", 4),
-    (sparse_hooi, "_tucker", 4),
+@pytest.mark.parametrize("solver, rank, loop, position", [
+    (sparse_cp_tpa, 1, "_fit_greedy", 2),
+    (sparse_cp_als, 1, "_als", 4),
+    (sparse_hosvd, (1, 1, 1), "_tucker", 4),
+    (sparse_hooi, (1, 1, 1), "_tucker", 4),
 ])
 def test_each_sparse_solver_hands_its_loop_the_specs_updates(
-        monkeypatch, solver, loop, position):
+        monkeypatch, solver, rank, loop, position):
     seen = []
     monkeypatch.setattr(sparse, loop, lambda *args, **kwargs: seen.append(
         args[position]))
-    x = np.ones((4, 3, 2))
-    solver(x, 1 if solver in (sparse_cp_tpa, sparse_cp_als) else (1, 1, 1),
-           SPEC, SolverConfig())
+    solver(np.ones((4, 3, 2)), rank, SPEC, SolverConfig())
     assert seen == [_mode_updates(SPEC)]
     # a BIC lasso, a fixed lasso and the plain update of the last mode
     assert seen[0][0].grid is not None and seen[0][1].level == 0.5
