@@ -225,9 +225,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _methods_list(text: str, allowed) -> list[str]:
-    if not text:
-        return []
     names = [tok for tok in text.split(",") if tok]
+    if not names:
+        raise CliError(1, f"--methods names no method; choose from "
+                       f"{', '.join(allowed)}")
     for name in names:
         if name not in allowed:
             raise CliError(1, f"unknown method {name!r}; choose from "
@@ -332,7 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="stop once the objective changes by at most tol "
+                       "times its last value (cp-als, sparse-cp-als: once "
+                       "the relative residual changes by less than tol)")
 
     dec = sub.add_parser("decompose", help="fit a decomposition on a .t3 file")
     dec.add_argument("--method", required=True, choices=tuple(METHODS))

@@ -24,12 +24,13 @@ may run concurrently.  The one shared value is context-local: inside
 :func:`_shared_grams`, which a table replicate, a ROC sweep and every
 shared loop open around their fits of one tensor, the Gram of each
 unfolding, its singular vectors from Lanczos top pairs
-(:func:`_top_pairs`), ``||x||`` and each Tucker start are formed once.
-The memo lives in a ``ContextVar``, unseen by other threads and
-contexts, and serves that one tensor only, never a residual.  No Gram,
-start or penalized PCA copies an unfolding where its column order does
-not matter (:func:`_unfolding`): modes 1 and 3 are reshape views, and
-mode 2's Gram sums slab products.
+(:func:`_top_pairs`), ``||x||`` and each Tucker start are formed once,
+each kept by key in the block's one store, which only :func:`_kept`
+reads and fills.  The memo lives in a ``ContextVar``, unseen by other
+threads and contexts, and serves that one tensor only, never a
+residual.  No Gram, start or penalized PCA copies an unfolding where
+its column order does not matter (:func:`_unfolding`): modes 1 and 3
+are reshape views, and mode 2's Gram sums slab products.
 
 Deflation does not form its residual either.  :func:`_greedy` runs every
 deflation: each later component is fit to ``x`` and the terms accepted
@@ -88,13 +89,16 @@ _OVERFLOW = "finite entries, but the squared norm overflows float64: rescale"
 class SolverConfig:
     """Iteration controls shared by every solver.
 
-    ``tol`` is a relative objective-change threshold; ``init`` selects
-    between leading-singular-vector and random starting factors;
-    ``orthogonalize`` enables Gram-Schmidt projection of each new
-    deflation component against the previous ones.  A solver raises
-    ValueError for a setting it would ignore: ``orthogonalize`` outside
-    :func:`tpa`, and ``init="random"`` in the Tucker methods and the
-    penalized PCA of :mod:`hopca.sparse`, which always start from
+    ``tol`` is the stopping threshold: a loop stops once its objective
+    changes by at most ``tol`` times its previous value, except the ALS
+    loop (cp-als, sparse-cp-als), which stops once the relative residual
+    ``||x - model|| / ||x||`` changes by less than ``tol``, an absolute
+    change.  ``init`` selects between leading-singular-vector and random
+    starting factors; ``orthogonalize`` enables Gram-Schmidt projection
+    of each new deflation component against the previous ones.  A solver
+    raises ValueError for a setting it would ignore: ``orthogonalize``
+    outside :func:`tpa`, and ``init="random"`` in the Tucker methods and
+    the penalized PCA of :mod:`hopca.sparse`, which always start from
     leading singular vectors.
     """
 
@@ -444,30 +448,28 @@ def _random_unit(rng, dim):
     return vec / nrm
 
 
-# (the read-only view a _shared_grams block is open on, its Grams by
-# (mode, side), its starts: singular vectors and values by (mode, k) and
-# Tucker passes by (ranks, updates, config), its Frobenius norm)
+# (the read-only view a _shared_grams block is open on, what it keeps by
+# key: "norm", ("gram", mode, side), (mode, k), (ranks, updates, config))
 _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 
 
 @contextmanager
-def _shared_grams(x, grams=None, norm=None):
+def _shared_grams(x, norm=None):
     """Check ``x`` (:func:`check_tensor3`, and that ``||x||^2`` does not
-    overflow) and yield a read-only view of it.  Within the block the
-    norm that check computed is kept (:func:`_norm`), and the Gram of
-    each unfolding of that very view (``is``, not equality) is formed
-    once, and so are its leading singular vectors for each (mode, k),
-    from its Lanczos top pairs, and each Tucker start (:func:`_tucker`);
-    all are kept read-only.  Opened on the
-    view of an enclosing block, the block is that block, and ``x`` is neither
-    checked nor scanned again.  With ``grams`` the caller answers for
-    ``x``, a float array of norm ``norm``: the block opens on it
-    unchecked, its memo seeded with ``grams[mode]``, the smaller Gram
-    (:func:`_smaller_gram`) of each given mode's unfolding."""
+    overflow) and yield a read-only view of it.  Within the block
+    :func:`_kept` keeps what is computed of that very view (``is``, not
+    equality) once, read-only: the norm that check computed
+    (:func:`_norm`), the Gram of each unfolding (:func:`_smaller_gram`),
+    its leading singular vectors for each (mode, k), from its Lanczos top
+    pairs, and each Tucker start (:func:`_tucker`).  Opened on the view of
+    an enclosing block, the block is that block, and ``x`` is neither
+    checked nor scanned again.  With ``norm`` the caller answers for
+    ``x``, a float array of that norm, and the block opens on it
+    unchecked."""
     if _memo(x) is not None:
         yield x
         return
-    if grams is None:
+    if norm is None:
         x = check_tensor3(x)
         with np.errstate(over="ignore"):  # the error below says so
             norm = frob_norm(x)
@@ -475,9 +477,7 @@ def _shared_grams(x, grams=None, norm=None):
             raise ValueError(_OVERFLOW)
     view = x.view()
     view.flags.writeable = False
-    token = _GRAMS.set((view, {(mode, x.shape[mode - 1] ** 2 <= x.size): eig
-                               for mode, eig in (grams or {}).items()}, {},
-                        norm))
+    token = _GRAMS.set((view, {"norm": norm}))
     try:
         yield view
     finally:
@@ -491,15 +491,25 @@ def _memo(x):
     return memo if memo is not None and memo[0] is x else None
 
 
+def _kept(x, key, make):
+    """The value a block open on ``x`` keeps under ``key``, else
+    ``make()``, which such a block keeps with its arrays (a tuple's too)
+    read-only; outside a block just ``make()``."""
+    memo = _memo(x)
+    if memo is None:
+        return make()
+    if key not in memo[1]:
+        value = make()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        memo[1][key] = value
+    return memo[1][key]
+
+
 def _norm(x) -> float:
     """``||x||``: kept by a block open on ``x``, else computed."""
-    memo = _memo(x)
-    return frob_norm(x) if memo is None else memo[3]
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+    return _kept(x, "norm", lambda: frob_norm(x))
 
 
 def _unfolding(x, mode):
@@ -538,36 +548,33 @@ def _unfolding_gram(x, mode, rows):
     return a @ a.T if rows else a.T @ a
 
 
+def _gram_key(x, mode, right=False):
+    """The key of :func:`_smaller_gram`: ``("gram", mode, side)``, side
+    True for ``X X^T``, False for ``X^T X``."""
+    rows = x.shape[mode - 1]
+    cols = x.size // rows
+    return "gram", mode, rows < cols if right else rows <= cols
+
+
 def _smaller_gram(x, mode, right=False):
     """The smaller Gram of the mode unfolding ``X`` of ``x`` (of ``X^T``
     with ``right``), by :func:`_unfolding_gram`; a block open on ``x``
-    forms it once, read-only.  The two sides of a non-square ``X`` share
-    its smaller Gram; a square ``X`` keeps ``X X^T`` and ``X^T X`` apart."""
-    rows = x.shape[mode - 1]
-    cols = x.size // rows
-    wide = cols <= rows if right else rows <= cols
-    key = (mode, wide != right)  # True: X X^T, False: X^T X
-    memo = _memo(x)
-    if memo is not None and key in memo[1]:
-        return memo[1][key]
-    gram = _read_only(_unfolding_gram(x, *key))
-    if memo is not None:
-        memo[1][key] = gram
-    return gram
+    keeps it.  The two sides of a non-square ``X`` share its smaller
+    Gram; a square ``X`` keeps ``X X^T`` and ``X^T X`` apart."""
+    key = _gram_key(x, mode, right)
+    return _kept(x, key, lambda: _unfolding_gram(x, mode, key[2]))
 
 
 def _unfolding_vectors(x, mode, k, return_values=False):
     """First ``k`` left singular vectors (and values) of the mode
     unfolding of ``x``, from the top pairs of :func:`_smaller_gram`; a
-    block open on ``x`` keeps them read-only per k.
+    block open on ``x`` keeps them per k.
     :func:`leading_singular_vectors` gets the views of
     :func:`_unfolding` for modes 1 and 3 (and mode 2 of a size-one third
     mode); any other mode-2 unfolding is formed only where that function
     reads it (a tall unfolding, or the SVD fallback), and a wide one's
     Gram route takes no matrix."""
-    memo = _memo(x)
-    top = None if memo is None else memo[2].get((mode, k))
-    if top is None:
+    def make():
         rows = x.shape[mode - 1]
         gram = (_smaller_gram(x, mode) if k <= min(rows, x.size // rows)
                 else None)
@@ -575,12 +582,11 @@ def _unfolding_vectors(x, mode, k, return_values=False):
         top = (_top_pairs(gram, k) if gram is not None and mode == 2
                and x.shape[2] > 1 and rows ** 2 <= x.size else None)
         if top is not None:
-            top = top[0] * _column_signs(top[0]), np.sqrt(top[1])
-        else:
-            top = leading_singular_vectors(_unfolding(x, mode), k,
-                                           return_values=True, gram=gram)
-        if memo is not None:
-            memo[2][mode, k] = top = tuple(map(_read_only, top))
+            return top[0] * _column_signs(top[0]), np.sqrt(top[1])
+        return leading_singular_vectors(_unfolding(x, mode), k,
+                                        return_values=True, gram=gram)
+
+    top = _kept(x, (mode, k), make)
     return top if return_values else top[0]
 
 
@@ -833,11 +839,9 @@ def _tucker(x, ranks, cfg: SolverConfig | None, method: str,
         ranks = _check_ranks(x, ranks)
         cfg = cfg or SolverConfig()
         _reject_unread(cfg, svd_start=True)
-        starts = {} if _memo(x) is None else _memo(x)[2]
-        key = ranks, updates, updates != _PLAIN and astuple(cfg)
-        if key not in starts:
-            starts[key] = _tucker_pass(x, ranks, updates, cfg)
-        best = run = starts[key]
+        best = run = _kept(x, (ranks, updates,
+                               updates != _PLAIN and astuple(cfg)),
+                           lambda: _tucker_pass(x, ranks, updates, cfg))
         if sweeps:
             best_norm = frob_norm(run[3])  # (factors, levels, loops, core)
             loop = _Loop(cfg, [best_norm])
@@ -1200,9 +1204,11 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     if not math.isfinite(norm):
         raise ValueError(_OVERFLOW if np.all(np.isfinite(m)) else
                          "matrix entries must be finite (no NaN/Inf)")
+    # taken before m's block opens, which hides the block open on y
+    gram = _smaller_gram(y, mode, right=True)
     updates = (*updates, _PLAIN[2])
-    with _shared_grams(m[:, :, None], {2: _smaller_gram(y, mode, right=True)},
-                       norm) as view:
+    with _shared_grams(m[:, :, None], norm) as view:
+        _kept(view, _gram_key(view, 2), lambda: gram)
         terms = _Terms(view, k)
         fits, _ = _greedy(terms, min(k, *m.shape), lambda x, terms, rng,
                           basis: _rank_one(x, updates, cfg, rng, basis, terms),

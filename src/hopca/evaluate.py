@@ -380,8 +380,9 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
     :func:`hopca.decompose._shared_grams` block (the caller's, when
     ``x`` is the view of one), so the Grams of the unfoldings of ``x``
     and the SVD starts taken from them are computed once per sweep; the
-    fits only read ``x``.  Points are emitted for each penalized mode and
-    component where both rates are defined.
+    fits only read ``x``.  The modes outside ``modes`` are unpenalized.
+    Points are emitted for each penalized mode and component where both
+    rates are defined.
     """
     from .decompose import SolverConfig, _shared_grams
     from .simulate import METHODS
@@ -418,8 +419,7 @@ def roc_sweep(x, truth, method: str, grid, cfg=None,
         if entry is None or entry.penalty is None:
             raise ValueError(f"unknown ROC method {method!r}")
         for lam in grid:
-            pen = PenaltySpec.lasso(**{m: (lam if m in modes else 0.0)
-                                       for m in _MODES})
+            pen = PenaltySpec.lasso(**{m: lam for m in modes})
             collect(lam, entry.fit(view, k, cfg, pen))
     return points
 

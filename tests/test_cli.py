@@ -237,6 +237,17 @@ def test_every_out_naming_a_file_exits_two_before_the_work(
     assert work == []
 
 
+def test_an_out_path_under_a_file_exits_two_on_the_first_write(tmp_path,
+                                                                capsys):
+    # --out names no existing path, so only the write finds the file
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "sub"
+    assert main(["simulate", "--scenario", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("hopca: I/O error: ")
+    assert taken.read_text() == "a file\n"
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # a non-PSD quadratic operator is a numerical failure, not an I/O one
     rng = np.random.default_rng(2)
@@ -358,6 +369,9 @@ _DECOMPOSE = ["decompose", "--method", "tpa"]
      "--lambda-u", "0.4", "--group-size", "0"],
     ["table", "--scenario", "2", "--methods", "tpa", "--replicates", "0"],
     ["table", "--scenario", "2", "--methods", "tpa,nope"],
+    ["table", "--scenario", "2", "--methods", ""],
+    ["table", "--scenario", "2", "--methods", ","],
+    ["roc", "--scenario", "2", "--methods", ""],
     ["roc", "--scenario", "2", "--methods", "sparse-cp-tpa",
      "--points", "0"],
     ["simulate", "--scenario", "2", "--sparsity", "1.5"],

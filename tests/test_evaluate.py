@@ -445,6 +445,28 @@ class TestRocSweep:
         with pytest.raises(ValueError):
             roc_sweep(truth.x_signal, truth, "nope", [0.1])
 
+    def test_unswept_modes_are_unpenalized(self, monkeypatch):
+        """A sweep of u alone hands the Tucker fit no penalty on v and w,
+        so their factors are the leading singular vectors."""
+        from hopca import sparse
+        from hopca.sparse import ModePenalty
+
+        rng = np.random.default_rng(24)
+        truth = sparse_truth(rng)
+        x = truth.x_signal + 0.1 * rng.standard_normal(truth.x_signal.shape)
+        pens = []
+        real = sparse.sparse_hosvd
+
+        def spy(x, ranks, pen=None, cfg=None):
+            pens.append(pen)
+            return real(x, ranks, pen, cfg)
+
+        monkeypatch.setattr(sparse, "sparse_hosvd", spy)
+        assert roc_sweep(x, truth, "sparse-hosvd", [0.0, 0.5], modes=("u",))
+        assert [p.u for p in pens] == [ModePenalty("lasso", lam)
+                                       for lam in (0.0, 0.5)]
+        assert all(p.v == p.w == ModePenalty("none") for p in pens)
+
     def test_naive_path_rates_non_increasing_in_threshold(self):
         rng = np.random.default_rng(23)
         truth = sparse_truth(rng)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hopca import decompose
 from hopca.decompose import SolverConfig, tpa_rank_one
 from hopca.generalized import (
+    FpcaFit,
     SmootherSet,
     fpca,
     fpca_half_smoothing,
@@ -103,3 +104,10 @@ def test_default_start_fits_do_not_depend_on_the_generator():
     first = fpca_rank_one(x, s)
     assert np.array_equal(fits[0].U[:, 0], first.normalized()[0])
     assert fits[0].d[0] == first.normalized()[3]
+
+
+def test_a_zero_fit_normalizes_to_zero_factors_and_weight():
+    u, v, w, d = FpcaFit(np.zeros(3), np.ones(2), np.ones(4)).normalized()
+    assert d == 0.0
+    assert [f.tolist() for f in (u, v, w)] == [[0.0] * 3, [0.0] * 2,
+                                               [0.0] * 4]

@@ -163,9 +163,11 @@ def test_after_a_two_component_sweep_the_memo_holds_x_only():
     x, truth = instance()
     with _shared_grams(x) as view:
         roc_sweep(view, truth, "sparse-cp-tpa", GRID, CFG, modes=("u",))
-        key, grams, vectors, norm = decompose._GRAMS.get()
+        key, kept = decompose._GRAMS.get()
+    grams = {k[1:]: v for k, v in kept.items() if k[0] == "gram"}
+    vectors = {k: v for k, v in kept.items() if k != "norm" and k[0] != "gram"}
     assert key is view
-    assert norm == frob_norm(x)  # the block's check, kept
+    assert kept["norm"] == frob_norm(x)  # the block's check, kept
     # the (v, w) start of x: one Gram and one vector per mode; the
     # second components start from residuals, which the memo never sees
     assert set(grams) == {(2, True), (3, True)}

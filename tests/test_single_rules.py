@@ -19,28 +19,32 @@ from hopca.decompose import (
     hosvd,
     tpa,
 )
-from hopca.evaluate import bic_path, default_lambda_grid
+from hopca.evaluate import (bic_path, default_lambda_grid, support_metrics,
+                            variance_explained)
 from hopca.generalized import (
     QuadOperators,
     SmootherSet,
+    difference_penalty,
     general_cp_tpa_rank_one,
     l1_penalty,
     qnorm_lasso_solve,
     sparse_gcp,
 )
-from hopca.simulate import METHODS
+from hopca.simulate import (METHODS, SimScenarioSpec, fit_method,
+                            run_table_experiment)
 from hopca.sparse import (
     ModePenalty,
     PenaltySpec,
     _lasso_step,
     _mode_update,
     lasso_coordinate_descent,
+    nonneg_l1_penalty,
     positive_threshold,
     soft_threshold,
     sparse_cp_als,
     sparse_pca_rank_one,
 )
-from hopca.tensor3 import outer3
+from hopca.tensor3 import outer3, tensor3
 
 
 def noisy_rank_one(seed, shape=(8, 7, 6), weight=20.0):
@@ -100,6 +104,54 @@ def test_negative_level_rejected_by_the_engine_update(solve):
 def test_a_nan_level_is_refused_by_each_public_level_taker(call):
     with pytest.raises(ValueError, match="non-negative"):
         call()
+
+
+def _rank_two(shape):
+    return CpModel(*(np.eye(n, 2) for n in shape), np.ones(2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SolverConfig(init="svd"), "unknown init"),
+    (lambda: cp_als(noisy_rank_one(3), 0), "K must be >= 1"),
+    (lambda: tpa(noisy_rank_one(3), 0), "K must be >= 1"),
+    (lambda: hosvd(noisy_rank_one(3), (2, 2)), "three positive integers"),
+    (lambda: variance_explained(noisy_rank_one(3), _rank_two((8, 7, 6)), 3),
+     r"upto_k must be in \[1, 2\]"),
+    (lambda: variance_explained(noisy_rank_one(3), _rank_two((8, 7, 6)), 0),
+     r"upto_k must be in \[1, 2\]"),
+    (lambda: support_metrics(_rank_two((8, 7, 6)), _rank_two((8, 7, 5))),
+     "dims differ"),
+    (lambda: QuadOperators(np.ones((3, 2)), np.eye(2), np.eye(2)),
+     "must be square"),
+    (lambda: QuadOperators(np.eye(3), np.triu(np.ones((2, 2))), np.eye(2)),
+     "not symmetric"),
+    (lambda: qnorm_lasso_solve(np.ones(3), np.eye(3), 0.5, lipschitz=0.0),
+     "positive definite"),
+    (lambda: difference_penalty(8, 1.0, order=3), "2 or 4"),
+    (lambda: difference_penalty(8, -1.0), "non-negative"),
+    (lambda: fit_method("nope", noisy_rank_one(3), SimScenarioSpec(2)),
+     "unknown method"),
+    (lambda: run_table_experiment(SimScenarioSpec(2), ["tpa"], 0),
+     "replicates must be >= 1"),
+    (lambda: ModePenalty("ridge"), "unknown penalty kind"),
+    (lambda: ModePenalty("lasso", []), "non-empty"),
+    (lambda: PenaltySpec.lasso(u="aic"), "unknown penalty value"),
+    (lambda: tensor3(np.ones(4), (0, 2, 2)), "dims must be positive"),
+], ids=["SolverConfig-init", "cp_als-K0", "tpa-K0", "hosvd-two-ranks",
+        "varex-upto_k-high", "varex-upto_k-zero", "support_metrics-dims",
+        "QuadOperators-non-square", "QuadOperators-non-symmetric",
+        "qnorm_lasso_solve-lipschitz0", "difference_penalty-order3",
+        "difference_penalty-alpha", "fit_method-name", "table-replicates0",
+        "ModePenalty-kind", "ModePenalty-empty-grid", "PenaltySpec-aic",
+        "tensor3-zero-dim"])
+def test_each_public_check_refuses_its_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_the_nonneg_penalty_is_infinite_off_its_domain():
+    assert nonneg_l1_penalty().evaluate(np.array([1.0, -0.5])) == np.inf
+    assert nonneg_l1_penalty().evaluate(np.array([1.0, 0.5])) == 1.5
 
 
 def test_als_lasso_step_breaks_an_exact_bic_tie_to_the_larger_level():
