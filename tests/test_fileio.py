@@ -116,16 +116,15 @@ def test_t3_malformed_header(tmp_path):
         fileio.read_tensor3(path)
 
 
-@pytest.mark.parametrize("body, match", [
-    ("1 2 3", "body holds at most 3"),
-    # long tokens pass the size check; the count after parsing fails
-    ("1.000000000 2.000000000 3.000000000", "got 3"),
-])
-def test_t3_wrong_count(tmp_path, body, match):
+def test_t3_wrong_count(tmp_path):
     path = tmp_path / "bad.t3"
-    path.write_text(f"tensor3 2 2 2\n{body}\n")
-    with pytest.raises(ValueError, match=match):
-        fileio.read_tensor3(path)
+    # a short body fails the size check; long tokens pass it and fail the
+    # count after parsing
+    for body, match in (("1 2 3", "body holds at most 3"),
+                        ("1.000000000 2.000000000 3.000000000", "got 3")):
+        path.write_text(f"tensor3 2 2 2\n{body}\n")
+        with pytest.raises(ValueError, match=match):
+            fileio.read_tensor3(path)
 
 
 def test_t3_too_many_values(tmp_path):

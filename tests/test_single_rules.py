@@ -1,8 +1,8 @@
 """Rules the solvers, the registry, the file layout and the command line
-share, each kept in one function: fixed levels, level checks, the BIC
-choice of the ALS lasso step, the relative stopping rule, the zero
-penalized-PCA fit, one ALS level per component, operators by method and
-model directories by kind."""
+share, each kept in one function: fixed levels, level checks, the input
+checks of the public functions, the BIC choice of the ALS lasso step,
+the relative stopping rule, the zero penalized-PCA fit, one ALS level
+per component, operators by method and model directories by kind."""
 
 import numpy as np
 import numpy.testing as npt
