@@ -237,11 +237,18 @@ def _methods_list(text: str, allowed) -> list[str]:
 
 
 def _check_out(out) -> None:
-    """Exit 2 before any input is read or any fit runs when ``--out``
-    names something other than a directory, where every subcommand would
-    fail only on its first write."""
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise CliError(2, f"I/O error: --out {out} is not a directory")
+    """Exit 2 before any input is read or any fit runs when ``--out``, or
+    the nearest of its ancestors that exists, is not a directory, where
+    every subcommand would fail only on its first write."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if os.path.isdir(path):
+        return
+    if path != os.path.abspath(out):
+        raise CliError(2, f"I/O error: --out {out} lies under {path}, "
+                          "which is not a directory")
+    raise CliError(2, f"I/O error: --out {out} is not a directory")
 
 
 def _write_csv(out, name, header, rows) -> None:

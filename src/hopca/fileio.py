@@ -9,7 +9,13 @@ the layout on which every contraction of the solvers takes reshape views
 of the tensor instead of copying it.  Each side holds one tensor: the
 writer puts a slab of mode-3 planes at a time into file order, and the
 reader checks the header against the body's size, allocates the result
-once and fills it block by block as it parses.
+once and fills it block by block as it parses.  The reader parses the
+body in parts at the same time, one per usable core and per
+``_PART_BYTES`` (256 KiB) of body, whichever is fewer: part 0 in the
+caller, each other part in a forked child that sends its values back
+down a pipe.  Every part and every block ends at an ASCII whitespace
+byte, so no token is split and the values are bit-exact, whatever the
+part count and however the body is laid out on lines.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
@@ -27,6 +33,11 @@ back by the weights file it finds.
 from __future__ import annotations
 
 import os
+import pickle
+import re
+import signal
+import struct
+import warnings
 from typing import Any
 
 import numpy as np
@@ -55,6 +66,12 @@ __all__ = [
 _VALUES_PER_LINE = 8
 _WRITE_BLOCK = _VALUES_PER_LINE * 256  # values formatted at a time
 _READ_BLOCK = 1 << 14  # bytes of .t3 body parsed at a time
+# least .t3 body bytes per part parsed at the same time: a part's fork and
+# pipe cost about 2.5 ms, and two parts first beat one at a body of about
+# 300 kB (measured on a 2-core x86-64 box)
+_PART_BYTES = 1 << 18
+_SCAN_BYTES = 64  # bytes read at a time to find a whitespace byte
+_SPACE = re.compile(rb"\s")  # the ASCII whitespace bytes.split() splits at
 _MODES = ("u", "v", "w")
 _FACTOR_FILES = ("U.csv", "V.csv", "W.csv")
 
@@ -86,8 +103,115 @@ def write_tensor3(path, x) -> None:
             fh.write(" ".join("%.17g" % v for v in carry) + "\n")
 
 
+def _part_count(body_bytes: int) -> int:
+    """The number of parts a body of ``body_bytes`` is parsed in: one per
+    usable core and per ``_PART_BYTES`` of body, whichever is fewer, and
+    at least one; one where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), body_bytes // _PART_BYTES))
+
+
+def _space_at_or_after(fd: int, pos: int, end: int) -> int:
+    """The first offset in ``[pos, end)`` of file ``fd`` that holds an ASCII
+    whitespace byte, or ``end``."""
+    while pos < end:
+        chunk = os.pread(fd, min(_SCAN_BYTES, end - pos), pos)
+        if not chunk:
+            break
+        if found := _SPACE.search(chunk):
+            return pos + found.start()
+        pos += len(chunk)
+    return end
+
+
+def _parse(fd: int, lo: int, hi: int, flat, more: str) -> int:
+    """Parse the values of bytes ``[lo, hi)`` of file ``fd`` into ``flat``
+    from its start; the number of values.
+
+    The bytes are read by ``os.pread`` (a forked child shares the file
+    offset, not its reads) in blocks that end at whitespace, since a
+    token list of the whole range would hold one object per value (about
+    70 MB at 100^3); float() names a bad token, and bytes split faster
+    than str.  More values than ``flat`` holds raise ``more``.
+    """
+    filled = 0
+    while lo < hi:
+        end = _space_at_or_after(fd, min(lo + _READ_BLOCK, hi), hi)
+        tokens = os.pread(fd, end - lo, lo).split()
+        if filled + len(tokens) > len(flat):
+            raise ValueError(more)
+        flat[filled:filled + len(tokens)] = np.fromiter(
+            map(float, tokens), float, len(tokens))
+        filled += len(tokens)
+        lo = end
+    return filled
+
+
+def _fork_part(fd: int, lo: int, hi: int, count: int, more: str):
+    """Fork a child that parses bytes ``[lo, hi)`` of file ``fd`` and sends
+    its value count and then its float64 bytes down a pipe, or -1 and its
+    pickled error; the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    # CPython 3.12+ warns when a process with threads (here OpenBLAS's)
+    # forks; the child runs only the parse loop, takes no lock another
+    # thread can hold, and leaves by os._exit
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                try:
+                    values = np.empty(count)
+                    got = _parse(fd, lo, hi, values, more)
+                    pipe.write(struct.pack("q", got))
+                    pipe.write(values[:got])
+                except Exception as exc:
+                    pipe.write(struct.pack("q", -1) + pickle.dumps(exc))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pipe, path, flat, filled: int, more: str) -> int:
+    """Copy the values a child sends down ``pipe`` into ``flat`` from
+    ``filled`` on, a block at a time; the new fill."""
+    def exactly(size):
+        data = pipe.read(size)
+        if len(data) != size:
+            raise OSError(f"{path}: a parse process ended without its values")
+        return data
+
+    (got,) = struct.unpack("q", exactly(8))
+    if got < 0:
+        raise pickle.loads(pipe.read())
+    if filled + got > len(flat):
+        raise ValueError(more)
+    step = _READ_BLOCK // 8
+    for at in range(filled, filled + got, step):
+        take = min(step, filled + got - at)
+        flat[at:at + take] = np.frombuffer(exactly(8 * take), float)
+    return filled + got
+
+
 def read_tensor3(path) -> np.ndarray:
-    """Read a tensor from a ``.t3`` text file, as a C-contiguous array."""
+    """Read a tensor from a ``.t3`` text file, as a C-contiguous array.
+
+    The body is parsed in parts at the same time: one per usable core
+    (``os.sched_getaffinity``) and per ``_PART_BYTES`` of body, whichever
+    is fewer, and at least one.  Part 0 runs in the caller and each
+    other part in a forked child; one part (a small body, one usable
+    core, or a platform without ``os.fork``) forks nothing.  Each part's
+    ends are moved to an ASCII whitespace byte, so no token is split,
+    and every part runs the same block loop (:func:`_parse`): the values
+    are bit-exact, the bits a one-part read gives, and a bad token or a
+    wrong count raises the same ``ValueError`` text.  The caller copies
+    each child's values into the result in file order, a block at a
+    time, and reaps every child before it returns or raises.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().decode().split()
         if len(header) != 4 or header[0] != "tensor3":
@@ -96,26 +220,37 @@ def read_tensor3(path) -> np.ndarray:
             n, p, q = (int(t) for t in header[1:])
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer dims in header") from exc
-        count = n * p * q
+        count, fd = n * p * q, fh.fileno()
+        start, end = fh.tell(), os.fstat(fd).st_size
         # each value takes a digit and a separator, the last one a digit
-        room = (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 2
+        room = (end - start + 1) // 2
         if min(n, p, q) < 1 or count > room:
             raise ValueError(f"{path}: header dims {n} {p} {q} ask for "
                              f"{count} values; the body holds at most {room}")
         x = np.empty((n, p, q))
-        # the body is parsed in blocks of whole lines straight into x (the
-        # file order is the C order of x.T), since a token list of all of
-        # it would hold one object per value (about 70 MB at 100^3);
-        # float() names a bad token, and bytes split faster than str
-        flat, filled = x.T.flat, 0
-        while block := fh.read(_READ_BLOCK):
-            tokens = (block + fh.readline()).split()
-            if filled + len(tokens) > count:
-                raise ValueError(f"{path}: expected {count} values for "
-                                 f"dims {(n, p, q)}, got more")
-            flat[filled:filled + len(tokens)] = np.fromiter(
-                map(float, tokens), float, len(tokens))
-            filled += len(tokens)
+        more = (f"{path}: expected {count} values for dims {(n, p, q)}, "
+                "got more")
+        parts, bounds = _part_count(end - start), [start]
+        for i in range(1, parts):
+            nominal = start + i * (end - start) // parts
+            bounds.append(_space_at_or_after(fd, max(nominal, bounds[-1]),
+                                             end))
+        bounds.append(end)
+        # the file order is the C order of x.T
+        flat, children, done = x.T.flat, [], False
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                children.append(_fork_part(fd, lo, hi, count, more))
+            filled = _parse(fd, start, bounds[1], flat, more)
+            for _, pipe in children:
+                filled = _receive(pipe, path, flat, filled, more)
+            done = True
+        finally:
+            for pid, pipe in children:
+                if not done:
+                    os.kill(pid, signal.SIGKILL)
+                pipe.close()
+                os.waitpid(pid, 0)
     if filled != count:
         raise ValueError(f"{path}: expected {count} values for dims "
                          f"{(n, p, q)}, got {filled}")

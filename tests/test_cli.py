@@ -215,7 +215,8 @@ def test_an_out_path_naming_a_file_exits_two(rank_one_file, tmp_path,
     assert reads == [] and fits == []
 
 
-@pytest.mark.parametrize("argv, module, name", [
+# every subcommand that takes --out, and the first work it would do
+WORK_OF_EVERY_OUT = pytest.mark.parametrize("argv, module, name", [
     (["simulate", "--scenario", "1"], cli, "simulate"),
     (["table", "--scenario", "1", "--methods", "tpa"], cli,
      "run_table_experiment"),
@@ -224,7 +225,12 @@ def test_an_out_path_naming_a_file_exits_two(rank_one_file, tmp_path,
     (["varex", "--input", "x.t3", "--model", "model"], fileio,
      "read_tensor3"),
     (["bic", "--input", "x.t3", "--mode", "u"], fileio, "read_tensor3"),
-], ids=["simulate", "table", "roc", "varex", "bic"])
+    (["decompose", "--method", "tpa", "--input", "x.t3"], fileio,
+     "read_tensor3"),
+], ids=["simulate", "table", "roc", "varex", "bic", "decompose"])
+
+
+@WORK_OF_EVERY_OUT
 def test_every_out_naming_a_file_exits_two_before_the_work(
         tmp_path, capsys, monkeypatch, argv, module, name):
     work = calls_of(monkeypatch, module, name)
@@ -237,15 +243,20 @@ def test_every_out_naming_a_file_exits_two_before_the_work(
     assert work == []
 
 
-def test_an_out_path_under_a_file_exits_two_on_the_first_write(tmp_path,
-                                                                capsys):
-    # --out names no existing path, so only the write finds the file
+@WORK_OF_EVERY_OUT
+def test_every_out_under_a_file_exits_two_before_the_work(
+        tmp_path, capsys, monkeypatch, argv, module, name):
+    # --out names no existing path; its nearest existing ancestor is a file
+    work = calls_of(monkeypatch, module, name)
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
-    out = taken / "sub"
-    assert main(["simulate", "--scenario", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("hopca: I/O error: ")
+    out = taken / "sub" / "dir"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"hopca: I/O error: --out {out} lies "
+                                       f"under {taken}, which is not a "
+                                       "directory\n")
     assert taken.read_text() == "a file\n"
+    assert work == []
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -1,5 +1,7 @@
 """File format checks: .t3 round trips, CSV matrices, model directories."""
 
+import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -173,6 +175,94 @@ def test_t3_bad_token_names_it(tmp_path, body):
     path.write_text("tensor3 2 2 1\n" + body)
     with pytest.raises(ValueError, match="oops"):
         fileio.read_tensor3(path)
+
+
+@contextlib.contextmanager
+def in_parts(cores, read_block=None, scan_bytes=None):
+    """Read every .t3 body in parts, however small: one per body byte and
+    per one of ``cores`` usable cores.  Yields the list of parts forked."""
+    forks, fork_part = [], fileio._fork_part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_PART_BYTES", 1)
+        mp.setattr(fileio.os, "sched_getaffinity",
+                   lambda pid: set(range(cores)))
+        mp.setattr(fileio, "_fork_part",
+                   lambda *a: forks.append(a[1:3]) or fork_part(*a))
+        if read_block:
+            mp.setattr(fileio, "_READ_BLOCK", read_block)
+        if scan_bytes:
+            mp.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SEPARATORS = [" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  \n "]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_tensors(), st.data(), st.integers(2, 5),
+       st.sampled_from([8, 64, 1 << 14]), st.sampled_from([1, 4, 64]))
+@example(np.array([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0,
+                   2.2250738585072014e-308, 1.0]).reshape(2, 2, 2),
+         None, 4, 8, 1)
+def test_t3_read_in_parts_is_bit_equal_to_a_one_part_read(
+        tmp_path_factory, x, data, cores, read_block, scan_bytes):
+    # parts and blocks end at any ASCII whitespace byte, never in a token
+    seps = (data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=x.size,
+                               max_size=x.size)) if data else [" "] * x.size)
+    text = "".join("%.17g" % v + sep
+                   for v, sep in zip(x.ravel(order="F").tolist(), seps))
+    path = tmp_path_factory.mktemp("t3") / "x.t3"
+    path.write_bytes(f"tensor3 {x.shape[0]} {x.shape[1]} {x.shape[2]}\n"
+                     .encode() + text.encode())
+    one = fileio.read_tensor3(path)
+    with in_parts(cores, read_block, scan_bytes) as forks:
+        back = fileio.read_tensor3(path)
+    assert_no_child_left()
+    assert len(forks) == min(cores, len(text)) - 1
+    assert back.flags.c_contiguous and back.shape == x.shape
+    assert back.tobytes() == one.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("dims, body", [
+    ((2, 2, 2), "1 2 3 4 5 6 7 oops\n"),
+    ((2, 2, 2), "oops 2 3 4 5 6 7 8\n"),
+    ((2, 2, 1), "1 2 3 4 5 6 7 8\n"),
+    ((1, 1, 2), "1.00000000000000000000 2 3 4\n"),
+    ((2, 2, 2), "1.000000000 2.000000000 3.000000000\n"),
+], ids=["bad-token-in-the-last-part", "bad-token-in-part-0",
+        "too-many-values", "too-many-in-one-later-part", "too-few-values"])
+def test_t3_errors_in_parts_read_as_in_one_part(tmp_path, dims, body):
+    path = tmp_path / "bad.t3"
+    path.write_text("tensor3 %d %d %d\n" % dims + body)
+    with pytest.raises(ValueError) as one:
+        fileio.read_tensor3(path)
+    with in_parts(3) as forks, pytest.raises(ValueError) as parts:
+        fileio.read_tensor3(path)
+    assert len(forks) == 2
+    assert str(parts.value) == str(one.value)
+    assert_no_child_left()
+
+
+def test_t3_one_part_forks_nothing(tmp_path, monkeypatch):
+    # a body below two part sizes, one usable core or a platform without
+    # os.fork reads in the caller alone
+    x = np.random.default_rng(7).standard_normal((6, 5, 4))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    assert os.path.getsize(path) < 2 * fileio._PART_BYTES
+    monkeypatch.setattr(fileio, "_fork_part", None)
+    assert fileio.read_tensor3(path).tobytes() == x.tobytes()
+    monkeypatch.setattr(fileio, "_PART_BYTES", 1)
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0})
+    assert fileio.read_tensor3(path).tobytes() == x.tobytes()
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(fileio.os, "fork")
+    assert fileio.read_tensor3(path).tobytes() == x.tobytes()
 
 
 def test_matrix_csv_round_trip(tmp_path):

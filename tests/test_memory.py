@@ -42,12 +42,16 @@ def test_variance_explained_peaks_below_a_quarter_tensor(x):
 
 
 def test_read_tensor3_peaks_at_one_tensor(x, tmp_path):
-    # the result is filled block by block: no block list, no flat copy
-    path = tmp_path / "x.t3"
+    # the result is filled block by block, and a block ends at whitespace,
+    # also in a body written on one line: no block list, no flat copy
+    path, one_line = tmp_path / "x.t3", tmp_path / "one_line.t3"
     fileio.write_tensor3(path, x)
-    back, peak = traced(fileio.read_tensor3, path)
-    assert back.tobytes() == x.tobytes()
-    assert peak < 1.25 * x.nbytes
+    header, body = path.read_bytes().split(b"\n", 1)
+    one_line.write_bytes(header + b"\n" + body.replace(b"\n", b" "))
+    for layout in (path, one_line):
+        back, peak = traced(fileio.read_tensor3, layout)
+        assert back.tobytes() == x.tobytes()
+        assert peak < 1.25 * x.nbytes
 
 
 def test_write_tensor3_peaks_below_a_quarter_tensor(x, tmp_path):
