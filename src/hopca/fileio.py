@@ -106,7 +106,8 @@ def write_tensor3(path, x) -> None:
 def _part_count(body_bytes: int) -> int:
     """The number of parts a body of ``body_bytes`` is parsed in: one per
     usable core and per ``_PART_BYTES`` of body, whichever is fewer, and
-    at least one; one where the platform cannot fork."""
+    at least one; one where the platform cannot fork or name its usable
+    cores."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), body_bytes // _PART_BYTES))
@@ -204,7 +205,8 @@ def read_tensor3(path) -> np.ndarray:
     (``os.sched_getaffinity``) and per ``_PART_BYTES`` of body, whichever
     is fewer, and at least one.  Part 0 runs in the caller and each
     other part in a forked child; one part (a small body, one usable
-    core, or a platform without ``os.fork``) forks nothing.  Each part's
+    core, or a platform without ``os.fork`` or ``os.sched_getaffinity``)
+    forks nothing.  Each part's
     ends are moved to an ASCII whitespace byte, so no token is split,
     and every part runs the same block loop (:func:`_parse`): the values
     are bit-exact, the bits a one-part read gives, and a bad token or a

@@ -187,7 +187,7 @@ def in_parts(cores, read_block=None, scan_bytes=None):
         mp.setattr(fileio.os, "sched_getaffinity",
                    lambda pid: set(range(cores)))
         mp.setattr(fileio, "_fork_part",
-                   lambda *a: forks.append(a[1:3]) or fork_part(*a))
+                   lambda *a: forks.append(a) or fork_part(*a))
         if read_block:
             mp.setattr(fileio, "_READ_BLOCK", read_block)
         if scan_bytes:
