@@ -9,13 +9,13 @@ the layout on which every contraction of the solvers takes reshape views
 of the tensor instead of copying it.  Each side holds one tensor: the
 writer puts a slab of mode-3 planes at a time into file order, and the
 reader checks the header against the body's size, allocates the result
-once and fills it block by block as it parses.  The reader parses the
-body in parts at the same time, one per usable core and per
-``_PART_BYTES`` (256 KiB) of body, whichever is fewer: part 0 in the
-caller, each other part in a forked child that sends its values back
-down a pipe.  Every part and every block ends at an ASCII whitespace
-byte, so no token is split and the values are bit-exact, whatever the
-part count and however the body is laid out on lines.
+once and fills it block by block as it parses.  A body of 512 KiB
+(``2 * _PART_BYTES``) and more is parsed in two halves at the same time
+when more than one core is usable: the first in the caller, the second
+in a forked child that sends its values back down a pipe.  Every part
+and every block ends at an ASCII whitespace byte, so no token is split
+and the values are bit-exact, in one part or two and however the body
+is laid out on lines.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
@@ -66,9 +66,9 @@ __all__ = [
 _VALUES_PER_LINE = 8
 _WRITE_BLOCK = _VALUES_PER_LINE * 256  # values formatted at a time
 _READ_BLOCK = 1 << 14  # bytes of .t3 body parsed at a time
-# least .t3 body bytes per part parsed at the same time: a part's fork and
-# pipe cost about 2.5 ms, and two parts first beat one at a body of about
-# 300 kB (measured on a 2-core x86-64 box)
+# least .t3 body bytes per part: a second part costs about 2.5 ms to fork
+# and drain, and two parts first beat one at a body of about 300 kB
+# (measured on a 2-core x86-64 box); more than two parts were not measured
 _PART_BYTES = 1 << 18
 _SCAN_BYTES = 64  # bytes read at a time to find a whitespace byte
 _SPACE = re.compile(rb"\s")  # the ASCII whitespace bytes.split() splits at
@@ -103,14 +103,16 @@ def write_tensor3(path, x) -> None:
             fh.write(" ".join("%.17g" % v for v in carry) + "\n")
 
 
-def _part_count(body_bytes: int) -> int:
-    """The number of parts a body of ``body_bytes`` is parsed in: one per
-    usable core and per ``_PART_BYTES`` of body, whichever is fewer, and
-    at least one; one where the platform cannot fork or name its usable
-    cores."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), body_bytes // _PART_BYTES))
+def _second_part_at(fd: int, start: int, end: int) -> int:
+    """The offset of body ``[start, end)`` of file ``fd`` at which a second
+    part starts: the first ASCII whitespace byte from the middle on, when
+    the body holds two ``_PART_BYTES`` and more than one core is usable;
+    else ``end`` (one part)."""
+    if (end - start < 2 * _PART_BYTES or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return end
+    return _space_at_or_after(fd, (start + end) // 2, end)
 
 
 def _space_at_or_after(fd: int, pos: int, end: int) -> int:
@@ -126,33 +128,31 @@ def _space_at_or_after(fd: int, pos: int, end: int) -> int:
     return end
 
 
-def _parse(fd: int, lo: int, hi: int, flat, more: str) -> int:
-    """Parse the values of bytes ``[lo, hi)`` of file ``fd`` into ``flat``
-    from its start; the number of values.
+def _parse(fd: int, lo: int, hi: int, room: int, more: str):
+    """Yield the values of bytes ``[lo, hi)`` of file ``fd``, an array per
+    block; more than ``room`` values raise ``more``.
 
     The bytes are read by ``os.pread`` (a forked child shares the file
     offset, not its reads) in blocks that end at whitespace, since a
     token list of the whole range would hold one object per value (about
     70 MB at 100^3); float() names a bad token, and bytes split faster
-    than str.  More values than ``flat`` holds raise ``more``.
+    than str.
     """
-    filled = 0
     while lo < hi:
         end = _space_at_or_after(fd, min(lo + _READ_BLOCK, hi), hi)
         tokens = os.pread(fd, end - lo, lo).split()
-        if filled + len(tokens) > len(flat):
+        room -= len(tokens)
+        if room < 0:
             raise ValueError(more)
-        flat[filled:filled + len(tokens)] = np.fromiter(
-            map(float, tokens), float, len(tokens))
-        filled += len(tokens)
+        yield np.fromiter(map(float, tokens), float, len(tokens))
         lo = end
-    return filled
 
 
-def _fork_part(fd: int, lo: int, hi: int, count: int, more: str):
+def _fork_part(fd: int, lo: int, hi: int, room: int, more: str):
     """Fork a child that parses bytes ``[lo, hi)`` of file ``fd`` and sends
     its value count and then its float64 bytes down a pipe, or -1 and its
-    pickled error; the child's pid and the pipe's read end."""
+    pickled error; the child's pid and the pipe's read end.  The child
+    holds the values of its own part only, as they are parsed."""
     r, w = os.pipe()
     # CPython 3.12+ warns when a process with threads (here OpenBLAS's)
     # forks; the child runs only the parse loop, takes no lock another
@@ -165,10 +165,10 @@ def _fork_part(fd: int, lo: int, hi: int, count: int, more: str):
             os.close(r)
             with open(w, "wb") as pipe:
                 try:
-                    values = np.empty(count)
-                    got = _parse(fd, lo, hi, values, more)
-                    pipe.write(struct.pack("q", got))
-                    pipe.write(values[:got])
+                    blocks = list(_parse(fd, lo, hi, room, more))
+                    pipe.write(struct.pack("q", sum(map(len, blocks))))
+                    for values in blocks:
+                        pipe.write(values)
                 except Exception as exc:
                     pipe.write(struct.pack("q", -1) + pickle.dumps(exc))
         finally:
@@ -201,18 +201,19 @@ def _receive(pipe, path, flat, filled: int, more: str) -> int:
 def read_tensor3(path) -> np.ndarray:
     """Read a tensor from a ``.t3`` text file, as a C-contiguous array.
 
-    The body is parsed in parts at the same time: one per usable core
-    (``os.sched_getaffinity``) and per ``_PART_BYTES`` of body, whichever
-    is fewer, and at least one.  Part 0 runs in the caller and each
-    other part in a forked child; one part (a small body, one usable
-    core, or a platform without ``os.fork`` or ``os.sched_getaffinity``)
-    forks nothing.  Each part's
-    ends are moved to an ASCII whitespace byte, so no token is split,
-    and every part runs the same block loop (:func:`_parse`): the values
-    are bit-exact, the bits a one-part read gives, and a bad token or a
-    wrong count raises the same ``ValueError`` text.  The caller copies
-    each child's values into the result in file order, a block at a
-    time, and reaps every child before it returns or raises.
+    A body of two ``_PART_BYTES`` and more is parsed in two parts at the
+    same time when more than one core is usable (``os.sched_getaffinity``):
+    the first half in the caller, the second in a forked child.  Any
+    other body (small, on one usable core, or on a platform without
+    ``os.fork`` or ``os.sched_getaffinity``) is one part, and forks
+    nothing.  The second part starts at an ASCII whitespace byte, so no
+    token is split, and both parts run the same block loop
+    (:func:`_parse`): the values are bit-exact, the bits a one-part read
+    gives, and a bad token or a wrong count raises a ``ValueError``.  The
+    caller copies the child's values into the result after its own, a
+    block at a time, and reaps the child before it returns or raises.
+    The result is the one tensor the caller holds; the child holds the
+    values of its half until the caller has taken them.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().split()
@@ -232,27 +233,24 @@ def read_tensor3(path) -> np.ndarray:
         x = np.empty((n, p, q))
         more = (f"{path}: expected {count} values for dims {(n, p, q)}, "
                 "got more")
-        parts, bounds = _part_count(end - start), [start]
-        for i in range(1, parts):
-            nominal = start + i * (end - start) // parts
-            bounds.append(_space_at_or_after(fd, max(nominal, bounds[-1]),
-                                             end))
-        bounds.append(end)
+        mid = _second_part_at(fd, start, end)
+        child = _fork_part(fd, mid, end, count, more) if mid < end else None
         # the file order is the C order of x.T
-        flat, children, done = x.T.flat, [], False
+        flat, filled = x.T.flat, 0
         try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                children.append(_fork_part(fd, lo, hi, count, more))
-            filled = _parse(fd, start, bounds[1], flat, more)
-            for _, pipe in children:
-                filled = _receive(pipe, path, flat, filled, more)
-            done = True
+            for values in _parse(fd, start, mid, count, more):
+                flat[filled:filled + len(values)] = values
+                filled += len(values)
+            if child:
+                filled = _receive(child[1], path, flat, filled, more)
+        except BaseException:
+            if child:
+                os.kill(child[0], signal.SIGKILL)
+            raise
         finally:
-            for pid, pipe in children:
-                if not done:
-                    os.kill(pid, signal.SIGKILL)
-                pipe.close()
-                os.waitpid(pid, 0)
+            if child:
+                child[1].close()
+                os.waitpid(child[0], 0)
     if filled != count:
         raise ValueError(f"{path}: expected {count} values for dims "
                          f"{(n, p, q)}, got {filled}")

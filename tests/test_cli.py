@@ -259,6 +259,21 @@ def test_every_out_under_a_file_exits_two_before_the_work(
     assert work == []
 
 
+def test_an_unwritable_out_exits_two_on_the_first_write(tmp_path, capsys,
+                                                        monkeypatch):
+    # --out passes the check before the work (its parent is a directory),
+    # but its first write is refused, as in a read-only directory
+    out = tmp_path / "out"
+
+    def refused(dirpath, model):
+        raise PermissionError(13, "Permission denied", str(dirpath))
+
+    monkeypatch.setattr(fileio, "save_model", refused)
+    assert main(["simulate", "--scenario", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("hopca: I/O error: [Errno 13] "
+                                       f"Permission denied: '{out}'\n")
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # a non-PSD quadratic operator is a numerical failure, not an I/O one
     rng = np.random.default_rng(2)

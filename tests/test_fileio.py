@@ -178,14 +178,13 @@ def test_t3_bad_token_names_it(tmp_path, body):
 
 
 @contextlib.contextmanager
-def in_parts(cores, read_block=None, scan_bytes=None):
-    """Read every .t3 body in parts, however small: one per body byte and
-    per one of ``cores`` usable cores.  Yields the list of parts forked."""
+def in_parts(read_block=None, scan_bytes=None):
+    """Read every .t3 body of two bytes and more in two parts, on two
+    usable cores.  Yields the list of parts forked."""
     forks, fork_part = [], fileio._fork_part
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "_PART_BYTES", 1)
-        mp.setattr(fileio.os, "sched_getaffinity",
-                   lambda pid: set(range(cores)))
+        mp.setattr(fileio.os, "sched_getaffinity", lambda pid: {0, 1})
         mp.setattr(fileio, "_fork_part",
                    lambda *a: forks.append(a) or fork_part(*a))
         if read_block:
@@ -204,13 +203,13 @@ SEPARATORS = [" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  \n "]
 
 
 @settings(max_examples=60, deadline=None)
-@given(finite_tensors(), st.data(), st.integers(2, 5),
-       st.sampled_from([8, 64, 1 << 14]), st.sampled_from([1, 4, 64]))
+@given(finite_tensors(), st.data(), st.sampled_from([8, 64, 1 << 14]),
+       st.sampled_from([1, 4, 64]))
 @example(np.array([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0,
                    2.2250738585072014e-308, 1.0]).reshape(2, 2, 2),
-         None, 4, 8, 1)
+         None, 8, 1)
 def test_t3_read_in_parts_is_bit_equal_to_a_one_part_read(
-        tmp_path_factory, x, data, cores, read_block, scan_bytes):
+        tmp_path_factory, x, data, read_block, scan_bytes):
     # parts and blocks end at any ASCII whitespace byte, never in a token
     seps = (data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=x.size,
                                max_size=x.size)) if data else [" "] * x.size)
@@ -220,10 +219,10 @@ def test_t3_read_in_parts_is_bit_equal_to_a_one_part_read(
     path.write_bytes(f"tensor3 {x.shape[0]} {x.shape[1]} {x.shape[2]}\n"
                      .encode() + text.encode())
     one = fileio.read_tensor3(path)
-    with in_parts(cores, read_block, scan_bytes) as forks:
+    with in_parts(read_block, scan_bytes) as forks:
         back = fileio.read_tensor3(path)
     assert_no_child_left()
-    assert len(forks) == min(cores, len(text)) - 1
+    assert len(forks) == 1
     assert back.flags.c_contiguous and back.shape == x.shape
     assert back.tobytes() == one.tobytes() == x.tobytes()
 
@@ -241,10 +240,36 @@ def test_t3_errors_in_parts_read_as_in_one_part(tmp_path, dims, body):
     path.write_text("tensor3 %d %d %d\n" % dims + body)
     with pytest.raises(ValueError) as one:
         fileio.read_tensor3(path)
-    with in_parts(3) as forks, pytest.raises(ValueError) as parts:
+    with in_parts() as forks, pytest.raises(ValueError) as parts:
         fileio.read_tensor3(path)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert str(parts.value) == str(one.value)
+    assert_no_child_left()
+
+
+def test_t3_surplus_and_a_bad_token_in_part_1_raise_a_value_error(tmp_path):
+    # one part counts the surplus first; the child of two parts converts
+    # its own tokens, which are not too many for it, and names the bad one
+    path = tmp_path / "bad.t3"
+    path.write_text("tensor3 2 2 1\n1 2 3 4 5 oops\n")
+    with pytest.raises(ValueError, match="got more"):
+        fileio.read_tensor3(path)
+    with in_parts() as forks, pytest.raises(ValueError, match="oops"):
+        fileio.read_tensor3(path)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_t3_many_usable_cores_still_read_in_two_parts(tmp_path):
+    # more than two parts were never measured: one child, whatever the
+    # number of usable cores
+    x = np.random.default_rng(8).standard_normal((6, 5, 4))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    with in_parts() as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio.os, "sched_getaffinity", lambda pid: set(range(64)))
+        back = fileio.read_tensor3(path)
+    assert len(forks) == 1 and back.tobytes() == x.tobytes()
     assert_no_child_left()
 
 
