@@ -7,17 +7,20 @@ for one fit, :func:`_fit_greedy` for a deflation, :func:`_fit_unfolding`
 for the penalized PCA of an unfolding), :func:`deflate`, the ALS loop or
 the Tucker loop.  Each loop enters through :func:`_shared_grams`, which
 checks a tensor when it opens a block on it (finite entries, a squared
-norm below overflow), so a fit inside a block open on its tensor
-never checks it again.  The loops default and reject the config (the
-Tucker loop sweeps only when asked) and end the diagnostics with each
-method's extras.  Each loop takes one :class:`_ModeUpdate` per mode.
-The engine's update rule is :func:`_level` (a fixed level or BIC over a
-grid) and :func:`_penalty`.  The Tucker loop runs :func:`_tucker_pass`
-for its HOSVD start and each HOOI sweep: a penalized mode takes the
-left factors of :func:`_fit_unfolding`, the engine on the view
-``m[:, :, None]`` of the unfolding ``m``, whose size-one third mode with
-a plain update is the fixed factor ``[1.0]``: no start, no update, and
-the product the view ``x[:, :, 0]``.
+norm below overflow) and opens it on the tensor's C-ordered copy, so a
+fit inside a block open on its tensor never checks or copies it again,
+and a fit of any layout has the bits of the fit of that copy.  Every
+n-mode product is :func:`hopca.tensor3.mode_mult`'s.  The loops default
+and reject the config (the Tucker loop sweeps only when asked) and end
+the diagnostics with each method's extras.  Each loop takes one
+:class:`_ModeUpdate` per mode.  The engine's update rule is
+:func:`_level` (a fixed level or BIC over a grid) and :func:`_penalty`.
+The Tucker loop runs :func:`_tucker_pass` for its HOSVD start and each
+HOOI sweep: a penalized mode takes the left factors of
+:func:`_fit_unfolding`, the engine on the view ``m[:, :, None]`` of the
+unfolding ``m``, whose size-one third mode with a plain update is the
+fixed factor ``[1.0]``: no start, no update, and the product the view
+``x[:, :, 0]``.
 
 Solvers keep no state between calls, only read their input tensor and
 may run concurrently.  The one shared value is context-local: inside
@@ -30,7 +33,8 @@ reads and fills.  The memo lives in a ``ContextVar``, unseen by other
 threads and contexts, and serves that one tensor only, never a
 residual.  No Gram, start or penalized PCA copies an unfolding where
 its column order does not matter (:func:`_unfolding`): modes 1 and 3
-are reshape views, and mode 2's Gram sums slab products.
+are reshape views of the C-ordered tensor, and mode 2's Gram sums slab
+products.
 
 Deflation does not form its residual either.  :func:`_greedy` runs every
 deflation: each later component is fit to ``x`` and the terms accepted
@@ -39,7 +43,8 @@ reads and the SVD start (the top eigenvector of the memo's Gram updated
 by the terms) in closed form.  Only a nearly vanished residual is
 formed, and one at the rounding level of ``x`` ends the run.  The ALS
 loop reads its residual norm from the same closed form
-(:func:`_cp_norm_sq`) and takes its products on views of ``x``.  Factor
+(:func:`_cp_norm_sq`) and takes its products on views of ``x``; where a
+residual is formed, it is ``x`` less the CP model of the terms.  Factor
 columns are unit norm; rank-one weights are non-negative; components are
 sorted by descending weight, the greedy order kept in the diagnostics.
 """
@@ -456,21 +461,24 @@ _GRAMS: ContextVar[tuple | None] = ContextVar("_GRAMS", default=None)
 @contextmanager
 def _shared_grams(x, norm=None):
     """Check ``x`` (:func:`check_tensor3`, and that ``||x||^2`` does not
-    overflow) and yield a read-only view of it.  Within the block
-    :func:`_kept` keeps what is computed of that very view (``is``, not
-    equality) once, read-only: the norm that check computed
-    (:func:`_norm`), the Gram of each unfolding (:func:`_smaller_gram`),
-    its leading singular vectors for each (mode, k), from its Lanczos top
-    pairs, and each Tucker start (:func:`_tucker`).  Opened on the view of
-    an enclosing block, the block is that block, and ``x`` is neither
-    checked nor scanned again.  With ``norm`` the caller answers for
-    ``x``, a float array of that norm, and the block opens on it
-    unchecked."""
+    overflow) and yield a read-only view of its C-ordered copy (of ``x``
+    itself when it is C-contiguous, the rule :func:`hopca.tensor3.tensor3`
+    and the ``.t3`` reader apply), on which every unfolding and product
+    is a reshape view.  Within the block :func:`_kept` keeps what is
+    computed of that very view (``is``, not equality) once, read-only:
+    the norm that check computed (:func:`_norm`), the Gram of each
+    unfolding (:func:`_smaller_gram`), its leading singular vectors for
+    each (mode, k), from its Lanczos top pairs, and each Tucker start
+    (:func:`_tucker`).  Opened on the view of an enclosing block, the
+    block is that block, and ``x`` is neither checked nor scanned again.
+    With ``norm`` the caller answers for ``x``, a float array of that
+    norm, and the block opens on it unchecked and as it is laid out (the
+    penalized PCA's view of an unfolding, which a copy would copy)."""
     if _memo(x) is not None:
         yield x
         return
     if norm is None:
-        x = check_tensor3(x)
+        x = np.ascontiguousarray(check_tensor3(x))
         with np.errstate(over="ignore"):  # the error below says so
             norm = frob_norm(x)
         if math.isinf(norm):
@@ -508,18 +516,23 @@ def _kept(x, key, make):
 
 
 def _norm(x) -> float:
-    """``||x||``: kept by a block open on ``x``, else computed."""
-    return _kept(x, "norm", lambda: frob_norm(x))
+    """``||x||``: kept by a block open on ``x``, else computed on the C
+    copy of ``x`` that such a block opens on."""
+    return _kept(x, "norm", lambda: frob_norm(np.ascontiguousarray(x)))
 
 
 def _unfolding(x, mode):
     """The mode-``mode`` unfolding of ``x``, its columns in the order that
     reads ``x`` in place: ``x.reshape(n, p q)`` for mode 1 and
     ``x.reshape(n p, q).T`` for mode 3, views of a C-contiguous ``x``.
-    Mode 2 has no such view, so it is :func:`matricize`'s copy (the view
-    ``x[:, :, 0].T`` for a size-one third mode).  An unfolding's column
-    order is a convention (Kolda & Bader 2009, section 2.4): its row Gram
-    and left singular vectors do not depend on it."""
+    Outside a block open on ``x`` they are views of the C copy of ``x``
+    that such a block opens on, so a start or Gram taken outside a block
+    has the bits of one taken inside.  Mode 2 has no such view, so it is
+    :func:`matricize`'s copy (the view ``x[:, :, 0].T`` for a size-one
+    third mode).  An unfolding's column order is a convention (Kolda &
+    Bader 2009, section 2.4): its row Gram and left singular vectors do
+    not depend on it."""
+    x = x if _memo(x) else np.ascontiguousarray(x)
     n, p, q = x.shape
     if mode == 1:
         return x.reshape(n, p * q)
@@ -672,9 +685,9 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
     scaled factor.  Columns are rescaled to unit norm with the weights
     taken as the column norms; a column whose weight vanishes is zeroed
     in a penalized mode and keeps its previous direction otherwise.  The
-    products are taken on reshape views of ``x`` (no copy of a
-    C-contiguous ``x``): ``x`` times W serves the U- and V-updates, U^T
-    times ``x`` the W-update, whose products give the residual norm in
+    products are :func:`hopca.tensor3.mode_mult`'s on the block's C copy
+    of ``x``: ``x`` times W serves the U- and V-updates, U^T times ``x``
+    the W-update, whose products give the residual norm in
     closed form (:func:`_cp_norm_sq`); the residual is formed only when
     its squared norm is at most ``_GRAM_RCOND`` times ``||x||^2``, where
     the closed form has lost its digits.  Iteration stops when the
@@ -703,10 +716,9 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
                        for f, pen in zip(factors, penalized)]
             loop.converged = True
         else:
-            n, p, q = x.shape
             for _ in loop.sweeps():
                 # x contracted with W feeds both the U- and the V-update
-                xw = np.dot(x.reshape(n * p, q), factors[2]).reshape(n, p, K)
+                xw = mode_mult(x, factors[2].T, 3)
                 for m in range(3):
                     a, b = (f for o, f in enumerate(factors) if o != m)
                     gram = (a.T @ a) * (b.T @ b)
@@ -714,8 +726,8 @@ def _als(x, K: int, cfg: SolverConfig | None, method: str,
                         corr = np.einsum(("ijr,jr->ir", "ijr,ir->jr")[m],
                                          xw, a)
                     else:  # U^T x, contracted with V
-                        corr = np.einsum("rjk,jr->kr", np.dot(
-                            a.T, x.reshape(n, p * q)).reshape(K, p, q), b)
+                        corr = np.einsum("rjk,jr->kr", mode_mult(x, a.T, 1),
+                                         b)
                     if penalized[m]:
                         scaled, levels[m] = _lasso_step(
                             updates[m], gram, corr, factors[m] * d,
@@ -784,23 +796,22 @@ def _tucker_pass(x, ranks, updates, cfg, factors=None):
     itself at the start, so a block open on ``x`` serves it from the
     memo, and in a sweep ``x`` projected onto the other two factors,
     those of this sweep where they are already new.  A sweep reads ``x``
-    twice (Kolda & Bader 2009, section 4.2): mode 1 takes ``x W`` on a
-    view of ``x``, then ``V^T``, and ``U^T x`` with the new U gives modes
-    2 and 3 and the core.  A plain update takes the leading singular
-    vectors, at level 0; a penalized one the left factors of a penalized
-    PCA (:func:`_fit_unfolding`), with each component's level and its fit
-    as a loop.  Returns the factors, the levels per mode, the loops and
+    twice (Kolda & Bader 2009, section 4.2), each time by
+    :func:`hopca.tensor3.mode_mult`: mode 1 takes ``x W``, then ``V^T``,
+    and ``U^T x`` with the new U gives modes 2 and 3 and the core.  A
+    plain update takes the leading singular vectors, at level 0; a
+    penalized one the left factors of a penalized PCA
+    (:func:`_fit_unfolding`), with each component's level and its fit as
+    a loop.  Returns the factors, the levels per mode, the loops and
     the core.
     """
     factors = [None] * 3 if factors is None else list(factors)
     start, levels, loops = factors[0] is None, {}, []
-    n, p, q = x.shape
     for m, (upd, plain, k) in enumerate(zip(updates, _PLAIN, ranks)):
         if start:
             y = x
         elif m == 0:
-            y = np.matmul(factors[1].T, np.dot(x.reshape(n * p, q),
-                                               factors[2]).reshape(n, p, -1))
+            y = mode_mult(mode_mult(x, factors[2].T, 3), factors[1].T, 2)
         else:  # U^T x, times W^T in mode 3, then the new V^T in mode 2
             xu = mode_mult(x, factors[0].T, 1) if m == 1 else xu
             y = mode_mult(xu, factors[3 - m].T, 4 - m)
@@ -983,17 +994,9 @@ class _Terms:
                            np.einsum("jk,jk->k", V, self._cv[:, :self.k]))
 
     def residual(self):
-        """``R`` formed: each term subtracted from ``x`` in turn."""
-        resid = self.x
-        U, V, W, d = self.accepted()
-        for j in range(self.k):
-            term = np.multiply.outer(np.outer(U[:, j], V[:, j]), W[:, j])
-            term *= d[j]
-            if resid is self.x:
-                resid = self.x - term
-            else:
-                resid -= term
-        return resid
+        """``R`` formed: ``x`` less the accepted terms' CP model, as the
+        ALS loop forms its residual."""
+        return self.x - CpModel(*self.accepted()).reconstruct()
 
     def residual_norm(self) -> float:
         """``||R||``: the closed form, or ``R`` formed where that has lost

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor3 import _mode_mult3, frob_norm
+from .tensor3 import _mode_mult3, check_tensor3, frob_norm
 
 __all__ = [
     "VarianceReport",
@@ -69,8 +69,10 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     Tucker model with unequal ranks each mode is capped at its own width.
     The projection's norm is taken as ``||x x1 Qu' x2 Qv' x3 Qw'||`` with
     orthonormal bases Q of the columns, so each intermediate is k-sized
-    in the mode it has contracted and no n x n projection is formed.
+    in the mode it has contracted and no n x n projection is formed.  A
+    tensor that :func:`check_tensor3` refuses raises its ValueError.
     """
+    x = check_tensor3(x)
     norm_sq = frob_norm(x) ** 2
     if norm_sq == 0.0:
         raise ValueError("variance explained is undefined for a zero tensor")
@@ -310,9 +312,8 @@ def _inner(a, b) -> float:
     """``<A, B>`` of two Tucker forms: ``B``'s core taken into ``A``'s
     factors through ``U_a^T U_b``, ``V_a^T V_b`` and ``W_a^T W_b``, then
     its inner product with ``A``'s core."""
-    (core_a, fa), (core, fb) = a, b
-    for f, g in zip(fa, fb):  # mode by mode; three turns restore the order
-        core = np.tensordot(core, f.T @ g, axes=(0, 1))
+    (core_a, fa), (core_b, fb) = a, b
+    core = _mode_mult3(core_b, *(f.T @ g for f, g in zip(fa, fb)))
     return float(np.vdot(core_a, core))
 
 

@@ -4,7 +4,11 @@ A third-order tensor is represented as a ``numpy.ndarray`` of shape
 ``(n, p, q)``.  The linear layout convention used everywhere in this
 package (matricization fibers, the ``.t3`` file format, Khatri-Rao
 products) is mode-1-fastest: the value at index ``(i, j, k)`` lives at
-flat offset ``i + n*j + n*p*k``, i.e. Fortran order.
+flat offset ``i + n*j + n*p*k``, i.e. Fortran order.  In memory a
+tensor is C-ordered: :func:`tensor3` and the ``.t3`` reader return
+C-contiguous arrays, and :func:`mode_mult`, the one n-mode product,
+takes reshape views of that layout and returns it, so a chain of
+products copies no operand (a tensor in another layout is copied once).
 """
 
 from __future__ import annotations
@@ -112,16 +116,26 @@ def mode_mult(x: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     """Multiply a matrix along one tensor mode.
 
     The result replaces ``dims[mode]`` by ``m.shape[0]`` and equals
-    ``fold(m @ matricize(x, mode), mode, ...)``.
+    ``fold(m @ matricize(x, mode), mode, ...)``.  It is one matmul on
+    reshape views of ``x`` in C order (a copy of ``x`` in any other
+    layout): ``m @ x.reshape(n, p q)`` for mode 1, ``m`` times each
+    ``x[i]`` for mode 2 and ``x.reshape(n p, q) @ m^T`` for mode 3, each
+    a C-contiguous result whose later reshapes are views too.  This is
+    the package's only n-mode product (Kolda & Bader 2009, section 2.5).
     """
     ax = _check_mode(mode)
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] != x.shape[ax]:
         raise ValueError(
             f"matrix shape {m.shape} does not match mode-{mode} dim {x.shape[ax]}"
         )
-    return np.moveaxis(np.tensordot(m, x, axes=(1, ax)), 0, ax)
+    n, p, q = x.shape  # sizes written out: a zero-length mode has no -1
+    if ax == 0:
+        return (m @ x.reshape(n, p * q)).reshape(m.shape[0], p, q)
+    if ax == 1:
+        return np.matmul(m, x)
+    return (x.reshape(n * p, q) @ m.T).reshape(n, p, m.shape[0])
 
 
 def _mode_mult3(x: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -164,6 +164,19 @@ class TestVarianceExplained:
         with pytest.raises(ValueError):
             variance_explained(np.zeros((3, 3, 3)), model)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D"])
+    def test_a_tensor_check_tensor3_refuses_raises_its_error(self, bad):
+        # a NaN curve or an IndexError before the check
+        model = CpModel(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)),
+                        np.ones(1))
+        x = np.ones((3, 3, 3))
+        if bad == "2-D":
+            x, match = x[0], "3-way"
+        else:
+            x[1, 2, 0], match = bad, "finite"
+        with pytest.raises(ValueError, match=match):
+            variance_explained(x, model)
+
     def test_zero_columns_are_handled(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4, 4))

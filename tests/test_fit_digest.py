@@ -128,19 +128,22 @@ def test_the_fixed_level_als_fit_is_digested_beside_the_tucker_fits():
 
 def test_fits_of_a_tensor_read_back_are_digested_per_family():
     """One fit per family of the scenario-1 tensor after a ``.t3`` round
-    trip; the read-back tensor has the written one's values and layout, so
-    each fit has the digests of the same fit of the written tensor."""
+    trip, and of its F-ordered and transposed copies; every fit reads the
+    C copy of its tensor, so each has the digests of the same fit of the
+    written tensor."""
     tool = load_tool()
-    fits = dict(tool.t3_fits())
-    assert list(fits) == [f"s1 t3 {name}" for name in tool.T3_METHODS]
+    fits = dict(tool.layout_fits())
+    assert list(fits) == [f"s1 {layout} {name}" for layout in tool.LAYOUTS
+                          for name in tool.T3_METHODS]
     spec = SimScenarioSpec(1, seed=tool.SEED)
     x = simulate(spec).x
     for name in tool.T3_METHODS:
-        fit = fits[f"s1 t3 {name}"]
-        assert fit.diagnostics["method"] == name
         again = fit_method(name, x, spec, SolverConfig(max_iter=100))
-        assert tool.digest(fit) == tool.digest(again)
-        assert tool.trace_digest(fit) == tool.trace_digest(again)
+        for layout in tool.LAYOUTS:
+            fit = fits[f"s1 {layout} {name}"]
+            assert fit.diagnostics["method"] == name
+            assert tool.digest(fit) == tool.digest(again)
+            assert tool.trace_digest(fit) == tool.trace_digest(again)
 
 
 def test_the_bic_tucker_fits_penalize_every_mode_of_scenarios_3_and_4():

@@ -1,7 +1,7 @@
 """Traced memory peaks of the analyst path (simulate -> .t3 -> varex),
-of the solvers' SVD starts and of the table's signal MSE: each step holds
-one tensor at a time, and no start or penalized PCA copies an unfolding
-of it."""
+of the solvers' SVD starts, of the functional fits and of the table's
+signal MSE: each step holds one tensor at a time, and no start or
+penalized PCA copies an unfolding of it."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -13,6 +13,8 @@ from hopca import fileio
 from hopca.decompose import (CpModel, TuckerModel, _shared_grams,
                              _smaller_gram, _unfolding_vectors)
 from hopca.evaluate import signal_mse, variance_explained
+from hopca.generalized import (SmootherSet, fpca, fpca_half_smoothing,
+                               fpca_rank_one)
 from hopca.simulate import SimScenarioSpec, simulate
 from hopca.sparse import PenaltySpec, sparse_hosvd
 
@@ -99,3 +101,16 @@ def test_signal_mse_peaks_at_the_reconstruction(x):
         diff = model.reconstruct() - x
         assert mse == pytest.approx(np.sum(diff * diff) / x.size, rel=1e-13)
         assert peak < 1.5 * x.nbytes
+
+
+@pytest.mark.parametrize("fit, tensors", [
+    (lambda x, s: fpca_rank_one(x, s), 2.25),
+    (lambda x, s: fpca_half_smoothing(x, s, (2, 2, 2)), 2.25),
+    (lambda x, s: fpca(x, s, 2), 3.25)], ids=["rank-one", "halfsmooth", "K=2"])
+def test_the_functional_fits_hold_the_smoothed_tensor_and_its_products(
+        x, fit, tensors):
+    # each n-mode product of the smoothing is C-ordered, so no later
+    # reshape copies it; fpca also forms each component's residual
+    s = SmootherSet.second_difference(x.shape, 1.0)
+    _, peak = traced(fit, x, s)
+    assert peak <= tensors * x.nbytes

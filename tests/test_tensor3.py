@@ -22,6 +22,7 @@ from hopca.tensor3 import (
     qnorm3,
     tensor3,
 )
+from test_unfoldings import LAYOUTS, laid_out
 
 
 def linear_tensor():
@@ -170,6 +171,23 @@ class TestModeMult:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mode_mult(random_tensor((3, 4, 5)), np.zeros((2, 4)), 1)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (0, 4, 5), (3, 0, 5),
+                                       (3, 4, 0)], ids=str)
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_any_layout_gives_the_c_ordered_fold_of_the_product(
+            self, mode, shape, layout):
+        rng = np.random.default_rng(9)
+        x = laid_out(rng.standard_normal(shape), layout)
+        m = rng.standard_normal((2, shape[mode - 1]))
+        dims = tuple(2 if i == mode - 1 else d for i, d in enumerate(shape))
+        got = mode_mult(x, m, mode)
+        assert got.flags.c_contiguous and got.shape == dims
+        # matricize has no unfolding of a zero-length mode to multiply
+        want = (fold(m @ matricize(x, mode), mode, dims) if shape[mode - 1]
+                else np.zeros(dims))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestContractVec:

@@ -6,6 +6,8 @@ matches the Gram of :func:`hopca.tensor3.matricize`'s copy, the
 reference, with the columns of a column-side Gram in the view's order.
 Starts taken inside and outside a ``_shared_grams`` block are equal bit
 for bit, and a block computes ``||x||`` once for every fit inside it.
+Every method and the penalized PCA fit a tensor or matrix in any memory
+layout to the bits of its C-ordered copy.
 """
 
 from types import SimpleNamespace
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopca import decompose
-from hopca.decompose import (_shared_grams, _smaller_gram, _unfolding,
-                             _unfolding_gram, _unfolding_vectors)
+from hopca.decompose import (SolverConfig, _shared_grams, _smaller_gram,
+                             _unfolding, _unfolding_gram, _unfolding_vectors)
 from hopca.evaluate import roc_sweep
-from hopca.simulate import ROC_METHODS
+from hopca.simulate import METHODS, ROC_METHODS
+from hopca.sparse import ModePenalty, PenaltySpec, sparse_pca
 from hopca.tensor3 import matricize
 
 RTOL = 1e-13
@@ -147,3 +150,36 @@ def test_a_block_takes_the_norm_of_x_once(monkeypatch):
         for method in ROC_METHODS:
             assert roc_sweep(view, truth, method, [0.0, 0.5, 2.0], cfg)
     assert sizes.count(x.size) == 1
+
+
+@pytest.mark.parametrize("layout", LAYOUTS[1:])
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_method_fits_each_layout_to_the_bits_of_the_c_copy(name,
+                                                                  layout):
+    """A block opens on a C copy and the code outside one reads the same
+    copy, so the layout of ``x`` moves no bit of any fit."""
+    values, _ = instance()
+    entry = METHODS[name]
+    pen = (PenaltySpec.lasso(u=0.3) if entry.penalty == "fixed"
+           else PenaltySpec.lasso(u="bic") if entry.penalty else None)
+    want, got = ([model.U, model.V, model.W,
+                  model.core if entry.tucker else model.d]
+                 for model in (entry.fit(x, 2, SolverConfig(max_iter=50), pen)
+                               for x in (values, laid_out(values, layout))))
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layout", ["F", "transposed"])
+def test_the_penalized_pca_fits_each_layout_to_the_bits_of_the_c_copy(
+        layout):
+    m = np.random.default_rng(11).standard_normal((30, 40))
+    other = (np.asfortranarray(m) if layout == "F"
+             else np.ascontiguousarray(m.T).T)
+    pen = ModePenalty("lasso", None)
+    want, got = (sparse_pca(a, 3, pen, SolverConfig(max_iter=50))
+                 for a in (m, other))
+    for a, b in zip(want[:3], got[:3]):
+        assert np.array_equal(a, b)
+    for a, b in zip(want[3], got[3]):
+        assert np.array_equal(a.objective_trace, b.objective_trace)

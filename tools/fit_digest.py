@@ -23,10 +23,13 @@ a three-component ``sparse_pca`` at a fixed non-negative lasso level
 wide and the much wider kind the Tucker methods fit: scenario-2 modes 1
 (1000 x 400) and 2 (20 x 20000), and scenario-1 mode 1 (100 x 10000).
 One fit per family (cp-als, tpa, sparse-cp-tpa, hooi and sparse-hosvd)
-is also made of the scenario-1 tensor written to a ``.t3`` file and read
-back, as ``hopca decompose`` reads it, so that a change to the layout
-the reader returns shows in those lines, which carry a ``trace`` line
-too, as the (3, 2, 1) fit does.  A digest covers the factors and the
+is also made of three copies of the scenario-1 tensor: written to a
+``.t3`` file and read back, as ``hopca decompose`` reads it (``s1 t3``),
+F-ordered (``s1 F``) and a transposed view of a C array (``s1
+transposed``).  Every fit reads its tensor's C copy, so each of these
+lines must equal the ``s1 <method>`` line of the same fit of the tensor
+itself, as CI checks; they carry a ``trace`` line too, as the (3, 2, 1)
+fit does.  A digest covers the factors and the
 weights or the core, and a rank-one fit's also its objective trace, as
 raw float64 bytes.  Each scenario fit also gets a ``support`` line: one
 digest of its ``support_metrics`` against the simulated truth (tp, fp,
@@ -171,23 +174,30 @@ def uneven_ranks_fits():
 
 
 T3_METHODS = ("cp-als", "tpa", "sparse-cp-tpa", "hooi", "sparse-hosvd")
+LAYOUTS = ("t3", "F", "transposed")
 
 
-def t3_fits():
-    """(label, fit) for each method of ``T3_METHODS`` on the scenario-1
-    tensor after a ``write_tensor3``/``read_tensor3`` round trip."""
+def layout_fits():
+    """(label, fit) for each method of ``T3_METHODS`` on each copy of
+    ``LAYOUTS`` of the scenario-1 tensor: after a
+    ``write_tensor3``/``read_tensor3`` round trip, F-ordered, and a
+    transposed view of a C array."""
     from hopca.decompose import SolverConfig
     from hopca.fileio import read_tensor3, write_tensor3
     from hopca.simulate import SimScenarioSpec, fit_method, simulate
 
     spec = SimScenarioSpec(1, seed=SEED)
+    x = simulate(spec).x
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.t3"
-        write_tensor3(path, simulate(spec).x)
-        x = read_tensor3(path)
-    for name in T3_METHODS:
-        yield f"s1 t3 {name}", fit_method(name, x, spec,
-                                          SolverConfig(max_iter=100))
+        write_tensor3(path, x)
+        transposed = np.ascontiguousarray(x.transpose(2, 0, 1))
+        copies = (read_tensor3(path), np.asfortranarray(x),
+                  transposed.transpose(1, 2, 0))
+    for layout, copy in zip(LAYOUTS, copies):
+        for name in T3_METHODS:
+            yield f"s1 {layout} {name}", fit_method(
+                name, copy, spec, SolverConfig(max_iter=100))
 
 
 def pca_fits():
@@ -361,7 +371,7 @@ def main() -> int:
         print(f"{score_digest(support_metrics(fit, truth))}  {label} support",
               flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
-    for label, fit in (*t3_fits(), *uneven_ranks_fits()):
+    for label, fit in (*layout_fits(), *uneven_ranks_fits()):
         print(f"{digest(fit)}  {label}", flush=True)
         print(f"{trace_digest(fit)}  {label} trace", flush=True)
     for label, fit in (*mono_small_fits(), *pca_fits(),
