@@ -70,9 +70,10 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     The projection's norm is taken as ``||x x1 Qu' x2 Qv' x3 Qw'||`` with
     orthonormal bases Q of the columns, so each intermediate is k-sized
     in the mode it has contracted and no n x n projection is formed.  A
-    tensor that :func:`check_tensor3` refuses raises its ValueError.
+    tensor that :func:`check_tensor3` refuses raises its ValueError; any
+    other is read as its C copy, so its layout moves no bit of the curve.
     """
-    x = check_tensor3(x)
+    x = np.ascontiguousarray(check_tensor3(x))
     norm_sq = frob_norm(x) ** 2
     if norm_sq == 0.0:
         raise ValueError("variance explained is undefined for a zero tensor")

@@ -177,6 +177,16 @@ class TestVarianceExplained:
         with pytest.raises(ValueError, match=match):
             variance_explained(x, model)
 
+    def test_the_layout_of_x_moves_no_bit(self):
+        # with seed 1 ||x||^2 summed in either layout's memory order differs
+        x = np.random.default_rng(1).standard_normal((9, 7, 6))
+        model = hosvd(x, (2, 2, 2))
+        want = variance_explained(x, model).cumulative
+        transposed = np.ascontiguousarray(x.transpose(2, 0, 1))
+        for other in (np.asfortranarray(x), transposed.transpose(1, 2, 0)):
+            assert np.array_equal(variance_explained(other, model).cumulative,
+                                  want)
+
     def test_zero_columns_are_handled(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4, 4))

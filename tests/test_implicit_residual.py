@@ -53,9 +53,13 @@ def random_terms(view, k, rng):
 
 
 def formed(view, terms):
-    """``R`` formed directly, independently of :meth:`_Terms.residual`."""
+    """``R`` formed directly, one term at a time, independently of
+    :meth:`_Terms.residual`, which subtracts the terms' CP model."""
     U, V, W, d = terms.accepted()
-    return view - np.einsum("ik,jk,lk,k->ijl", U, V, W, d)
+    resid = np.array(view)
+    for j in range(terms.k):
+        resid -= outer3(U[:, j], V[:, j], W[:, j], d[j])
+    return resid
 
 
 @PROPERTY
