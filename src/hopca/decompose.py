@@ -516,9 +516,8 @@ def _kept(x, key, make):
 
 
 def _norm(x) -> float:
-    """``||x||``: kept by a block open on ``x``, else computed on the C
-    copy of ``x`` that such a block opens on."""
-    return _kept(x, "norm", lambda: frob_norm(np.ascontiguousarray(x)))
+    """``||x||``: kept by a block open on ``x``, else computed."""
+    return _kept(x, "norm", lambda: frob_norm(x))
 
 
 def _unfolding(x, mode):
@@ -1186,7 +1185,8 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     to what the earlier ones leave of it, no more than ``min(m.shape)``
     (the rank of ``m``), under ``cfg`` (default :class:`SolverConfig`).
 
-    ``m`` is the unfolding :func:`_unfolding` gives: for modes 1 and 3 a
+    ``m`` is the unfolding :func:`_unfolding` gives of ``y`` (outside a
+    block open on ``y``, of its C copy, taken once): for modes 1 and 3 a
     view of a C-contiguous ``y``, its columns in another order than
     :func:`matricize`'s, which moves the right factors' entries but not
     the left factors; mode 2 is a copy.  The fits run on the tensor view
@@ -1202,6 +1202,7 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     """
     cfg = cfg or SolverConfig()
     _reject_unread(cfg, svd_start=True)
+    y = y if _memo(y) else np.ascontiguousarray(y)  # one copy, read below
     m = _unfolding(y, mode)
     norm = _norm(y)
     if not math.isfinite(norm):
