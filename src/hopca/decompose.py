@@ -1202,7 +1202,7 @@ def _fit_unfolding(y, mode, k, updates, cfg: SolverConfig | None):
     """
     cfg = cfg or SolverConfig()
     _reject_unread(cfg, svd_start=True)
-    y = y if _memo(y) else np.ascontiguousarray(y)  # one copy, read below
+    y = y if _memo(y) else np.ascontiguousarray(y)  # one C copy for all below
     m = _unfolding(y, mode)
     norm = _norm(y)
     if not math.isfinite(norm):
