@@ -17,9 +17,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fileio
-from .decompose import CpModel, SolverConfig, tpa_rank_one
+from .decompose import CpModel, SolverConfig, _check_ranks, tpa_rank_one
 from .decompose import contract_u, contract_v, contract_w
-from .evaluate import bic_select, variance_explained
+from .evaluate import _checked_k, bic_select, variance_explained
 from .generalized import (
     SmootherSet,
     general_cp_tpa,
@@ -88,10 +88,10 @@ def _parse_grid(text: str | None) -> ModePenalty:
 
 
 def _parse_ranks(text: str, tucker: bool):
-    # a single K stays an int: Method.fit reads it as (K, K, K) for Tucker
+    # a single K is (K, K, K) for Tucker
     parts = [_positive_int(tok) for tok in text.split(",") if tok]
     if len(parts) == 1:
-        return parts[0]
+        return (parts[0],) * 3 if tucker else parts[0]
     if tucker and len(parts) == 3:
         return tuple(parts)
     raise CliError(1, "Tucker methods need --rank K or K1,K2,K3" if tucker
@@ -165,6 +165,9 @@ def _cmd_decompose(args) -> int:
             for mode_pen in pen.by_mode().values():
                 mode_pen.fixed_level()
     x = _load(fileio.read_tensor3, args.input, "tensor")
+    if tucker:
+        with _flag_values():
+            _check_ranks(x, ranks)
     if group:
         model = _fit_group(x, ranks, lams, args.group_size or 2, cfg)
     else:
@@ -295,9 +298,11 @@ def _solver_config(args, **settings) -> SolverConfig:
 
 
 def _cmd_varex(args) -> int:
-    x = _load(fileio.read_tensor3, args.input, "tensor")
     model = _load(fileio.load_model, args.model, "model")
-    report = variance_explained(x, model, args.k)
+    with _flag_values():
+        upto_k = _checked_k(model, args.k, "--k")
+    x = _load(fileio.read_tensor3, args.input, "tensor")
+    report = variance_explained(x, model, upto_k)
     rows = [(k + 1, value) for k, value in enumerate(report.cumulative)]
     _write_csv(args.out, "varex.csv", ["k", "cumulative_varex"], rows)
     for k, value in rows:

@@ -947,9 +947,6 @@ class _Terms:
         self.factors = (np.zeros((n, K)), np.zeros((p, K)), np.zeros((q, K)))
         self._cv, self._cw = np.zeros((p, K)), np.zeros((q, K))
         self._slice()
-        # a size-one third mode whose accepted factors are all [1.0] (the
-        # fixed factor), so their product with a w of [1.0] is all ones
-        self._unit_w = q == 1
 
     def accept(self, fit: RankOneFit) -> None:
         k = self.k
@@ -959,7 +956,6 @@ class _Terms:
         self._cv[:, k] = contract_v(self.x, fit.u, fit.w)
         if self.x.shape[2] > 1:  # a size-one mode's start(3) is [1.0]
             self._cw[:, k] = contract_w(self.x, fit.u, fit.v)
-        self._unit_w = self._unit_w and fit.w[0] == 1.0
         self.k += 1
         self._slice()
 
@@ -975,15 +971,10 @@ class _Terms:
     def correction(self, m, qf):
         """The terms' share of the mode-``m`` contraction against the
         other two modes' entries of ``qf``: the contraction of ``x``
-        less this is the contraction of ``R``.  A product that is all
-        ones (unit third factors against a w of [1.0]) is skipped: it
-        would multiply by exactly 1."""
+        less this is the contraction of ``R``."""
         *f, d = self._accepted
         a, b = _OTHER_MODES[m]
-        share = d * (f[a].T @ qf[a])
-        if b < 2 or not (self._unit_w and qf[2][0] == 1.0):
-            share *= f[b].T @ qf[b]
-        return f[m] @ share
+        return f[m] @ (d * (f[a].T @ qf[a]) * (f[b].T @ qf[b]))
 
     def norm_sq(self) -> float:
         """``||R||^2 = ||x||^2 - 2 sum_j d_j <x, t_j> + d^T (U^T U * V^T V
@@ -1082,6 +1073,10 @@ def _rank_one(x, updates, cfg, rng, basis=(None, None, None),
     it with the zero fit.
     """
     _reject_unread(cfg)
+    for mode, (upd, dim) in enumerate(zip(updates, x.shape), 1):
+        if upd.q is not None and len(upd.q) != dim:
+            raise ValueError(f"mode {mode}: the operator has order "
+                             f"{len(upd.q)}, the tensor's mode has length {dim}")
     fixed_w = x.shape[2] == 1 and updates[2] == _PLAIN[2]
     if any(upd.q is not None for upd in updates):
         from .generalized import qnorm_lasso_solve

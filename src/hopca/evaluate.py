@@ -60,6 +60,17 @@ def _orthonormal_basis(cols: np.ndarray) -> np.ndarray:
     return cols @ (vecs[:, keep] / np.sqrt(vals[keep]))
 
 
+def _checked_k(model, upto_k: int | None, name: str = "upto_k") -> int:
+    """The components :func:`variance_explained` reports: ``upto_k``, from
+    1 to the widest factor's column count, or all of them for None; a
+    refused value is called ``name`` in the error."""
+    max_k = max(f.shape[1] for f in (model.U, model.V, model.W))
+    upto_k = max_k if upto_k is None else int(upto_k)
+    if not 1 <= upto_k <= max_k:
+        raise ValueError(f"{name} must be in [1, {max_k}], got {upto_k}")
+    return upto_k
+
+
 def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     """Cumulative proportion of variance explained by the first k components.
 
@@ -78,10 +89,7 @@ def variance_explained(x, model, upto_k: int | None = None) -> VarianceReport:
     if norm_sq == 0.0:
         raise ValueError("variance explained is undefined for a zero tensor")
     factors = (model.U, model.V, model.W)
-    max_k = max(f.shape[1] for f in factors)
-    upto_k = max_k if upto_k is None else int(upto_k)
-    if not 1 <= upto_k <= max_k:
-        raise ValueError(f"upto_k must be in [1, {max_k}], got {upto_k}")
+    upto_k = _checked_k(model, upto_k)
     cumulative = np.zeros(upto_k)
     for k in range(1, upto_k + 1):
         bases = [_orthonormal_basis(f[:, :min(k, f.shape[1])]).T

@@ -12,10 +12,11 @@ reader checks the header against the body's size, allocates the result
 once and fills it block by block as it parses.  A body of 512 KiB
 (``2 * _PART_BYTES``) and more is parsed in two halves at the same time
 when more than one core is usable: the first in the caller, the second
-in a forked child that sends its values back down a pipe.  Every part
-and every block ends at an ASCII whitespace byte, so no token is split
-and the values are bit-exact, in one part or two and however the body
-is laid out on lines.
+in a forked child that writes its values in place, into a result that
+lies on an anonymous shared mapping.  Every part and every block ends
+at an ASCII whitespace byte, so no token is split and the values are
+bit-exact, in one part or two and however the body is laid out on
+lines.
 
 A model directory, CP or Tucker alike, holds ``U.csv``, ``V.csv`` and
 ``W.csv`` (one column per component), the weights (``d.csv`` for a CP
@@ -32,11 +33,10 @@ back by the weights file it finds.
 
 from __future__ import annotations
 
+import mmap
 import os
-import pickle
 import re
 import signal
-import struct
 import warnings
 from typing import Any
 
@@ -67,7 +67,7 @@ _VALUES_PER_LINE = 8
 _WRITE_BLOCK = _VALUES_PER_LINE * 256  # values formatted at a time
 _READ_BLOCK = 1 << 14  # bytes of .t3 body parsed at a time
 # least .t3 body bytes per part: a second part costs about 2.5 ms to fork
-# and drain, and two parts first beat one at a body of about 300 kB
+# and reap, and two parts first beat one at a body of 300-550 kB
 # (measured on a 2-core x86-64 box); more than two parts were not measured
 _PART_BYTES = 1 << 18
 _SCAN_BYTES = 64  # bytes read at a time to find a whitespace byte
@@ -77,8 +77,11 @@ _FACTOR_FILES = ("U.csv", "V.csv", "W.csv")
 
 
 def write_tensor3(path, x) -> None:
-    """Write a tensor to a ``.t3`` text file."""
+    """Write a tensor to a ``.t3`` text file; a tensor with a zero-length
+    mode is refused before the file is made."""
     x = check_tensor3(x)
+    if not x.size:  # a .t3 header names positive dims only
+        raise ValueError(f"no .t3 file holds a tensor of shape {x.shape}")
     n, p, q = x.shape
     # a slab of whole mode-3 planes (about _WRITE_BLOCK values) is copied
     # into file order at a time, not the whole tensor; one %-format per
@@ -148,12 +151,25 @@ def _parse(fd: int, lo: int, hi: int, room: int, more: str):
         lo = end
 
 
-def _fork_part(fd: int, lo: int, hi: int, room: int, more: str):
-    """Fork a child that parses bytes ``[lo, hi)`` of file ``fd`` and sends
-    its value count and then its float64 bytes down a pipe, or -1 and its
-    pickled error; the child's pid and the pipe's read end.  The child
-    holds the values of its own part only, as they are parsed."""
-    r, w = os.pipe()
+def _parse_last(fd: int, lo: int, hi: int, more: str, flat) -> int:
+    """Parse bytes ``[lo, hi)`` of file ``fd`` into the last values of
+    ``flat``, in file order; their count.  More values than ``flat``
+    holds raise ``more``."""
+    blocks = list(_parse(fd, lo, hi, len(flat), more))
+    got = sum(map(len, blocks))
+    at = len(flat) - got
+    for values in blocks:
+        flat[at:at + len(values)] = values
+        at += len(values)
+    return got
+
+
+def _fork_part(fd: int, lo: int, hi: int, more: str, flat, got) -> int:
+    """Fork a child that parses bytes ``[lo, hi)`` of file ``fd`` into the
+    last values of ``flat`` (:func:`_parse_last`), writes their count into
+    ``got[0]`` and exits 0, or exits 1 on any error; the child's pid.
+    Both arrays lie on a shared mapping, so the caller reads what the
+    child wrote."""
     # CPython 3.12+ warns when a process with threads (here OpenBLAS's)
     # forks; the child runs only the parse loop, takes no lock another
     # thread can hold, and leaves by os._exit
@@ -161,41 +177,13 @@ def _fork_part(fd: int, lo: int, hi: int, room: int, more: str):
         warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
+        status = 1
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                try:
-                    blocks = list(_parse(fd, lo, hi, room, more))
-                    pipe.write(struct.pack("q", sum(map(len, blocks))))
-                    for values in blocks:
-                        pipe.write(values)
-                except Exception as exc:
-                    pipe.write(struct.pack("q", -1) + pickle.dumps(exc))
+            got[0] = _parse_last(fd, lo, hi, more, flat)
+            status = 0
         finally:
-            os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _receive(pipe, path, flat, filled: int, more: str) -> int:
-    """Copy the values a child sends down ``pipe`` into ``flat`` from
-    ``filled`` on, a block at a time; the new fill."""
-    def exactly(size):
-        data = pipe.read(size)
-        if len(data) != size:
-            raise OSError(f"{path}: a parse process ended without its values")
-        return data
-
-    (got,) = struct.unpack("q", exactly(8))
-    if got < 0:
-        raise pickle.loads(pipe.read())
-    if filled + got > len(flat):
-        raise ValueError(more)
-    step = _READ_BLOCK // 8
-    for at in range(filled, filled + got, step):
-        take = min(step, filled + got - at)
-        flat[at:at + take] = np.frombuffer(exactly(8 * take), float)
-    return filled + got
+            os._exit(status)
+    return pid
 
 
 def read_tensor3(path) -> np.ndarray:
@@ -209,11 +197,13 @@ def read_tensor3(path) -> np.ndarray:
     nothing.  The second part starts at an ASCII whitespace byte, so no
     token is split, and both parts run the same block loop
     (:func:`_parse`): the values are bit-exact, the bits a one-part read
-    gives, and a bad token or a wrong count raises a ``ValueError``.  The
-    caller copies the child's values into the result after its own, a
-    block at a time, and reaps the child before it returns or raises.
-    The result is the one tensor the caller holds; the child holds the
-    values of its half until the caller has taken them.
+    gives, and a bad token or a wrong count raises a ``ValueError``.
+    Two parts fill an anonymous shared mapping: the caller puts its
+    values first, the child its values last and their count in the slot
+    after the tensor.  The caller reaps the child before it returns or
+    raises; when the child failed or was killed, the caller parses that
+    part itself, which raises the child's error or fills in its values.
+    The result is the one tensor the caller holds.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().split()
@@ -230,30 +220,34 @@ def read_tensor3(path) -> np.ndarray:
         if min(n, p, q) < 1 or count > room:
             raise ValueError(f"{path}: header dims {n} {p} {q} ask for "
                              f"{count} values; the body holds at most {room}")
-        x = np.empty((n, p, q))
         more = (f"{path}: expected {count} values for dims {(n, p, q)}, "
                 "got more")
         mid = _second_part_at(fd, start, end)
-        child = _fork_part(fd, mid, end, count, more) if mid < end else None
+        # two parts share their result and, in the slot after it, the
+        # child's value count
+        shared = (np.frombuffer(mmap.mmap(-1, 8 * (count + 1)), float)
+                  if mid < end else np.empty(count + 1))
+        x = shared[:count].reshape(n, p, q)
         # the file order is the C order of x.T
         flat, filled = x.T.flat, 0
+        child = (_fork_part(fd, mid, end, more, flat, shared[count:])
+                 if mid < end else None)
         try:
             for values in _parse(fd, start, mid, count, more):
                 flat[filled:filled + len(values)] = values
                 filled += len(values)
-            if child:
-                filled = _receive(child[1], path, flat, filled, more)
         except BaseException:
             if child:
-                os.kill(child[0], signal.SIGKILL)
+                os.kill(child, signal.SIGKILL)
             raise
         finally:
-            if child:
-                child[1].close()
-                os.waitpid(child[0], 0)
+            status = child and os.waitpid(child, 0)[1]
+        if child:  # the part of a child that failed is parsed again here
+            filled += (int(shared[count]) if status == 0
+                       else _parse_last(fd, mid, end, more, flat))
     if filled != count:
-        raise ValueError(f"{path}: expected {count} values for dims "
-                         f"{(n, p, q)}, got {filled}")
+        raise ValueError(more if filled > count else f"{path}: expected "
+                         f"{count} values for dims {(n, p, q)}, got {filled}")
     return check_tensor3(x)
 
 

@@ -407,6 +407,11 @@ _DECOMPOSE = ["decompose", "--method", "tpa"]
     ["simulate", "--scenario", "2", "--noise", "inf"],
     ["bic", "--mode", "u", "--grid", "x"],
     ["varex", "--k", "0"],
+    # refused by the tensor's shape (8 x 7 x 6) or the model's one
+    # component, before any fit or before the tensor is read
+    ["decompose", "--method", "hosvd", "--rank", "7"],
+    ["decompose", "--method", "sparse-hooi", "--rank", "2,8,2"],
+    ["varex", "--k", "3"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_flag_value_exits_one(rank_one_file, tmp_path, capsys, argv):
     # a flag value the library rejects is a usage error, not a numerical

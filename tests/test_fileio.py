@@ -2,6 +2,9 @@
 
 import contextlib
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -288,6 +291,57 @@ def test_t3_one_part_forks_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.delattr(fileio.os, "fork")
     assert fileio.read_tensor3(path).tobytes() == x.tobytes()
+
+
+def test_t3_a_killed_part_is_parsed_by_the_caller(tmp_path):
+    # a second part killed before it writes leaves its values and their
+    # count unwritten: the caller parses that part itself
+    x = np.random.default_rng(9).standard_normal((6, 5, 4))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    caller, parse = os.getpid(), fileio._parse
+
+    def parse_or_die(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse(*args)
+
+    with in_parts() as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_parse", parse_or_die)
+        back = fileio.read_tensor3(path)
+    assert len(forks) == 1
+    assert back.tobytes() == fileio.read_tensor3(path).tobytes()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="a body is read in two parts on two usable cores")
+def test_t3_two_part_read_raises_the_peak_rss_by_one_tensor(tmp_path):
+    # tracemalloc does not see the shared mapping the parts fill, so a
+    # fresh process reports the growth of its peak resident set
+    x = np.random.default_rng(10).standard_normal((100, 100, 100))
+    path = tmp_path / "x.t3"
+    fileio.write_tensor3(path, x)
+    script = """
+import resource, sys
+from hopca import fileio
+forks, fork_part = [], fileio._fork_part
+fileio._fork_part = lambda *a: forks.append(a) or fork_part(*a)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+x = fileio.read_tensor3(sys.argv[1])
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(len(forks), 1024 * grew / x.nbytes)
+"""
+    src = os.path.dirname(os.path.dirname(fileio.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, str(path)],
+                         env=env, capture_output=True, text=True, check=True)
+    forks, tensors = out.stdout.split()
+    assert forks == "1"
+    assert float(tensors) <= 1.2
 
 
 def test_matrix_csv_round_trip(tmp_path):

@@ -4,6 +4,9 @@ checks of the public functions, the BIC choice of the ALS lasso step,
 the relative stopping rule, the zero penalized-PCA fit, one ALS level
 per component, operators by method and model directories by kind."""
 
+import os
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,6 +28,7 @@ from hopca.generalized import (
     QuadOperators,
     SmootherSet,
     difference_penalty,
+    gcp_rank_one,
     general_cp_tpa_rank_one,
     l1_penalty,
     qnorm_lasso_solve,
@@ -110,6 +114,16 @@ def _rank_two(shape):
     return CpModel(*(np.eye(n, 2) for n in shape), np.ones(2))
 
 
+def _write_t3(shape):
+    """Write a tensor of ones of ``shape``; a refused one leaves no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.t3")
+        try:
+            fileio.write_tensor3(path, np.ones(shape))
+        finally:
+            assert not os.path.exists(path)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: SolverConfig(init="svd"), "unknown init"),
     (lambda: cp_als(noisy_rank_one(3), 0), "K must be >= 1"),
@@ -137,13 +151,24 @@ def _rank_two(shape):
     (lambda: ModePenalty("lasso", []), "non-empty"),
     (lambda: PenaltySpec.lasso(u="aic"), "unknown penalty value"),
     (lambda: tensor3(np.ones(4), (0, 2, 2)), "dims must be positive"),
+    (lambda: _write_t3((0, 2, 2)), r"shape \(0, 2, 2\)"),
+    (lambda: _write_t3((2, 0, 2)), r"shape \(2, 0, 2\)"),
+    (lambda: _write_t3((2, 2, 0)), r"shape \(2, 2, 0\)"),
+    (lambda: sparse_gcp(noisy_rank_one(3), QuadOperators(
+        np.eye(8), np.eye(7), np.eye(2)), 1),
+     "mode 3: the operator has order 2, the tensor's mode has length 6"),
+    (lambda: gcp_rank_one(noisy_rank_one(3), QuadOperators(
+        np.eye(3), np.eye(7), np.eye(6))),
+     "mode 1: the operator has order 3, the tensor's mode has length 8"),
 ], ids=["SolverConfig-init", "cp_als-K0", "tpa-K0", "hosvd-two-ranks",
         "varex-upto_k-high", "varex-upto_k-zero", "support_metrics-dims",
         "QuadOperators-non-square", "QuadOperators-non-symmetric",
         "qnorm_lasso_solve-lipschitz0", "difference_penalty-order3",
         "difference_penalty-alpha", "fit_method-name", "table-replicates0",
         "ModePenalty-kind", "ModePenalty-empty-grid", "PenaltySpec-aic",
-        "tensor3-zero-dim"])
+        "tensor3-zero-dim", "write_tensor3-zero-mode-1",
+        "write_tensor3-zero-mode-2", "write_tensor3-zero-mode-3",
+        "sparse_gcp-operator-order", "gcp_rank_one-operator-order"])
 def test_each_public_check_refuses_its_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
